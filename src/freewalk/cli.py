@@ -3,10 +3,10 @@
 Commands: decompose | verify | audit | moments.  A JSON run config holds the
 group (weights as exact fraction strings), the visual/greedy parameters and
 per-command options; results are machine-readable JSON (and CSV for
-coefficient tables).  Outputs are byte-identical across runs and thread
-counts; timestamps go to a separate meta file.
+coefficient tables).  Outputs are byte-identical across runs; timestamps go
+to a separate meta file.
 
-Exit codes: 0 pass, 1 check failed, 2 usage/config error.
+Exit codes: 0 pass, 1 check failed, 2 usage/config error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -182,9 +181,7 @@ def cmd_decompose(run: Run, args) -> int:
     section = run.cfg.get("decompose", {})
     F = run.target(section.get("target"))
     result = basis_decompose(F, run.nu, run.greedy)
-    doc = result.to_json()
-    doc["threads"] = 1  # decomposition rounds are inherently sequential
-    _write(args.out, "decomposition.json", _dump(doc))
+    _write(args.out, "decomposition.json", _dump(result.to_json()))
     _write(args.out, "decomposition.csv", result.to_csv())
     _write_meta(args.out, "decompose")
     return 0 if result.achieved_tolerance <= run.greedy.tau else 1
@@ -216,8 +213,7 @@ def cmd_verify(run: Run, args) -> int:
     nu_prime = run.boundary_measure(section.get("nu_prime"))
     depth = args.depth if args.depth is not None else section.get("depth")
     report = verify_stationarity(mu, nu, nu_prime,
-                                 depth=int(depth) if depth else None,
-                                 threads=args.threads)
+                                 depth=int(depth) if depth else None)
     _write(args.out, "stationarity.json", _dump(report.to_json()))
     _write_meta(args.out, "verify")
     threshold = args.threshold if args.threshold is not None \
@@ -257,24 +253,14 @@ def cmd_audit(run: Run, args) -> int:
                 if d >= 1 or d == 0:
                     sweep.append((gamma, d))
 
-    def check(item):
-        gamma, d = item
-        sp = make_spike(gamma, nu, params, margin=d)
-        rep = verify_spike(sp, nu)
-        qrep = verify_q_spike(sp, nu)
-        return (gamma, d, rep, qrep, sp)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(check, sweep))
-    else:
-        results = [check(item) for item in sweep]
-
     failures = []
     witness_dump = []
     worst_c = Fraction(0)
     worst_doubling = 0
-    for gamma, d, rep, qrep, sp in results:
+    for gamma, d in sweep:
+        sp = make_spike(gamma, nu, params, margin=d)
+        rep = verify_spike(sp, nu)
+        qrep = verify_q_spike(sp, nu)
         if not (rep.all_ok and qrep.q_spike_ok):
             failures.append({"gamma": run.group.format_word(gamma), "D": str(d),
                              "witnesses": {**rep.witnesses, **qrep.witnesses}})
@@ -310,7 +296,7 @@ def cmd_audit(run: Run, args) -> int:
         "D0": _num_to_str(shadows.d0),
         "D_nu": _num_to_str(decay.d_nu),
         "T_nu": _num_to_str(worst_doubling),
-        "spikes_checked": len(results),
+        "spikes_checked": len(sweep),
         "spikes_failed": len(failures),
         "worst_measured_C": _num_to_str(worst_c),
         "worst_lower": {"gamma": shadows.worst_lower["gamma"],
@@ -337,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=["decompose", "verify", "audit", "moments"])
     parser.add_argument("--config", required=True, help="run config JSON")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--depth", type=int, default=None)
     parser.add_argument("--threshold", type=float, default=None)
     parser.add_argument("--witnesses", action="store_true",
@@ -354,17 +339,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         run = Run(cfg)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         handler = {"decompose": cmd_decompose, "verify": cmd_verify,
                    "audit": cmd_audit, "moments": cmd_moments}[args.command]
         return handler(run, args)
-    except (ConfigError, InputError) as exc:
+    except ValueError as exc:  # every user-facing library error subclasses it
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # surfaced, never silently swallowed
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

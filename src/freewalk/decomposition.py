@@ -20,11 +20,14 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert, is_prefix
-from .geometry import Cylinder, VisualParams
-from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
-from .measures import BoundaryMeasure, GroupMeasure, integrate, radon_nikodym
+from .geometry import Cylinder, VisualParams, sup_product
+from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
+                         trie_closure)
+# radon_nikodym stays bound here for bench/test_tracer.py
+from .measures import BoundaryMeasure, GroupMeasure, integrate, radon_nikodym  # noqa: F401
 from .spikes import (Spike, shadow_lemma_audit, decay_check,
-                     local_doubling_sup, ball_cells)
+                     local_doubling_sup, lipschitz_scale, ball_cells)
+from .stationarity import functionals
 
 
 class GreedyParameterError(ValueError):
@@ -231,13 +234,6 @@ class SpikeAccumulator:
         return total
 
 
-def _spine_word(group: WeightedFreeGroup, word: Word, depth: int) -> Word:
-    w = tuple(word)
-    while len(w) < depth:
-        w = w + (group.valid_extensions(w)[0],)
-    return w
-
-
 # ---------------------------------------------------------------------------
 # the inner greedy construction
 # ---------------------------------------------------------------------------
@@ -256,18 +252,7 @@ def oscillation_threshold(f: LocallyConstantFunction, s) -> Fraction:
     """Smallest weighted scale exponent T such that sup f / inf f <= s within
     every cell class at scale e^{-eps T} (0 when f is globally s-flat)."""
     group = f.group
-    node_stats: Dict[Word, List] = {}
-    for w, v in f.values.items():
-        for i in range(len(w) + 1):
-            node = w[:i]
-            st = node_stats.get(node)
-            if st is None:
-                node_stats[node] = [v, v]
-            else:
-                if v < st[0]:
-                    st[0] = v
-                if v > st[1]:
-                    st[1] = v
+    node_stats = f.trie_stats()
     # candidate thresholds: distinct node weights, ascending
     weights = sorted({group.word_weight(n) for n in node_stats})
     for t_exp in weights:
@@ -300,7 +285,7 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
     lambdas: List[Tuple[Word, object]] = []
     for sp in spikes:
         b = sp.center.word
-        spine = _spine_word(group, b, depth)
+        spine = spine_word(group, b, depth)
         lam = target.at(spine) - acc.value_at(spine)
         if lam > 0:
             acc.insert(b, lam)
@@ -385,23 +370,18 @@ def _sup_over(F: LocallyConstantFunction, Y: Sequence[Cylinder]):
 # round plumbing shared by the outer loops
 # ---------------------------------------------------------------------------
 
-def _round_spikes(group: WeightedFreeGroup, nu: BoundaryMeasure,
-                  vparams: VisualParams, shell: int, margin: int,
-                  cap) -> List[Spike]:
+def _round_spikes(group: WeightedFreeGroup, vparams: VisualParams, shell: int,
+                  margin: int, cap) -> List[Spike]:
     """One spike per cover cell: shadows of a canonical gamma per cell of the
     depth-(shell - margin) partition (disjoint; Lebesgue number 1)."""
-    from .geometry import sup_product
     cover_depth = shell - margin
     if cover_depth < 0:
         raise InternalInvariantError(f"shell {shell} below margin {margin}")
     spikes = []
     for cell in group.sphere(cover_depth):
-        word = _spine_word(group, cell, shell)
+        word = spine_word(group, cell, shell)
         gamma = invert(word)
-        f = radon_nikodym(gamma, nu, vparams)
-        sup = f.sup()
-        unit = f.scale(1 / sup)
-        spikes.append(Spike(function=unit, r_exp=sup_product(group, gamma) - margin,
+        spikes.append(Spike(function=None, r_exp=sup_product(group, gamma) - margin,
                             center=Cylinder(word), q=vparams.q_exponent,
                             theta=vparams.q_exponent, c=cap, gamma=gamma,
                             margin=Fraction(margin), params=vparams))
@@ -429,10 +409,6 @@ def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
     return c
 
 
-def _norm_l1(f: LocallyConstantFunction, nu: BoundaryMeasure):
-    return sum(v * nu.mass_of(w) for w, v in f.values.items())
-
-
 def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
                    spikes: Sequence[Spike], vparams: VisualParams,
                    tau: float, sweeps: int = 120):
@@ -450,7 +426,7 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     group = R.group
     depth = max([R.depth()] + [len(sp.center.word) for sp in spikes])
     centers = [sp.center.word for sp in spikes]
-    spines = [_spine_word(group, b, depth) for b in centers]
+    spines = [spine_word(group, b, depth) for b in centers]
     targets = [float(R.at(sp)) for sp in spines]
     acc = SpikeAccumulator(group, VisualParams.floats(vparams.alpha.value,
                                                       vparams.epsilon.value))
@@ -532,7 +508,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         raise GreedyParameterError("target must be uniformly positive")
     R = F
     mu: Dict[Word, object] = {}
-    trace = [_norm_l1(R, nu)]
+    trace = [integrate(R, nu)]
     records: List[RoundRecord] = []
     # Each round applies the recursion to the damped target beta * R and keeps
     # the whole ladder sum h = g, enforcing the domination h <= R cellwise
@@ -543,7 +519,6 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                 min(int(oscillation_threshold(F, params.s)) + params.margin,
                     params.max_shell))
     spike_cache: Dict[int, List[Spike]] = {}
-    unit_mass: Dict[Word, object] = {}
     for round_idx in range(1, params.max_rounds + 1):
         if float(trace[-1]) <= params.tau:
             break
@@ -551,7 +526,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
         if shell not in spike_cache:
-            spike_cache[shell] = _round_spikes(group, nu, vparams, shell,
+            spike_cache[shell] = _round_spikes(group, vparams, shell,
                                                params.margin, cap)
         finish = None
         if params.rescale == "adaptive":
@@ -565,7 +540,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             target = R.scale(params.beta)
             while True:
                 if shell not in spike_cache:
-                    spike_cache[shell] = _round_spikes(group, nu, vparams, shell,
+                    spike_cache[shell] = _round_spikes(group, vparams, shell,
                                                        params.margin, cap)
                 spikes = spike_cache[shell]
                 lambdas, g = greedy_lambdas(target, spikes, vparams)
@@ -582,7 +557,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                 factor = _adaptive_factor(R, g, params)
                 h = g.scale(factor)
         R_next = R.sub(h).canonical()
-        l1_next = _norm_l1(R_next, nu)
+        l1_next = integrate(R_next, nu)
         if not l1_next < trace[-1]:
             raise InternalInvariantError(
                 f"residual did not decrease in round {round_idx}: "
@@ -591,17 +566,14 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             raise InternalInvariantError(
                 f"round {round_idx} violated the guaranteed contraction "
                 f"{float(rho):.6f}")
-        for (gamma, lam), sp in zip(lambdas, spikes):
+        for gamma, lam in lambdas:
             if lam > 0:
-                mass = unit_mass.get(gamma)
-                if mass is None:
-                    mass = integrate(sp.function, nu)
-                    unit_mass[gamma] = mass
+                mass = vparams.alpha.exp_neg(sup_product(group, gamma))
                 mu[gamma] = mu.get(gamma, 0) + factor * lam * mass
         records.append(RoundRecord(index=round_idx, shell=shell,
                                    cover_depth=shell - params.margin,
                                    spike_count=len(spikes), factor=factor,
-                                   round_mass=factor * _norm_l1(g, nu),
+                                   round_mass=factor * integrate(g, nu),
                                    residual_l1=l1_next))
         R = R_next
         trace.append(l1_next)
@@ -633,11 +605,10 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         raise InputError("case-3 schedule condition violated")
     if F.inf() <= 0:
         raise GreedyParameterError("target must be uniformly positive")
-    from .spikes import lipschitz_scale
     eps_sched: List[float] = [1.0]
     R = F
     mu: Dict[Word, object] = {}
-    trace = [_norm_l1(R, nu)]
+    trace = [integrate(R, nu)]
     records: List[RoundRecord] = []
     g_shift = float(vparams.epsilon.exp_neg(params.margin))  # g(r) = e^{-eps D} r
     proof_factor = params.beta * 3 * constants.l_nu / (cap * params.s)
@@ -657,23 +628,22 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_n = min(delta_n / t_n, eps_prev)
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
-        spikes = _round_spikes(group, nu, vparams, shell, params.margin, cap)
+        spikes = _round_spikes(group, vparams, shell, params.margin, cap)
         lambdas, g = greedy_lambdas(R, spikes, vparams)
         factor = proof_factor if params.rescale == "proof" \
-            else _adaptive_factor(R, g, params, vparams,
-                                  oscillation_threshold(R, params.s))
+            else _adaptive_factor(R, g, params)
         h = g.scale(factor)
         bad = [w for w in h.values if h.values[w] > params.beta * R.at(w)]
         if bad:
             raise InternalInvariantError(f"h exceeds beta R on {bad[:3]}")
         R_next = R.sub(h).canonical()
-        l1_next = _norm_l1(R_next, nu)
+        l1_next = integrate(R_next, nu)
         round_mass = 0
         max_log = 0.0
         contribution = 0.0
-        for (gamma, lam), sp in zip(lambdas, spikes):
+        for gamma, lam in lambdas:
             if lam > 0:
-                mass_u = integrate(sp.function, nu)
+                mass_u = vparams.alpha.exp_neg(sup_product(group, gamma))
                 coeff = factor * lam * mass_u
                 mu[gamma] = mu.get(gamma, 0) + coeff
                 round_mass = round_mass + coeff
@@ -774,16 +744,7 @@ def _finish(group, nu, mu, trace, records, params, constants, envelope):
         for w in dropped:
             del atoms[w]
     coeffs = GroupMeasure(group, atoms)
-    moment = sum((v * group.word_weight(w) for w, v in coeffs.atoms.items()),
-                 Fraction(0) if exact_mode else 0.0)
-    log_moment = 0.0
-    entropy = 0.0
-    for w, v in coeffs.atoms.items():
-        d = float(group.word_weight(w))
-        if d > 1:
-            log_moment += float(v) * math.log(d)
-        if v > 0:
-            entropy -= float(v) * math.log(float(v))
+    moment, log_moment, entropy = functionals(coeffs)
     achieved = float(trace[-1]) + leak
     result = DecompositionResult(
         coefficients=coeffs, residual_trace=trace, rounds=len(records),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
                     multiply, cancellation, common_prefix_length, is_prefix)
@@ -153,29 +153,36 @@ class Cylinder:
 BoundaryArg = Union[Word, tuple, Cylinder]
 
 
+def merge_siblings(group: WeightedFreeGroup, cells: Dict[Word, object]) -> Dict[Word, object]:
+    """Canonical form of a prefix-free cell map: each complete sibling family
+    carrying one value becomes its parent cell.  A merge only creates a cell
+    one level up, so one pass from the deepest level up reaches the fixed point."""
+    out = dict(cells)
+    levels: Dict[int, Dict[Word, List[Word]]] = {}
+    for w in out:
+        if w:
+            levels.setdefault(len(w), {}).setdefault(w[:-1], []).append(w)
+    for depth in range(max(levels, default=0), 0, -1):
+        for parent, kids in levels.get(depth, {}).items():
+            if {w[-1] for w in kids} != set(group.valid_extensions(parent)) \
+                    or len({out[w] for w in kids}) != 1:
+                continue
+            out[parent] = out[kids[0]]
+            for w in kids:
+                del out[w]
+            if parent:
+                levels.setdefault(depth - 1, {}).setdefault(parent[:-1], []).append(parent)
+    return out
+
+
 def merge_cylinders(group: WeightedFreeGroup, cylinders: Sequence[Cylinder]) -> List[Cylinder]:
     """Canonical minimal form: drop nested cylinders, merge complete sibling sets."""
-    words = sorted({c.word for c in cylinders}, key=lambda w: (len(w), w))
-    kept: List[Word] = []
-    for w in words:
-        if not any(is_prefix(p, w) for p in kept):
-            kept.append(w)
-    merged = True
-    current = set(kept)
-    while merged:
-        merged = False
-        by_parent = {}
-        for w in current:
-            if w:
-                by_parent.setdefault(w[:-1], set()).add(w[-1])
-        for parent, xs in by_parent.items():
-            need = set(group.valid_extensions(parent))
-            if xs == need:
-                current -= {parent + (x,) for x in xs}
-                current.add(parent)
-                merged = True
-                break
-    return [Cylinder(w) for w in sorted(current, key=lambda w: (len(w), w))]
+    kept = set()
+    for w in sorted({c.word for c in cylinders}, key=len):
+        if not any(w[:i] in kept for i in range(len(w))):
+            kept.add(w)
+    merged = merge_siblings(group, dict.fromkeys(kept))
+    return [Cylinder(w) for w in sorted(merged, key=lambda w: (len(w), w))]
 
 
 def translate_cylinder(group: WeightedFreeGroup, g: Word, cyl: Cylinder) -> List[Cylinder]:
@@ -265,7 +272,7 @@ def locally_constant_cells(group: WeightedFreeGroup, q: Word,
     """Cells of the coarsest partition on which z -> rho_{q,z}(p) is constant,
     with the constant value per cell."""
     spine = {q[:i] for i in range(len(q) + 1)} | {p[:i] for i in range(len(p) + 1)}
-    cells: List[Tuple[Cylinder, Fraction]] = []
+    cells: Dict[Word, Fraction] = {}
 
     def descend(node: Word):
         for x in group.valid_extensions(node):
@@ -273,29 +280,11 @@ def locally_constant_cells(group: WeightedFreeGroup, q: Word,
             if child in spine:
                 descend(child)
             else:
-                cells.append((Cylinder(child),
-                              group.distance(q, child) - group.distance(p, child)))
+                cells[child] = group.distance(q, child) - group.distance(p, child)
 
     descend(EPSILON)
-    # merge complete sibling families carrying one value
-    changed = True
-    while changed:
-        changed = False
-        by_parent = {}
-        for cyl, v in cells:
-            if cyl.word:
-                by_parent.setdefault(cyl.word[:-1], []).append((cyl.word[-1], v))
-        for parent, kids in by_parent.items():
-            need = set(group.valid_extensions(parent))
-            if {x for x, _ in kids} == need and len({v for _, v in kids}) == 1:
-                value = kids[0][1]
-                cells = [(c, v) for c, v in cells
-                         if not (len(c.word) == len(parent) + 1 and c.word[:-1] == parent)]
-                cells.append((Cylinder(parent), value))
-                changed = True
-                break
-    cells.sort(key=lambda cv: (len(cv[0].word), cv[0].word))
-    return cells
+    merged = merge_siblings(group, cells)
+    return [(Cylinder(w), merged[w]) for w in sorted(merged, key=lambda w: (len(w), w))]
 
 
 def locally_constant_depth(group: WeightedFreeGroup, q: Word,

@@ -14,13 +14,12 @@ masses stay queryable (and exact) at any depth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
                     multiply, is_prefix)
-from .geometry import (Cylinder, VisualParams, LogScale, locally_constant_cells)
+from .geometry import VisualParams, LogScale, locally_constant_cells
 from .partitions import (LocallyConstantFunction, CylinderPartition,
                          validate_partition, _num_to_str, _num_from_str)
 
@@ -41,24 +40,19 @@ class RefinementRuleError(ValueError):
 # growth: spheres, critical exponent, Poincare series
 # ---------------------------------------------------------------------------
 
-def weighted_shell_counts(group: WeightedFreeGroup, horizon: int) -> List[int]:
-    """S_k = number of gamma with ||gamma|| in the annulus (k-1/2, k+1/2],
-    for k = 0..horizon (orbit of the identity)."""
-    counts = [0] * (horizon + 1)
-    counts[0] = 1
-    # dp over (weighted length, last letter) -> count
+def _length_counts(group: WeightedFreeGroup, bound) -> Dict[Fraction, int]:
+    """Number of reduced words of each exact weighted length <= bound, by a
+    DP over (weighted length, last letter); the identity has length 0."""
+    by_length: Dict[Fraction, int] = {Fraction(0): 1}
     level: Dict[Tuple[Fraction, int], int] = {}
     for x in group.letters():
-        key = (group.letter_weight(x), x)
-        level[key] = level.get(key, 0) + 1
-    bound = Fraction(2 * horizon + 1, 2)
+        w = group.letter_weight(x)
+        if w <= bound:
+            level[(w, x)] = level.get((w, x), 0) + 1
     while level:
         nxt: Dict[Tuple[Fraction, int], int] = {}
         for (length, last), cnt in level.items():
-            shifted = length + Fraction(1, 2)  # annulus (k-1/2, k+1/2]
-            k = int(shifted) - 1 if shifted.denominator == 1 else int(shifted)
-            if k <= horizon:
-                counts[k] += cnt
+            by_length[length] = by_length.get(length, 0) + cnt
             for x in group.letters():
                 if x == (last ^ 1):
                     continue
@@ -67,6 +61,15 @@ def weighted_shell_counts(group: WeightedFreeGroup, horizon: int) -> List[int]:
                     key = (length2, x)
                     nxt[key] = nxt.get(key, 0) + cnt
         level = nxt
+    return by_length
+
+
+def weighted_shell_counts(group: WeightedFreeGroup, horizon: int) -> List[int]:
+    """S_k = number of gamma with ||gamma|| in the annulus (k-1/2, k+1/2],
+    for k = 0..horizon (orbit of the identity)."""
+    counts = [0] * (horizon + 1)
+    for length, cnt in _length_counts(group, Fraction(2 * horizon + 1, 2)).items():
+        counts[math.ceil(length - Fraction(1, 2))] += cnt
     return counts
 
 
@@ -124,26 +127,7 @@ def poincare_series(group: WeightedFreeGroup, s: float, truncation: int):
     if truncation < 1:
         raise InputError(f"truncation must be >= 1, got {truncation}")
     s = float(s)
-    # dp over exact weighted lengths
-    level: Dict[Tuple[Fraction, int], int] = {}
-    for x in group.letters():
-        w = group.letter_weight(x)
-        if w <= truncation:
-            key = (w, x)
-            level[key] = level.get(key, 0) + 1
-    by_length: Dict[Fraction, int] = {Fraction(0): 1}
-    while level:
-        nxt: Dict[Tuple[Fraction, int], int] = {}
-        for (length, last), cnt in level.items():
-            by_length[length] = by_length.get(length, 0) + cnt
-            for x in group.letters():
-                if x == (last ^ 1):
-                    continue
-                length2 = length + group.letter_weight(x)
-                if length2 <= truncation:
-                    key = (length2, x)
-                    nxt[key] = nxt.get(key, 0) + cnt
-        level = nxt
+    by_length = _length_counts(group, truncation)
     partial = sum(cnt * math.exp(-s * float(length))
                   for length, cnt in by_length.items())
     shells = sorted(by_length.items())
@@ -199,9 +183,6 @@ class BoundaryMeasure:
             if is_prefix(word, w):
                 total = total + v
         return total
-
-    def mass_of_cylinder(self, cyl: Cylinder):
-        return self.mass_of(cyl.word)
 
     @property
     def total(self):
@@ -382,11 +363,10 @@ def radon_nikodym(gamma: Word, nu: BoundaryMeasure,
         group, [(c, params.alpha.exp_neg(rho)) for c, rho in cells])
 
 
-def pushforward(gamma: Word, nu: BoundaryMeasure) -> BoundaryMeasure:
-    """(gamma * nu)(E) = nu(gamma E), exact at every depth via the parent measure."""
-    group = nu.group
-    gamma = tuple(gamma)
-
+def _pushforward_mass(group: WeightedFreeGroup, gamma: Word,
+                      nu: BoundaryMeasure) -> Callable[[Word], object]:
+    """word -> nu(gamma C(word)): read off nu below |gamma|, summed over
+    children above it (where gamma C(word) is not a single cylinder)."""
     def mass(word: Word):
         word = tuple(word)
         if len(word) > len(gamma):
@@ -396,38 +376,31 @@ def pushforward(gamma: Word, nu: BoundaryMeasure) -> BoundaryMeasure:
             total = total + mass(word + (x,))
         return total
 
+    return mass
+
+
+def pushforward(gamma: Word, nu: BoundaryMeasure) -> BoundaryMeasure:
+    """(gamma * nu)(E) = nu(gamma E), exact at every depth via the parent measure."""
+    group = nu.group
+    gamma = tuple(gamma)
+    mass = _pushforward_mass(group, gamma, nu)
     depth = max(1, len(gamma) + 1, nu.depth())
     leaves = {w: mass(w) for w in group.sphere(depth)}
     return BoundaryMeasure(group, leaves, mass_fn=mass, params=nu.params,
                            conformal=False, rule="pushforward", validate=False)
 
 
-def convolve(mu: GroupMeasure, nu: BoundaryMeasure, threads: int = 1) -> BoundaryMeasure:
+def convolve(mu: GroupMeasure, nu: BoundaryMeasure) -> BoundaryMeasure:
     """mu * nu = sum_gamma mu(gamma) (gamma * nu), on the common refinement."""
     group = nu.group
-    items = mu.items()
-
-    def term(entry, word):
-        gamma, w_gamma = entry
-        word = tuple(word)
-        if len(word) > len(gamma):
-            return w_gamma * nu.mass_of(multiply(gamma, word))
-        total = 0
-        for x in group.valid_extensions(word):
-            total = total + term(entry, word + (x,))
-        return total
+    terms = [(w_gamma, _pushforward_mass(group, gamma, nu))
+             for gamma, w_gamma in mu.items()]
 
     def mass(word: Word):
-        return sum(term(entry, word) for entry in items)
+        return sum(w_gamma * term(word) for w_gamma, term in terms)
 
     depth = max(1, mu.support_radius() + 1, nu.depth())
-    cells = group.sphere(depth)
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            masses = list(pool.map(mass, cells))
-        leaves = dict(zip(cells, masses))
-    else:
-        leaves = {w: mass(w) for w in cells}
+    leaves = {w: mass(w) for w in group.sphere(depth)}
     return BoundaryMeasure(group, leaves, mass_fn=mass, params=nu.params,
                            conformal=False, rule="convolution", validate=False)
 

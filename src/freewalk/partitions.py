@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from .words import Word, EPSILON, WeightedFreeGroup, is_prefix
-from .geometry import Cylinder, translate_cylinder
+from .geometry import Cylinder, merge_siblings, translate_cylinder
 
 
 class PartitionError(ValueError):
@@ -103,6 +103,14 @@ def trie_closure(group: WeightedFreeGroup, words: Iterable[Word]) -> List[Word]:
     return sorted(leaves, key=lambda w: (len(w), w))
 
 
+def spine_word(group: WeightedFreeGroup, word: Word, depth: int) -> Word:
+    """Extend `word` by the smallest valid letter up to length `depth`."""
+    w = tuple(word)
+    while len(w) < depth:
+        w = w + (group.valid_extensions(w)[0],)
+    return w
+
+
 def refine_leaves(group: WeightedFreeGroup, a: Iterable[Word], b: Iterable[Word]) -> List[Word]:
     """Common refinement of two partitions: the deeper cell wins pointwise."""
     a = set(a)
@@ -158,22 +166,10 @@ class LocallyConstantFunction:
     def at(self, word: Word):
         return self.values[self.cell_of(word)]
 
-    def spine_of(self, word: Word) -> Word:
-        """Canonical boundary point in C(word): extend by the smallest valid letter
-        until inside a cell."""
-        w = tuple(word)
-        guard = 0
-        while True:
-            for i in range(len(w) + 1):
-                if w[:i] in self.values:
-                    return w
-            w = w + (self.group.valid_extensions(w)[0],)
-            guard += 1
-            if guard > 10000:
-                raise RuntimeError("spine descent failed to reach a cell")
-
     def at_spine(self, word: Word):
-        return self.at(self.spine_of(word))
+        """Value at the canonical boundary point of C(word), the ray extending
+        it by the smallest valid letter."""
+        return self.at(spine_word(self.group, word, self.depth()))
 
     def min_on(self, word: Word):
         vals = [v for w, v in self.values.items() if is_prefix(word, w)]
@@ -235,31 +231,24 @@ class LocallyConstantFunction:
 
     def canonical(self) -> "LocallyConstantFunction":
         """Merge complete sibling families with equal values (canonical form)."""
-        vals = dict(self.values)
-        changed = True
-        while changed:
-            changed = False
-            by_parent: Dict[Word, List[int]] = {}
-            for w in vals:
-                if w:
-                    by_parent.setdefault(w[:-1], []).append(w[-1])
-            for parent, xs in by_parent.items():
-                if set(xs) != set(self.group.valid_extensions(parent)):
-                    continue
-                children = [parent + (x,) for x in xs]
-                vv = {vals[c] for c in children}
-                if len(vv) == 1:
-                    v = vals[children[0]]
-                    for c in children:
-                        del vals[c]
-                    vals[parent] = v
-                    changed = True
-                    break
-        return LocallyConstantFunction(self.group, vals, validate=False)
+        return LocallyConstantFunction(self.group, merge_siblings(self.group, self.values),
+                                       validate=False)
+
+    def trie_stats(self) -> Dict[Word, Tuple[object, object]]:
+        """Per-node (min, max) of the values over the cell trie."""
+        stats: Dict[Word, Tuple[object, object]] = {}
+        for w, v in self.values.items():
+            for i in range(len(w) + 1):
+                node = w[:i]
+                if node in stats:
+                    lo, hi = stats[node]
+                    stats[node] = (min(lo, v), max(hi, v))
+                else:
+                    stats[node] = (v, v)
+        return stats
 
     def translate(self, g: Word) -> "LocallyConstantFunction":
         """The function z -> f(g^{-1} z) (left translate of f by g)."""
-        from .words import invert
         out: Dict[Word, object] = {}
         pieces: List[Tuple[Word, object]] = []
         for w, v in self.values.items():

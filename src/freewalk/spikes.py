@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .words import Word, EPSILON, WeightedFreeGroup, InputError, is_prefix
+from .words import (Word, EPSILON, WeightedFreeGroup, InputError, is_prefix,
+                    common_prefix_length)
 from .geometry import (Cylinder, VisualParams, AmbiguousCylinderError,
                        shadow, sup_product)
 from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
@@ -30,10 +31,12 @@ class DegenerateSpikeError(ValueError):
 class Spike:
     """Unit-sup spike tuple (h, r, a, Q, theta, C) with provenance gamma.
 
-    The radius is carried symbolically as r = e^{-epsilon * r_exp}.
+    The radius is carried symbolically as r = e^{-epsilon * r_exp}.  The
+    greedy's cover spikes carry no function: it reads only the center and
+    radius, and ||h||_1 = e^{-alpha ||gamma||} since f_gamma integrates to 1.
     """
 
-    function: LocallyConstantFunction
+    function: Optional[LocallyConstantFunction]
     r_exp: Fraction
     center: Cylinder
     q: object
@@ -71,11 +74,7 @@ class SpikeReport:
 
 def _cell_product(group: WeightedFreeGroup, w: Word, center: Word) -> Fraction:
     """Weighted Gromov product of two disjoint cells (common prefix weight)."""
-    n = 0
-    m = min(len(w), len(center))
-    while n < m and w[n] == center[n]:
-        n += 1
-    return group.word_weight(w[:n])
+    return group.word_weight(w[:common_prefix_length(w, center)])
 
 
 def ball_cells(group: WeightedFreeGroup, cells: Sequence[Word], center: Word,
@@ -116,27 +115,13 @@ def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
     return classes
 
 
-def _trie_stats(cells_values: Dict[Word, object]):
-    """Per-node (min, max) of a cell-indexed function over the cell trie."""
-    stats: Dict[Word, Tuple[object, object]] = {}
-    for w, v in cells_values.items():
-        for i in range(len(w) + 1):
-            node = w[:i]
-            if node in stats:
-                lo, hi = stats[node]
-                stats[node] = (min(lo, v), max(hi, v))
-            else:
-                stats[node] = (v, v)
-    return stats
-
-
 def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
                     mult=1) -> Dict[Word, object]:
     """D_r f per cell at scale r = mult*e^{-eps r_exp}: the max of
     |f(x)-f(y)|/d(x,y) over cells y within distance r."""
     group = f.group
     eps = params.epsilon
-    stats = _trie_stats(f.values)
+    stats = f.trie_stats()
     children: Dict[Word, List[Word]] = {}
     for w in f.values:
         for i in range(len(w)):

@@ -64,8 +64,8 @@ def functionals(mu: GroupMeasure) -> Tuple[object, float, float]:
 
 
 def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
-                        nu_prime: BoundaryMeasure, depth: Optional[int] = None,
-                        threads: int = 1) -> StationarityReport:
+                        nu_prime: BoundaryMeasure,
+                        depth: Optional[int] = None) -> StationarityReport:
     """Report max |(mu * nu)(C) - nu'(C)| over all cylinders of the given depth.
 
     A mu of total mass != 1 is replaced by a normalized copy and flagged.
@@ -81,7 +81,7 @@ def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
     if total != 1:
         mu = mu.normalized()
         normalized = True
-    conv = convolve(mu, nu, threads=threads)
+    conv = convolve(mu, nu)
     worst = Fraction(0)
     exact_arith = True
     for w in group.sphere(depth):

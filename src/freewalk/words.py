@@ -22,10 +22,6 @@ class InputError(ValueError):
     """Bad user-facing input (unknown letter, malformed word, bad config)."""
 
 
-def inverse_letter(x: int) -> int:
-    return x ^ 1
-
-
 def invert(word: Sequence[int]) -> Word:
     return tuple(x ^ 1 for x in reversed(word))
 

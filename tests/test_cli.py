@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
+from freewalk import cli
 from freewalk.cli import main
+from freewalk.decomposition import InternalInvariantError
 
 
 def write_config(path: Path, **overrides) -> str:
@@ -127,17 +129,42 @@ def test_bad_group_config(tmp_path):
 
 
 def test_thread_determinism(tmp_path):
+    """Two runs of the same command write byte-identical reports."""
     cfg = write_config(tmp_path)
-    out1 = tmp_path / "t1"
-    out8 = tmp_path / "t8"
-    assert main(["decompose", "--config", cfg, "--out", str(out1),
-                 "--threads", "1"]) == 0
-    assert main(["decompose", "--config", cfg, "--out", str(out8),
-                 "--threads", "8"]) == 0
-    assert (out1 / "decomposition.json").read_bytes() \
-        == (out8 / "decomposition.json").read_bytes()
-    a1 = tmp_path / "a1"
-    a8 = tmp_path / "a8"
-    assert main(["audit", "--config", cfg, "--out", str(a1), "--threads", "1"]) == 0
-    assert main(["audit", "--config", cfg, "--out", str(a8), "--threads", "8"]) == 0
-    assert (a1 / "audit.json").read_bytes() == (a8 / "audit.json").read_bytes()
+    for command, report in (("decompose", "decomposition.json"),
+                            ("audit", "audit.json")):
+        first, second = tmp_path / f"{command}1", tmp_path / f"{command}2"
+        assert main([command, "--config", cfg, "--out", str(first)]) == 0
+        assert main([command, "--config", cfg, "--out", str(second)]) == 0
+        assert (first / report).read_bytes() == (second / report).read_bytes()
+
+
+def test_threads_option_removed(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["audit", "--config", cfg, "--threads", "2"]) == 2
+
+
+def test_moments_default_rescale(tmp_path):
+    cfg = write_config(tmp_path, params={
+        "alpha": "critical", "epsilon": "critical", "arithmetic": "exact",
+        "tau": 1e-6, "D": 1}, moments={"rounds": 1, "target": "ones"})
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "moments.json").read_text())
+    assert all(doc["envelope"]["checks"].values())
+
+
+def test_library_value_error_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1", "2"]})
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("residual did not decrease")
+
+    monkeypatch.setattr(cli, "basis_decompose", broken)
+    cfg = write_config(tmp_path)
+    assert main(["decompose", "--config", cfg]) == 3
+    assert capsys.readouterr().err.startswith("internal error: InternalInvariantError")

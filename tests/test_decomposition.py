@@ -14,15 +14,15 @@ from freewalk import (Cylinder, LocallyConstantFunction, GreedyParams,
 from freewalk.decomposition import greedy_lambdas, _round_spikes
 
 
-def four_unit_spikes(f2, nu2, params2):
-    return _round_spikes(f2, nu2, params2, shell=1, margin=0, cap=Fraction(4, 3))
+def four_unit_spikes(f2, params2):
+    return _round_spikes(f2, params2, shell=1, margin=0, cap=Fraction(4, 3))
 
 
 def test_greedy_hand_replay(f2, nu2, params2):
     # F = 1 with the four length-1 spikes: lambda = 1, 8/9, 64/81, 512/729
     # (ties sorted by gamma's word: a, a^-1, b, b^-1)
     F = LocallyConstantFunction.constant(f2, Fraction(1))
-    spikes = four_unit_spikes(f2, nu2, params2)
+    spikes = four_unit_spikes(f2, params2)
     lambdas, g = greedy_lambdas(F, spikes, params2)
     values = [v for _, v in lambdas]
     assert [g_ for g_, _ in lambdas] == [(0,), (1,), (2,), (3,)]
@@ -53,7 +53,7 @@ def test_greedy_preconditions(f2, nu2, params2, constants2):
     gp = GreedyParams()
     not_positive = LocallyConstantFunction(f2, {(0,): Fraction(0), (1,): Fraction(1),
                                                 (2,): Fraction(1), (3,): Fraction(1)})
-    spikes = four_unit_spikes(f2, nu2, params2)
+    spikes = four_unit_spikes(f2, params2)
     with pytest.raises(GreedyParameterError):
         greedy_subfunction(not_positive, spikes, [Cylinder(())], gp, constants2, params2)
     # radius too large for the oscillation bound: F oscillates at depth 2
@@ -147,6 +147,15 @@ def test_moment_schedule(f2, nu2, constants2):
         assert rec.moment_contribution <= rec.envelope + 1e-12
     # disjoint supports per round: coefficients count matches spike placements
     assert res.coefficients.total > 0
+
+
+def test_moment_default_rescale(f2, nu2, constants2):
+    F = LocallyConstantFunction.constant(f2, Fraction(1))
+    res = moment_decompose(F, nu2, GreedyParams(margin=1), rounds=1,
+                           constants=constants2)
+    assert res.rounds == 1 and len(res.coefficients.atoms) == 12
+    assert all(res.envelope_report["checks"].values())
+    assert res.residual_trace[1] < res.residual_trace[0]
 
 
 def test_moment_requires_margin(f2, nu2, constants2):
