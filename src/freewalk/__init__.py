@@ -20,9 +20,9 @@ from .partitions import (CylinderPartition, LocallyConstantFunction,
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        critical_exponent, conformal_exponent, poincare_series,
                        weighted_shell_counts, radon_nikodym, pushforward,
-                       convolve, integrate, l1_distance, ps_series_audit,
-                       DivergentNormalizationError, ConformalityError,
-                       RefinementRuleError)
+                       convolve, density, integrate, l1_distance,
+                       ps_series_audit, DivergentNormalizationError,
+                       ConformalityError, RefinementRuleError)
 from .spikes import (Spike, SpikeReport, make_spike, verify_spike,
                      verify_q_spike, decay_check, shadow_lemma_audit,
                      lipschitz_scale, local_doubling_sup, ball_cells,

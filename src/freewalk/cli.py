@@ -213,7 +213,7 @@ def cmd_verify(run: Run, args) -> int:
     nu_prime = run.boundary_measure(section.get("nu_prime"))
     depth = args.depth if args.depth is not None else section.get("depth")
     report = verify_stationarity(mu, nu, nu_prime,
-                                 depth=int(depth) if depth else None)
+                                 depth=None if depth is None else int(depth))
     _write(args.out, "stationarity.json", _dump(report.to_json()))
     _write_meta(args.out, "verify")
     threshold = args.threshold if args.threshold is not None \

@@ -24,7 +24,8 @@ from .geometry import Cylinder, VisualParams, sup_product
 from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
                          trie_closure)
 # radon_nikodym stays bound here for bench/test_tracer.py
-from .measures import BoundaryMeasure, GroupMeasure, integrate, radon_nikodym  # noqa: F401
+from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
+                       integrate, radon_nikodym)  # noqa: F401
 from .spikes import (Spike, shadow_lemma_audit, decay_check,
                      local_doubling_sup, lipschitz_scale, ball_cells)
 from .stationarity import functionals
@@ -189,49 +190,6 @@ class DecompositionResult:
         for w, v in self.coefficients.items():
             lines.append(f"{float(group.word_weight(w))},{float(v)}")
         return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# spike-sum accumulator on the cover trie
-# ---------------------------------------------------------------------------
-
-class SpikeAccumulator:
-    """Incremental evaluation of sums of coeff * u_gamma.
-
-    A unit-sup spike profile is radial in the branch depth: on a cell meeting
-    the center word w at weighted depth W_t the profile equals
-    e^{-2 alpha (W_n - W_t)}.  Per-node partial sums make insertion and point
-    evaluation O(depth).
-    """
-
-    def __init__(self, group: WeightedFreeGroup, params: VisualParams):
-        self.group = group
-        self.alpha = params.alpha
-        self.nodes: Dict[Word, object] = {}
-
-    def insert(self, center: Word, coeff) -> None:
-        total = self.group.word_weight(center)
-        acc = Fraction(0)
-        for t in range(len(center) + 1):
-            node = center[:t]
-            weight = coeff * self.alpha.exp_neg(2 * (total - acc))
-            self.nodes[node] = self.nodes.get(node, 0) + weight
-            if t < len(center):
-                acc += self.group.letter_weight(center[t])
-
-    def value_at(self, word: Word):
-        total = 0
-        for t in range(len(word) + 1):
-            node = word[:t]
-            s = self.nodes.get(node, 0)
-            if t < len(word):
-                child = word[: t + 1]
-                sc = self.nodes.get(child, 0)
-                step = self.alpha.exp_neg(2 * self.group.letter_weight(word[t]))
-                total = total + (s - step * sc)
-            else:
-                total = total + s
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
                     multiply, is_prefix)
 from .geometry import VisualParams, LogScale, locally_constant_cells
 from .partitions import (LocallyConstantFunction, CylinderPartition,
-                         validate_partition, _num_to_str, _num_from_str)
+                         trie_closure, validate_partition, _num_to_str,
+                         _num_from_str)
 
 
 class DivergentNormalizationError(ValueError):
@@ -361,6 +362,77 @@ def radon_nikodym(gamma: Word, nu: BoundaryMeasure,
     cells = locally_constant_cells(group, invert(gamma), EPSILON)
     return LocallyConstantFunction.from_cells(
         group, [(c, params.alpha.exp_neg(rho)) for c, rho in cells])
+
+
+class SpikeAccumulator:
+    """Incremental evaluation of sums of coeff * u_w.
+
+    A unit-sup spike profile u_w is radial in the branch depth: on a cell
+    meeting the center word w at weighted depth W_t it equals
+    e^{-2 alpha (W_n - W_t)}.  Per-node partial sums make insertion and point
+    evaluation O(depth); the exponentials are computed once per letter and
+    once per center.
+    """
+
+    def __init__(self, group: WeightedFreeGroup, params: VisualParams):
+        self.group = group
+        self.alpha = params.alpha
+        self.nodes: Dict[Word, object] = {}
+        self.step = {x: self.alpha.exp_neg(2 * group.letter_weight(x))
+                     for x in group.letters()}
+        self._profiles: Dict[Word, List[Tuple[Word, object]]] = {}
+
+    def _profile(self, center: Word) -> List[Tuple[Word, object]]:
+        """(center[:t], e^{-2 alpha (W_n - W_t)}) for t = 0..n."""
+        profile = self._profiles.get(center)
+        if profile is None:
+            total = self.group.word_weight(center)
+            acc = Fraction(0)
+            profile = []
+            for t in range(len(center) + 1):
+                decay = self.alpha.exp_neg(2 * (total - acc))
+                profile.append((center[:t], decay))
+                if t < len(center):
+                    acc += self.group.letter_weight(center[t])
+            self._profiles[center] = profile
+        return profile
+
+    def insert(self, center: Word, coeff) -> None:
+        nodes = self.nodes
+        for node, decay in self._profile(center):
+            nodes[node] = nodes.get(node, 0) + coeff * decay
+
+    def value_at(self, word: Word):
+        nodes, step = self.nodes, self.step
+        total = 0
+        for t in range(len(word)):
+            total = total + (nodes.get(word[:t], 0)
+                             - step[word[t]] * nodes.get(word[:t + 1], 0))
+        return total + nodes.get(word, 0)
+
+
+def density(mu: GroupMeasure, nu: BoundaryMeasure) -> LocallyConstantFunction:
+    """D = d(mu * nu)/d nu = sum_gamma mu(gamma) f_gamma for the conformal nu,
+    on the trie closure of the words gamma^{-1}.
+
+    f_gamma = e^{alpha ||gamma||} u_{gamma^{-1}} is radial along the spine of
+    gamma^{-1}, so one SpikeAccumulator builds D in O(sum |gamma|).
+    """
+    if not nu.conformal or nu.params is None:
+        raise ConformalityError(
+            "density requires the conformal measure with its params (nu is "
+            f"flagged rule={nu.rule!r}, conformal={nu.conformal})")
+    group = nu.group
+    alpha = nu.params.alpha
+    acc = SpikeAccumulator(group, nu.params)
+    centers = []
+    for gamma, weight in mu.items():
+        center = invert(gamma)
+        acc.insert(center, weight * alpha.exp_neg(-group.word_weight(gamma)))
+        centers.append(center)
+    return LocallyConstantFunction(
+        group, {w: acc.value_at(w) for w in trie_closure(group, centers)},
+        validate=False)
 
 
 def _pushforward_mass(group: WeightedFreeGroup, gamma: Word,

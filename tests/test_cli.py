@@ -71,6 +71,18 @@ def test_verify_ok_and_perturbed(tmp_path):
     assert main(["verify", "--config", cfg2, "--out", str(out)]) == 1
 
 
+def test_verify_depth_zero_rejected(tmp_path, capsys):
+    # depth 0 is a usage error, not a request for the default depth
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 "--depth", "0"]) == 2
+    cfg0 = write_config(tmp_path, verify={"mu": "sphere:1", "depth": 0})
+    assert main(["verify", "--config", cfg0, "--out", str(out)]) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+    assert not (out / "stationarity.json").exists()
+
+
 def test_verify_missing_file(tmp_path):
     cfg = write_config(tmp_path, verify={"mu": str(tmp_path / "nope.json")})
     assert main(["verify", "--config", cfg]) == 2

@@ -2,6 +2,7 @@
 convolution, with dual-route oracles."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from freewalk import (WeightedFreeGroup, VisualParams,
                       default_params, uniform_ps_measure, critical_exponent,
                       conformal_exponent, poincare_series, weighted_shell_counts,
                       radon_nikodym, pushforward, convolve, integrate,
-                      GroupMeasure, BoundaryMeasure,
+                      density, GroupMeasure, BoundaryMeasure,
                       DivergentNormalizationError, ConformalityError,
                       RefinementRuleError)
+from freewalk.measures import SpikeAccumulator
 from freewalk.words import invert, multiply
 
 
@@ -148,6 +150,88 @@ def test_convolve(f2, nu2):
         brute = (pushforward((0,), nu2).mass_of(w)
                  + pushforward((1,), nu2).mass_of(w)) / 2
         assert convm.mass_of(w) == brute
+
+
+def test_density_is_the_sum_of_spikes(f2, nu2, params2):
+    # weights 2 with alpha = log(3)/2 keep every exponential rational
+    g2 = WeightedFreeGroup(2, weights=[2, 2])
+    p2 = VisualParams.exact_base(3, alpha_coeff=Fraction(1, 2))
+    nu_w = uniform_ps_measure(g2, p2)
+    assert nu_w.conformal
+    for group, nu, params in ((f2, nu2, params2), (g2, nu_w, p2)):
+        mu = GroupMeasure(group, {(): Fraction(1, 7), (0,): Fraction(2, 7),
+                                  (0, 2): Fraction(1, 14),
+                                  (1, 3, 1): Fraction(3, 14),
+                                  (2, 0, 0, 3): Fraction(2, 7)})
+        D = density(mu, nu)
+        spikes = [(v, radon_nikodym(gamma, nu, params))
+                  for gamma, v in mu.items()]
+        for w in group.sphere(5):
+            assert D.at(w) == sum(v * f.at(w) for v, f in spikes)
+        assert integrate(D, nu) == mu.total
+    with pytest.raises(ConformalityError):
+        density(GroupMeasure(f2, {(0,): Fraction(1)}), pushforward((0,), nu2))
+
+
+class UncachedAccumulator:
+    """The per-call formulas of SpikeAccumulator's insert and value_at,
+    without its per-letter and per-center exponential caches: the reference
+    its cached values must equal."""
+
+    def __init__(self, group, params):
+        self.group = group
+        self.alpha = params.alpha
+        self.nodes = {}
+
+    def insert(self, center, coeff):
+        total = self.group.word_weight(center)
+        acc = Fraction(0)
+        for t in range(len(center) + 1):
+            node = center[:t]
+            weight = coeff * self.alpha.exp_neg(2 * (total - acc))
+            self.nodes[node] = self.nodes.get(node, 0) + weight
+            if t < len(center):
+                acc += self.group.letter_weight(center[t])
+
+    def value_at(self, word):
+        total = 0
+        for t in range(len(word) + 1):
+            node = word[:t]
+            s = self.nodes.get(node, 0)
+            if t < len(word):
+                child = word[: t + 1]
+                sc = self.nodes.get(child, 0)
+                step = self.alpha.exp_neg(2 * self.group.letter_weight(word[t]))
+                total = total + (s - step * sc)
+            else:
+                total = total + s
+        return total
+
+
+@pytest.mark.parametrize("weights,exact", [(["1", "1"], True),
+                                           (["1", "1"], False),
+                                           (["1", "3/2"], False)])
+def test_spike_accumulator_matches_uncached_formulas(weights, exact):
+    group = WeightedFreeGroup(2, weights=weights)
+    if exact:
+        params = default_params(group)
+    else:
+        s = conformal_exponent(group)
+        params = VisualParams.floats(s, s)
+    rng = random.Random(5)
+    words = group.ball(4)
+    fast = SpikeAccumulator(group, params)
+    slow = UncachedAccumulator(group, params)
+    # interleaved inserts and evaluations, centers repeating, as in a sweep
+    for _ in range(60):
+        center = rng.choice(words)
+        coeff = (Fraction(rng.randint(-4, 9), rng.randint(1, 6)) if exact
+                 else rng.uniform(-1.0, 2.0))
+        fast.insert(center, coeff)
+        slow.insert(center, coeff)
+        for w in rng.sample(words, 5):
+            assert fast.value_at(w) == slow.value_at(w)
+    assert fast.nodes == slow.nodes
 
 
 def test_integrate(f2, nu2, params2):

@@ -5,10 +5,22 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freewalk import (WeightedFreeGroup, GroupMeasure, verify_stationarity,
-                      sphere_uniform, mix, functionals, symmetrize, convolve,
-                      pushforward, UnsupportedClosedFormError, InputError)
+from freewalk import (WeightedFreeGroup, GroupMeasure, BoundaryMeasure,
+                      VisualParams, verify_stationarity, sphere_uniform, mix,
+                      functionals, symmetrize, convolve, pushforward,
+                      conformal_exponent, default_params, uniform_ps_measure,
+                      UnsupportedClosedFormError, InputError)
+from freewalk import stationarity
+
+
+def cylinder_route_error(mu, nu, nu_prime, depth):
+    """max |(mu * nu)(C) - nu'(C)| from the cylinder masses of convolve, the
+    route verify_stationarity takes for a non-conformal nu."""
+    conv = convolve(mu.normalized(), nu)
+    return max(abs(conv.mass_of(w) - nu_prime.mass_of(w))
+               for w in mu.group.sphere(depth))
 
 
 def test_sphere_uniform_shapes(f2):
@@ -131,3 +143,92 @@ def test_symmetrize(f2, nu2):
     assert symmetrize(mu1) == mu1
     rep = verify_stationarity(symmetrize(mu1), nu2, nu2, depth=3)
     assert rep.exact
+
+
+@st.composite
+def stationarity_cases(draw):
+    """A random exact mu on F_2 or F_3 (up to 6 atoms in the 3-ball, weights
+    not normalized), a depth 1-4 and nu' either nu or a pushforward of it."""
+    group = WeightedFreeGroup(draw(st.integers(2, 3)))
+    nu = uniform_ps_measure(group, default_params(group))
+    ball = group.ball(3)
+    support = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=6,
+                            unique=True))
+    mu = GroupMeasure(group, {w: Fraction(draw(st.integers(1, 6)))
+                              for w in support})
+    shift = draw(st.one_of(st.none(), st.sampled_from(support + ball[:7])))
+    nu_prime = nu if shift is None else pushforward(shift, nu)
+    return mu, nu, nu_prime, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(stationarity_cases())
+def test_density_route_matches_cylinder_route(case):
+    mu, nu, nu_prime, depth = case
+    rep = verify_stationarity(mu, nu, nu_prime, depth=depth)
+    oracle = cylinder_route_error(mu, nu, nu_prime, depth)
+    assert rep.max_cell_error == oracle
+    assert rep.exact == (oracle == 0)
+
+
+def test_conformal_base_uses_the_density(f2, nu2, params2, monkeypatch):
+    def no_convolve(*args):
+        raise AssertionError("convolve called for a conformal nu")
+
+    monkeypatch.setattr(stationarity, "convolve", no_convolve)
+    mu = sphere_uniform(f2, 2)
+    assert verify_stationarity(mu, nu2, nu2, depth=5).exact
+    # a file-backed rule: conformal measure takes the same route
+    stored = BoundaryMeasure.from_json(nu2.materialize_depth(2).to_json(),
+                                       params=params2)
+    assert stored.conformal and stored.params is not None
+    assert verify_stationarity(mu, stored, nu2, depth=5).exact
+    # a mu supported deeper than the checked depth splits cells
+    deep = GroupMeasure(f2, {(0, 2, 2, 3): Fraction(2, 3),
+                             (1,): Fraction(1, 3)})
+    rep = verify_stationarity(deep, nu2, nu2, depth=2)
+    monkeypatch.undo()
+    assert rep.max_cell_error == cylinder_route_error(deep, nu2, nu2, 2) > 0
+
+
+def test_non_conformal_base_uses_convolve(f2, nu2, monkeypatch):
+    calls = []
+
+    def counting_convolve(mu, nu):
+        calls.append(nu)
+        return convolve(mu, nu)
+
+    def no_density(*args):
+        raise AssertionError("density called for a non-conformal nu")
+
+    monkeypatch.setattr(stationarity, "convolve", counting_convolve)
+    monkeypatch.setattr(stationarity, "density", no_density)
+    mu = GroupMeasure(f2, {(2,): Fraction(1, 2), (1, 2): Fraction(1, 3),
+                           (): Fraction(1, 6)})
+    base = pushforward((0,), nu2)
+    rep = verify_stationarity(mu, base, nu2, depth=3)
+    # the cylinder route's values, pinned
+    assert rep.max_cell_error == Fraction(41, 324) and not rep.exact
+    assert rep.to_json()["max_cell_error"] == "0.12654320987654322"
+    markov = uniform_ps_measure(f2, VisualParams.exact_base(5))
+    assert not markov.conformal
+    rep = verify_stationarity(mu, markov, markov, depth=3)
+    assert rep.max_cell_error == Fraction(11, 108)
+    assert calls == [base, markov]
+
+
+@pytest.mark.parametrize("weights", [["1", "1"], ["1", "2"]])
+def test_float_density_route_matches_convolve(weights):
+    group = WeightedFreeGroup(2, weights=weights)
+    s = conformal_exponent(group)
+    nu = uniform_ps_measure(group, VisualParams.floats(s, s))
+    assert nu.conformal
+    mus = [GroupMeasure(group, {w: 0.25 for w in group.sphere(1)}),
+           GroupMeasure(group, {(): 0.5, (0, 2): 0.3, (3, 3, 1): 0.2})]
+    for mu in mus:
+        for nu_prime in (nu, pushforward((2, 0), nu)):
+            for depth in (1, 3, 4):
+                rep = verify_stationarity(mu, nu, nu_prime, depth=depth)
+                oracle = cylinder_route_error(mu, nu, nu_prime, depth)
+                assert abs(rep.max_cell_error - oracle) <= 1e-12
+                assert not rep.exact
