@@ -239,6 +239,10 @@ def cmd_audit(run: Run, args) -> int:
     ds = [Fraction(str(d)) for d in section.get("Ds", [0, 1, 2])]
     if max_len < 1 or not ds:
         raise ConfigError("audit sweep is empty (need max_len >= 1 and Ds)")
+    for d in ds:
+        if 0 < d < 1:
+            raise ConfigError(f"shadow margin D = {d} is not checked by the "
+                              "spike sweep; use D = 0 or D >= 1")
     nu, params = run.nu, run.params
     shadows = shadow_lemma_audit(nu, params, max_len, ds)
     q = params.q_exponent
@@ -246,12 +250,8 @@ def cmd_audit(run: Run, args) -> int:
     radii = [params.epsilon.exp_neg(j) for j in range(1, max_len + 2)]
     decay = decay_check(nu, q, q, (), [Cylinder(center)], radii, params=params)
 
-    sweep = []
-    for n in range(1, max_len + 1):
-        for gamma in run.group.sphere(n):
-            for d in ds:
-                if d >= 1 or d == 0:
-                    sweep.append((gamma, d))
+    sweep = [(gamma, d) for n in range(1, max_len + 1)
+             for gamma in run.group.sphere(n) for d in ds]
 
     failures = []
     witness_dump = []

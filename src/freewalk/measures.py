@@ -386,14 +386,10 @@ class SpikeAccumulator:
         """(center[:t], e^{-2 alpha (W_n - W_t)}) for t = 0..n."""
         profile = self._profiles.get(center)
         if profile is None:
-            total = self.group.word_weight(center)
-            acc = Fraction(0)
-            profile = []
-            for t in range(len(center) + 1):
-                decay = self.alpha.exp_neg(2 * (total - acc))
-                profile.append((center[:t], decay))
-                if t < len(center):
-                    acc += self.group.letter_weight(center[t])
+            weights = self.group.prefix_weights(center)
+            total = weights[-1]
+            profile = [(center[:t], self.alpha.exp_neg(2 * (total - acc)))
+                       for t, acc in enumerate(weights)]
             self._profiles[center] = profile
         return profile
 
@@ -405,10 +401,12 @@ class SpikeAccumulator:
     def value_at(self, word: Word):
         nodes, step = self.nodes, self.step
         total = 0
+        here = nodes.get(word[:0], 0)
         for t in range(len(word)):
-            total = total + (nodes.get(word[:t], 0)
-                             - step[word[t]] * nodes.get(word[:t + 1], 0))
-        return total + nodes.get(word, 0)
+            child = nodes.get(word[:t + 1], 0)
+            total = total + (here - step[word[t]] * child)
+            here = child
+        return total + here
 
 
 def density(mu: GroupMeasure, nu: BoundaryMeasure) -> LocallyConstantFunction:

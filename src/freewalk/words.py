@@ -135,6 +135,13 @@ class WeightedFreeGroup:
             total += self.letter_weight(x)
         return total
 
+    def prefix_weights(self, word: Sequence[int]) -> List[Fraction]:
+        """[W(word[:0]), ..., W(word[:n])]: the weight of every prefix."""
+        out = [Fraction(0)]
+        for x in word:
+            out.append(out[-1] + self.letter_weight(x))
+        return out
+
     def distance(self, g: Sequence[int], h: Sequence[int]) -> Fraction:
         return self.word_weight(multiply(invert(g), h))
 

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from freewalk import cli
 from freewalk.cli import main
 from freewalk.decomposition import InternalInvariantError
@@ -119,6 +121,26 @@ def test_audit_adversarial_injection(tmp_path):
 def test_audit_empty_sweep(tmp_path):
     cfg = write_config(tmp_path, audit={"max_len": 0, "Ds": []})
     assert main(["audit", "--config", cfg]) == 2
+
+
+def test_audit_rejects_margins_between_0_and_1(tmp_path, capsys):
+    for ds, shown in (([0, 0.5], "1/2"), ([1, "1/3"], "1/3")):
+        cfg = write_config(tmp_path, audit={"max_len": 1, "Ds": ds})
+        assert main(["audit", "--config", cfg]) == 2
+        assert f"D = {shown}" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "audit"
+
+
+@pytest.mark.parametrize("name", sorted(p.name[:-len(".config.json")]
+                                        for p in GOLDEN.glob("*.config.json")))
+def test_audit_witnesses_match_golden(tmp_path, name):
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(GOLDEN / f"{name}.config.json"),
+                 "--out", str(out), "--witnesses"]) == 0
+    assert (out / "audit.json").read_bytes() == \
+        (GOLDEN / f"{name}.audit.json").read_bytes()
 
 
 def test_moments_ok(tmp_path):

@@ -232,6 +232,9 @@ def test_spike_accumulator_matches_uncached_formulas(weights, exact):
         for w in rng.sample(words, 5):
             assert fast.value_at(w) == slow.value_at(w)
     assert fast.nodes == slow.nodes
+    # every node, the root, and words running past the deepest center
+    for w in words + rng.sample(group.sphere(6), 40):
+        assert repr(fast.value_at(w)) == repr(slow.value_at(w))
 
 
 def test_integrate(f2, nu2, params2):

@@ -1,0 +1,247 @@
+"""The spike kernels (`ball_cells`, `_scale_classes`, `lipschitz_scale` and
+condition 2 of `verify_spike`) test each distance once per distinct prefix
+weight.  These properties hold them to the per-cell formulas they replace,
+which are copied below as oracles, over weights {1, 3/2}, exact and float
+scales (coefficient 1/2 takes the float fallback of `leq_scaled`) and
+multipliers {1, 5, 2.5}."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
+                      Spike, VisualParams, WeightedFreeGroup, ball_cells,
+                      default_params, lipschitz_scale, uniform_ps_measure,
+                      verify_spike)
+from freewalk.spikes import _cell_product, _prepared_cells, _scale_classes
+from freewalk.words import is_prefix
+
+SETTINGS = settings(max_examples=80, deadline=None, database=None,
+                    derandomize=True)
+
+
+# -- the per-cell formulas ----------------------------------------------------
+
+def old_ball_cells(group, cells, center, params, r_exp, mult=1):
+    eps = params.epsilon
+    if not eps.leq_scaled(group.word_weight(center), r_exp, mult):
+        raise AmbiguousCylinderError("ball smaller than the center cell")
+    inside = []
+    for w in cells:
+        if is_prefix(w, center) and len(w) < len(center):
+            raise AmbiguousCylinderError("cell strictly contains the center")
+        if is_prefix(center, w):
+            inside.append(w)
+        elif eps.leq_scaled(_cell_product(group, w, center), r_exp, mult):
+            inside.append(w)
+    return inside
+
+
+def old_scale_classes(group, cells, params, r_exp, mult=1):
+    eps = params.epsilon
+    classes = {}
+    for w in cells:
+        key = None
+        for i in range(len(w) + 1):
+            if eps.leq_scaled(group.word_weight(w[:i]), r_exp, mult):
+                key = w[:i]
+                break
+        if key is None:
+            key = w
+        classes.setdefault(key, []).append(w)
+    return classes
+
+
+def old_lipschitz_scale(f, r_exp, params, mult=1):
+    group = f.group
+    eps = params.epsilon
+    stats = f.trie_stats()
+    children = {}
+    for w in f.values:
+        for i in range(len(w)):
+            node, child = w[:i], w[: i + 1]
+            bucket = children.setdefault(node, [])
+            if child not in bucket:
+                bucket.append(child)
+    out = {}
+    for w, v in f.values.items():
+        best = 0
+        for j in range(len(w)):
+            meet = group.word_weight(w[:j])
+            if not eps.leq_scaled(meet, r_exp, mult):
+                continue
+            inv_d = 1 / eps.exp_neg(meet)
+            for sib in children.get(w[:j], []):
+                if sib == w[: j + 1]:
+                    continue
+                lo, hi = stats[sib]
+                cand = max(abs(v - lo), abs(v - hi)) * inv_d
+                if cand > best:
+                    best = cand
+        out[w] = best
+    return out
+
+
+def cond2_by_double_sum(spike, nu):
+    """Condition 2's worst ratio and witness, each integral summed over every
+    (inside, outside) pair of cells."""
+    group = spike.function.group
+    eps = spike.params.epsilon
+    values = _prepared_cells(spike, nu)
+    center = spike.center.word
+    inside = set(old_ball_cells(group, list(values), center, spike.params,
+                                spike.r_exp))
+    expo = spike.q + spike.theta
+    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
+    worst = wit = None
+    for y, hy in values.items():
+        if y in inside:
+            continue
+        if hy <= 0:
+            return None, group.format_word(y)
+        integral = 0
+        for x in inside:
+            p = _cell_product(group, x, y)
+            integral = integral + nu.mass_of(x) * eps.exp_neg(-expo * p)
+        need = hy / (values[center] * r_pow_q * integral)
+        if worst is None or need > worst:
+            worst, wit = need, group.format_word(y)
+    return worst, wit
+
+
+# -- strategies ---------------------------------------------------------------
+
+SCALES = [("exact", 3, 1), ("exact", 3, Fraction(1, 2)), ("exact", Fraction(5, 2), 1),
+          ("float", 1.1, 0.7), ("float", 0.9, 1.3)]
+
+
+def make_params(kind, a, e):
+    if kind == "float":
+        return VisualParams.floats(a, e)
+    return VisualParams.exact_base(a, 1, e)
+
+
+@st.composite
+def groups(draw):
+    rank = draw(st.integers(2, 3))
+    return WeightedFreeGroup(rank, [draw(st.sampled_from(["1", "3/2"]))
+                                    for _ in range(rank)])
+
+
+@st.composite
+def functions(draw, group, values=st.sampled_from([Fraction(1), Fraction(2),
+                                                   Fraction(5, 2)])):
+    """A random partition of the boundary, cells up to depth 4, and a value
+    per cell."""
+    cells = {(): draw(values)}
+    for _ in range(draw(st.integers(0, 7))):
+        splittable = sorted((w for w in cells if len(w) < 4),
+                            key=lambda w: (len(w), w))
+        w = draw(st.sampled_from(splittable))
+        del cells[w]
+        for x in group.valid_extensions(w):
+            cells[w + (x,)] = draw(values)
+    return LocallyConstantFunction(group, cells)
+
+
+HALVES = st.integers(0, 10).map(lambda n: Fraction(n, 2))
+MULTS = st.sampled_from([1, 5, 2.5])
+
+
+@SETTINGS
+@given(scale=st.sampled_from(SCALES), r_exp=HALVES, mult=MULTS, data=st.data())
+def test_ball_cells_match_per_cell_tests(scale, r_exp, mult, data):
+    params = make_params(*scale)
+    f = data.draw(functions(data.draw(groups())))
+    cells = list(f.values)
+    cell = data.draw(st.sampled_from(cells))
+    # a coarser center is a union of cells; a deeper one is strictly inside a cell
+    center = cell[:data.draw(st.integers(0, len(cell)))]
+    if data.draw(st.booleans()):
+        center = center + (f.group.valid_extensions(center)[0],)
+
+    def run(kernel):
+        try:
+            return kernel(f.group, cells, center, params, r_exp, mult)
+        except AmbiguousCylinderError:
+            return "ambiguous"
+
+    assert run(ball_cells) == run(old_ball_cells)
+
+
+@SETTINGS
+@given(scale=st.sampled_from(SCALES), r_exp=HALVES, mult=MULTS, data=st.data())
+def test_scale_classes_and_slopes_match_per_cell_tests(scale, r_exp, mult, data):
+    params = make_params(*scale)
+    f = data.draw(functions(data.draw(groups())))
+    cells = list(f.values)
+    new = _scale_classes(f.group, cells, params, r_exp, mult)
+    old = old_scale_classes(f.group, cells, params, r_exp, mult)
+    assert list(new.items()) == list(old.items())  # same class order too
+    new = lipschitz_scale(f, r_exp, params, mult)
+    old = old_lipschitz_scale(f, r_exp, params, mult)
+    assert list(new.items()) == list(old.items())
+    assert all(type(new[w]) is type(old[w]) for w in new)
+
+
+# -- condition 2 ----------------------------------------------------------------
+
+def exact_measures():
+    """(group, params, nu) with every mass and kernel value a Fraction: the
+    conformal nu on F_2 and F_3 (epsilon = alpha and alpha/2), and the Markov
+    nu at alpha = 2 log 3 on weights {1, 3/2} (epsilon = alpha and alpha/2)."""
+    out = []
+    for rank in (2, 3):
+        group = WeightedFreeGroup(rank)
+        base = 2 * rank - 1
+        for e in (1, Fraction(1, 2)):
+            params = VisualParams.exact_base(base, 1, e)
+            out.append((group, params, uniform_ps_measure(group, params)))
+    for weights in (["1", "3/2"], ["3/2", "3/2"]):
+        group = WeightedFreeGroup(2, weights)
+        for e in (2, 1):
+            params = VisualParams.exact_base(3, 2, e)
+            out.append((group, params, uniform_ps_measure(group, params)))
+    return out
+
+
+EXACT_MEASURES = exact_measures()
+
+
+@SETTINGS
+@given(which=st.integers(0, len(EXACT_MEASURES) - 1), data=st.data())
+def test_condition_2_integral_is_the_double_sum(which, data):
+    group, params, nu = EXACT_MEASURES[which]
+    f = data.draw(functions(group, st.sampled_from(
+        [Fraction(1), Fraction(3), Fraction(7, 2)])))
+    cell = data.draw(st.sampled_from(sorted(f.values)))
+    center = cell + tuple(group.valid_extensions(cell)[:1]) * data.draw(st.integers(0, 1))
+    if data.draw(st.integers(0, 3)) == 0:  # a zero outside value breaks positivity
+        values = dict(f.values)
+        values[data.draw(st.sampled_from(sorted(values)))] = Fraction(0)
+        values[cell] = Fraction(1)
+        f = LocallyConstantFunction(group, values)
+    top = int(group.word_weight(center))  # integral r_exp keeps r^q rational
+    r_exp = Fraction(data.draw(st.integers(min(1, top), top)))
+    q = params.q_exponent
+    spike = Spike(function=f, r_exp=r_exp, center=Cylinder(center), q=q,
+                  theta=q, c=None, gamma=(0,), params=params)
+    rep = verify_spike(spike, nu)
+    worst, wit = cond2_by_double_sum(spike, nu)
+    assert (rep.measured["cond2"], rep.witnesses["cond2"]) == (worst, wit)
+    assert worst is None or isinstance(worst, Fraction)
+
+
+def test_condition_2_on_the_audited_spikes():
+    """Every spike of a small audit sweep, conformal nu on F_2."""
+    from freewalk import make_spike
+    group = WeightedFreeGroup(2)
+    params = default_params(group)
+    nu = uniform_ps_measure(group, params)
+    for gamma in filter(None, group.ball(3)):
+        for d in (0, 1, 2):
+            spike = make_spike(gamma, nu, params, margin=d)
+            rep = verify_spike(spike, nu)
+            expected = cond2_by_double_sum(spike, nu)
+            assert (rep.measured["cond2"], rep.witnesses["cond2"]) == expected

@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
+                      build_spike, WeightedFreeGroup, VisualParams,
+                      uniform_ps_measure,
                       verify_spike, verify_q_spike, decay_check,
                       shadow_lemma_audit, lipschitz_scale, local_doubling_sup,
                       DegenerateSpikeError, integrate)
+from freewalk import spikes
 from freewalk.spikes import _cell_product
 
 
@@ -243,3 +246,36 @@ def test_doubling_bound(f2, nu2, params2):
         bound = float(beta) ** 2 * math.exp(
             2 * math.log(3) * (d + math.log(5) / math.log(3)))
         assert float(t_nu) <= bound
+
+
+def test_build_spike_leaves_c_unset(f2, nu2, params2):
+    built = build_spike((1, 2), nu2, params2, margin=1)
+    made = make_spike((1, 2), nu2, params2, margin=1)
+    assert built.c is None and made.c is not None
+    assert (built.function, built.r_exp, built.center) == \
+        (made.function, made.r_exp, made.center)
+
+
+def test_local_doubling_sup_verifies_each_spike_once(monkeypatch):
+    group = WeightedFreeGroup(2)
+    params = VisualParams.exact_base(3, 1, Fraction(1, 2))
+    nu = uniform_ps_measure(group, params)
+    ds = [0, 1, 2]
+    # T_nu as computed before: make_spike, then one more verify_spike
+    expected = max(verify_spike(make_spike(g, nu, params, margin=d), nu)
+                   .local_doubling for g in group.ball(2) if g for d in ds)
+    calls = {"verify_spike": 0, "verify_q_spike": 0}
+
+    def counted(name):
+        real = getattr(spikes, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spikes, name, counted(name))
+    assert local_doubling_sup(nu, params, 2, ds) == expected
+    spikes_in_family = (len(group.ball(2)) - 1) * len(ds)
+    assert calls == {"verify_spike": spikes_in_family, "verify_q_spike": 0}
