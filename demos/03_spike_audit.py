@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from freewalk import (WeightedFreeGroup, Cylinder, default_params,
                       uniform_ps_measure, make_spike, verify_spike,
-                      verify_q_spike, shadow_lemma_audit, decay_check,
-                      measure_constants)
+                      shadow_lemma_audit, decay_check, measure_constants)
 
 G = WeightedFreeGroup(2)
 P = default_params(G)
@@ -24,11 +23,10 @@ nu = uniform_ps_measure(G, P)
 s = make_spike(G.parse_word("A"), nu, P, margin=0)
 print("center:", G.format_word(s.center.word), " radius:", s.radius,
       " measured C:", s.c)
-rep = verify_spike(s, nu)
+rep = verify_spike(s, nu)  # one report: spike and Q-spike conditions
 print("conditions:", rep.cond1_ok, rep.cond2_ok, rep.cond3_ok,
       " measured:", {k: str(v) for k, v in rep.measured.items()})
-qrep = verify_q_spike(s, nu)
-print("Q-spike:", qrep.q_spike_ok, " local doubling:", rep.local_doubling)
+print("Q-spike:", rep.q_spike_ok, " local doubling:", rep.local_doubling)
 
 # 2. the Shadow Lemma sweep: one beta certifies both inequalities
 audit = shadow_lemma_audit(nu, P, max_len=4, ds=[0, 1, 2])

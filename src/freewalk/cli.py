@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 check failed, 2 usage/config error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, critical_exponent)
-from .spikes import make_spike, verify_spike, verify_q_spike, decay_check, \
+from .spikes import make_spike, verify_spike, decay_check, \
     shadow_lemma_audit, Spike
 from .decomposition import GreedyParams, basis_decompose, moment_decompose
 from .stationarity import verify_stationarity, sphere_uniform, mix
@@ -192,10 +193,7 @@ def cmd_moments(run: Run, args) -> int:
     F = run.target(section.get("target"))
     params = run.greedy
     if params.margin < 1:
-        params = GreedyParams(s=params.s, beta=params.beta, c_cap=params.c_cap,
-                              margin=1, tau=params.tau, schedule=params.schedule,
-                              rescale="proof", max_rounds=params.max_rounds,
-                              audit_len=params.audit_len)
+        params = dataclasses.replace(params, margin=1, rescale="proof")
     result = moment_decompose(F, run.nu, params,
                               rounds=int(section.get("rounds", 3)))
     doc = result.to_json()
@@ -260,21 +258,18 @@ def cmd_audit(run: Run, args) -> int:
     for gamma, d in sweep:
         sp = make_spike(gamma, nu, params, margin=d)
         rep = verify_spike(sp, nu)
-        qrep = verify_q_spike(sp, nu)
-        if not (rep.all_ok and qrep.q_spike_ok):
+        if not rep.all_ok:
             failures.append({"gamma": run.group.format_word(gamma), "D": str(d),
-                             "witnesses": {**rep.witnesses, **qrep.witnesses}})
-        mc = max(rep.measured_c, qrep.measured_c)
-        if mc > worst_c:
-            worst_c = mc
+                             "witnesses": rep.witnesses})
+        if rep.measured_c > worst_c:
+            worst_c = rep.measured_c
         if rep.local_doubling is not None and rep.local_doubling > worst_doubling:
             worst_doubling = rep.local_doubling
         if args.witnesses:
             witness_dump.append({
                 "gamma": run.group.format_word(gamma), "D": str(d),
-                "measured_C": _num_to_str(mc),
-                "witnesses": {k: v for k, v in
-                              {**rep.witnesses, **qrep.witnesses}.items()
+                "measured_C": _num_to_str(rep.measured_c),
+                "witnesses": {k: v for k, v in rep.witnesses.items()
                               if v is not None}})
 
     injected_fail = None
@@ -284,12 +279,10 @@ def cmd_audit(run: Run, args) -> int:
             raise ConfigError(f"injected spike file not found: {p}")
         sp = _spike_from_json(run, json.loads(p.read_text()))
         rep = verify_spike(sp, nu)
-        qrep = verify_q_spike(sp, nu)
-        if not (rep.all_ok and qrep.q_spike_ok):
-            injected_fail = {"witnesses": {**rep.witnesses, **qrep.witnesses},
+        if not rep.all_ok:
+            injected_fail = {"witnesses": rep.witnesses,
                              "measured": {k: _num_to_str(v) if v is not None else None
-                                          for k, v in {**rep.measured,
-                                                       **qrep.measured}.items()}}
+                                          for k, v in rep.measured.items()}}
 
     doc = {
         "beta": _num_to_str(shadows.beta),

@@ -151,19 +151,21 @@ class BoundaryMeasure:
 
     def __init__(self, group: WeightedFreeGroup, leaves: Dict[Word, object],
                  mass_fn: Optional[Callable[[Word], object]] = None,
-                 params: Optional[VisualParams] = None,
-                 conformal: bool = False, rule: str = "none",
+                 params: Optional[VisualParams] = None, rule: str = "none",
                  validate: bool = True):
         self.group = group
         self.leaves = dict(leaves)
         self.mass_fn = mass_fn
         self.params = params
-        self.conformal = conformal
         self.rule = rule
         if validate:
             validate_partition(group, self.leaves.keys())
             if any(v < 0 for v in self.leaves.values()):
                 raise InputError("cylinder masses must be nonnegative")
+
+    @property
+    def conformal(self) -> bool:
+        return self.rule == "conformal"
 
     # -- evaluation ------------------------------------------------------------
 
@@ -198,8 +200,7 @@ class BoundaryMeasure:
     def materialize(self, leaves: Iterable[Word]) -> "BoundaryMeasure":
         vals = {tuple(w): self.mass_of(w) for w in leaves}
         return BoundaryMeasure(self.group, vals, mass_fn=self.mass_fn,
-                               params=self.params, conformal=self.conformal,
-                               rule=self.rule, validate=False)
+                               params=self.params, rule=self.rule, validate=False)
 
     def materialize_depth(self, depth: int) -> "BoundaryMeasure":
         return self.materialize(self.group.sphere(depth))
@@ -291,7 +292,7 @@ def uniform_ps_measure(group: WeightedFreeGroup, params: VisualParams,
         rule = "markov"
     leaves = {w: fn(w) for w in group.sphere(max(1, depth))}
     return BoundaryMeasure(group, leaves, mass_fn=fn, params=params,
-                           conformal=is_conformal, rule=rule, validate=False)
+                           rule=rule, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +458,7 @@ def pushforward(gamma: Word, nu: BoundaryMeasure) -> BoundaryMeasure:
     depth = max(1, len(gamma) + 1, nu.depth())
     leaves = {w: mass(w) for w in group.sphere(depth)}
     return BoundaryMeasure(group, leaves, mass_fn=mass, params=nu.params,
-                           conformal=False, rule="pushforward", validate=False)
+                           rule="pushforward", validate=False)
 
 
 def convolve(mu: GroupMeasure, nu: BoundaryMeasure) -> BoundaryMeasure:
@@ -472,7 +473,7 @@ def convolve(mu: GroupMeasure, nu: BoundaryMeasure) -> BoundaryMeasure:
     depth = max(1, mu.support_radius() + 1, nu.depth())
     leaves = {w: mass(w) for w in group.sphere(depth)}
     return BoundaryMeasure(group, leaves, mass_fn=mass, params=nu.params,
-                           conformal=False, rule="convolution", validate=False)
+                           rule="convolution", validate=False)
 
 
 def integrate(f: LocallyConstantFunction, nu: BoundaryMeasure):

@@ -5,7 +5,8 @@ controlled height ratio on the ball (condition 1), off-ball decay against a
 singular kernel (condition 2) and bounded short-range oscillation
 (condition 3).  Q-spikes additionally bound the scale-r Lipschitz constant
 and the ball mass from below.  On the tree every ball is a finite cylinder
-union and all three conditions reduce to exact finite maxima.
+union, so all five conditions reduce to exact finite maxima, which
+`verify_spike` computes in one pass over one refined partition.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class SpikeReport:
     cond1_ok: bool
     cond2_ok: bool
     cond3_ok: bool
-    q_spike_ok: Optional[bool]
+    q_spike_ok: bool
     local_doubling: object
     measured_c: object
     measured: Dict[str, object] = field(default_factory=dict)
@@ -65,7 +66,7 @@ class SpikeReport:
     @property
     def all_ok(self) -> bool:
         return (self.cond1_ok and self.cond2_ok and self.cond3_ok
-                and (self.q_spike_ok is not False))
+                and self.q_spike_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +198,7 @@ def make_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     """`build_spike` with C set to the measured tightest constant over the
     spike and Q-spike conditions."""
     spike = build_spike(gamma, nu, params, margin)
-    report = verify_spike(spike, nu)
-    qreport = verify_q_spike(spike, nu)
-    spike.c = max(report.measured_c, qreport.measured_c)
+    spike.c = verify_spike(spike, nu).measured_c
     return spike
 
 
@@ -213,8 +212,17 @@ def _prepared_cells(spike: Spike, nu: BoundaryMeasure) -> Dict[Word, object]:
     return {w: f.at(w) for w in leaves}
 
 
+def _ball(spike: Spike, cells: Sequence[Word], nu: BoundaryMeasure,
+          mult=1):
+    """The cells in B(a, mult*r) and nu of that ball, summed in partition order."""
+    inside = ball_cells(spike.function.group, cells, spike.center.word,
+                        spike.params or nu.params, spike.r_exp, mult)
+    return inside, sum(nu.mass_of(w) for w in inside)
+
+
 def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
-    """Check the three spike conditions exactly over the cylinder partition."""
+    """Check the three spike conditions and the two Q-spike conditions
+    exactly over the cylinder partition."""
     group = spike.function.group
     params = spike.params or nu.params
     eps = params.epsilon
@@ -222,7 +230,9 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     cells = list(values)
     center = spike.center.word
     sup = max(values.values())
-    inside = set(ball_cells(group, cells, center, params, spike.r_exp))
+    ball, mass_r = _ball(spike, cells, nu)
+    inside = set(ball)
+    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
     c_stored = spike.c
 
     measured: Dict[str, object] = {}
@@ -239,11 +249,9 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     # an ultrametric and the ball is a union of cells meeting the center at
     # depth >= some k, so an outside cell y (meeting it at k_y) meets every
     # inside cell at k_y, and its integral is nu(B) e^{(q+theta) eps W(k_y)}.
-    mass_r = sum(nu.mass_of(x) for x in inside)
     prefix = group.prefix_weights(center)
     h_center = values[center]
     expo = spike.q + spike.theta
-    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
     kernel: Dict[int, object] = {}
     worst2 = None
     wit2 = None
@@ -287,65 +295,45 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     witnesses["cond3"] = wit3
     cond3_ok = positive and (c_stored is None or worst3 <= c_stored)
 
-    finite = [m for m in (measured["cond1"], measured["cond2"], measured["cond3"])
-              if m is not None]
+    # Q-spike: D_r h <= C h / r on every cell, and nu(B(a, r)) >= r^Q / C
+    nonpositive = next((w for w in cells if values[w] <= 0), None)
+    if nonpositive is not None:
+        measured["lipschitz"] = None
+        witnesses["lipschitz"] = group.format_word(nonpositive)
+        q_spike_ok = False
+    else:
+        func = LocallyConstantFunction(group, values, validate=False)
+        slopes = lipschitz_scale(func, spike.r_exp, params)
+        r_val = eps.exp_neg(spike.r_exp)
+        worst_lip = 0
+        wit_lip = None
+        for w in cells:
+            need = slopes[w] * r_val / values[w]
+            if need > worst_lip:
+                worst_lip, wit_lip = need, group.format_word(w)
+        measured["lipschitz"] = worst_lip
+        witnesses["lipschitz"] = wit_lip
+        measured["mass"] = r_pow_q / mass_r if mass_r > 0 else None
+        q_spike_ok = mass_r > 0 and (c_stored is None or (
+            worst_lip <= c_stored and r_pow_q <= c_stored * mass_r))
+
+    finite = [m for m in measured.values() if m is not None]
     measured_c = max(finite) if finite else None
 
     # local doubling nu(B(a,5r))/nu(B(a,r))
-    big = ball_cells(group, cells, center, params, spike.r_exp, mult=5)
-    mass_5r = sum(nu.mass_of(w) for w in big)
+    _, mass_5r = _ball(spike, cells, nu, mult=5)
     doubling = mass_5r / mass_r if mass_r > 0 else None
 
     return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
-                       q_spike_ok=None, local_doubling=doubling,
+                       q_spike_ok=q_spike_ok, local_doubling=doubling,
                        measured_c=measured_c, measured=measured,
                        witnesses=witnesses)
 
 
+# verify_spike checks the Q-spike conditions too; this name stays only because
+# bench/tracer.py lists it in LAYERS
 def verify_q_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
-    """Check the Q-spike conditions: D_r h <= C h / r and nu(B(a,r)) >= r^Q/C."""
-    group = spike.function.group
-    params = spike.params or nu.params
-    eps = params.epsilon
-    values = _prepared_cells(spike, nu)
-    cells = list(values)
-    center = spike.center.word
-    c_stored = spike.c
-
-    measured: Dict[str, object] = {}
-    witnesses: Dict[str, object] = {}
-
-    func = LocallyConstantFunction(group, values, validate=False)
-    slopes = lipschitz_scale(func, spike.r_exp, params)
-    r_val = eps.exp_neg(spike.r_exp)
-    worst_lip = 0
-    wit = None
-    for w in cells:
-        if values[w] <= 0:
-            return SpikeReport(False, False, False, False, None, None,
-                               {"lipschitz": None},
-                               {"lipschitz": group.format_word(w)})
-        need = slopes[w] * r_val / values[w]
-        if need > worst_lip:
-            worst_lip, wit = need, group.format_word(w)
-    measured["lipschitz"] = worst_lip
-    witnesses["lipschitz"] = wit
-    lip_ok = c_stored is None or worst_lip <= c_stored
-
-    inside = ball_cells(group, cells, center, params, spike.r_exp)
-    mass = sum(nu.mass_of(w) for w in inside)
-    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
-    measured["mass"] = r_pow_q / mass if mass > 0 else None
-    mass_ok = mass > 0 and (c_stored is None or r_pow_q <= c_stored * mass)
-
-    finite = [m for m in measured.values() if m is not None]
-    measured_c = max(finite) if finite else None
-    big = ball_cells(group, cells, center, params, spike.r_exp, mult=5)
-    doubling = (sum(nu.mass_of(w) for w in big) / mass) if mass > 0 else None
-    return SpikeReport(cond1_ok=True, cond2_ok=True, cond3_ok=True,
-                       q_spike_ok=bool(lip_ok and mass_ok),
-                       local_doubling=doubling, measured_c=measured_c,
-                       measured=measured, witnesses=witnesses)
+    return verify_spike(spike, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +459,17 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
 
 def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
                        max_len: int, ds: Sequence) -> object:
-    """T_nu: supremum of the local doubling constant over the spike family.
-    The doubling ratio does not depend on C, so each spike is verified once."""
+    """T_nu: supremum of the local doubling constant nu(B(a,5r))/nu(B(a,r))
+    over the spike family, read from the two ball masses of each spike."""
     worst = 0
     for gamma in nu.group.ball(max_len):
         if not gamma:
             continue
         for d in ds:
-            rep = verify_spike(build_spike(gamma, nu, params, margin=d), nu)
-            if rep.local_doubling is not None and rep.local_doubling > worst:
-                worst = rep.local_doubling
+            spike = build_spike(gamma, nu, params, margin=d)
+            cells = list(_prepared_cells(spike, nu))
+            _, mass_r = _ball(spike, cells, nu)
+            _, mass_5r = _ball(spike, cells, nu, mult=5)
+            if mass_r > 0:
+                worst = max(worst, mass_5r / mass_r)
     return worst

@@ -1,5 +1,6 @@
 """CLI exit codes, report files and reproducibility."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -143,6 +144,27 @@ def test_audit_witnesses_match_golden(tmp_path, name):
         (GOLDEN / f"{name}.audit.json").read_bytes()
 
 
+INJECT = GOLDEN / "inject"
+INJECT_PARAMS = {
+    "exact": {"arithmetic": "exact"},
+    "float": {"alpha": 1.0986122886681098, "epsilon": 0.7,
+              "arithmetic": "float"},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(INJECT_PARAMS))
+@pytest.mark.parametrize("spike", sorted(p.name[:-len(".spike.json")]
+                                         for p in INJECT.glob("*.spike.json")))
+def test_audit_injected_failure_matches_golden(tmp_path, spike, mode):
+    # the inject path is resolved from the working directory: make it absolute
+    cfg = write_config(tmp_path, params=INJECT_PARAMS[mode], audit={
+        "max_len": 1, "Ds": [0], "inject": str(INJECT / f"{spike}.spike.json")})
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out), "--witnesses"]) == 1
+    assert (out / "audit.json").read_bytes() == \
+        (INJECT / f"{spike}.{mode}.audit.json").read_bytes()
+
+
 def test_moments_ok(tmp_path):
     cfg = write_config(tmp_path, params={
         "alpha": "critical", "epsilon": "critical", "arithmetic": "float",
@@ -186,6 +208,17 @@ def test_moments_default_rescale(tmp_path):
     assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads((out / "moments.json").read_text())
     assert all(doc["envelope"]["checks"].values())
+
+
+def test_moments_without_margin(tmp_path):
+    # no "D": moments runs with D = 1 and the proof rescale, other knobs kept
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "moments.json").read_bytes()
+    assert all(json.loads(report)["envelope"]["checks"].values())
+    assert hashlib.sha256(report).hexdigest() == \
+        "677fad57a6a2c33b9dca6841dabe5153b5c5355cee60ac83ee87913b55b7a164"
 
 
 def test_library_value_error_exits_2(tmp_path, capsys):

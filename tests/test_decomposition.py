@@ -77,6 +77,21 @@ def test_basis_decompose_constant_exact(f2, nu2, constants2):
         assert conv.mass_of(w) == nu2.mass_of(w)
 
 
+def test_growing_schedule_proof_factors(f2, nu2, params2, constants2):
+    # the growing schedule raises C_n = C isqrt(1 + n) in round n
+    F = LocallyConstantFunction.constant(f2, Fraction(1))
+    factors = {}
+    for schedule in ("growing", "fixed"):
+        gp = GreedyParams(tau=0, rescale="proof", max_rounds=3, schedule=schedule)
+        res = basis_decompose(F, nu2, gp, constants=constants2)
+        factors[schedule] = [r.factor for r in res.records]
+    cap = GreedyParams().cap_for(constants2, params2)
+    assert factors["growing"] == [
+        3 * constants2.l_nu / (cap * math.isqrt(1 + n) * 2) for n in (1, 2, 3)]
+    assert factors["growing"] == [Fraction(1, 18), Fraction(1, 18), Fraction(1, 36)]
+    assert factors["fixed"] == [Fraction(1, 18)] * 3
+
+
 def test_basis_decompose_float_tolerance(f2, nu2, params2, constants2):
     F = LocallyConstantFunction.constant(f2, 1.0)
     gp = GreedyParams(tau=1e-6)
