@@ -349,16 +349,22 @@ class GroupMeasure:
 # derivatives, pushforwards, convolution, integration
 # ---------------------------------------------------------------------------
 
+def require_conformal(nu: BoundaryMeasure, params: VisualParams,
+                      who: str) -> None:
+    """Raise ConformalityError unless nu is the alpha-conformal measure."""
+    if not nu.conformal:
+        raise ConformalityError(
+            f"{who} requires the conformal measure (nu is flagged "
+            f"rule={nu.rule!r}, conformal={nu.conformal})")
+    if nu.params is not None and nu.params.alpha != params.alpha:
+        raise ConformalityError("alpha of nu and params disagree")
+
+
 def radon_nikodym(gamma: Word, nu: BoundaryMeasure,
                   params: VisualParams) -> LocallyConstantFunction:
     """f_gamma = d(gamma * nu)/d nu = e^{-alpha rho_{gamma^{-1},.}(e)} on the
     partition where the Busemann function is constant."""
-    if not nu.conformal:
-        raise ConformalityError(
-            "radon_nikodym requires the conformal measure (nu is flagged "
-            f"rule={nu.rule!r}, conformal={nu.conformal})")
-    if nu.params is not None and nu.params.alpha != params.alpha:
-        raise ConformalityError("alpha of nu and params disagree")
+    require_conformal(nu, params, "radon_nikodym")
     group = nu.group
     cells = locally_constant_cells(group, invert(gamma), EPSILON)
     return LocallyConstantFunction.from_cells(
@@ -370,9 +376,26 @@ class SpikeAccumulator:
 
     A unit-sup spike profile u_w is radial in the branch depth: on a cell
     meeting the center word w at weighted depth W_t it equals
-    e^{-2 alpha (W_n - W_t)}.  Per-node partial sums make insertion and point
-    evaluation O(depth); the exponentials are computed once per letter and
-    once per center.
+    e^{-2 alpha (W_n - W_t)}.  Per-node partial sums N_t make insertion and
+    point evaluation O(depth): with step[x] = e^{-2 alpha w_x},
+
+        value_at(w) = N_0 + sum_t (1 - step[w_t]) N_{t+1}.
+
+    When every step[x] is a Fraction p_x/q_x (alpha = c log b with every
+    2 c w_x an integer), each N_t is kept as an int over one shared
+    denominator `den`, and each center's profile as (node, int) pairs over
+    the product of its letters' q_x, so `insert` adds integers with no gcd.
+    `den` grows, and every node with it, only when a coefficient's
+    denominator times the profile's does not divide it.  With L = lcm q_x
+    and m_x = (L/q_x)(q_x - p_x), `value_at` returns
+    Fraction(L N_0 + sum_t m_{w_t} N_{t+1}, den L): one Fraction per call.
+
+    Every other case keeps plain Fraction/float arithmetic on the node sums:
+    float params; a step that is not a Fraction (e.g. alpha = 1/3 log 3 on
+    unit weights); and a coefficient that is neither an int nor a Fraction,
+    such as a float, which first turns the int sums already held into
+    Fractions.  The results equal term by term the plain sums, so exact
+    values are the same rationals and float values the same floats.
     """
 
     def __init__(self, group: WeightedFreeGroup, params: VisualParams):
@@ -381,26 +404,79 @@ class SpikeAccumulator:
         self.nodes: Dict[Word, object] = {}
         self.step = {x: self.alpha.exp_neg(2 * group.letter_weight(x))
                      for x in group.letters()}
-        self._profiles: Dict[Word, List[Tuple[Word, object]]] = {}
+        self._profiles: Dict[Word, Tuple[Optional[int], list]] = {}
+        self._den: Optional[int] = None   # None: plain arithmetic
+        if all(isinstance(s, Fraction) for s in self.step.values()):
+            self._den = 1
+            self._lcm = math.lcm(*(s.denominator for s in self.step.values()))
+            self._m = {x: (self._lcm // s.denominator) * (s.denominator - s.numerator)
+                       for x, s in self.step.items()}
 
-    def _profile(self, center: Word) -> List[Tuple[Word, object]]:
-        """(center[:t], e^{-2 alpha (W_n - W_t)}) for t = 0..n."""
+    def _profile(self, center: Word) -> Tuple[Optional[int], list]:
+        """(scale, [(center[:t], scale * e^{-2 alpha (W_n - W_t)})]) for
+        t = 0..n: integers over scale = prod q_x in the scaled-integer mode,
+        plain exponentials with scale None otherwise."""
         profile = self._profiles.get(center)
         if profile is None:
-            weights = self.group.prefix_weights(center)
-            total = weights[-1]
-            profile = [(center[:t], self.alpha.exp_neg(2 * (total - acc)))
-                       for t, acc in enumerate(weights)]
+            if self._den is None:
+                weights = self.group.prefix_weights(center)
+                total = weights[-1]
+                profile = (None, [(center[:t], self.alpha.exp_neg(2 * (total - acc)))
+                                  for t, acc in enumerate(weights)])
+            else:
+                # e^{-2 alpha (W_n - W_t)} = prod_{s >= t} p/q over center[s]
+                step = self.step
+                n = len(center)
+                ints = [1] * (n + 1)
+                for t in range(n - 1, -1, -1):
+                    ints[t] = ints[t + 1] * step[center[t]].numerator
+                scale = 1
+                for t in range(n + 1):
+                    ints[t] *= scale
+                    if t < n:
+                        scale *= step[center[t]].denominator
+                profile = (scale, [(center[:t], ints[t]) for t in range(n + 1)])
             self._profiles[center] = profile
         return profile
 
+    def _to_plain(self) -> None:
+        """Leave the scaled-integer mode: node sums become Fractions."""
+        den = self._den
+        self.nodes = {node: Fraction(v, den) for node, v in self.nodes.items()}
+        self._den = None
+        self._profiles.clear()
+
     def insert(self, center: Word, coeff) -> None:
+        if self._den is not None and not isinstance(coeff, (int, Fraction)):
+            self._to_plain()
         nodes = self.nodes
-        for node, decay in self._profile(center):
-            nodes[node] = nodes.get(node, 0) + coeff * decay
+        scale, profile = self._profile(center)
+        if self._den is None:
+            for node, decay in profile:
+                nodes[node] = nodes.get(node, 0) + coeff * decay
+            return
+        need = coeff.denominator * scale
+        if self._den % need:
+            grow = need // math.gcd(self._den, need)
+            self._den *= grow
+            for node in nodes:
+                nodes[node] *= grow
+        k = coeff.numerator * (self._den // need)
+        for node, v in profile:
+            nodes[node] = nodes.get(node, 0) + k * v
 
     def value_at(self, word: Word):
-        nodes, step = self.nodes, self.step
+        nodes = self.nodes
+        if self._den is not None and nodes:
+            m = self._m
+            total = self._lcm * nodes[EPSILON]
+            for t in range(len(word)):
+                child = nodes.get(word[:t + 1])
+                if child is None:
+                    break  # the nodes are prefix-closed: no deeper one either
+                total += m[word[t]] * child
+            return Fraction(total, self._den * self._lcm)
+        step = self.step
         total = 0
         here = nodes.get(word[:0], 0)
         for t in range(len(word)):
@@ -408,6 +484,13 @@ class SpikeAccumulator:
             total = total + (here - step[word[t]] * child)
             here = child
         return total + here
+
+    def node_sums(self) -> Dict[Word, object]:
+        """Each node's partial sum N_t as a number (a Fraction in the
+        scaled-integer mode)."""
+        if self._den is None:
+            return dict(self.nodes)
+        return {node: Fraction(v, self._den) for node, v in self.nodes.items()}
 
 
 def density(mu: GroupMeasure, nu: BoundaryMeasure) -> LocallyConstantFunction:

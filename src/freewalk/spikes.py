@@ -21,7 +21,7 @@ from .words import (Word, EPSILON, WeightedFreeGroup, InputError, is_prefix,
 from .geometry import (Cylinder, VisualParams, AmbiguousCylinderError,
                        shadow, sup_product)
 from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
-from .measures import BoundaryMeasure, radon_nikodym
+from .measures import BoundaryMeasure, radon_nikodym, require_conformal
 
 
 class DegenerateSpikeError(ValueError):
@@ -202,7 +202,7 @@ def make_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     return spike
 
 
-def _prepared_cells(spike: Spike, nu: BoundaryMeasure) -> Dict[Word, object]:
+def _prepared_cells(spike: Spike) -> Dict[Word, object]:
     """Spike values on a partition refined to contain the center as a cell."""
     f = spike.function
     if spike.center.word in f.values:
@@ -226,7 +226,7 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     group = spike.function.group
     params = spike.params or nu.params
     eps = params.epsilon
-    values = _prepared_cells(spike, nu)
+    values = _prepared_cells(spike)
     cells = list(values)
     center = spike.center.word
     sup = max(values.values())
@@ -457,19 +457,39 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
                              worst_lower=worst_lower, worst_upper=worst_upper)
 
 
+def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
+                 r_exp, mult=1) -> Word:
+    """The prefix p of `center` with B(center, mult*e^{-eps r_exp}) = C(p):
+    the shortest one that passes `ball_cells`' test, which holds from some
+    depth on since prefix weights increase."""
+    eps = params.epsilon
+    for k, weight in enumerate(group.prefix_weights(center)):
+        if eps.leq_scaled(weight, r_exp, mult):
+            return center[:k]
+    raise AmbiguousCylinderError(
+        f"ball smaller than the center cell {center}; deepen the partition")
+
+
 def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
                        max_len: int, ds: Sequence) -> object:
     """T_nu: supremum of the local doubling constant nu(B(a,5r))/nu(B(a,r))
-    over the spike family, read from the two ball masses of each spike."""
+    over the spike family (center a and radius r of `build_spike`).  Each
+    ball is one cylinder, so its mass is read off nu directly."""
+    require_conformal(nu, params, "local_doubling_sup")
+    group = nu.group
     worst = 0
-    for gamma in nu.group.ball(max_len):
+    for gamma in group.ball(max_len):
         if not gamma:
             continue
+        center = shadow(group, gamma, 0)[0].word
+        u_val = sup_product(group, gamma)
         for d in ds:
-            spike = build_spike(gamma, nu, params, margin=d)
-            cells = list(_prepared_cells(spike, nu))
-            _, mass_r = _ball(spike, cells, nu)
-            _, mass_5r = _ball(spike, cells, nu, mult=5)
+            d = Fraction(d)
+            if d < 0:
+                raise InputError(f"shadow margin must be >= 0, got {d}")
+            mass_r = nu.mass_of(_ball_prefix(group, center, params, u_val - d))
+            mass_5r = nu.mass_of(_ball_prefix(group, center, params, u_val - d,
+                                              mult=5))
             if mass_r > 0:
                 worst = max(worst, mass_5r / mass_r)
     return worst

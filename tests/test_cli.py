@@ -221,6 +221,21 @@ def test_moments_without_margin(tmp_path):
         "677fad57a6a2c33b9dca6841dabe5153b5c5355cee60ac83ee87913b55b7a164"
 
 
+
+def test_moments_proof_schedule_golden(tmp_path):
+    # the explicit D = 1, proof-rescale schedule; with the other knobs at
+    # their defaults it is the run test_moments_without_margin derives
+    cfg = write_config(tmp_path, params={
+        "alpha": "critical", "epsilon": "critical", "arithmetic": "exact",
+        "tau": 1e-6, "D": 1, "rescale": "proof"},
+        moments={"rounds": 2, "target": "ones"})
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "moments.json").read_bytes()
+    assert json.loads(report)["rounds"] == 2
+    assert hashlib.sha256(report).hexdigest() == \
+        "677fad57a6a2c33b9dca6841dabe5153b5c5355cee60ac83ee87913b55b7a164"
+
 def test_library_value_error_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1", "2"]})
     assert main(["verify", "--config", cfg]) == 2

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freewalk import (WeightedFreeGroup, VisualParams,
                       default_params, uniform_ps_measure, critical_exponent,
@@ -231,10 +232,83 @@ def test_spike_accumulator_matches_uncached_formulas(weights, exact):
         slow.insert(center, coeff)
         for w in rng.sample(words, 5):
             assert fast.value_at(w) == slow.value_at(w)
-    assert fast.nodes == slow.nodes
+    assert fast.node_sums() == slow.nodes
     # every node, the root, and words running past the deepest center
     for w in words + rng.sample(group.sphere(6), 40):
         assert repr(fast.value_at(w)) == repr(slow.value_at(w))
+
+
+def _replay(group, params, ops, probes):
+    """Apply (center, coeff) inserts to the cached and the uncached
+    accumulator, comparing values after each; returns both."""
+    fast = SpikeAccumulator(group, params)
+    slow = UncachedAccumulator(group, params)
+    for center, coeff in ops:
+        fast.insert(center, coeff)
+        slow.insert(center, coeff)
+        for w in probes:
+            assert repr(fast.value_at(w)) == repr(slow.value_at(w))
+    assert fast.node_sums() == slow.nodes
+    return fast, slow
+
+
+@pytest.mark.parametrize("weights,alpha_coeff,coeff_kind", [
+    (["1", "2"], 1, "fraction"),                # steps 1/9, 1/81
+    (["1", "3/2"], 1, "fraction"),              # steps 1/9, 1/27
+    (["2", "2"], Fraction(1, 2), "fraction"),   # alpha = log(3)/2
+    (["1", "1"], 1, "int"),                     # integral coeff != 1, negatives
+    (["1", "1"], Fraction(1, 3), "fraction"),   # steps 3^{-2/3}: not rational
+    (["1", "1"], 1, "float_after"),             # float coeff after exact ones
+])
+def test_spike_accumulator_exact_cases(weights, alpha_coeff, coeff_kind):
+    group = WeightedFreeGroup(2, weights=weights)
+    params = VisualParams.exact_base(3, alpha_coeff, alpha_coeff)
+    rng = random.Random(11)
+    words = group.ball(4)
+    ops = []
+    for i in range(40):
+        if coeff_kind == "int":
+            coeff = rng.choice([-3, -1, 2, 5, 7])
+        elif coeff_kind == "float_after" and i >= 25:
+            coeff = rng.uniform(-1.0, 2.0)
+        else:
+            coeff = Fraction(rng.randint(-4, 9), rng.choice([1, 2, 3, 4, 16, 27]))
+        ops.append((rng.choice(words), coeff))
+    probes = words[:12] + rng.sample(group.sphere(6), 6)
+    fast, slow = _replay(group, params, ops, probes)
+    exact_steps = all(isinstance(s, Fraction) for s in fast.step.values())
+    assert exact_steps == (alpha_coeff != Fraction(1, 3))
+    for w in words + rng.sample(group.sphere(6), 20):
+        got = fast.value_at(w)
+        assert repr(got) == repr(slow.value_at(w))
+        if coeff_kind == "float_after":
+            assert isinstance(got, float)
+        elif exact_steps:
+            assert isinstance(got, Fraction)
+
+
+@st.composite
+def accumulator_runs(draw):
+    rank = draw(st.integers(2, 3))
+    weights = [draw(st.sampled_from(["1", "2", "3/2"])) for _ in range(rank)]
+    group = WeightedFreeGroup(rank, weights)
+    alpha = draw(st.sampled_from([1, Fraction(1, 2), Fraction(2, 3)]))
+    words = group.ball(3)
+    ops = [(draw(st.sampled_from(words)),
+            draw(st.one_of(st.integers(-5, 5),
+                           st.fractions(-4, 4, max_denominator=30))))
+           for _ in range(draw(st.integers(1, 12)))]
+    probes = draw(st.lists(st.sampled_from(group.ball(4)), min_size=1,
+                           max_size=6))
+    return group, VisualParams.exact_base(draw(st.sampled_from([2, 3])),
+                                          alpha, alpha), ops, probes
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(accumulator_runs())
+def test_spike_accumulator_property(run):
+    group, params, ops, probes = run
+    _replay(group, params, ops, probes)
 
 
 def test_integrate(f2, nu2, params2):

@@ -88,7 +88,7 @@ def cond2_by_double_sum(spike, nu):
     (inside, outside) pair of cells."""
     group = spike.function.group
     eps = spike.params.epsilon
-    values = _prepared_cells(spike, nu)
+    values = _prepared_cells(spike)
     center = spike.center.word
     inside = set(old_ball_cells(group, list(values), center, spike.params,
                                 spike.r_exp))

@@ -11,7 +11,8 @@ from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       uniform_ps_measure,
                       verify_spike, verify_q_spike, decay_check,
                       shadow_lemma_audit, lipschitz_scale, local_doubling_sup,
-                      DegenerateSpikeError, integrate)
+                      DegenerateSpikeError, integrate, conformal_exponent,
+                      ConformalityError)
 from freewalk import spikes
 from freewalk.spikes import _cell_product
 
@@ -279,3 +280,28 @@ def test_local_doubling_sup_verifies_each_spike_once(monkeypatch):
     assert local_doubling_sup(nu, params, 2, ds) == expected
     # T_nu reads two ball masses per spike and checks no spike condition
     assert calls == {"verify_spike": 0, "verify_q_spike": 0}
+
+
+@pytest.mark.parametrize("weights,exact", [(["1", "1", "1"], True),
+                                           (["1", "2"], False)])
+def test_local_doubling_sup_matches_spike_balls(weights, exact):
+    # the cylinder masses against each built spike's two ball sums
+    group = WeightedFreeGroup(len(weights), weights)
+    if exact:
+        params = VisualParams.exact_base(2 * group.rank - 1)
+    else:
+        s = conformal_exponent(group)
+        params = VisualParams.floats(s, s)
+    nu = uniform_ps_measure(group, params)
+    ds = [0, 1]
+    expected = max(verify_spike(build_spike(g, nu, params, margin=d), nu)
+                   .local_doubling for g in group.ball(2) if g for d in ds)
+    got = local_doubling_sup(nu, params, 2, ds)
+    if exact:
+        assert got == expected
+    else:
+        # one closed-form mass per ball against a sum over its cells
+        assert got == pytest.approx(expected, rel=1e-13)
+        markov = uniform_ps_measure(group, VisualParams.floats(2 * s, 2 * s))
+        with pytest.raises(ConformalityError):
+            local_doubling_sup(markov, markov.params, 2, ds)
