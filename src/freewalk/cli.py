@@ -24,7 +24,7 @@ from .words import WeightedFreeGroup, InputError
 from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
-                       radon_nikodym, pushforward, critical_exponent)
+                       radon_nikodym, pushforward, conformal_exponent)
 from .spikes import make_spike, verify_spike, decay_check, \
     shadow_lemma_audit, Spike
 from .decomposition import GreedyParams, basis_decompose, moment_decompose
@@ -45,7 +45,7 @@ def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
         if spec == "critical":
             if group.unit_weights():
                 return LogScale.log_of(2 * group.rank - 1)
-            return LogScale.of_float(critical_exponent(group))
+            return LogScale.of_float(conformal_exponent(group))
         if spec.startswith("log(") and spec.endswith(")"):
             return LogScale.log_of(Fraction(spec[4:-1]))
         if "*log(" in spec and spec.endswith(")"):

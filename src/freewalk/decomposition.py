@@ -368,80 +368,40 @@ def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
 
 
 def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
-                   spikes: Sequence[Spike], vparams: VisualParams,
-                   tau: float, sweeps: int = 120):
+                   spikes: Sequence[Spike], vparams: VisualParams, tau: float):
     """Try to reconstruct the residual exactly inside the positive cone.
 
-    The round system sum_w lambda_w u_w = R is strictly diagonally dominant
-    (u_w(b_w) = 1, off-center tails sum to 1/3), so projected Gauss-Seidel
-    converges to its nonnegative solution whenever one exists; this is the
-    fixed point the iterated round recursion approaches.  The float iterate is
-    then scaled down exactly so that h <= R holds cellwise; the finisher is
-    accepted only if the leftover is below tau.
+    The round system sum_j lambda_j u_{b_j}(spine b_i) = R(spine b_i) is
+    U diag(e^{-2 alpha W(b_j)}) with U strictly ultrametric, so
+    `SpikeAccumulator.solve` gives its one solution, exact in exact mode.
+    Negative lambdas are clamped to 0 (the projection onto the cone), the sum
+    is scaled down so that h <= R holds cellwise, and the finisher is accepted
+    only if the leftover is at most tau.
 
     Returns (lambdas, h) or None.
     """
     group = R.group
     depth = max([R.depth()] + [len(sp.center.word) for sp in spikes])
     centers = [sp.center.word for sp in spikes]
-    spines = [spine_word(group, b, depth) for b in centers]
-    targets = [float(R.at(sp)) for sp in spines]
-    acc = SpikeAccumulator(group, VisualParams.floats(vparams.alpha.value,
-                                                      vparams.epsilon.value))
-    lam = [0.0] * len(spikes)
-    for _ in range(sweeps):
-        moved = 0.0
-        for i, b in enumerate(centers):
-            g_here = acc.value_at(spines[i])
-            new = max(0.0, lam[i] + (targets[i] - g_here))
-            delta = new - lam[i]
-            if delta != 0.0:
-                acc.insert(b, delta)
-                lam[i] = new
-                moved = max(moved, abs(delta))
-        if moved <= 1e-16:
-            break
-    exact = all(isinstance(v, Fraction) for v in R.values.values())
+    acc = SpikeAccumulator(group, vparams)
+    solved = acc.solve({b: R.at(spine_word(group, b, depth)) for b in centers})
+    lam = {b: x for b, x in solved.items() if x > 0}
+    for b, x in lam.items():
+        acc.insert(b, x)
     leaves = refine_leaves(group, R.leaves(), trie_closure(group, centers))
-
-    def attempt(lam_list):
-        acc_q = SpikeAccumulator(group, vparams)
-        for b, x in zip(centers, lam_list):
-            if x > 0:
-                acc_q.insert(b, x)
-        g_vals = {w: acc_q.value_at(w) for w in leaves}
-        scale = None
-        for w in leaves:
-            gv = g_vals[w]
-            if gv > 0:
-                ratio = R.at(w) / gv
-                scale = ratio if scale is None else min(scale, ratio)
-        if scale is None or scale <= 0:
-            return None
-        one = Fraction(1) if exact else 1.0
-        if scale > 1:
-            scale = one
-        residual = sum((R.at(w) - scale * g_vals[w]) * nu.mass_of(w)
-                       for w in leaves)
-        if float(residual) > tau or residual < 0:
-            return None
-        lambdas = [(sp.gamma, scale * x) for sp, x in zip(spikes, lam_list)]
-        h = LocallyConstantFunction(group, {w: scale * g_vals[w] for w in leaves},
-                                    validate=False)
-        return lambdas, h, residual
-
-    if exact:
-        # snapping the float iterate often recovers the exact cone solution
-        snapped = [Fraction(x).limit_denominator(10 ** 12) for x in lam]
-        got = attempt(snapped)
-        if got is not None and got[2] == 0:
-            return got[0], got[1]
-        got = attempt([Fraction(x) for x in lam])
-    else:
-        got = attempt(lam)
-    if got is None:
+    g_vals = {w: acc.value_at(w) for w in leaves}
+    ratios = [R.at(w) / g_vals[w] for w in leaves if g_vals[w] > 0]
+    if not ratios or min(ratios) <= 0:
         return None
-    return got[0], got[1]
+    scale = min(min(ratios), 1)
+    residual = sum((R.at(w) - scale * g_vals[w]) * nu.mass_of(w) for w in leaves)
+    if float(residual) > tau or residual < 0:
+        return None
+    lambdas = [(sp.gamma, scale * lam[sp.center.word]) for sp in spikes
+               if sp.center.word in lam]
+    h = LocallyConstantFunction(group, {w: scale * g_vals[w] for w in leaves},
+                                validate=False)
+    return lambdas, h
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,44 @@ class SpikeAccumulator:
             here = child
         return total + here
 
+    def solve(self, targets: Dict[Word, object]) -> Dict[Word, object]:
+        """The coefficients lambda_b with value_at(b) = targets[b] for every
+        center b, in two passes over the centers' trie.  The centers are
+        nonempty words, none a prefix of another (the cells of a cover).
+
+        With s_v = step[v[-1]] (0 at the root), A_v = sum (1 - s_u) N_u over
+        the nodes u from the root down to v is value_at(v); a center has
+        N_b = lambda_b, and an inner node N_v = sum_c s_c N_c over its
+        children.  Bottom up, each node satisfies N_v = a_v - b_v A_parent
+        (A = 0 above the root): (a, b) = (t, 1)/(1 - s) at a center, and
+        (a, b) = (sum s a, sum s b)/(1 + (1 - s) sum s b) at an inner node.
+        No denominator can be 0.  Top down, A and N follow.  The arithmetic
+        is the steps' and targets' own: exact for Fractions.
+        """
+        step = self.step
+        order = sorted({b[:t] for b in targets for t in range(len(b) + 1)},
+                       key=lambda w: (len(w), w))
+        children: Dict[Word, List[Word]] = {v: [] for v in order}
+        for v in order[1:]:
+            children[v[:-1]].append(v)
+        s = {v: step[v[-1]] if v else 0 for v in order}
+        ab = {}
+        for v in reversed(order):
+            if v in targets:
+                ab[v] = (targets[v] / (1 - s[v]), 1 / (1 - s[v]))
+            else:
+                sa = sum(s[c] * ab[c][0] for c in children[v])
+                sb = sum(s[c] * ab[c][1] for c in children[v])
+                d = 1 + (1 - s[v]) * sb
+                ab[v] = (sa / d, sb / d)
+        A: Dict[Word, object] = {}
+        N: Dict[Word, object] = {}
+        for v in order:
+            above = A[v[:-1]] if v else 0
+            N[v] = ab[v][0] - ab[v][1] * above
+            A[v] = above + (1 - s[v]) * N[v]
+        return {b: N[b] for b in targets}
+
     def node_sums(self) -> Dict[Word, object]:
         """Each node's partial sum N_t as a number (a Fraction in the
         scaled-integer mode)."""

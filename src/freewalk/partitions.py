@@ -69,9 +69,6 @@ class CylinderPartition:
     def uniform(cls, group: WeightedFreeGroup, depth: int) -> "CylinderPartition":
         return cls.of(group, group.sphere(depth))
 
-    def cylinders(self) -> List[Cylinder]:
-        return [Cylinder(w) for w in self.cells]
-
     def __iter__(self):
         return iter(self.cells)
 
@@ -165,23 +162,6 @@ class LocallyConstantFunction:
 
     def at(self, word: Word):
         return self.values[self.cell_of(word)]
-
-    def at_spine(self, word: Word):
-        """Value at the canonical boundary point of C(word), the ray extending
-        it by the smallest valid letter."""
-        return self.at(spine_word(self.group, word, self.depth()))
-
-    def min_on(self, word: Word):
-        vals = [v for w, v in self.values.items() if is_prefix(word, w)]
-        if vals:
-            return min(vals)
-        return self.at(word)
-
-    def max_on(self, word: Word):
-        vals = [v for w, v in self.values.items() if is_prefix(word, w)]
-        if vals:
-            return max(vals)
-        return self.at(word)
 
     # -- partition plumbing ----------------------------------------------------
 

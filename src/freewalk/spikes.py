@@ -243,7 +243,9 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     wit1 = min(w for w in inside if values[w] == min_ball)
     measured["cond1"] = sup / min_ball if min_ball > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
-    cond1_ok = min_ball > 0 and (c_stored is None or min_ball * c_stored >= sup)
+    # compare the ratio as measured: in floats min_ball * (sup / min_ball)
+    # can round below sup
+    cond1_ok = min_ball > 0 and (c_stored is None or measured["cond1"] <= c_stored)
 
     # condition 2: off-ball decay against the singular kernel.  The metric is
     # an ultrametric and the ball is a union of cells meeting the center at
@@ -315,7 +317,7 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
         witnesses["lipschitz"] = wit_lip
         measured["mass"] = r_pow_q / mass_r if mass_r > 0 else None
         q_spike_ok = mass_r > 0 and (c_stored is None or (
-            worst_lip <= c_stored and r_pow_q <= c_stored * mass_r))
+            worst_lip <= c_stored and measured["mass"] <= c_stored))
 
     finite = [m for m in measured.values() if m is not None]
     measured_c = max(finite) if finite else None

@@ -236,6 +236,23 @@ def test_moments_proof_schedule_golden(tmp_path):
     assert hashlib.sha256(report).hexdigest() == \
         "677fad57a6a2c33b9dca6841dabe5153b5c5355cee60ac83ee87913b55b7a164"
 
+
+@pytest.mark.parametrize("command", ["decompose", "moments", "audit"])
+def test_weighted_float_critical_runs(tmp_path, command):
+    # "critical" on weights [1, 2] is the root of the conformal equation, so
+    # nu is conformal; the audit compares each measured ratio with its C as
+    # measured, so float round-off flags no spike
+    cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1", "2"]},
+                       params={"alpha": "critical", "epsilon": "critical",
+                               "arithmetic": "float", "tau": 1e-6},
+                       audit={"max_len": 2, "Ds": [0, 1, 2]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    if command == "audit":
+        report = json.loads((out / "audit.json").read_text())
+        assert report["spikes_failed"] == 0 and report["spikes_checked"] == 48
+
+
 def test_library_value_error_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1", "2"]})
     assert main(["verify", "--config", cfg]) == 2

@@ -7,6 +7,7 @@ import pytest
 from freewalk import (CylinderPartition, LocallyConstantFunction, PartitionError,
                       ValueNotConstantError, refine_leaves, trie_closure,
                       validate_partition)
+from freewalk.partitions import spine_word
 
 
 def test_partition_validation(f2):
@@ -85,9 +86,8 @@ def test_translate(f2):
 def test_spine_and_minmax(f2):
     f = LocallyConstantFunction(f2, {(0, 0): 5, (0, 2): 1, (0, 3): 2,
                                      (1,): 7, (2,): 7, (3,): 7})
-    assert f.min_on((0,)) == 1 and f.max_on((0,)) == 5
-    assert f.at_spine(()) == 5       # canonical ray e -> a -> aa
-    assert f.at_spine((2,)) == 7
+    assert f.at(spine_word(f2, (), f.depth())) == 5   # canonical ray e -> a -> aa
+    assert f.at(spine_word(f2, (2,), f.depth())) == 7
 
 
 def test_json_roundtrip(f2):
