@@ -45,6 +45,9 @@ def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
         if spec == "critical":
             if group.unit_weights():
                 return LogScale.log_of(2 * group.rank - 1)
+            if exact:
+                raise ConfigError("'critical' on non-unit weights is a float "
+                                  "root, forbidden in exact mode")
             return LogScale.of_float(conformal_exponent(group))
         if spec.startswith("log(") and spec.endswith(")"):
             return LogScale.log_of(Fraction(spec[4:-1]))

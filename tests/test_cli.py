@@ -253,10 +253,24 @@ def test_weighted_float_critical_runs(tmp_path, command):
         assert report["spikes_failed"] == 0 and report["spikes_checked"] == 48
 
 
-def test_library_value_error_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["decompose", "moments", "audit"])
+def test_weighted_exact_critical_exits_2(tmp_path, capsys, command):
+    # the conformal exponent of weights [1, 2] is a float root, so exact mode
+    # refuses it instead of running in floats
     cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1", "2"]})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "forbidden in exact mode" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_value_error_exits_2(tmp_path, capsys):
+    # sphere:1 has no closed form on unequal weights
+    # (UnsupportedClosedFormError, a library ValueError)
+    cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1", "2"]},
+                       params={"alpha": "critical", "epsilon": "critical",
+                               "arithmetic": "float", "tau": 1e-6})
     assert main(["verify", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith("error: sphere-uniform")
 
 
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):

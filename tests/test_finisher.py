@@ -139,19 +139,22 @@ def _seeded_targets():
 
 
 def _finisher_cases():
-    """(F, nu, cover, params): each target on the cover of the shell that
-    basis_decompose starts from, and F_2 targets also one shell deeper."""
+    """(F, nu, cover, params) in exact mode and the same in float mode (float
+    targets, params, nu and cover): each target on the cover of the shell
+    that basis_decompose starts from, and F_2 targets also one shell deeper."""
     gp = GreedyParams()
     measures = {}
     for F in _seeded_targets():
         group = F.group
         if group.rank not in measures:
             params = default_params(group)
-            measures[group.rank] = (uniform_ps_measure(group, params), params)
-        nu, params = measures[group.rank]
+            fparams = VisualParams.floats(params.alpha.value, params.epsilon.value)
+            measures[group.rank] = [(uniform_ps_measure(group, p), p)
+                                    for p in (params, fparams)]
         shell = max(1, min(int(oscillation_threshold(F, gp.s)), gp.max_shell))
         for extra in ((0, 1) if group.rank == 2 else (0,)):
-            yield F, nu, _round_spikes(group, params, shell + extra, 0, None), params
+            yield [(G, nu, _round_spikes(group, p, shell + extra, 0, None), p)
+                   for G, (nu, p) in zip((F, F.map(float)), measures[group.rank])]
 
 
 def _residual(F, nu, finished):
@@ -161,7 +164,7 @@ def _residual(F, nu, finished):
 def test_finisher_accepts_what_the_sweep_accepts():
     tau = 1e-6
     counts = {"accepted": 0, "snapped_short": 0, "rejected": 0, "float": 0}
-    for F, nu, cover, params in _finisher_cases():
+    for (F, nu, cover, params), float_case in _finisher_cases():
         new = _cone_finisher(F, nu, cover, params, tau)
         old = sweep_finisher(F, nu, cover, params, tau)
         if new is None:
@@ -185,10 +188,11 @@ def test_finisher_accepts_what_the_sweep_accepts():
             else:  # the snap missed the exact solution; the solve does not
                 counts["snapped_short"] += 1
                 assert _residual(F, nu, new) == 0
-        Ff = F.map(float)  # float mode: float targets
-        if sweep_finisher(Ff, nu, cover, params, tau) is not None:
+        if sweep_finisher(*float_case, tau) is not None:
             counts["float"] += 1
-            assert _cone_finisher(Ff, nu, cover, params, tau) is not None
+            float_new = _cone_finisher(*float_case, tau)
+            assert float_new is not None
+            assert all(isinstance(lam, float) for _, lam in float_new[0])
     assert counts == {"accepted": 35, "snapped_short": 16, "rejected": 33,
                       "float": 35}
 
