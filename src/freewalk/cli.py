@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .words import WeightedFreeGroup, InputError
+from .words import WeightedFreeGroup, InputError, as_exact
 from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
@@ -62,6 +62,19 @@ def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
     return LogScale.of_float(float(spec))
 
 
+def _int_option(section: dict, key: str, default: Optional[int] = None) -> int:
+    """An integer config field; a non-integral value is a ConfigError, never
+    truncated."""
+    value = section.get(key, default)
+    try:
+        number = Fraction(str(value))
+    except ValueError:
+        number = None
+    if number is None or number.denominator != 1:
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    return number.numerator
+
+
 def load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -98,12 +111,12 @@ class Run:
                 s=Fraction(str(pc.get("s", "2"))),
                 beta=Fraction(str(pc.get("beta", "1/2"))),
                 c_cap=Fraction(str(pc["C"])) if "C" in pc else None,
-                margin=int(pc.get("D", 0)),
+                margin=Fraction(str(pc.get("D", 0))),
                 tau=tau,
                 schedule=pc.get("schedule", "fixed"),
                 rescale=pc.get("rescale", "adaptive"),
-                max_rounds=int(pc.get("max_rounds", 120)),
-                audit_len=int(pc.get("audit_len", 3)))
+                max_rounds=_int_option(pc, "max_rounds", 120),
+                audit_len=_int_option(pc, "audit_len", 3))
         except InputError as exc:
             raise ConfigError(str(exc)) from exc
         self.cfg = cfg
@@ -198,7 +211,7 @@ def cmd_moments(run: Run, args) -> int:
     if params.margin < 1:
         params = dataclasses.replace(params, margin=1, rescale="proof")
     result = moment_decompose(F, run.nu, params,
-                              rounds=int(section.get("rounds", 3)))
+                              rounds=_int_option(section, "rounds", 3))
     doc = result.to_json()
     _write(args.out, "moments.json", _dump(doc))
     _write(args.out, "moments.csv", result.to_csv())
@@ -212,9 +225,10 @@ def cmd_verify(run: Run, args) -> int:
     mu = run.group_measure(section.get("mu", "sphere:1"))
     nu = run.boundary_measure(section.get("nu"))
     nu_prime = run.boundary_measure(section.get("nu_prime"))
-    depth = args.depth if args.depth is not None else section.get("depth")
-    report = verify_stationarity(mu, nu, nu_prime,
-                                 depth=None if depth is None else int(depth))
+    depth = args.depth
+    if depth is None and section.get("depth") is not None:
+        depth = _int_option(section, "depth")
+    report = verify_stationarity(mu, nu, nu_prime, depth=depth)
     _write(args.out, "stationarity.json", _dump(report.to_json()))
     _write_meta(args.out, "verify")
     threshold = args.threshold if args.threshold is not None \
@@ -225,18 +239,18 @@ def cmd_verify(run: Run, args) -> int:
 def _spike_from_json(run: Run, doc: dict) -> Spike:
     f = LocallyConstantFunction.from_json(run.group, doc["function"])
     return Spike(function=f,
-                 r_exp=Fraction(str(doc["r_exp"])),
+                 r_exp=as_exact(str(doc["r_exp"])),
                  center=Cylinder(run.group.parse_word(doc["center"])),
                  q=run.params.q_exponent, theta=run.params.q_exponent,
                  c=Fraction(str(doc["C"])) if "C" in doc else None,
                  gamma=run.group.parse_word(doc.get("gamma", "e")),
-                 margin=Fraction(str(doc.get("D", 0))),
+                 margin=as_exact(str(doc.get("D", 0))),
                  params=run.params)
 
 
 def cmd_audit(run: Run, args) -> int:
     section = run.cfg.get("audit", {})
-    max_len = int(section.get("max_len", 5))
+    max_len = _int_option(section, "max_len", 5)
     ds = [Fraction(str(d)) for d in section.get("Ds", [0, 1, 2])]
     if max_len < 1 or not ds:
         raise ConfigError("audit sweep is empty (need max_len >= 1 and Ds)")

@@ -74,10 +74,7 @@ def measure_constants(nu: BoundaryMeasure, params: VisualParams,
     dec = decay_check(nu, q, q, EPSILON, [Cylinder(center)], radii, params=params)
     t_nu = local_doubling_sup(nu, params, max_len, list(ds))
     b = 1
-    if isinstance(q, Fraction) and q.denominator == 1:
-        two_q = Fraction(2) ** q.numerator
-    else:
-        two_q = 2.0 ** float(q)
+    two_q = 2 ** q if isinstance(q, int) else 2.0 ** float(q)
     l_nu = Fraction(1, 3) / (1 + b + dec.d_nu * b + b * t_nu + b * dec.d_nu * two_q)
     return AuditConstants(beta=aud.beta, d0=aud.d0, d_nu=dec.d_nu, t_nu=t_nu,
                           lebesgue_b=b, q=q, l_nu=l_nu)
@@ -122,6 +119,7 @@ class GreedyParams:
                 raise InputError(f"C must exceed 1, got {self.c_cap}")
         if self.margin < 0 or int(self.margin) != self.margin:
             raise InputError(f"shadow margin must be a nonnegative integer, got {self.margin}")
+        self.margin = int(self.margin)
         if self.tau < 0:
             raise InputError(f"tau must be >= 0, got {self.tau}")
         if self.schedule not in ("fixed", "growing"):
@@ -206,7 +204,7 @@ class GreedyOutcome:
     delta_exp: object
 
 
-def oscillation_threshold(f: LocallyConstantFunction, s) -> Fraction:
+def oscillation_threshold(f: LocallyConstantFunction, s):
     """Smallest weighted scale exponent T such that sup f / inf f <= s within
     every cell class at scale e^{-eps T} (0 when f is globally s-flat)."""
     group = f.group
@@ -342,7 +340,7 @@ def _round_spikes(group: WeightedFreeGroup, vparams: VisualParams, shell: int,
         spikes.append(Spike(function=None, r_exp=sup_product(group, gamma) - margin,
                             center=Cylinder(word), q=vparams.q_exponent,
                             theta=vparams.q_exponent, c=cap, gamma=gamma,
-                            margin=Fraction(margin), params=vparams))
+                            margin=margin, params=vparams))
     spikes.sort(key=lambda s: (s.r_exp, len(s.gamma), s.gamma))
     return spikes
 
@@ -593,7 +591,7 @@ def _band_shell(vparams: VisualParams, eps_n: float, margin: int,
     [g(eps_n), eps_n] always contains it when D >= 1)."""
     n = max(1, margin)
     while n <= max_shell:
-        if vparams.epsilon.leq_scaled(Fraction(n - margin), 0, eps_n):
+        if vparams.epsilon.leq_scaled(n - margin, 0, eps_n):
             return n
         n += 1
     raise InternalInvariantError(f"no shell with radius <= {eps_n} below cap")

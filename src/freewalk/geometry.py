@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
-                    multiply, cancellation, common_prefix_length, is_prefix)
+                    multiply, cancellation, common_prefix_length, is_prefix,
+                    as_exact)
 
 
 class IdenticalBoundaryPointsError(ValueError):
@@ -38,13 +39,33 @@ class AmbiguousCylinderError(ValueError):
 # scales: x = coeff * log(base), evaluated through e^{-x t}
 # ---------------------------------------------------------------------------
 
+def _rational(x):
+    """x itself, or the exact rational value of a float."""
+    return Fraction(x) if isinstance(x, float) else x
+
+
+def _power(base, n: int) -> Tuple[int, int]:
+    """base^n as (numerator, denominator) ints, for any sign of n (an int
+    to a negative power would be a float)."""
+    up, down = base.numerator, base.denominator
+    if n < 0:
+        up, down, n = down, up, -n
+    return up ** n, down ** n
+
+
 @dataclass(frozen=True)
 class LogScale:
-    """Exponent x in e^{-x t}; exact when x = coeff*log(base), base rational > 1."""
+    """Exponent x in e^{-x t}; exact when x = coeff*log(base), base rational > 1.
+
+    An integral base or coeff is an int (see `words.as_exact`).  The exact
+    kernels work on the numerator and denominator of the base, the exponent
+    and the multiplier, which ints and Fractions both carry, so integral
+    exponents run in int arithmetic.
+    """
 
     value: float
-    base: Optional[Fraction] = None
-    coeff: Fraction = Fraction(1)
+    base: Optional[Union[int, Fraction]] = None
+    coeff: Union[int, Fraction] = 1
 
     @classmethod
     def of_float(cls, x: float) -> "LogScale":
@@ -54,8 +75,8 @@ class LogScale:
 
     @classmethod
     def log_of(cls, base, coeff=1) -> "LogScale":
-        base = Fraction(base)
-        coeff = Fraction(coeff)
+        base = as_exact(base)
+        coeff = as_exact(coeff)
         if base <= 1 or coeff <= 0:
             raise InputError(f"need base > 1 and coeff > 0, got {base}, {coeff}")
         return cls(value=float(coeff) * math.log(base), base=base, coeff=coeff)
@@ -67,21 +88,22 @@ class LogScale:
     def exp_neg(self, t):
         """e^{-x t}; a Fraction whenever the symbolic exponent is integral."""
         if self.base is not None:
-            e = self.coeff * Fraction(t)
+            e = self.coeff * _rational(t)
             if e.denominator == 1:
-                return Fraction(self.base) ** (-e.numerator)
+                return Fraction(*_power(self.base, -e.numerator))
         return math.exp(-self.value * float(t))
 
     def leq_scaled(self, p, t, mult=1) -> bool:
         """Exact test of e^{-x p} <= mult * e^{-x t} (mult rational or float)."""
         if self.base is not None:
-            e = self.coeff * (Fraction(p) - Fraction(t))
-            if e.denominator == 1:
+            e = self.coeff * (_rational(p) - _rational(t))
+            if e.denominator == 1 and mult == mult:  # a NaN mult takes floats
                 # b^{-e} <= mult  <=>  b^{e} >= 1/mult
-                try:
-                    return Fraction(self.base) ** e.numerator >= 1 / Fraction(mult)
-                except (TypeError, ValueError):
-                    pass
+                m = _rational(mult)
+                if m.numerator <= 0:  # 1/mult is negative, or undefined at 0
+                    return 1 / m < 0
+                up, down = _power(self.base, e.numerator)
+                return up * m.numerator >= down * m.denominator
         return math.exp(-self.value * (float(p) - float(t))) <= float(mult) * (1 + 1e-15)
 
     def leq_value(self, p, r) -> bool:
@@ -115,9 +137,10 @@ class VisualParams:
 
     @property
     def q_exponent(self):
-        """Q = alpha/epsilon; a Fraction when both scales share a base."""
+        """Q = alpha/epsilon; exact (an int when integral) when both scales
+        share a base."""
         if (self.alpha.base is not None and self.alpha.base == self.epsilon.base):
-            return self.alpha.coeff / self.epsilon.coeff
+            return as_exact(Fraction(self.alpha.coeff, self.epsilon.coeff))
         return self.alpha.value / self.epsilon.value
 
 
@@ -237,7 +260,7 @@ def gromov_product(group: WeightedFreeGroup, x: BoundaryArg, y: BoundaryArg,
         dx = group.word_weight(wx)
         dy = group.word_weight(wy)
         dxy = group.distance(wx, wy)
-        return (dx + dy - dxy) / 2
+        return as_exact(Fraction(dx + dy - dxy, 2))
     if kx == "bdy" and ky == "bdy":
         if isinstance(x, Cylinder) and isinstance(y, Cylinder) and x == y:
             raise IdenticalBoundaryPointsError(
@@ -329,7 +352,7 @@ def shadow(group: WeightedFreeGroup, gamma: Word, D=0, base: Word = EPSILON,
     """
     if not gamma:
         raise InputError("shadow undefined for gamma = e")
-    D = Fraction(D)
+    D = as_exact(D)
     if D < 0:
         raise InputError(f"shadow margin D must be >= 0, got {D}")
     u_val = sup_product(group, gamma, base)
@@ -338,7 +361,7 @@ def shadow(group: WeightedFreeGroup, gamma: Word, D=0, base: Word = EPSILON,
         return [Cylinder(EPSILON)]
     # centre direction as a word from the base point
     q = multiply(invert(base), multiply(invert(gamma), base))
-    acc = Fraction(0)
+    acc = 0
     cut = len(q)
     for i, x in enumerate(q):
         acc += group.letter_weight(x)

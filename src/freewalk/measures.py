@@ -14,6 +14,7 @@ masses stay queryable (and exact) at any depth.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -41,17 +42,17 @@ class RefinementRuleError(ValueError):
 # growth: spheres, critical exponent, Poincare series
 # ---------------------------------------------------------------------------
 
-def _length_counts(group: WeightedFreeGroup, bound) -> Dict[Fraction, int]:
+def _length_counts(group: WeightedFreeGroup, bound) -> Dict[object, int]:
     """Number of reduced words of each exact weighted length <= bound, by a
     DP over (weighted length, last letter); the identity has length 0."""
-    by_length: Dict[Fraction, int] = {Fraction(0): 1}
-    level: Dict[Tuple[Fraction, int], int] = {}
+    by_length: Dict[object, int] = {0: 1}
+    level: Dict[Tuple[object, int], int] = {}
     for x in group.letters():
         w = group.letter_weight(x)
         if w <= bound:
             level[(w, x)] = level.get((w, x), 0) + 1
     while level:
-        nxt: Dict[Tuple[Fraction, int], int] = {}
+        nxt: Dict[Tuple[object, int], int] = {}
         for (length, last), cnt in level.items():
             by_length[length] = by_length.get(length, 0) + cnt
             for x in group.letters():
@@ -232,16 +233,26 @@ class BoundaryMeasure:
 
 
 def _conformal_mass_fn(group: WeightedFreeGroup, alpha: LogScale) -> Callable[[Word], object]:
+    """word -> q_{a_1} ... q_{a_{n-1}} q_{a_n} / (1 + q_{a_n}).  With every
+    q_x = p_x/d_x a Fraction, that is one Fraction(prod p, prod d (d + p)) of
+    int products; otherwise p_x = q_x and d_x = 1, so a float mass comes from
+    the same operations, in the same order, as the formula."""
     q = {x: alpha.exp_neg(group.letter_weight(x)) for x in group.letters()}
+    exact = all(isinstance(v, Fraction) for v in q.values())
+    num = {x: v.numerator if exact else v for x, v in q.items()}
+    den = {x: v.denominator if exact else 1 for x, v in q.items()}
+    divide = Fraction if exact else operator.truediv
 
     def mass(word: Word):
-        if not word:
-            return q[0] / q[0]  # 1 in the right arithmetic type
-        m = 1
+        p = d = 1
         for x in word[:-1]:
-            m = m * q[x]
-        last = q[word[-1]]
-        return m * last / (1 + last)
+            p *= num[x]
+            d *= den[x]
+        if word:
+            last = num[word[-1]]
+            p *= last
+            d *= den[word[-1]] + last
+        return divide(p, d)
 
     return mass
 

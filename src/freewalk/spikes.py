@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .words import (Word, EPSILON, WeightedFreeGroup, InputError, is_prefix,
-                    common_prefix_length)
+                    common_prefix_length, as_exact)
 from .geometry import (Cylinder, VisualParams, AmbiguousCylinderError,
                        shadow, sup_product)
 from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
@@ -32,19 +32,20 @@ class DegenerateSpikeError(ValueError):
 class Spike:
     """Unit-sup spike tuple (h, r, a, Q, theta, C) with provenance gamma.
 
-    The radius is carried symbolically as r = e^{-epsilon * r_exp}.  The
+    The radius is carried symbolically as r = e^{-epsilon * r_exp}, with
+    r_exp and the margin ints when integral (see `words.as_exact`).  The
     greedy's cover spikes carry no function: it reads only the center and
     radius, and ||h||_1 = e^{-alpha ||gamma||} since f_gamma integrates to 1.
     """
 
     function: Optional[LocallyConstantFunction]
-    r_exp: Fraction
+    r_exp: object
     center: Cylinder
     q: object
     theta: object
     c: object
     gamma: Word
-    margin: Fraction = Fraction(0)
+    margin: object = 0
     params: Optional[VisualParams] = None
 
     @property
@@ -73,7 +74,7 @@ class SpikeReport:
 # ball and class machinery on a cylinder partition
 # ---------------------------------------------------------------------------
 
-def _cell_product(group: WeightedFreeGroup, w: Word, center: Word) -> Fraction:
+def _cell_product(group: WeightedFreeGroup, w: Word, center: Word):
     """Weighted Gromov product of two disjoint cells (common prefix weight)."""
     return group.word_weight(w[:common_prefix_length(w, center)])
 
@@ -111,7 +112,7 @@ def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
     """Group cells so that two cells are within distance mult*e^{-eps r_exp}
     iff they share a class (key = minimal prefix at that scale)."""
     eps = params.epsilon
-    within: Dict[Fraction, bool] = {}
+    within: Dict[object, bool] = {}
     classes: Dict[Word, List[Word]] = {}
     for w in cells:
         key = w  # entire cell is smaller than the scale: isolated class
@@ -141,7 +142,7 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
             if child not in bucket:
                 bucket.append(child)
     # 1/d at a meet of weight W, or None when W is beyond the scale
-    inv_d_at: Dict[Fraction, object] = {}
+    inv_d_at: Dict[object, object] = {}
     out: Dict[Word, object] = {}
     for w, v in f.values.items():
         best = 0
@@ -179,7 +180,7 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     gamma = tuple(gamma)
     if not gamma:
         raise DegenerateSpikeError("gamma = e gives a degenerate (constant) spike")
-    margin = Fraction(margin)
+    margin = as_exact(margin)
     if margin < 0:
         raise InputError(f"shadow margin must be >= 0, got {margin}")
     group = nu.group
@@ -397,9 +398,7 @@ def decay_check(nu: BoundaryMeasure, p, alpha, base: Word,
 
 
 def _pow(r, p):
-    if isinstance(r, Fraction) and isinstance(p, int):
-        return r ** p
-    if isinstance(r, Fraction) and isinstance(p, Fraction) and p.denominator == 1:
+    if isinstance(r, Fraction) and isinstance(p, (int, Fraction)) and p.denominator == 1:
         return r ** p.numerator
     return float(r) ** float(p)
 
@@ -435,7 +434,7 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
         u_val = sup_product(group, gamma)
         base_mass = alpha.exp_neg(u_val)
         for d in ds:
-            d = Fraction(d)
+            d = as_exact(d)
             mass = sum(nu.mass_of(c.word) for c in shadow(group, gamma, d))
             lower_ratio = base_mass / mass           # beta must dominate this
             upper_ratio = mass / (base_mass / alpha.exp_neg(2 * d))
@@ -450,7 +449,6 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
                                "ratio": upper_ratio}
             beta = max(beta, lower_ratio, upper_ratio)
     # margin floor: smallest D beyond which the lower bound holds with this beta
-    d_sorted = sorted(Fraction(d) for d in ds)
     d0 = Fraction(0)
     for row in rows:
         if row["lower_ratio"] > beta:
@@ -486,7 +484,7 @@ def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
         center = shadow(group, gamma, 0)[0].word
         u_val = sup_product(group, gamma)
         for d in ds:
-            d = Fraction(d)
+            d = as_exact(d)
             if d < 0:
                 raise InputError(f"shadow margin must be >= 0, got {d}")
             mass_r = nu.mass_of(_ball_prefix(group, center, params, u_val - d))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Word = Tuple[int, ...]
 
@@ -75,6 +75,15 @@ def is_prefix(u: Sequence[int], v: Sequence[int]) -> bool:
     return len(u) <= len(v) and tuple(v[: len(u)]) == tuple(u)
 
 
+def as_exact(x) -> Union[int, Fraction]:
+    """The rational `x` (an int, Fraction, float or fraction string) as an
+    int when it is integral and as a Fraction otherwise, so that integral
+    weights and exponents run in machine-int arithmetic.  Code that may see
+    such a value divides with Fraction(a, b), never with `/`."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(\^-1|'|⁻¹)?")
 
 
@@ -82,7 +91,8 @@ class WeightedFreeGroup:
     """F_k with one strictly positive rational weight per generator.
 
     A generator and its inverse share a weight; the word metric is the
-    weighted path metric on the Cayley tree.
+    weighted path metric on the Cayley tree.  An integral weight is stored
+    as an int (see `as_exact`), so word weights on such groups are ints.
     """
 
     def __init__(self, rank: int,
@@ -95,7 +105,7 @@ class WeightedFreeGroup:
             weights = [1] * rank
         if len(weights) != rank:
             raise InputError(f"expected {rank} weights, got {len(weights)}")
-        self.weights = tuple(Fraction(w) for w in weights)
+        self.weights = tuple(as_exact(w) for w in weights)
         if any(w <= 0 for w in self.weights):
             raise InputError("generator weights must be strictly positive")
         if names is None:
@@ -111,7 +121,7 @@ class WeightedFreeGroup:
     def letters(self) -> range:
         return range(self.two_k)
 
-    def letter_weight(self, x: int) -> Fraction:
+    def letter_weight(self, x: int) -> Union[int, Fraction]:
         return self.weights[x >> 1]
 
     def unit_weights(self) -> bool:
@@ -129,23 +139,24 @@ class WeightedFreeGroup:
     def reduce(self, letters: Iterable[int]) -> Word:
         return reduce_word(letters, self.two_k)
 
-    def word_weight(self, word: Sequence[int]) -> Fraction:
-        total = Fraction(0)
+    def word_weight(self, word: Sequence[int]) -> Union[int, Fraction]:
+        weights = self.weights
+        total = 0
         for x in word:
-            total += self.letter_weight(x)
+            total += weights[x >> 1]
         return total
 
-    def prefix_weights(self, word: Sequence[int]) -> List[Fraction]:
+    def prefix_weights(self, word: Sequence[int]) -> List[Union[int, Fraction]]:
         """[W(word[:0]), ..., W(word[:n])]: the weight of every prefix."""
-        out = [Fraction(0)]
+        out = [0]
         for x in word:
             out.append(out[-1] + self.letter_weight(x))
         return out
 
-    def distance(self, g: Sequence[int], h: Sequence[int]) -> Fraction:
+    def distance(self, g: Sequence[int], h: Sequence[int]) -> Union[int, Fraction]:
         return self.word_weight(multiply(invert(g), h))
 
-    def norm(self, g: Sequence[int]) -> Fraction:
+    def norm(self, g: Sequence[int]) -> Union[int, Fraction]:
         return self.word_weight(g)
 
     # -- enumeration ---------------------------------------------------------
@@ -214,7 +225,7 @@ class WeightedFreeGroup:
         weights = cfg.get("weights")
         if weights is not None:
             weights = [Fraction(str(w)) for w in weights]
-        return cls(int(cfg["rank"]), weights=weights, names=cfg.get("names"))
+        return cls(as_exact(str(cfg["rank"])), weights=weights, names=cfg.get("names"))
 
     def to_config(self) -> dict:
         return {"rank": self.rank,

@@ -273,6 +273,37 @@ def test_library_value_error_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: sphere-uniform")
 
 
+def _config_with(tmp_path: Path, section: str, key: str, value) -> str:
+    path = Path(write_config(tmp_path))
+    cfg = json.loads(path.read_text())
+    cfg[section][key] = value
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("moments", "params", "D", 1.5), ("decompose", "params", "max_rounds", 1.5),
+    ("decompose", "params", "audit_len", 1.5), ("moments", "moments", "rounds", 1.5),
+    ("audit", "audit", "max_len", 1.5), ("verify", "verify", "depth", 1.5),
+    ("audit", "group", "rank", 2.5)])
+def test_non_integral_integer_field_exits_2(tmp_path, capsys, command, section,
+                                            key, value):
+    # an integer field is never truncated: 1.5 is not read as 1
+    cfg = _config_with(tmp_path, section, key, value)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_integer_field_spellings_run(tmp_path):
+    cfg = _config_with(tmp_path, "audit", "max_len", 1.0)
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    cfg = _config_with(tmp_path, "verify", "depth", "3")
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    doc = json.loads((tmp_path / "v" / "stationarity.json").read_text())
+    assert doc["depth"] == 3
+
+
 def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InternalInvariantError("residual did not decrease")
