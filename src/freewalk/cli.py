@@ -43,10 +43,11 @@ def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
     if isinstance(spec, str):
         spec = spec.strip()
         if spec == "critical":
-            if group.unit_weights():
-                return LogScale.log_of(2 * group.rank - 1)
+            if group.unit_weights():  # equal weights w: log(2k-1)/w
+                return LogScale.log_of(2 * group.rank - 1,
+                                       Fraction(1) / group.weights[0])
             if exact:
-                raise ConfigError("'critical' on non-unit weights is a float "
+                raise ConfigError("'critical' on unequal weights is a float "
                                   "root, forbidden in exact mode")
             return LogScale.of_float(conformal_exponent(group))
         if spec.startswith("log(") and spec.endswith(")"):

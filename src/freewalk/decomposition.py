@@ -232,9 +232,16 @@ def t_factor(sup_val, inf_val, q) -> float:
 
 
 def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
-                   params: VisualParams):
+                   params: VisualParams, den: Optional[int] = None):
     """Run the positive greedy recursion; returns raw lambdas and the
-    accumulated g materialized on the common refinement."""
+    accumulated g materialized on the common refinement.
+
+    With `den`, the target holds int numerators over den (the integer
+    residual of `moment_decompose`; the accumulator must be in its
+    scaled-integer mode).  The lambdas are still those of target / den, and
+    g comes back as (g's int numerators, their denominator), read off the
+    accumulator without a Fraction per leaf.
+    """
     group = target.group
     acc = SpikeAccumulator(group, params)
     depth = max([target.depth()] + [len(s.center.word) for s in spikes])
@@ -242,7 +249,8 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
     for sp in spikes:
         b = sp.center.word
         spine = spine_word(group, b, depth)
-        lam = target.at(spine) - acc.value_at(spine)
+        value = target.at(spine) if den is None else Fraction(target.at(spine), den)
+        lam = value - acc.value_at(spine)
         if lam > 0:
             acc.insert(b, lam)
             lambdas.append((sp.gamma, lam))
@@ -250,6 +258,9 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
             lambdas.append((sp.gamma, 0))
     leaves = refine_leaves(group, target.leaves(),
                            trie_closure(group, [s.center.word for s in spikes]))
+    if den is not None:
+        nums, g_den = acc.numerators(leaves)
+        return lambdas, (LocallyConstantFunction(group, nums, validate=False), g_den)
     g = LocallyConstantFunction(group, {w: acc.value_at(w) for w in leaves},
                                 validate=False)
     return lambdas, g
@@ -354,7 +365,11 @@ def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
     """
     group = R.group
     leaves = refine_leaves(group, R.leaves(), g.leaves())
-    max_ratio = max(g.at(w) / R.at(w) for w in leaves)
+    return _damped(max(g.at(w) / R.at(w) for w in leaves), params)
+
+
+def _damped(max_ratio, params: GreedyParams):
+    """beta / max_ratio, snapped down to denominator 10^6 when exact."""
     if max_ratio <= 0:
         raise InternalInvariantError("greedy produced the zero function")
     c = params.beta / max_ratio
@@ -363,6 +378,39 @@ def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
         if snapped > 0:
             c = snapped
     return c
+
+
+# R = R / S and g = g / G below hold int numerators over one denominator each.
+
+def _scaled_adaptive_factor(R: LocallyConstantFunction, S: int,
+                            g: LocallyConstantFunction, G: int,
+                            params: GreedyParams) -> Fraction:
+    """`_adaptive_factor` of R / S and g / G: the largest g/R is found by
+    cross-multiplication (R > 0), and one Fraction is built from it."""
+    top_g, top_r = 0, 1
+    for w in refine_leaves(R.group, R.leaves(), g.leaves()):
+        gv, rv = g.at(w), R.at(w)
+        if gv * top_r > top_g * rv:
+            top_g, top_r = gv, rv
+    return _damped(Fraction(top_g * S, top_r * G), params)
+
+
+def _scaled_residual(R: LocallyConstantFunction, S: int,
+                     g: LocallyConstantFunction, G: int, factor,
+                     beta: Fraction) -> Tuple[LocallyConstantFunction, int]:
+    """Check factor g/G <= beta R/S cellwise by cross-multiplication, then
+    return R/S - factor g/G as canonical int numerators over
+    S' = lcm(S, fd G), with S'."""
+    fn, fd = factor.numerator, factor.denominator
+    left, right = fn * S * beta.denominator, beta.numerator * G * fd
+    common = math.gcd(left, right)
+    left, right = left // common, right // common
+    bad = [w for w, v in g.values.items() if v * left > R.at(w) * right]
+    if bad:
+        raise InternalInvariantError(f"h exceeds beta R on {bad[:3]}")
+    S_next = math.lcm(S, fd * G)
+    up, down = S_next // S, fn * (S_next // (fd * G))
+    return R.combine(g, lambda r, v: r * up - v * down).canonical(), S_next
 
 
 def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
@@ -506,6 +554,18 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
 
     draw one shell of shadow spikes per round with radii in [g(eps_N), eps_N],
     and certify the case-3 moment/entropy envelope from the measured run.
+
+    When F's values are ints or Fractions, the spike steps are Fractions
+    (the accumulator's scaled-integer mode) and the rescale factor is
+    rational, the residual R is kept as int numerators over one shared
+    denominator S from round to round.  The round is positively homogeneous,
+    so the oscillation slopes, the canonical form and the t/delta ratios run
+    on the numerators; h <= beta R is a cross-multiplication, and
+    R - factor g one multiply-subtract over lcm(S, fd G) for g = g / G.
+    Fractions are built only where values leave the round: lambdas and mu,
+    the residual trace, and inf R, sup R and the slope for the float
+    schedule.  Every other case (float mode) runs the same round on the
+    values themselves, with the same operations in the same order.
     """
     vparams = nu.params
     group = F.group
@@ -522,38 +582,64 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     if F.inf() <= 0:
         raise GreedyParameterError("target must be uniformly positive")
     eps_sched: List[float] = [1.0]
-    R = F
     mu: Dict[Word, object] = {}
-    trace = [integrate(R, nu)]
+    trace = [integrate(F, nu)]
     records: List[RoundRecord] = []
     g_shift = float(vparams.epsilon.exp_neg(params.margin))  # g(r) = e^{-eps D} r
     proof_factor = params.beta * 3 * constants.l_nu / (cap * params.s)
+    R, S = F, None   # S: R's shared denominator, None while R holds values
+    if (all(type(v) in (int, Fraction) for v in F.values.values())
+            and SpikeAccumulator(group, vparams).scaled
+            and (params.rescale != "proof" or type(proof_factor) in (int, Fraction))):
+        S = math.lcm(*(v.denominator for v in F.values.values()))
+        R = F.map(lambda v: v.numerator * (S // v.denominator))
+    # 1/d(x, y) is a float where eps * (meet weight) is not integral; there
+    # the slopes are taken on R's values, since floats of huge numerators
+    # overflow
+    rational_slopes = all(type(vparams.epsilon.exp_neg(group.letter_weight(x)))
+                          is Fraction for x in group.letters())
     for n in range(1, rounds + 1):
         if float(trace[-1]) <= params.tau:
             break
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
-        slopes = lipschitz_scale(R, _exp_of(vparams, g_prev), vparams)
-        sup_slope = max(slopes.values())
+        r_exp = _exp_of(vparams, g_prev)
+        if S is None:
+            inf_r, sup_r = R.inf(), R.sup()
+            sup_slope = max(lipschitz_scale(R, r_exp, vparams).values())
+        else:
+            inf_r, sup_r = Fraction(R.inf(), S), Fraction(R.sup(), S)
+            if rational_slopes:
+                sup_slope = Fraction(max(lipschitz_scale(R, r_exp, vparams).values()), S)
+            else:
+                values = R.map(lambda v: Fraction(v, S))
+                sup_slope = max(lipschitz_scale(values, r_exp, vparams).values())
         if sup_slope > 0:
-            delta_n = min(float((params.s - 1)) * float(R.inf()) / float(sup_slope),
+            delta_n = min(float((params.s - 1)) * float(inf_r) / float(sup_slope),
                           g_prev)
         else:
             delta_n = g_prev
-        t_n = t_factor(R.sup(), R.inf(), constants.q)
+        t_n = t_factor(sup_r, inf_r, constants.q)
         eps_n = min(delta_n / t_n, eps_prev)
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
         spikes = _round_spikes(group, vparams, shell, params.margin, cap)
-        lambdas, g = greedy_lambdas(R, spikes, vparams)
-        factor = proof_factor if params.rescale == "proof" \
-            else _adaptive_factor(R, g, params)
-        h = g.scale(factor)
-        bad = [w for w in h.values if h.values[w] > params.beta * R.at(w)]
-        if bad:
-            raise InternalInvariantError(f"h exceeds beta R on {bad[:3]}")
-        R_next = R.sub(h).canonical()
-        l1_next = integrate(R_next, nu)
+        if S is None:
+            lambdas, g = greedy_lambdas(R, spikes, vparams)
+            factor = proof_factor if params.rescale == "proof" \
+                else _adaptive_factor(R, g, params)
+            h = g.scale(factor)
+            bad = [w for w in h.values if h.values[w] > params.beta * R.at(w)]
+            if bad:
+                raise InternalInvariantError(f"h exceeds beta R on {bad[:3]}")
+            R = R.sub(h).canonical()
+            l1_next = integrate(R, nu)
+        else:
+            lambdas, (g, G) = greedy_lambdas(R, spikes, vparams, den=S)
+            factor = proof_factor if params.rescale == "proof" \
+                else _scaled_adaptive_factor(R, S, g, G, params)
+            R, S = _scaled_residual(R, S, g, G, factor, params.beta)
+            l1_next = integrate(R, nu, S)
         round_mass = 0
         max_log = 0.0
         contribution = 0.0
@@ -573,7 +659,6 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                                    eps=eps_n, delta=delta_n,
                                    max_log_inv_l1=max_log,
                                    moment_contribution=contribution))
-        R = R_next
         trace.append(l1_next)
     envelope = _case3_envelope(records, trace[0], params, constants, cap, vparams,
                                eps_sched)

@@ -8,6 +8,7 @@ partition representation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Tuple
@@ -272,9 +273,9 @@ class LocallyConstantFunction:
 
 def _num_to_str(v) -> str:
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return f"{_int_to_str(v.numerator)}/{_int_to_str(v.denominator)}"
     if isinstance(v, int):
-        return f"{v}/1"
+        return f"{_int_to_str(v)}/1"
     return repr(float(v))
 
 
@@ -282,5 +283,43 @@ def _num_from_str(s: str):
     s = str(s)
     if "/" in s:
         num, den = s.split("/")
-        return Fraction(int(num), int(den))
+        return Fraction(_int_from_str(num), _int_from_str(den))
     return float(s)
+
+
+# Report numbers can run past the interpreter's int <-> str digit limit
+# (4,300 by default, 640 at the least), so longer ones are converted in
+# pieces of at most _PIECE digits, split at powers of ten; the limit itself
+# is left as it is.
+_PIECE = 512
+
+
+@functools.lru_cache(maxsize=None)
+def _ten_to(k: int) -> int:
+    return 10 ** k
+
+
+def _int_to_str(n: int) -> str:
+    """str(n) for an int of any size."""
+    if n < 0:
+        return "-" + _int_to_str(-n)
+    if n < _ten_to(_PIECE):
+        return str(n)
+    k = _PIECE
+    while _ten_to(2 * k) <= n:
+        k *= 2
+    high, low = divmod(n, _ten_to(k))
+    return _int_to_str(high) + _int_to_str(low).zfill(k)
+
+
+def _int_from_str(text: str) -> int:
+    """int(text) for a decimal string of any length."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if len(digits) <= _PIECE or not (digits.isascii() and digits.isdigit()):
+        return int(text)  # a malformed long literal raises here
+    k = _PIECE
+    while 2 * k < len(digits):
+        k *= 2
+    value = _int_from_str(digits[:-k]) * _ten_to(k) + _int_from_str(digits[-k:])
+    return -value if text[0] == "-" else value

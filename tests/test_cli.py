@@ -312,3 +312,57 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     assert main(["decompose", "--config", cfg]) == 3
     assert capsys.readouterr().err.startswith("internal error: InternalInvariantError")
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_critical_on_equal_weights(tmp_path, arithmetic):
+    # "critical" on weights [2, 2] is log(3)/2, exact in both modes, so nu is
+    # the conformal measure and the audit runs
+    from fractions import Fraction
+    from freewalk import WeightedFreeGroup, critical_exponent
+    group = {"rank": 2, "weights": ["2", "2"]}
+    cfg = write_config(tmp_path, group=group,
+                       params={"alpha": "critical", "epsilon": "critical",
+                               "arithmetic": arithmetic, "tau": 1e-6})
+    run = cli.Run(cli.load_config(cfg))
+    assert run.params.alpha.base == 3 and run.params.alpha.coeff == Fraction(1, 2)
+    assert run.params.alpha.value == critical_exponent(WeightedFreeGroup.from_config(group))
+    assert run.nu.conformal
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "audit.json").read_text())["spikes_failed"] == 0
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_numbers_past_the_str_digit_limit(tmp_path):
+    # a 5,000-digit numerator is written and read back, by the report
+    # writers and by verify's measure reader, with the limit left as it was
+    import sys
+    from fractions import Fraction
+    from freewalk import (DecompositionResult, GroupMeasure,
+                          LocallyConstantFunction, WeightedFreeGroup)
+    from freewalk.partitions import _num_from_str
+    limit = sys.get_int_max_str_digits()
+    f2 = WeightedFreeGroup(2)
+    big = Fraction(10 ** 5000 + 1, 4 * 10 ** 5000)   # 5,001-digit numerator
+    tiny = big - Fraction(1, 4)
+    f = LocallyConstantFunction(f2, {w: big for w in f2.sphere(1)})
+    assert LocallyConstantFunction.from_json(f2, json.loads(json.dumps(f.to_json()))) == f
+    atoms = {w: Fraction(1, 4) for w in f2.sphere(1)}
+    atoms[(0,)] = big
+    atoms[(1,)] = Fraction(1, 4) - tiny
+    result = DecompositionResult(
+        coefficients=GroupMeasure(f2, atoms), residual_trace=[Fraction(1), tiny],
+        rounds=1, achieved_tolerance=0.0, moment=big, log_moment=0.0, entropy=0.0)
+    doc = result.to_json()
+    assert len(doc["moment"]) == 5001 + 1 + 5001
+    assert _num_from_str(dict(doc["coefficients"])["a"]) == big
+    assert _num_from_str(doc["residual_trace"][1]) == tiny
+    path = tmp_path / "decomposition.json"
+    path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, verify={"mu": str(path)})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "stationarity.json").read_text())
+    assert report["exact"] is False   # off by at most tiny, but not 0
+    assert sys.get_int_max_str_digits() == limit
