@@ -25,8 +25,8 @@ from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, conformal_exponent)
-from .spikes import make_spike, verify_spike, decay_check, \
-    shadow_lemma_audit, Spike
+from .spikes import make_spike, verify_spike, shadow_lemma_audit, Spike, \
+    _spine_decay
 from .decomposition import GreedyParams, basis_decompose, moment_decompose
 from .stationarity import verify_stationarity, sphere_uniform, mix
 
@@ -261,10 +261,7 @@ def cmd_audit(run: Run, args) -> int:
                               "spike sweep; use D = 0 or D >= 1")
     nu, params = run.nu, run.params
     shadows = shadow_lemma_audit(nu, params, max_len, ds)
-    q = params.q_exponent
-    center = run.group.sphere(max_len + 2)[0]
-    radii = [params.epsilon.exp_neg(j) for j in range(1, max_len + 2)]
-    decay = decay_check(nu, q, q, (), [Cylinder(center)], radii, params=params)
+    decay = _spine_decay(nu, params, max_len)
 
     sweep = [(gamma, d) for n in range(1, max_len + 1)
              for gamma in run.group.sphere(n) for d in ds]

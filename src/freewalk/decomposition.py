@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert, is_prefix
+from .words import Word, WeightedFreeGroup, InputError, invert, is_prefix
 from .geometry import Cylinder, VisualParams, sup_product
 from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
                          trie_closure)
 # radon_nikodym stays bound here for bench/test_tracer.py
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        integrate, radon_nikodym)  # noqa: F401
-from .spikes import (Spike, shadow_lemma_audit, decay_check,
-                     local_doubling_sup, lipschitz_scale, ball_cells)
+from .spikes import (Spike, shadow_lemma_audit, local_doubling_sup,
+                     lipschitz_scale, ball_cells, _spine_decay)
 from .stationarity import functionals
 
 
@@ -64,14 +64,9 @@ def measure_constants(nu: BoundaryMeasure, params: VisualParams,
                       max_len: int = 3, ds: Sequence = (0, 1)) -> AuditConstants:
     """Run the shadow/decay/doubling audits and assemble L_nu from the measured
     values via 3 L_nu = 1/(1 + B + D_nu B + B T_nu + B D_nu 2^Q)."""
-    group = nu.group
     aud = shadow_lemma_audit(nu, params, max_len, list(ds))
     q = params.q_exponent
-    center = EPSILON
-    for _ in range(max_len + 2):
-        center = center + (group.valid_extensions(center)[0],)
-    radii = [params.epsilon.exp_neg(j) for j in range(1, max_len + 2)]
-    dec = decay_check(nu, q, q, EPSILON, [Cylinder(center)], radii, params=params)
+    dec = _spine_decay(nu, params, max_len)
     t_nu = local_doubling_sup(nu, params, max_len, list(ds))
     b = 1
     two_q = 2 ** q if isinstance(q, int) else 2.0 ** float(q)
@@ -147,6 +142,7 @@ class RoundRecord:
     eps: Optional[float] = None
     delta: Optional[float] = None
     max_log_inv_l1: Optional[float] = None
+    max_r_exp: Optional[object] = None     # largest spike radius exponent
     moment_contribution: Optional[float] = None
     envelope: Optional[float] = None
 
@@ -207,21 +203,20 @@ class GreedyOutcome:
 def oscillation_threshold(f: LocallyConstantFunction, s):
     """Smallest weighted scale exponent T such that sup f / inf f <= s within
     every cell class at scale e^{-eps T} (0 when f is globally s-flat)."""
-    group = f.group
     node_stats = f.trie_stats()
+    weight = {node: f.group.word_weight(node) for node in node_stats}
     # candidate thresholds: distinct node weights, ascending
-    weights = sorted({group.word_weight(n) for n in node_stats})
+    weights = sorted(set(weight.values()))
     for t_exp in weights:
         ok = True
         for node, (lo, hi) in node_stats.items():
-            if group.word_weight(node) >= t_exp:
-                parent_covered = any(
-                    group.word_weight(node[:i]) >= t_exp for i in range(len(node)))
-                if parent_covered:
-                    continue  # not a minimal class head
-                if lo <= 0 or hi > s * lo:
-                    ok = False
-                    break
+            # a class head is the first node of its path with weight >= t_exp;
+            # weights increase along the path, so its parent decides
+            if weight[node] < t_exp or (node and weight[node[:-1]] >= t_exp):
+                continue
+            if lo <= 0 or hi > s * lo:
+                ok = False
+                break
         if ok:
             return t_exp
     return max(weights)
@@ -483,30 +478,30 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                 min(int(oscillation_threshold(F, params.s)) + params.margin,
                     params.max_shell))
     spike_cache: Dict[int, List[Spike]] = {}
+
+    def spikes_at(shell: int) -> List[Spike]:
+        if shell not in spike_cache:
+            spike_cache[shell] = _round_spikes(group, vparams, shell, params.margin, cap)
+        return spike_cache[shell]
+
     for round_idx in range(1, params.max_rounds + 1):
         if float(trace[-1]) <= params.tau:
             break
         c_round_cap = cap if params.schedule == "fixed" \
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
-        if shell not in spike_cache:
-            spike_cache[shell] = _round_spikes(group, vparams, shell,
-                                               params.margin, cap)
+        spikes = spikes_at(shell)
         finish = None
         if params.rescale == "adaptive":
-            finish = _cone_finisher(R, nu, spike_cache[shell], vparams, params.tau)
+            finish = _cone_finisher(R, nu, spikes, vparams, params.tau)
         if finish is not None:
-            spikes = spike_cache[shell]
             lambdas, h = finish
             factor = 1
             g = h
         else:
             target = R.scale(params.beta)
             while True:
-                if shell not in spike_cache:
-                    spike_cache[shell] = _round_spikes(group, vparams, shell,
-                                                       params.margin, cap)
-                spikes = spike_cache[shell]
+                spikes = spikes_at(shell)
                 lambdas, g = greedy_lambdas(target, spikes, vparams)
                 factor = 1 if params.rescale == "adaptive" \
                     else 3 * constants.l_nu / (c_round_cap * params.s)
@@ -658,6 +653,7 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                                    round_mass=round_mass, residual_l1=l1_next,
                                    eps=eps_n, delta=delta_n,
                                    max_log_inv_l1=max_log,
+                                   max_r_exp=max(sp.r_exp for sp in spikes),
                                    moment_contribution=contribution))
         trace.append(l1_next)
     envelope = _case3_envelope(records, trace[0], params, constants, cap, vparams,
@@ -707,8 +703,8 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
         n = rec.index
         env = c_prime * rho ** (n - 1) * (lam_hat * q * (n - 1) ** 2 + b0)
         rec.envelope = env
-        r_exp = rec.shell - params.margin
-        log_r_bound = q * r_exp * vparams.epsilon.value + 2 * math.log(float(cap))
+        # log(1/||u||_1) <= Q log(1/r) + 2 log C at the round's smallest radius
+        log_r_bound = q * float(rec.max_r_exp) * vparams.epsilon.value + 2 * math.log(float(cap))
         if float(rec.round_mass) > c_prime * rho ** (n - 1) + 1e-12:
             checks["mass_bound"] = False
         if rec.max_log_inv_l1 is not None and rec.max_log_inv_l1 > log_r_bound + 1e-9:

@@ -293,19 +293,14 @@ def busemann(group: WeightedFreeGroup, q: Word, cyl: Cylinder,
 def locally_constant_cells(group: WeightedFreeGroup, q: Word,
                            p: Word = EPSILON) -> List[Tuple[Cylinder, Fraction]]:
     """Cells of the coarsest partition on which z -> rho_{q,z}(p) is constant,
-    with the constant value per cell."""
-    spine = {q[:i] for i in range(len(q) + 1)} | {p[:i] for i in range(len(p) + 1)}
-    cells: Dict[Word, Fraction] = {}
+    with the constant value per cell.
 
-    def descend(node: Word):
-        for x in group.valid_extensions(node):
-            child = node + (x,)
-            if child in spine:
-                descend(child)
-            else:
-                cells[child] = group.distance(q, child) - group.distance(p, child)
-
-    descend(EPSILON)
+    rho is d(q, w) - d(p, w) on each cell w of the trie closure of {q, p}
+    (on C(q) the geodesic from p to z runs through q, and vice versa), and
+    merging siblings makes that partition the coarsest."""
+    from .partitions import trie_closure  # partitions imports this module
+    cells = {w: group.distance(q, w) - group.distance(p, w)
+             for w in trie_closure(group, [q, p])}
     merged = merge_siblings(group, cells)
     return [(Cylinder(w), merged[w]) for w in sorted(merged, key=lambda w: (len(w), w))]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from .words import Word, EPSILON, WeightedFreeGroup, is_prefix
+from .words import Word, EPSILON, WeightedFreeGroup
 from .geometry import Cylinder, merge_siblings, translate_cylinder
 
 
@@ -80,25 +80,12 @@ class CylinderPartition:
 def trie_closure(group: WeightedFreeGroup, words: Iterable[Word]) -> List[Word]:
     """Smallest partition in which every given word is a cell or an ancestor
     of cells (the trie generated by the words, closed by siblings)."""
-    words = {tuple(w) for w in words}
-    internal = set()
-    for w in words:
-        for i in range(len(w)):
-            internal.add(w[:i])
+    internal = {tuple(w)[:i] for w in words for i in range(len(w))}
     if not internal:
         return [EPSILON]
-    leaves: List[Word] = []
-
-    def descend(node: Word):
-        for x in group.valid_extensions(node):
-            child = node + (x,)
-            if child in internal:
-                descend(child)
-            else:
-                leaves.append(child)
-
-    descend(EPSILON)
-    return sorted(leaves, key=lambda w: (len(w), w))
+    # internal is prefix-closed: the leaves are its nodes' other children
+    leaves = {node + (x,) for node in internal for x in group.valid_extensions(node)}
+    return sorted(leaves - internal, key=lambda w: (len(w), w))
 
 
 def spine_word(group: WeightedFreeGroup, word: Word, depth: int) -> Word:
@@ -110,25 +97,12 @@ def spine_word(group: WeightedFreeGroup, word: Word, depth: int) -> Word:
 
 
 def refine_leaves(group: WeightedFreeGroup, a: Iterable[Word], b: Iterable[Word]) -> List[Word]:
-    """Common refinement of two partitions: the deeper cell wins pointwise."""
-    a = set(a)
-    b = set(b)
-    prefixes_b = set()
-    for w in b:
-        for i in range(len(w) + 1):
-            prefixes_b.add(w[:i])
-    prefixes_a = set()
-    for w in a:
-        for i in range(len(w) + 1):
-            prefixes_a.add(w[:i])
-    out = []
-    for w in a:
-        if w not in prefixes_b or w in b:
-            out.append(w)
-    for w in b:
-        if w not in prefixes_a:
-            out.append(w)
-    return sorted(set(out), key=lambda w: (len(w), w))
+    """Common refinement of two partitions: the cells of either one that
+    have no cell strictly below them."""
+    cells = set(a)
+    cells.update(b)
+    inner = {w[:i] for w in cells for i in range(len(w))}
+    return sorted(cells - inner, key=lambda w: (len(w), w))
 
 
 class LocallyConstantFunction:
@@ -229,21 +203,11 @@ class LocallyConstantFunction:
         return stats
 
     def translate(self, g: Word) -> "LocallyConstantFunction":
-        """The function z -> f(g^{-1} z) (left translate of f by g)."""
-        out: Dict[Word, object] = {}
-        pieces: List[Tuple[Word, object]] = []
-        for w, v in self.values.items():
-            for cyl in translate_cylinder(self.group, g, Cylinder(w)):
-                pieces.append((cyl.word, v))
-        # pieces may overlap as a non-canonical cover; deepest label wins
-        leaves = trie_closure(self.group, [w for w, _ in pieces])
-        pieces.sort(key=lambda wv: len(wv[0]))
-        for leaf in leaves:
-            for w, v in reversed(pieces):
-                if is_prefix(w, leaf):
-                    out[leaf] = v
-                    break
-        return LocallyConstantFunction(self.group, out)
+        """The function z -> f(g^{-1} z) (left translate of f by g).  g is a
+        bijection of the boundary, so the images g C(w) of the cells form a partition."""
+        return LocallyConstantFunction(self.group, {
+            cyl.word: v for w, v in self.values.items()
+            for cyl in translate_cylinder(self.group, g, Cylinder(w))})
 
     def __eq__(self, other):
         if not isinstance(other, LocallyConstantFunction):

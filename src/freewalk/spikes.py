@@ -20,7 +20,8 @@ from .words import (Word, EPSILON, WeightedFreeGroup, InputError, is_prefix,
                     common_prefix_length, as_exact)
 from .geometry import (Cylinder, VisualParams, AmbiguousCylinderError,
                        shadow, sup_product)
-from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
+from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
+                         trie_closure)
 from .measures import BoundaryMeasure, radon_nikodym, require_conformal
 
 
@@ -79,30 +80,33 @@ def _cell_product(group: WeightedFreeGroup, w: Word, center: Word):
     return group.word_weight(w[:common_prefix_length(w, center)])
 
 
+def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
+                 r_exp, mult=1) -> Word:
+    """The prefix p of `center` with B(center, mult*e^{-eps r_exp}) = C(p):
+    the shortest one whose weight passes the distance test, which holds from
+    some depth on since prefix weights increase."""
+    eps = params.epsilon
+    for k, weight in enumerate(group.prefix_weights(center)):
+        if eps.leq_scaled(weight, r_exp, mult):
+            return center[:k]
+    raise AmbiguousCylinderError(
+        f"ball smaller than the center cell {center}; deepen the partition")
+
+
 def ball_cells(group: WeightedFreeGroup, cells: Sequence[Word], center: Word,
                params: VisualParams, r_exp, mult=1) -> List[Word]:
     """Cells of the partition inside the closed ball of radius mult*e^{-eps r_exp}
     around the direction of `center` (which must be a cell or deeper).
 
-    A cell's distance to the center depends only on k = |common prefix|, so
-    the ball test runs once per k, on the center's prefix weights."""
-    eps = params.epsilon
-    weights = group.prefix_weights(center)
-    n = len(center)
-    if not eps.leq_scaled(weights[n], r_exp, mult):
-        raise AmbiguousCylinderError(
-            f"ball smaller than the center cell {center}; deepen the partition")
-    within: Dict[int, bool] = {n: True}
+    The visual metric is an ultrametric, so the ball is the one cylinder
+    C(`_ball_prefix`) and its cells are the cells under that prefix."""
+    prefix = _ball_prefix(group, center, params, r_exp, mult)
     inside = []
     for w in cells:
-        k = common_prefix_length(w, center)
-        if k == len(w) < n:
+        if len(w) < len(center) and is_prefix(w, center):
             raise AmbiguousCylinderError(
                 f"cell {w} strictly contains the center {center}; refine first")
-        ok = within.get(k)
-        if ok is None:
-            ok = within[k] = eps.leq_scaled(weights[k], r_exp, mult)
-        if ok:
+        if is_prefix(prefix, w):
             inside.append(w)
     return inside
 
@@ -397,6 +401,16 @@ def decay_check(nu: BoundaryMeasure, p, alpha, base: Word,
     return DecayReport(p=p, alpha=alpha, d_nu=d_nu, rows=rows)
 
 
+def _spine_decay(nu: BoundaryMeasure, params: VisualParams,
+                 max_len: int) -> DecayReport:
+    """The (Q, Q)-decay audit of `audit` and `measure_constants`: center the
+    spine word of length max_len + 2, radii e^{-eps j} for j = 1..max_len+1."""
+    q = params.q_exponent
+    center = Cylinder(spine_word(nu.group, EPSILON, max_len + 2))
+    radii = [params.epsilon.exp_neg(j) for j in range(1, max_len + 2)]
+    return decay_check(nu, q, q, EPSILON, [center], radii, params=params)
+
+
 def _pow(r, p):
     if isinstance(r, Fraction) and isinstance(p, (int, Fraction)) and p.denominator == 1:
         return r ** p.numerator
@@ -414,11 +428,15 @@ class ShadowAuditReport:
 
 def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
                        max_len: int, ds: Sequence) -> ShadowAuditReport:
-    """Exact Shadow Lemma sweep: the tightest beta and margin floor D_0 with
+    """Exact Shadow Lemma sweep: the tightest beta with
 
         beta^{-1} e^{-alpha U} <= nu(O(gamma, D)) <= beta e^{-alpha U} e^{2 alpha D}
 
-    for all a 0 < ||gamma|| <= max_len and D in ds."""
+    for all 0 < ||gamma|| <= max_len and D in ds.
+
+    The margin floor D_0 (the smallest D from which the lower bound holds) is
+    0, since beta is the largest lower ratio; it stays in the report as
+    d0 = 0, and as "D0" in `audit.json`, so the report format is unchanged."""
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
     if not ds:
@@ -448,26 +466,8 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
                 worst_upper = {"gamma": group.format_word(gamma), "D": str(d),
                                "ratio": upper_ratio}
             beta = max(beta, lower_ratio, upper_ratio)
-    # margin floor: smallest D beyond which the lower bound holds with this beta
-    d0 = Fraction(0)
-    for row in rows:
-        if row["lower_ratio"] > beta:
-            d0 = max(d0, Fraction(row["D"]))
-    return ShadowAuditReport(beta=beta, d0=d0, rows=rows,
+    return ShadowAuditReport(beta=beta, d0=Fraction(0), rows=rows,
                              worst_lower=worst_lower, worst_upper=worst_upper)
-
-
-def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
-                 r_exp, mult=1) -> Word:
-    """The prefix p of `center` with B(center, mult*e^{-eps r_exp}) = C(p):
-    the shortest one that passes `ball_cells`' test, which holds from some
-    depth on since prefix weights increase."""
-    eps = params.epsilon
-    for k, weight in enumerate(group.prefix_weights(center)):
-        if eps.leq_scaled(weight, r_exp, mult):
-            return center[:k]
-    raise AmbiguousCylinderError(
-        f"ball smaller than the center cell {center}; deepen the partition")
 
 
 def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,

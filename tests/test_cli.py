@@ -366,3 +366,91 @@ def test_numbers_past_the_str_digit_limit(tmp_path):
     report = json.loads((out / "stationarity.json").read_text())
     assert report["exact"] is False   # off by at most tiny, but not 0
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_moments_log_bound_in_weighted_length(tmp_path, arithmetic):
+    # on weights [2, 2] a spike's radius exponent is twice its shell depth;
+    # the case-3 log bound must measure both sides in weighted length
+    cfg = write_config(tmp_path, group={"rank": 2, "weights": ["2", "2"]},
+                       params={"alpha": "critical", "epsilon": "critical",
+                               "arithmetic": arithmetic, "tau": 1e-6},
+                       moments={"rounds": 2})
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "moments.json").read_text())
+    assert doc["rounds"] == 2
+    assert doc["envelope"]["checks"] == {"entropy": True, "envelope": True,
+                                         "log_bound": True, "mass_bound": True}
+
+
+def _verify(tmp_path, name, spec, *extra):
+    cfg = tmp_path / f"{name}.config.json"
+    cfg.write_text(Path(write_config(tmp_path, verify=spec)).read_text())
+    out = tmp_path / name
+    rc = main(["verify", "--config", str(cfg), "--out", str(out), *extra])
+    report = out / "stationarity.json"
+    return rc, json.loads(report.read_text()) if report.exists() else None
+
+
+def test_verify_pushforward_nu(tmp_path):
+    # (a nu)(E) = nu(aE), so a^-1 * (a nu) = nu and e * (a nu) = a nu != nu
+    rc, rep = _verify(tmp_path, "back", {"mu": {"atoms": [["A", "1/1"]]},
+                                         "nu": "pushforward:a"})
+    assert rc == 0 and rep["exact"] is True
+    rc, rep = _verify(tmp_path, "moved", {"mu": {"atoms": [["e", "1/1"]]},
+                                          "nu": "pushforward:a"})
+    assert rc == 1 and float(rep["max_cell_error"]) > 0.1
+
+
+def test_verify_file_backed_nu(tmp_path, capsys):
+    from freewalk import WeightedFreeGroup, default_params, uniform_ps_measure
+    f2 = WeightedFreeGroup(2)
+    doc = uniform_ps_measure(f2, default_params(f2)).materialize_depth(2).to_json()
+    assert doc["rule"] == "conformal"
+    conformal, stored = tmp_path / "conformal.json", tmp_path / "stored.json"
+    conformal.write_text(json.dumps(doc))
+    stored.write_text(json.dumps(dict(doc, rule="none")))
+    # rule conformal: the closed form extends the file below depth 2
+    rc, rep = _verify(tmp_path, "conformal", {"mu": "sphere:1",
+                                              "nu": str(conformal)})
+    assert rc == 0 and rep["exact"] is True and rep["max_cell_error"] == "0.0"
+    # rule none: the stored cells only, which sphere:1 * nu reads below
+    rc, rep = _verify(tmp_path, "below", {"mu": "sphere:1", "nu": str(stored)})
+    assert rc == 2 and rep is None
+    assert "requires an extension rule" in capsys.readouterr().err
+    rc, rep = _verify(tmp_path, "stored", {"mu": {"atoms": [["e", "1/1"]]},
+                                           "nu": str(stored), "depth": 2})
+    assert rc == 0 and rep["depth"] == 2 and rep["exact"] is True
+
+
+def test_verify_mix(tmp_path):
+    # a convex mix of stationary measures is stationary
+    rc, rep = _verify(tmp_path, "mix", {"mu": {"mix": [["sphere:1", "1/3"],
+                                                       ["sphere:2", "2/3"]]}})
+    assert rc == 0 and rep["exact"] is True and rep["max_cell_error"] == "0.0"
+    assert rep["depth"] == 4 and float(rep["moment"]) == pytest.approx(5 / 3)
+
+
+def test_decompose_inline_cells_target(tmp_path):
+    # an inline {"cells": ...} target decomposes as the named one it spells
+    named = write_config(tmp_path, decompose={"target": "derivative:ab"})
+    target = cli.Run(cli.load_config(named)).target("derivative:ab").to_json()
+    assert target["cells"][3] == ["Ba", "1/1"]
+    (tmp_path / "named.json").write_text(Path(named).read_text())
+    inline = write_config(tmp_path, decompose={"target": target})
+    for cfg, out in ((tmp_path / "named.json", "named"), (inline, "inline")):
+        assert main(["decompose", "--config", str(cfg),
+                     "--out", str(tmp_path / out)]) == 0
+    assert (tmp_path / "inline" / "decomposition.json").read_bytes() == \
+        (tmp_path / "named" / "decomposition.json").read_bytes()
+
+
+def test_report_to_stdout_without_out(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == 0
+    assert capsys.readouterr().out == (out / "stationarity.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]

@@ -10,7 +10,9 @@ from freewalk import (Cylinder, LocallyConstantFunction, GreedyParams,
                       GreedyParameterError, make_spike, greedy_subfunction,
                       basis_decompose, moment_decompose, sequence_decay_bound,
                       sequence_decay_iterate, convolve, pushforward,
-                      radon_nikodym, audit_case_envelope, InputError)
+                      radon_nikodym, audit_case_envelope, InputError, density,
+                      integrate)
+from freewalk import decomposition
 from freewalk.decomposition import greedy_lambdas, _round_spikes
 
 
@@ -75,6 +77,71 @@ def test_basis_decompose_constant_exact(f2, nu2, constants2):
     conv = convolve(res.coefficients, nu2)
     for w in f2.sphere(4):
         assert conv.mass_of(w) == nu2.mass_of(w)
+
+
+# F_2 target with a 28:1 contrast across the letters (a, A, b, B): the
+# finisher leaves more than tau, and shallow spike tails overshoot it
+CONTRAST = {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(7),
+            (3,): Fraction(3)}
+
+
+def _traced_decompose(monkeypatch, F, nu, gp, constants):
+    """basis_decompose, with the lambdas of every greedy_lambdas call and the
+    factors _adaptive_factor returned."""
+    seen = {"lambdas": [], "fallback": []}
+    greedy, adaptive = decomposition.greedy_lambdas, decomposition._adaptive_factor
+
+    def spy_greedy(*args, **kwargs):
+        out = greedy(*args, **kwargs)
+        seen["lambdas"].append([lam for _, lam in out[0]])
+        return out
+
+    def spy_adaptive(*args):
+        seen["fallback"].append(adaptive(*args))
+        return seen["fallback"][-1]
+
+    monkeypatch.setattr(decomposition, "greedy_lambdas", spy_greedy)
+    monkeypatch.setattr(decomposition, "_adaptive_factor", spy_adaptive)
+    return basis_decompose(F, nu, gp, constants=constants), seen
+
+
+def _check_rounds(res, F, nu):
+    """The trace falls strictly, and every round kept h <= R: each h is
+    nonnegative, so the residuals fall cellwise and all are nonnegative iff
+    the last one, F - (density of mu * nu), is."""
+    trace = res.residual_trace
+    assert all(nxt < prev for prev, nxt in zip(trace, trace[1:]))
+    residual = F.sub(density(res.coefficients, nu))
+    assert min(residual.values.values()) >= 0
+    assert integrate(residual, nu) == trace[-1]
+
+
+def test_basis_decompose_deepens_the_shell(monkeypatch, f2, nu2, constants2):
+    F = LocallyConstantFunction(f2, CONTRAST)
+    res, seen = _traced_decompose(monkeypatch, F, nu2, GreedyParams(max_rounds=3),
+                                  constants2)
+    # each round retries one shell deeper until h <= R holds
+    assert [r.shell for r in res.records] == [3, 4, 5]
+    assert [r.factor for r in res.records] == [1, 1, 1]
+    assert len(seen["lambdas"]) > 3 and seen["fallback"] == []
+    # a spike whose spine g already covers gets lambda = 0
+    assert any(lam == 0 for lams in seen["lambdas"] for lam in lams)
+    _check_rounds(res, F, nu2)
+
+
+def test_basis_decompose_falls_back_to_a_uniform_cap(monkeypatch, f2, nu2,
+                                                     constants2):
+    F = LocallyConstantFunction(f2, CONTRAST)
+    gp = GreedyParams(max_rounds=3, max_shell=2)
+    res, seen = _traced_decompose(monkeypatch, F, nu2, gp, constants2)
+    # no shell up to max_shell dominates: every round caps g by the
+    # adaptive factor instead
+    assert [r.shell for r in res.records] == [2, 2, 2]
+    assert len(seen["fallback"]) == 3
+    assert [r.factor for r in res.records] == seen["fallback"]
+    assert all(0 < f < 1 for f in seen["fallback"])
+    assert any(lam == 0 for lams in seen["lambdas"] for lam in lams)
+    _check_rounds(res, F, nu2)
 
 
 def test_growing_schedule_proof_factors(f2, nu2, params2, constants2):

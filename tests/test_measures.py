@@ -71,6 +71,32 @@ def test_critical_exponent(f2, f3):
     assert critical_exponent(w) == math.log(3) / 2
 
 
+@pytest.mark.parametrize("weights", [["1", "2"], ["2", "3"], ["1", "3/2"]])
+def test_critical_exponent_on_unequal_weights(weights):
+    # the default is the root of sum_x q_x/(1 + q_x) = 1, q_x = e^{-s w_x},
+    # below which the series of reduced words diverges; the shell-ratio
+    # estimate stays available by name
+    group = WeightedFreeGroup(2, weights)
+    root = critical_exponent(group)
+    assert root == conformal_exponent(group)
+    q = [math.exp(-root * float(group.letter_weight(x))) for x in group.letters()]
+    assert sum(v / (1 + v) for v in q) == pytest.approx(1, abs=1e-12)
+    assert critical_exponent(group, method="estimate") != root
+    assert poincare_series(group, root - 0.05, 12)[1]
+    assert not poincare_series(group, root + 0.05, 12)[1]
+
+
+def test_poincare_series_weighted_convergence():
+    # weights [2, 3]: the root is 0.444, the horizon-12 shell ratio 0.857
+    group = WeightedFreeGroup(2, ["2", "3"])
+    assert critical_exponent(group) == pytest.approx(0.44439, abs=1e-5)
+    assert critical_exponent(group, method="estimate") == pytest.approx(0.85745, abs=1e-5)
+    assert not poincare_series(group, 0.6, 12)[1]
+    # and the partial sums do converge there: increments shrink geometrically
+    p12, p18, p24 = (poincare_series(group, 0.6, n)[0] for n in (12, 18, 24))
+    assert p24 - p18 < (p18 - p12) / 2
+
+
 def test_poincare_series(f2):
     s_two = 2 * math.log(3)
     val, div, shells = poincare_series(f2, s_two, 8)
@@ -113,6 +139,17 @@ def test_cocycle(f2, nu2, params2):
             fe = radon_nikodym(eta, nu2, params2)
             lhs = radon_nikodym(multiply(gamma, eta), nu2, params2)
             assert lhs == fe.mul(fg.translate(invert(eta)))
+
+
+def test_pushforward_materialized_above_gamma(f2, nu2):
+    # stored at depth 1 < |gamma|, the extension rule is asked for words
+    # that gamma cancels: ab C(BA) is the complement of C(a), not everything
+    pf = pushforward(f2.parse_word("ab"), nu2)
+    shallow = pf.materialize_depth(1)
+    assert shallow.mass_of(f2.parse_word("BA")) == Fraction(3, 4)
+    for n in range(2, 4):
+        for w in f2.sphere(n):
+            assert shallow.mass_of(w) == pf.mass_of(w)
 
 
 def test_pushforward(f2, nu2, params2):

@@ -121,6 +121,7 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
                                    round_mass=round_mass, residual_l1=l1_next,
                                    eps=eps_n, delta=delta_n,
                                    max_log_inv_l1=max_log,
+                                   max_r_exp=max(sp.r_exp for sp in spikes),
                                    moment_contribution=contribution))
         R = R_next
         trace.append(l1_next)
