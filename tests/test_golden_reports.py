@@ -1,0 +1,85 @@
+"""Recorded `DecompositionResult.to_json()` reports of both outer loops on F_2,
+in exact (`exact_base(3)`) and float (`log 3`) mode, compared byte for byte.
+
+The runs cover `basis_decompose`'s shell deepening, its adaptive fallback
+and the proof rescale, and two rounds of `moment_decompose` with each
+rescale.  Regenerate the files only after an intended change of results:
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import json
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from freewalk import (GreedyParams, LocallyConstantFunction, VisualParams,
+                      WeightedFreeGroup, basis_decompose, measure_constants,
+                      moment_decompose, uniform_ps_measure)
+
+REPORTS = Path(__file__).resolve().parent / "data" / "reports"
+
+# the 28:1 contrast target of test_decomposition.py, on (a, A, b, B)
+CONTRAST = {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(7),
+            (3,): Fraction(3)}
+
+# name -> (loop, target, GreedyParams keywords, moment rounds)
+RUNS = {
+    "basis-deepen": ("basis", "contrast", {"max_rounds": 3}, None),
+    "basis-fallback": ("basis", "contrast", {"max_rounds": 3, "max_shell": 2}, None),
+    "basis-proof": ("basis", "contrast", {"max_rounds": 3, "rescale": "proof"}, None),
+    "moment-proof": ("moment", "ones", {"margin": 1, "rescale": "proof"}, 2),
+    "moment-adaptive": ("moment", "ones", {"margin": 1}, 2),
+}
+MODES = ("exact", "float")
+_SETUP = {}
+
+
+def setup(mode):
+    """(group, nu, constants) on F_2 in the given arithmetic."""
+    if mode not in _SETUP:
+        group = WeightedFreeGroup(2)
+        params = VisualParams.exact_base(3) if mode == "exact" \
+            else VisualParams.floats(math.log(3), math.log(3))
+        nu = uniform_ps_measure(group, params)
+        _SETUP[mode] = (group, nu, measure_constants(nu, params, max_len=3,
+                                                     ds=(0, 1)))
+    return _SETUP[mode]
+
+
+def report(name, mode) -> str:
+    loop, target, keywords, rounds = RUNS[name]
+    group, nu, constants = setup(mode)
+    values = CONTRAST if target == "contrast" else {(): Fraction(1)}
+    F = LocallyConstantFunction(group, values, validate=False)
+    if mode == "float":
+        F = F.map(float)
+    params = GreedyParams(**keywords)
+    if loop == "basis":
+        res = basis_decompose(F, nu, params, constants=constants)
+    else:
+        res = moment_decompose(F, nu, params, rounds=rounds, constants=constants)
+    return json.dumps(res.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def path(name, mode) -> Path:
+    return REPORTS / f"{name}.{mode}.json"
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_bytes(name, mode):
+    assert report(name, mode).encode() == path(name, mode).read_bytes()
+
+
+if __name__ == "__main__":
+    REPORTS.mkdir(parents=True, exist_ok=True)
+    for run_name in sorted(RUNS):
+        for run_mode in MODES:
+            path(run_name, run_mode).write_text(report(run_name, run_mode))
+            print(path(run_name, run_mode))
