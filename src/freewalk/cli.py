@@ -123,6 +123,14 @@ class Run:
         self.cfg = cfg
         self.nu = uniform_ps_measure(self.group, self.params)
 
+    def _exact_inline(self, numbers, what: str) -> None:
+        """Exact mode reads inline numbers as ints or "p/q" only; a decimal
+        would silently turn the run into floats."""
+        bad = [v for v in numbers if isinstance(v, float)]
+        if bad and self.arithmetic == "exact":
+            raise ConfigError(f"inline {what} {bad[0]!r} is a decimal, forbidden "
+                              "in exact mode; write it as an integer or p/q")
+
     def target(self, spec) -> LocallyConstantFunction:
         conv = Fraction if self.arithmetic == "exact" else float
         if spec in (None, "ones", "1"):
@@ -133,6 +141,7 @@ class Run:
             return f if conv is Fraction else f.map(float)
         if isinstance(spec, dict) and "cells" in spec:
             f = LocallyConstantFunction.from_json(self.group, spec)
+            self._exact_inline(f.values.values(), "target cell")
             return f if conv is Fraction else f.map(float)
         raise ConfigError(f"unknown decomposition target {spec!r}")
 
@@ -149,7 +158,9 @@ class Run:
             return GroupMeasure.from_json(doc)
         if isinstance(spec, dict) and "atoms" in spec:
             doc = {"group": self.group.to_config(), "atoms": spec["atoms"]}
-            return GroupMeasure.from_json(doc)
+            mu = GroupMeasure.from_json(doc)
+            self._exact_inline(mu.atoms.values(), "atom")
+            return mu
         if isinstance(spec, dict) and "mix" in spec:
             parts = [(self.group_measure(m), Fraction(str(t)))
                      for m, t in spec["mix"]]

@@ -227,15 +227,14 @@ def t_factor(sup_val, inf_val, q) -> float:
 
 
 def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
-                   params: VisualParams, den: Optional[int] = None):
-    """Run the positive greedy recursion; returns raw lambdas and the
-    accumulated g materialized on the common refinement.
+                   params: VisualParams):
+    """Run the positive greedy recursion; returns the raw (gamma, lambda)
+    list and the accumulated g on the common refinement.
 
-    With `den`, the target holds int numerators over den (the integer
-    residual of `moment_decompose`; the accumulator must be in its
-    scaled-integer mode).  The lambdas are still those of target / den, and
-    g comes back as (g's int numerators, their denominator), read off the
-    accumulator without a Fraction per leaf.
+    Each lambda is read off `target.at`, a Fraction for a target of
+    numerators over its `den`.  In the accumulator's scaled-integer mode g
+    comes back as int numerators over one denominator (see
+    `SpikeAccumulator.function`), with no Fraction per cell.
     """
     group = target.group
     acc = SpikeAccumulator(group, params)
@@ -244,21 +243,14 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
     for sp in spikes:
         b = sp.center.word
         spine = spine_word(group, b, depth)
-        value = target.at(spine) if den is None else Fraction(target.at(spine), den)
-        lam = value - acc.value_at(spine)
+        lam = target.at(spine) - acc.value_at(spine)
         if lam > 0:
             acc.insert(b, lam)
             lambdas.append((sp.gamma, lam))
         else:
             lambdas.append((sp.gamma, 0))
-    leaves = refine_leaves(group, target.leaves(),
-                           trie_closure(group, [s.center.word for s in spikes]))
-    if den is not None:
-        nums, g_den = acc.numerators(leaves)
-        return lambdas, (LocallyConstantFunction(group, nums, validate=False), g_den)
-    g = LocallyConstantFunction(group, {w: acc.value_at(w) for w in leaves},
-                                validate=False)
-    return lambdas, g
+    return lambdas, acc.function(refine_leaves(
+        group, target.leaves(), trie_closure(group, [s.center.word for s in spikes])))
 
 
 def greedy_subfunction(F: LocallyConstantFunction, spikes: Sequence[Spike],
@@ -308,7 +300,7 @@ def greedy_subfunction(F: LocallyConstantFunction, spikes: Sequence[Spike],
     lambdas, g = greedy_lambdas(F, spikes, vparams)
     factor = 3 * constants.l_nu / (c_cap * params.s)
     h = g.scale(factor)
-    bad = [w for w in h.values if h.values[w] > F.at(w)]
+    bad = _exceeding(h, F, 1)
     if bad:
         raise InternalInvariantError(f"h exceeds F on cells {bad[:3]}")
     return GreedyOutcome(lambdas=lambdas, g=g, h=h, factor=factor,
@@ -320,8 +312,9 @@ def _sup_over(F: LocallyConstantFunction, Y: Sequence[Cylinder]):
         return F.sup()
     best = None
     for cyl in Y:
-        for w, v in F.values.items():
+        for w in F.values:
             if is_prefix(cyl.word, w) or is_prefix(w, cyl.word):
+                v = F.at(w)
                 best = v if best is None else max(best, v)
     if best is None:
         raise GreedyParameterError("Y does not meet the target's partition")
@@ -351,6 +344,25 @@ def _round_spikes(group: WeightedFreeGroup, vparams: VisualParams, shell: int,
     return spikes
 
 
+def _ratio(a: LocallyConstantFunction, b: LocallyConstantFunction,
+           leaves: Sequence[Word], pick):
+    """pick (min or max) of a/b over the leaves where b > 0, None if none.
+
+    When both hold numerators over a `den`, the quotients are compared by
+    cross-multiplication and one Fraction is built; otherwise they are the
+    plain quotients of the values."""
+    if a.den is None or b.den is None:
+        ratios = [a.at(w) / b.at(w) for w in leaves if b.at(w) > 0]
+        return pick(ratios) if ratios else None
+    sign = 1 if pick is max else -1
+    top = None
+    for w in leaves:
+        x, y = a.num_at(w), b.num_at(w)
+        if y > 0 and (top is None or sign * (x * top[1] - top[0] * y) > 0):
+            top = (x, y)
+    return None if top is None else Fraction(top[0] * b.den, top[1] * a.den)
+
+
 def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
                      params: GreedyParams) -> Fraction:
     """Largest factor with h = c g <= beta R pointwise: c = beta / max(g/R).
@@ -358,14 +370,8 @@ def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
     In exact mode the factor is snapped down to a small denominator so the
     residual's rationals stay tame across rounds.
     """
-    group = R.group
-    leaves = refine_leaves(group, R.leaves(), g.leaves())
-    return _damped(max(g.at(w) / R.at(w) for w in leaves), params)
-
-
-def _damped(max_ratio, params: GreedyParams):
-    """beta / max_ratio, snapped down to denominator 10^6 when exact."""
-    if max_ratio <= 0:
+    max_ratio = _ratio(g, R, refine_leaves(R.group, R.leaves(), g.leaves()), max)
+    if max_ratio is None or max_ratio <= 0:
         raise InternalInvariantError("greedy produced the zero function")
     c = params.beta / max_ratio
     if isinstance(c, Fraction) and c.denominator > 10 ** 6:
@@ -375,37 +381,53 @@ def _damped(max_ratio, params: GreedyParams):
     return c
 
 
-# R = R / S and g = g / G below hold int numerators over one denominator each.
-
-def _scaled_adaptive_factor(R: LocallyConstantFunction, S: int,
-                            g: LocallyConstantFunction, G: int,
-                            params: GreedyParams) -> Fraction:
-    """`_adaptive_factor` of R / S and g / G: the largest g/R is found by
-    cross-multiplication (R > 0), and one Fraction is built from it."""
-    top_g, top_r = 0, 1
-    for w in refine_leaves(R.group, R.leaves(), g.leaves()):
-        gv, rv = g.at(w), R.at(w)
-        if gv * top_r > top_g * rv:
-            top_g, top_r = gv, rv
-    return _damped(Fraction(top_g * S, top_r * G), params)
+def _exceeding(h: LocallyConstantFunction, R: LocallyConstantFunction,
+               bound) -> List[Word]:
+    """The cells of h (a refinement of R's partition) where h > bound R, by
+    cross-multiplication when both hold numerators over a `den`."""
+    if h.den is None or R.den is None:
+        return [w for w, v in h.values.items() if h._value(v) > bound * R.at(w)]
+    left, right = bound.denominator * R.den, bound.numerator * h.den
+    return [w for w, v in h.values.items() if v * left > R.num_at(w) * right]
 
 
-def _scaled_residual(R: LocallyConstantFunction, S: int,
-                     g: LocallyConstantFunction, G: int, factor,
-                     beta: Fraction) -> Tuple[LocallyConstantFunction, int]:
-    """Check factor g/G <= beta R/S cellwise by cross-multiplication, then
-    return R/S - factor g/G as canonical int numerators over
-    S' = lcm(S, fd G), with S'."""
-    fn, fd = factor.numerator, factor.denominator
-    left, right = fn * S * beta.denominator, beta.numerator * G * fd
-    common = math.gcd(left, right)
-    left, right = left // common, right // common
-    bad = [w for w, v in g.values.items() if v * left > R.at(w) * right]
-    if bad:
-        raise InternalInvariantError(f"h exceeds beta R on {bad[:3]}")
-    S_next = math.lcm(S, fd * G)
-    up, down = S_next // S, fn * (S_next // (fd * G))
-    return R.combine(g, lambda r, v: r * up - v * down).canonical(), S_next
+class _Undominated(InternalInvariantError):
+    """No rescale factor of the round keeps h <= bound R."""
+
+
+def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
+                  spikes: Sequence[Spike], nu: BoundaryMeasure, factors, bound):
+    """One round of both outer loops on the residual R: the greedy recursion
+    on `target`, then the first of `factors` (functions of R and g) whose
+    h = factor g passes h <= bound R on every cell, then the canonical
+    R - h and its L1 norm.
+
+    Returns (lambdas, g, factor, R - h, ||R - h||_1); raises _Undominated
+    when every factor fails the check.
+    """
+    lambdas, g = greedy_lambdas(target, spikes, nu.params)
+    for factor_of in factors:
+        factor = factor_of(R, g)
+        h = g.scale(factor)
+        over = _exceeding(h, R, bound)
+        if not over:
+            R_next = R.sub(h).canonical()
+            return lambdas, g, factor, R_next, integrate(R_next, nu)
+    raise _Undominated(f"h exceeds {'R' if bound == 1 else 'beta R'} on {over[:3]}")
+
+
+def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
+            vparams: VisualParams) -> List[Tuple[object, object]]:
+    """Add factor * lambda * ||u_gamma||_1 to mu(gamma) for every positive
+    lambda; returns the (coefficient, ||u_gamma||_1) pairs added."""
+    added = []
+    for gamma, lam in lambdas:
+        if lam > 0:
+            mass = vparams.alpha.exp_neg(sup_product(group, gamma))
+            coeff = factor * lam * mass
+            mu[gamma] = mu.get(gamma, 0) + coeff
+            added.append((coeff, mass))
+    return added
 
 
 def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
@@ -417,7 +439,9 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     `SpikeAccumulator.solve` gives its one solution, exact in exact mode.
     Negative lambdas are clamped to 0 (the projection onto the cone), the sum
     is scaled down so that h <= R holds cellwise, and the finisher is accepted
-    only if the leftover is at most tau.
+    only if the leftover is at most tau.  With R and g on shared
+    denominators, the scale, h and the leftover come from ints, with no
+    Fraction per cell.
 
     Returns (lambdas, h) or None.
     """
@@ -430,19 +454,17 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     for b, x in lam.items():
         acc.insert(b, x)
     leaves = refine_leaves(group, R.leaves(), trie_closure(group, centers))
-    g_vals = {w: acc.value_at(w) for w in leaves}
-    ratios = [R.at(w) / g_vals[w] for w in leaves if g_vals[w] > 0]
-    if not ratios or min(ratios) <= 0:
+    g = acc.function(leaves)
+    ratio = _ratio(R, g, leaves, min)
+    if ratio is None or ratio <= 0:
         return None
-    scale = min(min(ratios), 1)
-    residual = sum((R.at(w) - scale * g_vals[w]) * nu.mass_of(w) for w in leaves)
+    scale = min(ratio, 1)
+    h = g.scale(scale)
+    residual = integrate(R.sub(h), nu)
     if float(residual) > tau or residual < 0:
         return None
-    lambdas = [(sp.gamma, scale * lam[sp.center.word]) for sp in spikes
-               if sp.center.word in lam]
-    h = LocallyConstantFunction(group, {w: scale * g_vals[w] for w in leaves},
-                                validate=False)
-    return lambdas, h
+    return [(sp.gamma, scale * lam[sp.center.word]) for sp in spikes
+            if sp.center.word in lam], h
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +487,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     cap = params.cap_for(constants, vparams)
     if F.inf() <= 0:
         raise GreedyParameterError("target must be uniformly positive")
-    R = F
+    R = F.over_shared_den()
     mu: Dict[Word, object] = {}
     trace = [integrate(R, nu)]
     records: List[RoundRecord] = []
@@ -490,33 +512,33 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         c_round_cap = cap if params.schedule == "fixed" \
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
+        fixed = 1 if params.rescale == "adaptive" \
+            else 3 * constants.l_nu / (c_round_cap * params.s)
         spikes = spikes_at(shell)
         finish = None
         if params.rescale == "adaptive":
             finish = _cone_finisher(R, nu, spikes, vparams, params.tau)
         if finish is not None:
-            lambdas, h = finish
+            lambdas, g = finish
             factor = 1
-            g = h
+            R_next = R.sub(g).canonical()
+            l1_next = integrate(R_next, nu)
         else:
             target = R.scale(params.beta)
             while True:
                 spikes = spikes_at(shell)
-                lambdas, g = greedy_lambdas(target, spikes, vparams)
-                factor = 1 if params.rescale == "adaptive" \
-                    else 3 * constants.l_nu / (c_round_cap * params.s)
-                h = g if factor == 1 else g.scale(factor)
-                dominated = all(h.at(w) <= R.at(w)
-                                for w in refine_leaves(group, R.leaves(), h.leaves()))
-                if dominated or shell >= params.max_shell:
+                factors = [lambda R, g: fixed]
+                last = shell >= params.max_shell
+                if last:  # graceful fallback: cap the whole round uniformly
+                    factors.append(lambda R, g: _adaptive_factor(R, g, params))
+                try:
+                    lambdas, g, factor, R_next, l1_next = _greedy_round(
+                        R, target, spikes, nu, factors, 1)
                     break
-                shell += 1  # tails too coarse for the residual's contrast
-            if not dominated:
-                # graceful fallback: cap the whole round uniformly
-                factor = _adaptive_factor(R, g, params)
-                h = g.scale(factor)
-        R_next = R.sub(h).canonical()
-        l1_next = integrate(R_next, nu)
+                except _Undominated:
+                    if last:
+                        raise
+                    shell += 1  # tails too coarse for the residual's contrast
         if not l1_next < trace[-1]:
             raise InternalInvariantError(
                 f"residual did not decrease in round {round_idx}: "
@@ -525,10 +547,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             raise InternalInvariantError(
                 f"round {round_idx} violated the guaranteed contraction "
                 f"{float(rho):.6f}")
-        for gamma, lam in lambdas:
-            if lam > 0:
-                mass = vparams.alpha.exp_neg(sup_product(group, gamma))
-                mu[gamma] = mu.get(gamma, 0) + factor * lam * mass
+        _credit(mu, lambdas, factor, group, vparams)
         records.append(RoundRecord(index=round_idx, shell=shell,
                                    cover_depth=shell - params.margin,
                                    spike_count=len(spikes), factor=factor,
@@ -550,17 +569,12 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     draw one shell of shadow spikes per round with radii in [g(eps_N), eps_N],
     and certify the case-3 moment/entropy envelope from the measured run.
 
-    When F's values are ints or Fractions, the spike steps are Fractions
-    (the accumulator's scaled-integer mode) and the rescale factor is
-    rational, the residual R is kept as int numerators over one shared
-    denominator S from round to round.  The round is positively homogeneous,
-    so the oscillation slopes, the canonical form and the t/delta ratios run
-    on the numerators; h <= beta R is a cross-multiplication, and
-    R - factor g one multiply-subtract over lcm(S, fd G) for g = g / G.
-    Fractions are built only where values leave the round: lambdas and mu,
-    the residual trace, and inf R, sup R and the slope for the float
-    schedule.  Every other case (float mode) runs the same round on the
-    values themselves, with the same operations in the same order.
+    Each round is `_greedy_round`, as in `basis_decompose`.  When F's
+    values are ints or Fractions, R is held as int numerators over one
+    shared denominator (`LocallyConstantFunction.over_shared_den`) for as
+    long as g and the factor keep it rational, and Fractions are built only
+    where values leave the round: lambdas and mu, the residual trace, and
+    inf R, sup R and the largest slope for the float schedule.
     """
     vparams = nu.params
     group = F.group
@@ -578,37 +592,20 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         raise GreedyParameterError("target must be uniformly positive")
     eps_sched: List[float] = [1.0]
     mu: Dict[Word, object] = {}
-    trace = [integrate(F, nu)]
+    R = F.over_shared_den()
+    trace = [integrate(R, nu)]
     records: List[RoundRecord] = []
     g_shift = float(vparams.epsilon.exp_neg(params.margin))  # g(r) = e^{-eps D} r
     proof_factor = params.beta * 3 * constants.l_nu / (cap * params.s)
-    R, S = F, None   # S: R's shared denominator, None while R holds values
-    if (all(type(v) in (int, Fraction) for v in F.values.values())
-            and SpikeAccumulator(group, vparams).scaled
-            and (params.rescale != "proof" or type(proof_factor) in (int, Fraction))):
-        S = math.lcm(*(v.denominator for v in F.values.values()))
-        R = F.map(lambda v: v.numerator * (S // v.denominator))
-    # 1/d(x, y) is a float where eps * (meet weight) is not integral; there
-    # the slopes are taken on R's values, since floats of huge numerators
-    # overflow
-    rational_slopes = all(type(vparams.epsilon.exp_neg(group.letter_weight(x)))
-                          is Fraction for x in group.letters())
+    factors = [lambda R, g: proof_factor] if params.rescale == "proof" \
+        else [lambda R, g: _adaptive_factor(R, g, params)]
     for n in range(1, rounds + 1):
         if float(trace[-1]) <= params.tau:
             break
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
-        r_exp = _exp_of(vparams, g_prev)
-        if S is None:
-            inf_r, sup_r = R.inf(), R.sup()
-            sup_slope = max(lipschitz_scale(R, r_exp, vparams).values())
-        else:
-            inf_r, sup_r = Fraction(R.inf(), S), Fraction(R.sup(), S)
-            if rational_slopes:
-                sup_slope = Fraction(max(lipschitz_scale(R, r_exp, vparams).values()), S)
-            else:
-                values = R.map(lambda v: Fraction(v, S))
-                sup_slope = max(lipschitz_scale(values, r_exp, vparams).values())
+        inf_r, sup_r = R.inf(), R.sup()
+        sup_slope = max(lipschitz_scale(R, _exp_of(vparams, g_prev), vparams).values())
         if sup_slope > 0:
             delta_n = min(float((params.s - 1)) * float(inf_r) / float(sup_slope),
                           g_prev)
@@ -619,34 +616,16 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
         spikes = _round_spikes(group, vparams, shell, params.margin, cap)
-        if S is None:
-            lambdas, g = greedy_lambdas(R, spikes, vparams)
-            factor = proof_factor if params.rescale == "proof" \
-                else _adaptive_factor(R, g, params)
-            h = g.scale(factor)
-            bad = [w for w in h.values if h.values[w] > params.beta * R.at(w)]
-            if bad:
-                raise InternalInvariantError(f"h exceeds beta R on {bad[:3]}")
-            R = R.sub(h).canonical()
-            l1_next = integrate(R, nu)
-        else:
-            lambdas, (g, G) = greedy_lambdas(R, spikes, vparams, den=S)
-            factor = proof_factor if params.rescale == "proof" \
-                else _scaled_adaptive_factor(R, S, g, G, params)
-            R, S = _scaled_residual(R, S, g, G, factor, params.beta)
-            l1_next = integrate(R, nu, S)
+        lambdas, _, factor, R, l1_next = _greedy_round(R, R, spikes, nu, factors,
+                                                       params.beta)
         round_mass = 0
         max_log = 0.0
         contribution = 0.0
-        for gamma, lam in lambdas:
-            if lam > 0:
-                mass_u = vparams.alpha.exp_neg(sup_product(group, gamma))
-                coeff = factor * lam * mass_u
-                mu[gamma] = mu.get(gamma, 0) + coeff
-                round_mass = round_mass + coeff
-                log_inv = -math.log(float(mass_u))
-                max_log = max(max_log, log_inv)
-                contribution += float(coeff) * log_inv
+        for coeff, mass_u in _credit(mu, lambdas, factor, group, vparams):
+            round_mass = round_mass + coeff
+            log_inv = -math.log(float(mass_u))
+            max_log = max(max_log, log_inv)
+            contribution += float(coeff) * log_inv
         records.append(RoundRecord(index=n, shell=shell,
                                    cover_depth=shell - params.margin,
                                    spike_count=len(spikes), factor=factor,

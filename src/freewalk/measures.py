@@ -408,8 +408,9 @@ class SpikeAccumulator:
     `den` grows, and every node with it, only when a coefficient's
     denominator times the profile's does not divide it.  With L = lcm q_x
     and m_x = (L/q_x)(q_x - p_x), `value_at` returns
-    Fraction(L N_0 + sum_t m_{w_t} N_{t+1}, den L): one Fraction per call;
-    `numerators` returns those ints for many words over the one den L.
+    Fraction(L N_0 + sum_t m_{w_t} N_{t+1}, den L): one Fraction per call.
+    `function` returns the sum on many cells as those ints over the one
+    denominator den L (a LocallyConstantFunction with `den`).
 
     Every other case keeps plain Fraction/float arithmetic on the node sums:
     float params; a step that is not a Fraction (e.g. alpha = 1/3 log 3 on
@@ -486,11 +487,6 @@ class SpikeAccumulator:
         for node, v in profile:
             nodes[node] = nodes.get(node, 0) + k * v
 
-    @property
-    def scaled(self) -> bool:
-        """True while the node sums are ints over one shared denominator."""
-        return self._den is not None
-
     def _numerator(self, word: Word) -> int:
         """Scaled-integer mode: value_at(word) times den * L, as an int."""
         nodes = self.nodes
@@ -516,13 +512,15 @@ class SpikeAccumulator:
             here = child
         return total + here
 
-    def numerators(self, words: Iterable[Word]) -> Tuple[Dict[Word, int], int]:
-        """Scaled-integer mode only: ({w: n_w}, d) with value_at(w) = n_w / d
-        for every word, over the one denominator d = den * L, so no Fraction
-        (and no gcd) is built per word."""
+    def function(self, cells: Iterable[Word]) -> LocallyConstantFunction:
+        """The sum on the given cells.  In the scaled-integer mode its values
+        are int numerators over the one denominator den * L, so no Fraction
+        (and no gcd) is built per cell; otherwise they are `value_at`'s."""
         if self._den is None:
-            raise RuntimeError("numerators() needs the scaled-integer mode")
-        return {w: self._numerator(w) for w in words}, self._den * self._lcm
+            return LocallyConstantFunction(
+                self.group, {w: self.value_at(w) for w in cells}, validate=False)
+        return LocallyConstantFunction.over(
+            self.group, {w: self._numerator(w) for w in cells}, self._den * self._lcm)
 
     def solve(self, targets: Dict[Word, object]) -> Dict[Word, object]:
         """The coefficients lambda_b with value_at(b) = targets[b] for every
@@ -633,28 +631,30 @@ def convolve(mu: GroupMeasure, nu: BoundaryMeasure) -> BoundaryMeasure:
                            rule="convolution", validate=False)
 
 
-def integrate(f: LocallyConstantFunction, nu: BoundaryMeasure, den: int = 1):
-    """integral of (f / den) d nu, exact on the function's partition; `den`
-    lets f hold int numerators over one shared denominator.
+def integrate(f: LocallyConstantFunction, nu: BoundaryMeasure):
+    """integral of f d nu, exact on the function's partition.
 
-    When every value and every cell mass is an int or a Fraction, the term
-    numerators are summed as ints per term denominator and the groups are
-    combined into one Fraction, so no gcd is taken per term.  The result has
-    the value and type of the plain sum: an int when every value and mass
-    is an int and den is 1, else a Fraction.  Any other term (a float) keeps
-    the plain sum of (value / den) * mass in cell order.
+    When every stored number and every cell mass is an int or a Fraction,
+    the term numerators are summed as ints per term denominator and the
+    groups are combined into one Fraction (over f.den too, for a function of
+    numerators), so no gcd is taken per term.  The result has the value and
+    type of the plain sum of f.at(w) * mass(w): an int when every value and
+    mass is an int, else a Fraction.  Any other term (a float) keeps the
+    plain sum in cell order, a numerator entering it as n / den.
     """
+    den = f.den
     terms = [(v, nu.mass_of(w)) for w, v in f.values.items()]
     if not all(type(v) in _RATIONAL and type(m) in _RATIONAL for v, m in terms):
-        return sum((v if den == 1 else Fraction(v, den)) * m for v, m in terms)
+        return sum((v if den is None else v / den) * m for v, m in terms)
     groups: Dict[int, int] = {}
     for v, m in terms:
         d = v.denominator * m.denominator
         groups[d] = groups.get(d, 0) + v.numerator * m.numerator
-    if den == 1 and all(type(v) is int and type(m) is int for v, m in terms):
+    if den is None and all(type(v) is int and type(m) is int for v, m in terms):
         return groups[1]
     common = math.lcm(*groups)
-    return Fraction(sum(n * (common // d) for d, n in groups.items()), common * den)
+    return Fraction(sum(n * (common // d) for d, n in groups.items()),
+                    common * (den or 1))
 
 
 def ps_series_audit(group: WeightedFreeGroup, params: VisualParams,

@@ -9,9 +9,10 @@ partition representation.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .words import Word, EPSILON, WeightedFreeGroup
 from .geometry import Cylinder, merge_siblings, translate_cylinder
@@ -106,12 +107,20 @@ def refine_leaves(group: WeightedFreeGroup, a: Iterable[Word], b: Iterable[Word]
 
 
 class LocallyConstantFunction:
-    """A cylinder partition plus one value (Fraction or float) per cell."""
+    """A cylinder partition plus one value (Fraction or float) per cell.
+
+    With `den`, `values` holds int numerators over that one shared
+    denominator.  `sub`, `scale` by a rational, `canonical`, `inf`/`sup` and
+    `integrate` then run on ints; `at`, `inf`/`sup` and the other operations
+    return the values themselves.  A float meets a numerator as n / den,
+    which rounds like float(Fraction(n, den)) and cannot overflow.
+    """
 
     def __init__(self, group: WeightedFreeGroup, values: Dict[Word, object],
                  validate: bool = True):
         self.group = group
         self.values = dict(values)
+        self.den: Optional[int] = None
         if validate:
             validate_partition(group, self.values.keys())
 
@@ -126,6 +135,25 @@ class LocallyConstantFunction:
                    cells: Iterable[Tuple[Cylinder, object]]) -> "LocallyConstantFunction":
         return cls(group, {c.word: v for c, v in cells})
 
+    @classmethod
+    def over(cls, group: WeightedFreeGroup, numerators: Dict[Word, object],
+             den: Optional[int]) -> "LocallyConstantFunction":
+        """The function with int `numerators` over `den` (plain values when
+        den is None), on cells that are not validated again."""
+        f = cls(group, numerators, validate=False)
+        f.den = den
+        return f
+
+    def over_shared_den(self) -> "LocallyConstantFunction":
+        """This function as int numerators over the lcm of its values'
+        denominators, when every value is an int or a Fraction; else itself."""
+        values = self.values.values()
+        if self.den is not None or not all(type(v) in (int, Fraction) for v in values):
+            return self
+        den = math.lcm(*(v.denominator for v in values))
+        return self.over(self.group, {w: v.numerator * (den // v.denominator)
+                                      for w, v in self.values.items()}, den)
+
     # -- evaluation -----------------------------------------------------------
 
     def cell_of(self, word: Word) -> Word:
@@ -135,8 +163,16 @@ class LocallyConstantFunction:
         raise ValueNotConstantError(
             f"word {word} lies above the partition leaves; value not constant there")
 
-    def at(self, word: Word):
+    def num_at(self, word: Word):
+        """The stored number at `word`: a numerator over `den` when it is set."""
         return self.values[self.cell_of(word)]
+
+    def _value(self, v):
+        return v if self.den is None else Fraction(v, self.den)
+
+    def at(self, word: Word):
+        v = self.values[self.cell_of(word)]
+        return v if self.den is None else Fraction(v, self.den)
 
     # -- partition plumbing ----------------------------------------------------
 
@@ -150,27 +186,39 @@ class LocallyConstantFunction:
         return max((len(w) for w in self.values), default=0)
 
     def refine_to(self, leaves: Iterable[Word]) -> "LocallyConstantFunction":
-        return LocallyConstantFunction(
-            self.group, {w: self.at(w) for w in leaves}, validate=False)
+        return self.over(self.group, {w: self.num_at(w) for w in leaves}, self.den)
 
     def combine(self, other: "LocallyConstantFunction",
                 fn: Callable) -> "LocallyConstantFunction":
         leaves = refine_leaves(self.group, self.values.keys(), other.values.keys())
-        return LocallyConstantFunction(
-            self.group, {w: fn(self.at(w), other.at(w)) for w in leaves}, validate=False)
+        return self.over(self.group, {w: fn(self.at(w), other.at(w)) for w in leaves},
+                         None)
 
     def map(self, fn: Callable) -> "LocallyConstantFunction":
-        return LocallyConstantFunction(
-            self.group, {w: fn(v) for w, v in self.values.items()}, validate=False)
+        return self.over(self.group, {w: fn(self._value(v))
+                                      for w, v in self.values.items()}, None)
 
     def scale(self, c) -> "LocallyConstantFunction":
-        return self.map(lambda v: c * v)
+        if self.den is None:
+            return self.map(lambda v: c * v)
+        if isinstance(c, (int, Fraction)):
+            return self.over(self.group, {w: v * c.numerator
+                                          for w, v in self.values.items()},
+                             self.den * c.denominator)
+        return self.over(self.group, {w: c * (v / self.den)
+                                      for w, v in self.values.items()}, None)
 
     def add(self, other):
         return self.combine(other, lambda a, b: a + b)
 
     def sub(self, other):
-        return self.combine(other, lambda a, b: a - b)
+        if self.den is None or other.den is None:
+            return self.combine(other, lambda a, b: a - b)
+        den = math.lcm(self.den, other.den)
+        up, down = den // self.den, den // other.den
+        leaves = refine_leaves(self.group, self.values.keys(), other.values.keys())
+        return self.over(self.group, {w: self.num_at(w) * up - other.num_at(w) * down
+                                      for w in leaves}, den)
 
     def mul(self, other):
         return self.combine(other, lambda a, b: a * b)
@@ -179,18 +227,17 @@ class LocallyConstantFunction:
         return self.map(lambda v: -v if v < 0 else v)
 
     def sup(self):
-        return max(self.values.values())
+        return self._value(max(self.values.values()))
 
     def inf(self):
-        return min(self.values.values())
+        return self._value(min(self.values.values()))
 
     def canonical(self) -> "LocallyConstantFunction":
         """Merge complete sibling families with equal values (canonical form)."""
-        return LocallyConstantFunction(self.group, merge_siblings(self.group, self.values),
-                                       validate=False)
+        return self.over(self.group, merge_siblings(self.group, self.values), self.den)
 
     def trie_stats(self) -> Dict[Word, Tuple[object, object]]:
-        """Per-node (min, max) of the values over the cell trie."""
+        """Per-node (min, max) of the stored numbers over the cell trie."""
         stats: Dict[Word, Tuple[object, object]] = {}
         for w, v in self.values.items():
             for i in range(len(w) + 1):
@@ -205,9 +252,11 @@ class LocallyConstantFunction:
     def translate(self, g: Word) -> "LocallyConstantFunction":
         """The function z -> f(g^{-1} z) (left translate of f by g).  g is a
         bijection of the boundary, so the images g C(w) of the cells form a partition."""
-        return LocallyConstantFunction(self.group, {
+        f = LocallyConstantFunction(self.group, {
             cyl.word: v for w, v in self.values.items()
             for cyl in translate_cylinder(self.group, g, Cylinder(w))})
+        f.den = self.den
+        return f
 
     def __eq__(self, other):
         if not isinstance(other, LocallyConstantFunction):
@@ -216,7 +265,7 @@ class LocallyConstantFunction:
         return all(self.at(w) == other.at(w) for w in leaves)
 
     def __repr__(self):
-        cells = ", ".join(f"{self.group.format_word(w)}:{v}"
+        cells = ", ".join(f"{self.group.format_word(w)}:{self._value(v)}"
                           for w, v in sorted(self.values.items(),
                                              key=lambda t: (len(t[0]), t[0]))[:6])
         more = "..." if len(self.values) > 6 else ""
@@ -225,7 +274,7 @@ class LocallyConstantFunction:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        cells = [[self.group.format_word(w), _num_to_str(v)]
+        cells = [[self.group.format_word(w), _num_to_str(self._value(v))]
                  for w, v in sorted(self.values.items(), key=lambda t: (len(t[0]), t[0]))]
         return {"cells": cells}
 
@@ -244,10 +293,14 @@ def _num_to_str(v) -> str:
 
 
 def _num_from_str(s: str):
-    s = str(s)
+    """"p/q" as a Fraction, an integer string as an int, anything else as a float."""
+    s = str(s).strip()
     if "/" in s:
         num, den = s.split("/")
         return Fraction(_int_from_str(num), _int_from_str(den))
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if digits.isascii() and digits.isdigit():
+        return _int_from_str(s)
     return float(s)
 
 

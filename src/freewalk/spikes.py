@@ -134,9 +134,16 @@ def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
 def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
                     mult=1) -> Dict[Word, object]:
     """D_r f per cell at scale r = mult*e^{-eps r_exp}: the max of
-    |f(x)-f(y)|/d(x,y) over cells y within distance r."""
+    |f(x)-f(y)|/d(x,y) over cells y within distance r.
+
+    For f on a shared denominator the gaps are numerators: against a
+    rational 1/d they are compared as they are and one Fraction is built per
+    cell; against a float 1/d a gap enters as gap / den, which rounds like
+    Fraction(gap, den) and cannot overflow.
+    """
     group = f.group
     eps = params.epsilon
+    den = f.den
     stats = f.trie_stats()
     children: Dict[Word, List[Word]] = {}
     for w in f.values:
@@ -149,7 +156,7 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
     inv_d_at: Dict[object, object] = {}
     out: Dict[Word, object] = {}
     for w, v in f.values.items():
-        best = 0
+        best = float_best = 0
         for j, meet in enumerate(group.prefix_weights(w)[:-1]):
             if meet not in inv_d_at:
                 inv_d_at[meet] = (1 / eps.exp_neg(meet)
@@ -157,15 +164,19 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
             inv_d = inv_d_at[meet]
             if inv_d is None:
                 continue
+            as_value = den is not None and type(inv_d) is float
             for sib in children.get(w[:j], []):
                 if sib == w[: j + 1]:
                     continue
                 lo, hi = stats[sib]
                 gap = max(abs(v - lo), abs(v - hi))
+                if as_value:
+                    float_best = max(float_best, gap / den * inv_d)
+                    continue
                 cand = gap * inv_d
                 if cand > best:
                     best = cand
-        out[w] = best
+        out[w] = best if den is None else max(Fraction(best, den), float_best)
     return out
 
 

@@ -454,3 +454,43 @@ def test_report_to_stdout_without_out(tmp_path, capsys):
     assert main(["verify", "--config", cfg]) == 0
     assert capsys.readouterr().out == (out / "stationarity.json").read_text()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+
+def test_verify_integer_atom_stays_exact(tmp_path):
+    # "1" is the int 1, not the float 1.0, so verify stays exact
+    for atom in ("1", "1/1"):
+        rc, rep = _verify(tmp_path, f"atom{len(atom)}", {
+            "mu": {"atoms": [["A", atom]]}, "nu": "pushforward:a"})
+        assert rc == 0 and rep["exact"] is True and rep["max_cell_error"] == "0.0"
+
+
+def test_integer_cell_stays_exact(tmp_path):
+    # a cell "7" is read as the int 7: the target and the report stay exact
+    cells = {"cells": [["a", "7"], ["A", "7"], ["b", "7"], ["B", "7"]]}
+    run = cli.Run(cli.load_config(write_config(tmp_path)))
+    assert [type(v) for v in run.target(cells).values.values()] == [int] * 4
+    cfg = write_config(tmp_path, decompose={"target": cells})
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "decomposition.json").read_text())
+    assert doc["coefficients"] == [["a", "7/4"], ["A", "7/4"],
+                                   ["b", "7/4"], ["B", "7/4"]]
+    assert doc["residual_trace"] == ["7/1", "0/1"]
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+def test_inline_decimals_need_float_mode(tmp_path, capsys, arithmetic):
+    # exact mode refuses a decimal in an inline cell or atom with exit 2;
+    # float mode reads it as a float
+    params = {"alpha": "critical", "epsilon": "critical",
+              "arithmetic": arithmetic, "tau": 1e-6}
+    want = 2 if arithmetic == "exact" else 0
+    cfg = write_config(tmp_path, params=params, decompose={"target": {
+        "cells": [["a", "0.5"], ["A", "0.5"], ["b", "0.5"], ["B", "0.5"]]}})
+    assert main(["decompose", "--config", cfg,
+                 "--out", str(tmp_path / "cells")]) == want
+    cfg = write_config(tmp_path, params=params, verify={
+        "mu": {"atoms": [["A", "0.5"]]}, "nu": "pushforward:a"})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "atoms")]) == want
+    if arithmetic == "exact":
+        assert capsys.readouterr().err.count("decimal") == 2

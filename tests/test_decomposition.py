@@ -91,8 +91,8 @@ def _traced_decompose(monkeypatch, F, nu, gp, constants):
     seen = {"lambdas": [], "fallback": []}
     greedy, adaptive = decomposition.greedy_lambdas, decomposition._adaptive_factor
 
-    def spy_greedy(*args, **kwargs):
-        out = greedy(*args, **kwargs)
+    def spy_greedy(target, spikes, params):
+        out = greedy(target, spikes, params)
         seen["lambdas"].append([lam for _, lam in out[0]])
         return out
 

@@ -177,7 +177,9 @@ def test_finisher_accepts_what_the_sweep_accepts():
             counts["rejected"] += 1
         else:
             assert all(isinstance(lam, Fraction) for _, lam in new[0])
-            assert all(isinstance(v, Fraction) for v in new[1].values.values())
+            # h is held exactly: int numerators over one shared denominator
+            assert type(new[1].den) is int
+            assert all(type(v) is int for v in new[1].values.values())
         if old is not None:
             counts["accepted"] += 1
             assert new is not None

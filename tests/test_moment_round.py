@@ -1,11 +1,13 @@
-"""The integer-residual moment round against the Fraction round it replaced,
-kept here as the oracle, and `integrate`'s grouped exact sum against the
-plain sum."""
+"""Both outer loops, whose rounds hold the residual as int numerators over
+one shared denominator, against the Fraction rounds they replaced, kept here
+as the oracles; the shared-denominator operations of
+`LocallyConstantFunction`, and `integrate`'s grouped exact sum, against the
+same operations on values."""
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freewalk import (BoundaryMeasure, GreedyParams, LocallyConstantFunction,
                       LogScale, VisualParams, WeightedFreeGroup, integrate,
@@ -13,7 +15,8 @@ from freewalk import (BoundaryMeasure, GreedyParams, LocallyConstantFunction,
 from freewalk import decomposition
 from freewalk.decomposition import (InternalInvariantError, RoundRecord,
                                     _band_shell, _case3_envelope, _exp_of,
-                                    _finish, _round_spikes, moment_decompose,
+                                    _finish, _round_spikes, basis_decompose,
+                                    moment_decompose, oscillation_threshold,
                                     t_factor)
 from freewalk.geometry import sup_product
 from freewalk.measures import SpikeAccumulator
@@ -130,17 +133,121 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
     return _finish(group, nu, mu, trace, records, params, constants, envelope)
 
 
+def oracle_finisher(R, nu, spikes, vparams, tau):
+    """_cone_finisher as it was, on values."""
+    group = R.group
+    depth = max([R.depth()] + [len(sp.center.word) for sp in spikes])
+    centers = [sp.center.word for sp in spikes]
+    acc = SpikeAccumulator(group, vparams)
+    solved = acc.solve({b: R.at(spine_word(group, b, depth)) for b in centers})
+    lam = {b: x for b, x in solved.items() if x > 0}
+    for b, x in lam.items():
+        acc.insert(b, x)
+    leaves = refine_leaves(group, R.leaves(), trie_closure(group, centers))
+    g_vals = {w: acc.value_at(w) for w in leaves}
+    ratios = [R.at(w) / g_vals[w] for w in leaves if g_vals[w] > 0]
+    if not ratios or min(ratios) <= 0:
+        return None
+    scale = min(min(ratios), 1)
+    residual = sum((R.at(w) - scale * g_vals[w]) * nu.mass_of(w) for w in leaves)
+    if float(residual) > tau or residual < 0:
+        return None
+    lambdas = [(sp.gamma, scale * lam[sp.center.word]) for sp in spikes
+               if sp.center.word in lam]
+    h = LocallyConstantFunction(group, {w: scale * g_vals[w] for w in leaves},
+                                validate=False)
+    return lambdas, h
+
+
+def lambda_reprs(lambdas):
+    return None if lambdas is None else [(g, repr(v)) for g, v in lambdas]
+
+
+def oracle_basis_decompose(F, nu, params, constants, seen):
+    """basis_decompose as it was, with R held as values; appends each
+    finisher attempt's ("finish", R, lambdas or None) and each greedy call's
+    ("greedy", target, lambdas) to `seen`."""
+    vparams = nu.params
+    group = F.group
+    cap = params.cap_for(constants, vparams)
+    R = F
+    mu = {}
+    trace = [plain_integrate(R, nu)]
+    records = []
+    shell = max(1, params.margin,
+                min(int(oscillation_threshold(F, params.s)) + params.margin,
+                    params.max_shell))
+    for round_idx in range(1, params.max_rounds + 1):
+        if float(trace[-1]) <= params.tau:
+            break
+        c_round_cap = cap if params.schedule == "fixed" \
+            else cap * Fraction(math.isqrt(1 + round_idx))
+        rho = constants.rho_star(params.beta, c_round_cap, params.s)
+        spikes = _round_spikes(group, vparams, shell, params.margin, cap)
+        finish = None
+        if params.rescale == "adaptive":
+            finish = oracle_finisher(R, nu, spikes, vparams, params.tau)
+            seen.append(("finish", R, lambda_reprs(finish and finish[0])))
+        if finish is not None:
+            lambdas, h = finish
+            factor = 1
+            g = h
+        else:
+            target = R.scale(params.beta)
+            while True:
+                spikes = _round_spikes(group, vparams, shell, params.margin, cap)
+                lambdas, g = oracle_greedy(target, spikes, vparams)
+                seen.append(("greedy", target, lambda_reprs(lambdas)))
+                factor = 1 if params.rescale == "adaptive" \
+                    else 3 * constants.l_nu / (c_round_cap * params.s)
+                h = g if factor == 1 else g.scale(factor)
+                dominated = all(h.at(w) <= R.at(w)
+                                for w in refine_leaves(group, R.leaves(), h.leaves()))
+                if dominated or shell >= params.max_shell:
+                    break
+                shell += 1
+            if not dominated:
+                factor = oracle_adaptive_factor(R, g, params)
+                h = g.scale(factor)
+        R_next = R.sub(h).canonical()
+        l1_next = plain_integrate(R_next, nu)
+        if not l1_next < trace[-1]:
+            raise InternalInvariantError(
+                f"residual did not decrease in round {round_idx}: "
+                f"{trace[-1]} -> {l1_next}")
+        if float(l1_next) > float(rho) * float(trace[-1]) + 1e-12:
+            raise InternalInvariantError(
+                f"round {round_idx} violated the guaranteed contraction "
+                f"{float(rho):.6f}")
+        for gamma, lam in lambdas:
+            if lam > 0:
+                mass = vparams.alpha.exp_neg(sup_product(group, gamma))
+                mu[gamma] = mu.get(gamma, 0) + factor * lam * mass
+        records.append(RoundRecord(index=round_idx, shell=shell,
+                                   cover_depth=shell - params.margin,
+                                   spike_count=len(spikes), factor=factor,
+                                   round_mass=factor * plain_integrate(g, nu),
+                                   residual_l1=l1_next))
+        R = R_next
+        trace.append(l1_next)
+    return _finish(group, nu, mu, trace, records, params, constants, None)
+
+
+def held_as_ints(f):
+    """Whether f holds int numerators over one shared denominator."""
+    return f.den is not None and all(type(v) is int for v in f.values.values())
+
+
 def run_moment_decompose(F, nu, params, rounds, constants, seen, scaled):
     """moment_decompose, appending each round's residual (as values) and
     lambdas, read off its greedy_lambdas calls, to `seen`, and to `scaled`
     whether R was held as numerators."""
     original = decomposition.greedy_lambdas
 
-    def spy(target, spikes, vparams, den=None):
-        out = original(target, spikes, vparams, den=den)
-        values = target if den is None else target.map(lambda v: Fraction(v, den))
-        seen.append((values, out[0]))
-        scaled.append(den is not None)
+    def spy(target, spikes, vparams):
+        out = original(target, spikes, vparams)
+        seen.append((target.map(lambda v: v), out[0]))
+        scaled.append(held_as_ints(target))
         return out
 
     decomposition.greedy_lambdas = spy
@@ -272,13 +379,13 @@ def moment_cases(draw):
 def test_integer_round_matches_fraction_round(case):
     # exact targets and rational steps: R is held as numerators in every
     # round, unless the proof factor is a float (a float L_nu, as measured on
-    # F_3 here)
+    # F_3 here), which turns R into floats after the first round
     F, nu, params, rounds, constants = case
     scaled = compare_runs(F, nu, params, rounds, constants)
     if params.rescale == "adaptive" or type(constants.l_nu) is Fraction:
-        assert all(scaled)
+        assert scaled == [True] * len(scaled)
     else:
-        assert not any(scaled)
+        assert scaled == [True] + [False] * (len(scaled) - 1)
 
 
 @settings(max_examples=10, deadline=None, database=None, derandomize=True)
@@ -298,15 +405,16 @@ def test_default_schedule_matches_oracle(f2, nu2, constants2):
 
 
 def test_float_proof_factor_keeps_the_value_round(f2, nu2, constants2):
-    # a float L_nu makes the proof factor a float, so R turns into floats
-    # after the first round, exactly as in the value round
+    # a float L_nu makes the proof factor a float, so R, held as numerators
+    # in the first round, turns into floats after it, exactly as in the value
+    # round
     constants = decomposition.AuditConstants(
         beta=constants2.beta, d0=constants2.d0, d_nu=constants2.d_nu,
         t_nu=constants2.t_nu, lebesgue_b=1, q=constants2.q,
         l_nu=float(constants2.l_nu))
     F = LocallyConstantFunction.constant(f2, Fraction(1))
     params = GreedyParams(margin=1, rescale="proof")
-    assert compare_runs(F, nu2, params, 2, constants) == [False, False]
+    assert compare_runs(F, nu2, params, 2, constants) == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -326,80 +434,246 @@ GROUP2, MEASURES = _measures()
 
 
 @st.composite
-def integrate_cases(draw):
-    values = {(): None}
-    for _ in range(draw(st.integers(0, 5))):
-        w = draw(st.sampled_from(sorted((w for w in values if len(w) < 3),
+def partitions(draw, most=5):
+    """A random refinement of the boundary of F_2, cells of length <= 3."""
+    cells = {()}
+    for _ in range(draw(st.integers(0, most))):
+        w = draw(st.sampled_from(sorted((w for w in cells if len(w) < 3),
                                         key=lambda w: (len(w), w))))
-        del values[w]
-        for x in GROUP2.valid_extensions(w):
-            values[w + (x,)] = None
-    kinds = draw(st.sampled_from(["int", "fraction", "mixed", "float"]))
+        cells.remove(w)
+        cells.update(w + (x,) for x in GROUP2.valid_extensions(w))
+    return sorted(cells, key=lambda w: (len(w), w))
+
+
+@st.composite
+def integrate_cases(draw):
+    cells = draw(partitions())
+    kinds = draw(st.sampled_from(["int", "fraction", "mixed", "float",
+                                  "numerators"]))
     value = {"int": st.integers(-9, 9),
              "fraction": st.fractions(-5, 5, max_denominator=40),
              "mixed": st.one_of(st.integers(-9, 9),
                                 st.fractions(-5, 5, max_denominator=40)),
              "float": st.one_of(st.integers(-9, 9),
-                                st.floats(-5, 5, allow_nan=False))}[kinds]
-    f = LocallyConstantFunction(GROUP2, {w: draw(value) for w in values})
-    nu = MEASURES[draw(st.sampled_from(sorted(MEASURES)))]
-    # den > 1 scales numerators, so it goes with rational values only
-    dens = [1] if kinds == "float" else [1, 1, 3, 2 ** 70 * 3 ** 5]
-    return f, nu, draw(st.sampled_from(dens))
+                                st.floats(-5, 5, allow_nan=False)),
+             "numerators": st.integers(-9, 9)}[kinds]
+    # int numerators over a shared denominator, or plain values
+    den = draw(st.sampled_from([1, 3, 2 ** 70 * 3 ** 5])) \
+        if kinds == "numerators" else None
+    f = LocallyConstantFunction.over(GROUP2, {w: draw(value) for w in cells}, den)
+    return f, MEASURES[draw(st.sampled_from(sorted(MEASURES)))]
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(integrate_cases())
 def test_integrate_matches_plain_sum(case):
-    f, nu, den = case
-    want = sum((v if den == 1 else Fraction(v, den)) * nu.mass_of(w)
-               for w, v in f.values.items())
-    got = integrate(f, nu, den)
+    f, nu = case
+    want = sum(f.at(w) * nu.mass_of(w) for w in f.values)
+    got = integrate(f, nu)
     assert type(got) is type(want)
     assert repr(got) == repr(want)
 
 
 def test_integrate_int_cells():
-    # int values on int masses stay an int; on Fraction masses a Fraction
+    # int values on int masses stay an int; on Fraction masses a Fraction,
+    # and numerators over a den are Fractions
     f = LocallyConstantFunction(GROUP2, {w: 2 for w in GROUP2.sphere(1)})
     assert repr(integrate(f, MEASURES["int"])) == "20"
     assert repr(integrate(f, MEASURES["exact"])) == "Fraction(2, 1)"
-    assert repr(integrate(f, MEASURES["int"], 8)) == "Fraction(5, 2)"
+    over8 = LocallyConstantFunction.over(GROUP2, f.values, 8)
+    assert repr(integrate(over8, MEASURES["int"])) == "Fraction(5, 2)"
 
 
 # ---------------------------------------------------------------------------
-# the residual step on numerators
+# the shared-denominator operations against the same steps on values
 # ---------------------------------------------------------------------------
+
+# numerators of a few bits, and past 2^1100 (where a float of a numerator
+# overflows); epsilon = 1/2 log 3 makes 1/d a float at odd meet weights
+SIZES = [6, 40, 1100]
+SLOPE_PARAMS = [VisualParams.exact_base(3),
+                VisualParams.exact_base(3, 1, Fraction(1, 2))]
+
 
 @st.composite
-def scaled_pairs(draw):
-    """R > 0 and g >= 0 as int numerators over S and G on one partition of
-    F_2, a factor and beta."""
-    cells = GROUP2.sphere(draw(st.integers(1, 2)))
-    S, G = draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6))
-    R = LocallyConstantFunction(GROUP2, {w: draw(st.integers(1, 60)) for w in cells})
-    g = LocallyConstantFunction(GROUP2, {w: draw(st.integers(0, 60)) for w in cells})
-    factor = draw(st.one_of(st.just(1), st.fractions(Fraction(1, 64), 4,
-                                                      max_denominator=99)))
-    return R, S, g, G, factor, draw(st.fractions(Fraction(1, 8), Fraction(7, 8),
-                                                 max_denominator=16))
+def numerator_pairs(draw):
+    """R > 0 over S on one partition of F_2 and g >= 0 over G on a
+    refinement of it, numerators and denominators of one drawn size; a
+    factor (int, Fraction or float) and a bound (1 or a beta)."""
+    bits = draw(st.sampled_from(SIZES))
+    top = 2 ** bits
+    low = 2 ** (bits - 1) if bits > 60 else 1
+    r_cells = draw(partitions())
+    g_cells = refine_leaves(GROUP2, r_cells, draw(partitions()))
+    S, G = draw(st.integers(low, top)), draw(st.integers(low, top))
+    R = LocallyConstantFunction.over(GROUP2, {w: draw(st.integers(low, top))
+                                              for w in r_cells}, S)
+    g = LocallyConstantFunction.over(GROUP2, {w: draw(st.integers(0, top))
+                                              for w in g_cells}, G)
+    factor = draw(st.one_of(st.just(1),
+                            st.fractions(Fraction(1, 64), 4, max_denominator=99),
+                            st.floats(1 / 64, 4)))
+    bound = draw(st.sampled_from([1, Fraction(1, 2),
+                                  Fraction(draw(st.integers(1, 15)), 16)]))
+    return R, g, factor, bound
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(scaled_pairs())
-def test_scaled_residual_matches_values(case):
-    # the cross-multiplied check and the multiply-subtract against the
-    # same steps on Fractions
-    R, S, g, G, factor, beta = case
-    values = R.map(lambda v: Fraction(v, S))
-    h = g.map(lambda v: factor * Fraction(v, G))
-    over = [w for w in h.values if h.values[w] > beta * values.at(w)]
+def as_values(f):
+    return f.map(lambda v: v)
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(numerator_pairs(), st.sampled_from(SLOPE_PARAMS), st.integers(0, 3))
+def test_shared_den_ops_match_values(case, vparams, r_exp):
+    R, g, factor, bound = case
+    vR, vg = as_values(R), as_values(g)
+    # at, inf, sup and the canonical form
+    for f, vf in ((R, vR), (g, vg)):
+        assert all(type(vf.values[w]) is Fraction and vf.values[w] == f.at(w)
+                   for w in f.values)
+        assert (f.inf(), f.sup()) == (vf.inf(), vf.sup())
+        assert type(f.inf()) is type(f.sup()) is Fraction
+        canon = f.canonical()
+        assert canon.den == f.den and as_values(canon).values == vf.canonical().values
+        assert f.over_shared_den() is f
+        assert as_values(vf.over_shared_den()).values == vf.values
+    # sub and scale: ints over one den for a rational factor; the same
+    # floats, bit for bit, for a float one
+    diff = R.sub(g)
+    assert held_as_ints(diff) and as_values(diff).values == vR.sub(vg).values
+    h = g.scale(factor)
+    want = vg.scale(factor)
+    if isinstance(factor, float):
+        assert h.den is None
+        assert [repr(v) for v in h.values.values()] == \
+            [repr(v) for v in want.values.values()]
+    else:
+        assert held_as_ints(h) and as_values(h).values == want.values
+    # integrate
+    nu = MEASURES[["exact", "float"][r_exp % 2]]
+    assert repr(integrate(R, nu)) == repr(plain_integrate(vR, nu))
+    # lipschitz_scale, with a float 1/d where epsilon is 1/2 log 3
+    slopes, want_slopes = (lipschitz_scale(f, r_exp, vparams) for f in (R, vR))
+    assert slopes == want_slopes
+    # the round's domination check and residual step
+    over = [w for w in want.values if want.values[w] > bound * vR.at(w)]
+    original = decomposition.greedy_lambdas
+    decomposition.greedy_lambdas = lambda target, spikes, params: ([], g)
     try:
-        R_next, S_next = decomposition._scaled_residual(R, S, g, G, factor, beta)
+        out = decomposition._greedy_round(R, R, [], MEASURES["exact"],
+                                          [lambda R, g: factor], bound)
     except InternalInvariantError as exc:
-        assert over and str(exc) == f"h exceeds beta R on {over[:3]}"
+        name = "R" if bound == 1 else "beta R"
+        assert over and str(exc) == f"h exceeds {name} on {over[:3]}"
         return
+    finally:
+        decomposition.greedy_lambdas = original
     assert not over
-    assert S_next == math.lcm(S, factor.denominator * G)
-    assert R_next.map(lambda v: Fraction(v, S_next)).values == \
-        values.sub(h).canonical().values
+    _, _, got_factor, R_next, l1 = out
+    want_next = vR.sub(want).canonical()
+    assert got_factor == factor
+    assert [repr(v) for v in as_values(R_next).values.values()] == \
+        [repr(v) for v in want_next.values.values()]
+    assert held_as_ints(R_next) == (not isinstance(factor, float))
+    assert repr(l1) == repr(plain_integrate(want_next, MEASURES["exact"]))
+
+
+# ---------------------------------------------------------------------------
+# basis_decompose against its value round
+# ---------------------------------------------------------------------------
+
+def run_basis_decompose(F, nu, params, constants, seen, held):
+    """basis_decompose, appending the events of `oracle_basis_decompose`
+    (residuals and targets as values) to `seen`, and to `held` whether each
+    greedy target was held as int numerators."""
+    greedy, finisher = decomposition.greedy_lambdas, decomposition._cone_finisher
+
+    def spy_greedy(target, spikes, vparams):
+        out = greedy(target, spikes, vparams)
+        seen.append(("greedy", target.map(lambda v: v), lambda_reprs(out[0])))
+        held.append(held_as_ints(target))
+        return out
+
+    def spy_finisher(R, nu, spikes, vparams, tau):
+        out = finisher(R, nu, spikes, vparams, tau)
+        seen.append(("finish", R.map(lambda v: v), lambda_reprs(out and out[0])))
+        return out
+
+    decomposition.greedy_lambdas = spy_greedy
+    decomposition._cone_finisher = spy_finisher
+    try:
+        return basis_decompose(F, nu, params, constants=constants)
+    finally:
+        decomposition.greedy_lambdas = greedy
+        decomposition._cone_finisher = finisher
+
+
+def compare_basis_runs(F, nu, params, constants):
+    """Both runs agree event by event (residuals, targets, lambda reprs) and
+    end in the same result or error.  Returns the greedy targets' held flags
+    and the result's records."""
+    seen, held, seen_o = [], [], []
+    res, err = _outcome(run_basis_decompose, F, nu, params, constants, seen, held)
+    res_o, err_o = _outcome(oracle_basis_decompose, F, nu, params, constants,
+                            seen_o)
+    assert err == err_o
+    assert [(kind, f.values, lams) for kind, f, lams in seen] == \
+        [(kind, f.values, lams) for kind, f, lams in seen_o]
+    if err is None:
+        assert_same_result(res, res_o)
+    return held, res.records if err is None else []
+
+
+_FLOAT_F2 = {}
+
+
+def float_setup():
+    if not _FLOAT_F2:
+        params = VisualParams.floats(math.log(3), math.log(3))
+        nu = uniform_ps_measure(GROUP2, params)
+        _FLOAT_F2["setup"] = (nu, measure_constants(nu, params, max_len=2,
+                                                    ds=(0, 1)))
+    return _FLOAT_F2["setup"]
+
+
+CONTRAST = {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(7),
+            (3,): Fraction(3)}
+
+
+@st.composite
+def basis_cases(draw):
+    """An F_2 target with up to 28:1 contrast on a random partition, exact or
+    float; the adaptive or proof rescale, 1-3 rounds and shells capped at
+    2-5, so that rounds deepen the shell and fall back to the uniform cap."""
+    cells = draw(partitions(most=3))
+    value = st.sampled_from([Fraction(1, 4), Fraction(1, 2), 1, 3, 7])
+    F = LocallyConstantFunction(GROUP2, {w: draw(value) for w in cells})
+    params = GreedyParams(max_rounds=draw(st.integers(1, 3)),
+                          max_shell=draw(st.integers(2, 5)),
+                          rescale=draw(st.sampled_from(["adaptive", "proof"])))
+    return F, params, draw(st.booleans())
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(basis_cases())
+@example((LocallyConstantFunction(GROUP2, CONTRAST), GreedyParams(max_rounds=3),
+          True))
+@example((LocallyConstantFunction(GROUP2, CONTRAST),
+          GreedyParams(max_rounds=3, max_shell=2), True))
+@example((LocallyConstantFunction(GROUP2, CONTRAST),
+          GreedyParams(max_rounds=2, max_shell=3), False))
+def test_basis_round_matches_value_round(case):
+    F, params, exact = case
+    if exact:
+        nu, constants = setup(0, 1)[1:]
+    else:
+        F = F.map(float)
+        nu, constants = float_setup()
+    held, records = compare_basis_runs(F, nu, params, constants)
+    # every exact greedy round runs on int numerators
+    assert held == [exact] * len(held)
+    if F.values == CONTRAST and params.max_shell == 5:
+        assert [r.shell for r in records] == [3, 4, 5]
+    if F.values == CONTRAST and params.max_shell == 2:
+        assert [r.shell for r in records] == [2, 2, 2]
+        assert all(0 < r.factor < 1 for r in records)
