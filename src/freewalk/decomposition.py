@@ -386,7 +386,7 @@ def _exceeding(h: LocallyConstantFunction, R: LocallyConstantFunction,
     """The cells of h (a refinement of R's partition) where h > bound R, by
     cross-multiplication when both hold numerators over a `den`."""
     if h.den is None or R.den is None:
-        return [w for w, v in h.values.items() if h._value(v) > bound * R.at(w)]
+        return [w for w in h.values if h.at(w) > bound * R.at(w)]
     left, right = bound.denominator * R.den, bound.numerator * h.den
     return [w for w, v in h.values.items() if v * left > R.num_at(w) * right]
 

@@ -109,11 +109,11 @@ def refine_leaves(group: WeightedFreeGroup, a: Iterable[Word], b: Iterable[Word]
 class LocallyConstantFunction:
     """A cylinder partition plus one value (Fraction or float) per cell.
 
-    With `den`, `values` holds int numerators over that one shared
-    denominator.  `sub`, `scale` by a rational, `canonical`, `inf`/`sup` and
-    `integrate` then run on ints; `at`, `inf`/`sup` and the other operations
-    return the values themselves.  A float meets a numerator as n / den,
-    which rounds like float(Fraction(n, den)) and cannot overflow.
+    With `den` set (see `over`), `values` holds int numerators over that one
+    shared denominator: `sub`, `scale` by a rational and `canonical` keep
+    that form and run on ints, while `at`, `inf`/`sup` and every other
+    reader return the values.  A float meets a numerator as n / den, which
+    rounds like float(Fraction(n, den)) and cannot overflow.
     """
 
     def __init__(self, group: WeightedFreeGroup, values: Dict[Word, object],
