@@ -300,7 +300,7 @@ def greedy_subfunction(F: LocallyConstantFunction, spikes: Sequence[Spike],
     lambdas, g = greedy_lambdas(F, spikes, vparams)
     factor = 3 * constants.l_nu / (c_cap * params.s)
     h = g.scale(factor)
-    bad = _exceeding(h, F, 1)
+    bad = _exceeding(g, factor, F, 1)
     if bad:
         raise InternalInvariantError(f"h exceeds F on cells {bad[:3]}")
     return GreedyOutcome(lambdas=lambdas, g=g, h=h, factor=factor,
@@ -381,14 +381,18 @@ def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
     return c
 
 
-def _exceeding(h: LocallyConstantFunction, R: LocallyConstantFunction,
+def _exceeding(g: LocallyConstantFunction, c, R: LocallyConstantFunction,
                bound) -> List[Word]:
-    """The cells of h (a refinement of R's partition) where h > bound R, by
-    cross-multiplication when both hold numerators over a `den`."""
-    if h.den is None or R.den is None:
-        return [w for w in h.values if h.at(w) > bound * R.at(w)]
-    left, right = bound.denominator * R.den, bound.numerator * h.den
-    return [w for w, v in h.values.items() if v * left > R.num_at(w) * right]
+    """The cells of g (a refinement of R's partition) where h = c g exceeds
+    bound R: by cross-multiplication when both hold numerators over a `den`
+    and c is rational, so h is never built."""
+    if g.den is None or R.den is None or not isinstance(c, (int, Fraction)):
+        return [w for w in g.values if c * g.at(w) > bound * R.at(w)]
+    left = c.numerator * bound.denominator * R.den
+    right = bound.numerator * c.denominator * g.den
+    common = math.gcd(left, right)  # the dens share most factors: shrink both
+    left, right = left // common, right // common
+    return [w for w, v in g.values.items() if v * left > R.num_at(w) * right]
 
 
 class _Undominated(InternalInvariantError):
@@ -408,10 +412,9 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
     lambdas, g = greedy_lambdas(target, spikes, nu.params)
     for factor_of in factors:
         factor = factor_of(R, g)
-        h = g.scale(factor)
-        over = _exceeding(h, R, bound)
+        over = _exceeding(g, factor, R, bound)
         if not over:
-            R_next = R.sub(h).canonical()
+            R_next = R.sub(g, factor).canonical()
             return lambdas, g, factor, R_next, integrate(R_next, nu)
     raise _Undominated(f"h exceeds {'R' if bound == 1 else 'beta R'} on {over[:3]}")
 
@@ -459,12 +462,11 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     if ratio is None or ratio <= 0:
         return None
     scale = min(ratio, 1)
-    h = g.scale(scale)
-    residual = integrate(R.sub(h), nu)
+    residual = integrate(R.sub(g, scale), nu)
     if float(residual) > tau or residual < 0:
         return None
     return [(sp.gamma, scale * lam[sp.center.word]) for sp in spikes
-            if sp.center.word in lam], h
+            if sp.center.word in lam], g.scale(scale)
 
 
 # ---------------------------------------------------------------------------

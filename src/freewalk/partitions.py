@@ -211,11 +211,13 @@ class LocallyConstantFunction:
     def add(self, other):
         return self.combine(other, lambda a, b: a + b)
 
-    def sub(self, other):
-        if self.den is None or other.den is None:
-            return self.combine(other, lambda a, b: a - b)
-        den = math.lcm(self.den, other.den)
-        up, down = den // self.den, den // other.den
+    def sub(self, other, c=1):
+        """self - c * other; on ints over one den when both hold numerators
+        and c is rational."""
+        if self.den is None or other.den is None or not isinstance(c, (int, Fraction)):
+            return self.combine(other, lambda a, b: a - c * b)
+        den = math.lcm(self.den, c.denominator * other.den)
+        up, down = den // self.den, c.numerator * (den // (c.denominator * other.den))
         leaves = refine_leaves(self.group, self.values.keys(), other.values.keys())
         return self.over(self.group, {w: self.num_at(w) * up - other.num_at(w) * down
                                       for w in leaves}, den)

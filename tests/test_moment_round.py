@@ -543,12 +543,13 @@ def test_shared_den_ops_match_values(case, vparams, r_exp):
     assert held_as_ints(diff) and as_values(diff).values == vR.sub(vg).values
     h = g.scale(factor)
     want = vg.scale(factor)
-    if isinstance(factor, float):
-        assert h.den is None
-        assert [repr(v) for v in h.values.values()] == \
-            [repr(v) for v in want.values.values()]
-    else:
-        assert held_as_ints(h) and as_values(h).values == want.values
+    for got, values in ((h, want), (R.sub(g, factor), vR.sub(want))):
+        if isinstance(factor, float):
+            assert got.den is None
+            assert [repr(v) for v in got.values.values()] == \
+                [repr(v) for v in values.values.values()]
+        else:
+            assert held_as_ints(got) and as_values(got).values == values.values
     # integrate
     nu = MEASURES[["exact", "float"][r_exp % 2]]
     assert repr(integrate(R, nu)) == repr(plain_integrate(vR, nu))
