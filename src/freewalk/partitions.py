@@ -296,13 +296,14 @@ def _num_to_str(v) -> str:
 
 def _num_from_str(s: str):
     """"p/q" as a Fraction, an integer string as an int, anything else as a float."""
-    s = str(s).strip()
+    s = str(s)
     if "/" in s:
         num, den = s.split("/")
         return Fraction(_int_from_str(num), _int_from_str(den))
-    digits = s[1:] if s[:1] in ("+", "-") else s
+    text = s.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
     if digits.isascii() and digits.isdigit():
-        return _int_from_str(s)
+        return _int_from_str(text)
     return float(s)
 
 

@@ -550,6 +550,12 @@ def test_shared_den_ops_match_values(case, vparams, r_exp):
                 [repr(v) for v in values.values.values()]
         else:
             assert held_as_ints(got) and as_values(got).values == values.values
+    # the extreme quotients of the finisher and the adaptive factor
+    for a, b, va, vb in ((R, g, vR, vg), (g, R, vg, vR)):
+        for pick in (min, max):
+            quotients = [va.at(w) / vb.at(w) for w in g.values if vb.at(w) > 0]
+            assert decomposition._ratio(a, b, list(g.values), pick) == \
+                (pick(quotients) if quotients else None)
     # integrate
     nu = MEASURES[["exact", "float"][r_exp % 2]]
     assert repr(integrate(R, nu)) == repr(plain_integrate(vR, nu))
