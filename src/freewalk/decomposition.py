@@ -514,8 +514,6 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         c_round_cap = cap if params.schedule == "fixed" \
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
-        fixed = 1 if params.rescale == "adaptive" \
-            else 3 * constants.l_nu / (c_round_cap * params.s)
         spikes = spikes_at(shell)
         finish = None
         if params.rescale == "adaptive":
@@ -527,6 +525,8 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             l1_next = integrate(R_next, nu)
         else:
             target = R.scale(params.beta)
+            fixed = 1 if params.rescale == "adaptive" \
+                else 3 * constants.l_nu / (c_round_cap * params.s)
             while True:
                 spikes = spikes_at(shell)
                 factors = [lambda R, g: fixed]
