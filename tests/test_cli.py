@@ -165,6 +165,24 @@ def test_audit_injected_failure_matches_golden(tmp_path, spike, mode):
         (INJECT / f"{spike}.{mode}.audit.json").read_bytes()
 
 
+@pytest.mark.parametrize("rank, max_len, digest", [
+    (2, 4, "6832ab7a3dad9acf293fc2239fbae6b0fd920b7d4bf6166366e920f93c1c46c9"),
+    (3, 3, "400ea0b0459ef11477b9a84ccc056f71d2d76c7c17763a3cd17a15f9b0bbe32c"),
+])
+def test_audit_witnesses_at_sweep_scale(tmp_path, rank, max_len, digest):
+    # F_2 to length 4 and F_3 to length 3, exact critical params: deeper
+    # sweeps than the golden files above
+    cfg = write_config(
+        tmp_path,
+        group={"rank": rank, "weights": ["1"] * rank, "names": list("abc"[:rank])},
+        params={"alpha": "critical", "epsilon": "critical",
+                "arithmetic": "exact", "tau": 1e-6},
+        audit={"max_len": max_len, "Ds": [0, 1]})
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out), "--witnesses"]) == 0
+    assert hashlib.sha256((out / "audit.json").read_bytes()).hexdigest() == digest
+
+
 def test_moments_ok(tmp_path):
     cfg = write_config(tmp_path, params={
         "alpha": "critical", "epsilon": "critical", "arithmetic": "float",
