@@ -249,6 +249,9 @@ def cmd_verify(run: Run, args) -> int:
 
 
 def _spike_from_json(run: Run, doc: dict) -> Spike:
+    for key in ("function", "r_exp", "center"):
+        if key not in doc:
+            raise ConfigError(f"injected spike file has no {key!r}")
     f = LocallyConstantFunction.from_json(run.group, doc["function"])
     return Spike(function=f,
                  r_exp=as_exact(str(doc["r_exp"])),

@@ -6,7 +6,9 @@ singular kernel (condition 2) and bounded short-range oscillation
 (condition 3).  Q-spikes additionally bound the scale-r Lipschitz constant
 and the ball mass from below.  On the tree every ball is a finite cylinder
 union, so all five conditions reduce to exact finite maxima, which
-`verify_spike` computes in one pass over one refined partition.
+`verify_spike` computes in one pass over one refined partition.  On rational
+values it decides every comparison on int numerators over one denominator and
+builds each reported number once; float values run the per-cell checks.
 """
 
 from __future__ import annotations
@@ -137,9 +139,11 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
     |f(x)-f(y)|/d(x,y) over cells y within distance r.
 
     For f on a shared denominator the gaps are numerators: against a
-    rational 1/d they are compared as they are and one Fraction is built per
-    cell; against a float 1/d a gap enters as gap / den, which rounds like
-    Fraction(gap, den) and cannot overflow.
+    rational 1/d (an int when integral, so gap * 1/d multiplies ints) they are
+    compared as they are and one Fraction is built per cell with a nonzero
+    slope; against a float 1/d a gap enters as gap / den, which rounds like
+    Fraction(gap, den) and cannot overflow.  Either way each value and its
+    type are those the same f gives on its values.
     """
     group = f.group
     eps = params.epsilon
@@ -159,8 +163,11 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
         best = float_best = 0
         for j, meet in enumerate(group.prefix_weights(w)[:-1]):
             if meet not in inv_d_at:
-                inv_d_at[meet] = (1 / eps.exp_neg(meet)
-                                  if eps.leq_scaled(meet, r_exp, mult) else None)
+                inv_d = 1 / eps.exp_neg(meet) if eps.leq_scaled(meet, r_exp, mult) \
+                    else None
+                if den is not None and type(inv_d) is Fraction and inv_d.denominator == 1:
+                    inv_d = inv_d.numerator
+                inv_d_at[meet] = inv_d
             inv_d = inv_d_at[meet]
             if inv_d is None:
                 continue
@@ -176,7 +183,8 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
                 cand = gap * inv_d
                 if cand > best:
                     best = cand
-        out[w] = best if den is None else max(Fraction(best, den), float_best)
+        out[w] = best if den is None else \
+            max(Fraction(best, den) if best else 0, float_best)
     return out
 
 
@@ -238,14 +246,29 @@ def _ball(spike: Spike, cells: Sequence[Word], nu: BoundaryMeasure,
 
 def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     """Check the three spike conditions and the two Q-spike conditions
-    exactly over the cylinder partition."""
+    exactly over the cylinder partition.
+
+    When every value is an int or a Fraction, the cells are read once as
+    int numerators over their lcm (`over_shared_den`), and every ordering
+    decision runs on those ints: the ball minimum, the sign tests, each
+    scale class's lo/hi and the worst class, the worst Lipschitz cell and
+    the witness ties.  Each reported number is then built once, from the
+    values by the formula of the per-cell checks, so it is the same Fraction
+    or float.  Condition 2 divides a cell only when its h beats every earlier
+    cell at its meet depth (the ratio is monotone in h there): on the
+    spikes f_gamma that is once per depth.  Float values are their own
+    numerators and run the per-cell checks in their order, unchanged.
+    """
     group = spike.function.group
     params = spike.params or nu.params
     eps = params.epsilon
     values = _prepared_cells(spike)
+    func = LocallyConstantFunction(group, values, validate=False).over_shared_den()
+    num, den = func.values, func.den
+    key = num.__getitem__
     cells = list(values)
     center = spike.center.word
-    sup = max(values.values())
+    sup = values[max(cells, key=key)]
     ball, mass_r = _ball(spike, cells, nu)
     inside = set(ball)
     r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
@@ -255,85 +278,97 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     witnesses: Dict[str, object] = {}
 
     # condition 1: h >= sup/C on the ball
-    min_ball = min(values[w] for w in inside)
-    wit1 = min(w for w in inside if values[w] == min_ball)
-    measured["cond1"] = sup / min_ball if min_ball > 0 else None
+    low = min(inside, key=key)
+    wit1 = min(w for w in inside if num[w] == num[low])
+    measured["cond1"] = sup / values[low] if num[low] > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
     # compare the ratio as measured: in floats min_ball * (sup / min_ball)
     # can round below sup
-    cond1_ok = min_ball > 0 and (c_stored is None or measured["cond1"] <= c_stored)
+    cond1_ok = num[low] > 0 and (c_stored is None or measured["cond1"] <= c_stored)
 
     # condition 2: off-ball decay against the singular kernel.  The metric is
     # an ultrametric and the ball is a union of cells meeting the center at
     # depth >= some k, so an outside cell y (meeting it at k_y) meets every
     # inside cell at k_y, and its integral is nu(B) e^{(q+theta) eps W(k_y)}.
+    # At one depth the ratio h(y) / (h(a) r^Q nu(B) K_k) is monotone in h(y),
+    # rising when h(a) >= 0, so a cell whose h does not beat the last cell
+    # divided at its depth cannot pass the worst ratio.
     prefix = group.prefix_weights(center)
-    h_center = values[center]
+    h_r = values[center] * r_pow_q
+    sign = 1 if num[center] >= 0 else -1
     expo = spike.q + spike.theta
-    kernel: Dict[int, object] = {}
+    denom: Dict[int, object] = {}
+    last: Dict[int, object] = {}
     worst2 = None
     wit2 = None
     positive = True
     for y in cells:
         if y in inside:
             continue
-        hy = values[y]
-        if hy <= 0:
+        n = num[y]
+        if n <= 0:
             positive = False
             wit2 = group.format_word(y)
             break
         k = common_prefix_length(y, center)
-        if k not in kernel:
-            kernel[k] = eps.exp_neg(-expo * prefix[k])
-        integral = mass_r * kernel[k]
-        need = hy / (h_center * r_pow_q * integral)
+        if den is not None and k in last and sign * n <= last[k]:
+            continue
+        last[k] = sign * n
+        if k not in denom:
+            denom[k] = h_r * (mass_r * eps.exp_neg(-expo * prefix[k]))
+        need = values[y] / denom[k]
         if worst2 is None or need > worst2:
             worst2, wit2 = need, group.format_word(y)
-    measured["cond2"] = worst2
+    measured["cond2"] = worst2 if positive else None
     witnesses["cond2"] = wit2
     cond2_ok = positive and (worst2 is None or c_stored is None or worst2 <= c_stored)
-    if not positive:
-        measured["cond2"] = None
 
-    # condition 3: short-range oscillation
-    worst3 = 1
-    wit3 = None
-    for key, members in _scale_classes(group, cells, params, spike.r_exp).items():
-        vals = [values[w] for w in members]
-        lo, hi = min(vals), max(vals)
-        if lo <= 0:
+    # condition 3: short-range oscillation.  Here and for the Lipschitz
+    # bound a ratio is a pair (p, q), q > 0, equal to it up to a positive
+    # factor shared by the check, so p1 q2 > p2 q1 orders two ratios; a float
+    # one is (ratio, 1).
+    worst3, top3 = (1, 1), None
+    for members in _scale_classes(group, cells, params, spike.r_exp).values():
+        lo, hi = min(members, key=key), max(members, key=key)
+        if num[lo] <= 0:
             positive = False
             continue
-        ratio = hi / lo
-        if ratio > worst3:
-            worst3 = ratio
-            wit3 = (group.format_word(min(w for w in members if values[w] == hi)),
-                    group.format_word(min(w for w in members if values[w] == lo)))
-    measured["cond3"] = worst3
-    witnesses["cond3"] = wit3
-    cond3_ok = positive and (c_stored is None or worst3 <= c_stored)
+        p, q = (num[hi], num[lo]) if den is not None else (values[hi] / values[lo], 1)
+        if p * worst3[1] > worst3[0] * q:
+            worst3, top3 = (p, q), (members, hi, lo)
+    if top3 is None:
+        measured["cond3"], witnesses["cond3"] = 1, None
+    else:
+        members, hi, lo = top3
+        measured["cond3"] = values[hi] / values[lo]
+        witnesses["cond3"] = tuple(
+            group.format_word(min(w for w in members if num[w] == num[end]))
+            for end in (hi, lo))
+    cond3_ok = positive and (c_stored is None or measured["cond3"] <= c_stored)
 
     # Q-spike: D_r h <= C h / r on every cell, and nu(B(a, r)) >= r^Q / C
-    nonpositive = next((w for w in cells if values[w] <= 0), None)
+    nonpositive = next((w for w in cells if num[w] <= 0), None)
     if nonpositive is not None:
         measured["lipschitz"] = None
         witnesses["lipschitz"] = group.format_word(nonpositive)
         q_spike_ok = False
     else:
-        func = LocallyConstantFunction(group, values, validate=False)
         slopes = lipschitz_scale(func, spike.r_exp, params)
         r_val = eps.exp_neg(spike.r_exp)
-        worst_lip = 0
-        wit_lip = None
+        exact = den is not None and float not in {type(r_val), *map(type, slopes.values())}
+        worst_lip, top_lip = (0, 1), None
         for w in cells:
-            need = slopes[w] * r_val / values[w]
-            if need > worst_lip:
-                worst_lip, wit_lip = need, group.format_word(w)
-        measured["lipschitz"] = worst_lip
-        witnesses["lipschitz"] = wit_lip
+            s = slopes[w]
+            p, q = (s.numerator, s.denominator * num[w]) if exact \
+                else (s * r_val / values[w], 1)
+            if p * worst_lip[1] > worst_lip[0] * q:
+                worst_lip, top_lip = (p, q), w
+        measured["lipschitz"] = 0 if top_lip is None else \
+            slopes[top_lip] * r_val / values[top_lip]
+        witnesses["lipschitz"] = None if top_lip is None else group.format_word(top_lip)
         measured["mass"] = r_pow_q / mass_r if mass_r > 0 else None
         q_spike_ok = mass_r > 0 and (c_stored is None or (
-            worst_lip <= c_stored and measured["mass"] <= c_stored))
+            measured["lipschitz"] <= c_stored and measured["mass"] <= c_stored))
 
     finite = [m for m in measured.values() if m is not None]
     measured_c = max(finite) if finite else None

@@ -165,6 +165,18 @@ def test_audit_injected_failure_matches_golden(tmp_path, spike, mode):
         (INJECT / f"{spike}.{mode}.audit.json").read_bytes()
 
 
+@pytest.mark.parametrize("key", ["function", "r_exp", "center"])
+def test_audit_injected_spike_missing_key_exits_2(tmp_path, capsys, key):
+    spike = json.loads((INJECT / "no_c.spike.json").read_text())
+    del spike[key]
+    inject = tmp_path / "spike.json"
+    inject.write_text(json.dumps(spike))
+    cfg = write_config(tmp_path, audit={"max_len": 1, "Ds": [0],
+                                        "inject": str(inject)})
+    assert main(["audit", "--config", cfg]) == 2
+    assert f"injected spike file has no {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("rank, max_len, digest", [
     (2, 4, "6832ab7a3dad9acf293fc2239fbae6b0fd920b7d4bf6166366e920f93c1c46c9"),
     (3, 3, "400ea0b0459ef11477b9a84ccc056f71d2d76c7c17763a3cd17a15f9b0bbe32c"),

@@ -1,6 +1,7 @@
 """The spike kernels (`ball_cells`, `_scale_classes`, `lipschitz_scale` and
 condition 2 of `verify_spike`) test each distance once per distinct prefix
-weight.  These properties hold them to the per-cell formulas they replace,
+weight, and `verify_spike` decides on int numerators and divides once per
+report.  These properties hold them to the per-cell formulas they replace,
 which are copied below as oracles, over weights {1, 3/2}, exact and float
 scales (coefficient 1/2 takes the float fallback of `leq_scaled`) and
 multipliers {1, 5, 2.5}."""
@@ -11,11 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
-                      Spike, VisualParams, WeightedFreeGroup, ball_cells,
-                      default_params, lipschitz_scale, uniform_ps_measure,
-                      verify_spike)
+                      Spike, SpikeReport, VisualParams, WeightedFreeGroup,
+                      ball_cells, default_params, lipschitz_scale,
+                      uniform_ps_measure, verify_spike)
 from freewalk.spikes import _cell_product, _prepared_cells, _scale_classes
-from freewalk.words import is_prefix
+from freewalk.words import common_prefix_length, is_prefix
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None,
                     derandomize=True)
@@ -110,6 +111,110 @@ def cond2_by_double_sum(spike, nu):
     return worst, wit
 
 
+def old_verify_spike(spike, nu):
+    """`verify_spike` as a loop over cells, one Fraction (or float) per
+    comparison, on the per-cell kernels above."""
+    group = spike.function.group
+    params = spike.params or nu.params
+    eps = params.epsilon
+    values = _prepared_cells(spike)
+    cells = list(values)
+    center = spike.center.word
+    sup = max(values.values())
+    ball = old_ball_cells(group, cells, center, params, spike.r_exp)
+    mass_r = sum(nu.mass_of(w) for w in ball)
+    inside = set(ball)
+    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
+    c_stored = spike.c
+
+    measured = {}
+    witnesses = {}
+
+    min_ball = min(values[w] for w in inside)
+    wit1 = min(w for w in inside if values[w] == min_ball)
+    measured["cond1"] = sup / min_ball if min_ball > 0 else None
+    witnesses["cond1"] = group.format_word(wit1)
+    cond1_ok = min_ball > 0 and (c_stored is None or measured["cond1"] <= c_stored)
+
+    prefix = group.prefix_weights(center)
+    h_center = values[center]
+    expo = spike.q + spike.theta
+    kernel = {}
+    worst2 = None
+    wit2 = None
+    positive = True
+    for y in cells:
+        if y in inside:
+            continue
+        hy = values[y]
+        if hy <= 0:
+            positive = False
+            wit2 = group.format_word(y)
+            break
+        k = common_prefix_length(y, center)
+        if k not in kernel:
+            kernel[k] = eps.exp_neg(-expo * prefix[k])
+        integral = mass_r * kernel[k]
+        need = hy / (h_center * r_pow_q * integral)
+        if worst2 is None or need > worst2:
+            worst2, wit2 = need, group.format_word(y)
+    measured["cond2"] = worst2
+    witnesses["cond2"] = wit2
+    cond2_ok = positive and (worst2 is None or c_stored is None or worst2 <= c_stored)
+    if not positive:
+        measured["cond2"] = None
+
+    worst3 = 1
+    wit3 = None
+    for key, members in old_scale_classes(group, cells, params, spike.r_exp).items():
+        vals = [values[w] for w in members]
+        lo, hi = min(vals), max(vals)
+        if lo <= 0:
+            positive = False
+            continue
+        ratio = hi / lo
+        if ratio > worst3:
+            worst3 = ratio
+            wit3 = (group.format_word(min(w for w in members if values[w] == hi)),
+                    group.format_word(min(w for w in members if values[w] == lo)))
+    measured["cond3"] = worst3
+    witnesses["cond3"] = wit3
+    cond3_ok = positive and (c_stored is None or worst3 <= c_stored)
+
+    nonpositive = next((w for w in cells if values[w] <= 0), None)
+    if nonpositive is not None:
+        measured["lipschitz"] = None
+        witnesses["lipschitz"] = group.format_word(nonpositive)
+        q_spike_ok = False
+    else:
+        func = LocallyConstantFunction(group, values, validate=False)
+        slopes = old_lipschitz_scale(func, spike.r_exp, params)
+        r_val = eps.exp_neg(spike.r_exp)
+        worst_lip = 0
+        wit_lip = None
+        for w in cells:
+            need = slopes[w] * r_val / values[w]
+            if need > worst_lip:
+                worst_lip, wit_lip = need, group.format_word(w)
+        measured["lipschitz"] = worst_lip
+        witnesses["lipschitz"] = wit_lip
+        measured["mass"] = r_pow_q / mass_r if mass_r > 0 else None
+        q_spike_ok = mass_r > 0 and (c_stored is None or (
+            worst_lip <= c_stored and measured["mass"] <= c_stored))
+
+    finite = [m for m in measured.values() if m is not None]
+    measured_c = max(finite) if finite else None
+
+    ball5 = old_ball_cells(group, cells, center, params, spike.r_exp, mult=5)
+    mass_5r = sum(nu.mass_of(w) for w in ball5)
+    doubling = mass_5r / mass_r if mass_r > 0 else None
+
+    return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
+                       q_spike_ok=q_spike_ok, local_doubling=doubling,
+                       measured_c=measured_c, measured=measured,
+                       witnesses=witnesses)
+
+
 # -- strategies ---------------------------------------------------------------
 
 SCALES = [("exact", 3, 1), ("exact", 3, Fraction(1, 2)), ("exact", Fraction(5, 2), 1),
@@ -179,10 +284,13 @@ def test_scale_classes_and_slopes_match_per_cell_tests(scale, r_exp, mult, data)
     new = _scale_classes(f.group, cells, params, r_exp, mult)
     old = old_scale_classes(f.group, cells, params, r_exp, mult)
     assert list(new.items()) == list(old.items())  # same class order too
-    new = lipschitz_scale(f, r_exp, params, mult)
     old = old_lipschitz_scale(f, r_exp, params, mult)
-    assert list(new.items()) == list(old.items())
-    assert all(type(new[w]) is type(old[w]) for w in new)
+    # on the values and on int numerators over their lcm (an integral 1/d
+    # is an int there)
+    for g in (f, f.over_shared_den()):
+        new = lipschitz_scale(g, r_exp, params, mult)
+        assert list(new.items()) == list(old.items())
+        assert all(type(new[w]) is type(old[w]) for w in new)
 
 
 # -- condition 2 ----------------------------------------------------------------
@@ -245,3 +353,63 @@ def test_condition_2_on_the_audited_spikes():
             rep = verify_spike(spike, nu)
             expected = cond2_by_double_sum(spike, nu)
             assert (rep.measured["cond2"], rep.witnesses["cond2"]) == expected
+
+
+# -- the whole spike check ------------------------------------------------------
+
+# exact values (ints and Fractions), floats with close neighbours, a mix, and
+# ints tied with equal Fractions; each pool has a 0 and negative values
+VALUE_POOLS = [
+    [0, 1, 2, Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(-1, 2), -1],
+    [0.0, 1.0, 2.5, -0.5, 0.1, 0.2, 0.3, 0.30000000000000004, 1 / 3],
+    [Fraction(1, 3), 1 / 3, Fraction(1), 1.0, 0, Fraction(-1, 2), 2.5],
+    [1, Fraction(1), 2, Fraction(2), 0, -1],
+]
+
+
+def as_seen(x):
+    """A number with its type; floats bit for bit."""
+    return type(x), repr(x)
+
+
+def report_fields(rep):
+    return (rep.cond1_ok, rep.cond2_ok, rep.cond3_ok, rep.q_spike_ok,
+            as_seen(rep.local_doubling), as_seen(rep.measured_c),
+            [(k, as_seen(v)) for k, v in rep.measured.items()],
+            list(rep.witnesses.items()))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(scale=st.sampled_from(SCALES), pool=st.sampled_from(VALUE_POOLS),
+       c=st.sampled_from([None, Fraction(1), Fraction(7, 2), 100, 2.5]),
+       float_nu=st.booleans(), data=st.data())
+def test_verify_spike_matches_the_per_cell_checks(scale, pool, c, float_nu, data):
+    params = make_params(*scale)
+    group = data.draw(groups())
+    # all the other values positive half the time: else condition 2 mostly
+    # stops at a 0
+    positive = [v for v in pool if v > 0]
+    f = data.draw(functions(group, st.sampled_from(
+        data.draw(st.sampled_from([pool, positive])))))
+    cell = data.draw(st.sampled_from(sorted(f.values)))
+    values = dict(f.values)
+    values[cell] = data.draw(st.sampled_from(pool))
+    f = LocallyConstantFunction(group, values)
+    nu = uniform_ps_measure(group, VisualParams.floats(2.0, 1.0) if float_nu
+                            else VisualParams.exact_base(3, 2, 1))
+    center = cell
+    for _ in range(data.draw(st.integers(0, 2))):
+        center = center + (data.draw(st.sampled_from(group.valid_extensions(center))),)
+    top = 2 * group.word_weight(center)
+    r_exp = Fraction(data.draw(st.integers(0, int(top))), 2)
+    q = params.q_exponent
+    spike = Spike(function=f, r_exp=r_exp, center=Cylinder(center), q=q,
+                  theta=q, c=c, gamma=(0,), params=params)
+
+    def run(check):
+        try:
+            return report_fields(check(spike, nu))
+        except (AmbiguousCylinderError, ZeroDivisionError) as exc:
+            return type(exc)
+
+    assert run(verify_spike) == run(old_verify_spike)
