@@ -282,8 +282,8 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     wit1 = min(w for w in inside if num[w] == num[low])
     measured["cond1"] = sup / values[low] if num[low] > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
-    # compare the ratio as measured: in floats min_ball * (sup / min_ball)
-    # can round below sup
+    # compare the ratio as measured: in floats h_min * (sup / h_min) can
+    # round below sup
     cond1_ok = num[low] > 0 and (c_stored is None or measured["cond1"] <= c_stored)
 
     # condition 2: off-ball decay against the singular kernel.  The metric is
