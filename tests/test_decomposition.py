@@ -11,7 +11,7 @@ from freewalk import (Cylinder, LocallyConstantFunction, GreedyParams,
                       basis_decompose, moment_decompose, sequence_decay_bound,
                       sequence_decay_iterate, convolve, pushforward,
                       radon_nikodym, audit_case_envelope, InputError, density,
-                      integrate)
+                      integrate, WeightedFreeGroup)
 from freewalk import decomposition
 from freewalk.decomposition import greedy_lambdas, _round_spikes
 
@@ -324,3 +324,18 @@ def test_convexity_of_solutions(f2, nu2, constants2):
     conv = convolve(mixed, nu2)
     for w in f2.sphere(4):
         assert conv.mass_of(w) == nu2.mass_of(w)
+
+
+def test_oscillation_threshold_when_no_scale_is_flat(f2):
+    # a cell value <= 0 makes its own class rough at every scale, so no
+    # threshold works and the largest node weight comes back
+    F = LocallyConstantFunction(f2, {(0,): Fraction(0), (1,): 1, (2,): 1, (3,): 1})
+    got = decomposition.oscillation_threshold(F, Fraction(2))
+    assert got == 1 and type(got) is int
+    g = WeightedFreeGroup(2, ["1", "3/2"])
+    values = dict.fromkeys(g.sphere(2), Fraction(1))
+    values[(0, 2)] = Fraction(-1)
+    G = LocallyConstantFunction(g, values)
+    for f in (G, G.map(float), G.over_shared_den()):
+        got = decomposition.oscillation_threshold(f, Fraction(2))
+        assert got == 3 and type(got) is Fraction     # W(bb) = 3/2 + 3/2

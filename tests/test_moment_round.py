@@ -684,3 +684,17 @@ def test_basis_round_matches_value_round(case):
     if F.values == CONTRAST and params.max_shell == 2:
         assert [r.shell for r in records] == [2, 2, 2]
         assert all(0 < r.factor < 1 for r in records)
+
+
+def test_finish_drops_tiny_float_atoms_into_leak(f2, nu2, constants2):
+    # float atoms below 1e-15 of the total mass leave mu and count as leak;
+    # exact atoms are all kept
+    mu = {(0,): 1.0, (2,): 1e-20, (3,): 2e-15}
+    res = _finish(f2, nu2, mu, [0.5, 0.25], [], GreedyParams(), constants2, None)
+    assert res.coefficients.atoms == {(0,): 1.0, (3,): 2e-15}
+    assert res.leak == 1e-20
+    assert res.achieved_tolerance == 0.25 + 1e-20
+    exact = {(0,): Fraction(1), (2,): Fraction(1, 10 ** 30)}
+    res = _finish(f2, nu2, exact, [Fraction(1, 2)], [], GreedyParams(), constants2,
+                  None)
+    assert res.coefficients.atoms == exact and res.leak == 0.0

@@ -1,6 +1,7 @@
 """Property tests over random rank 2-3 groups: the canonical form of a
-locally constant function, minimal cylinder unions and the weighted shell
-counts, each against a definition or a brute-force enumeration."""
+locally constant function, minimal cylinder unions, the weighted shell
+counts and the oscillation threshold, each against a definition, a
+brute-force enumeration or the scan it replaced."""
 
 import math
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from freewalk import (Cylinder, LocallyConstantFunction, WeightedFreeGroup,
                       merge_cylinders, poincare_series, validate_partition,
                       weighted_shell_counts)
+from freewalk.decomposition import oscillation_threshold
 from freewalk.words import is_prefix
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None,
@@ -110,3 +112,61 @@ def test_poincare_series_matches_enumeration(group, truncation, s):
     assert shells == sorted(lengths.items())
     assert partial == pytest.approx(
         sum(n * math.exp(-s * float(d)) for d, n in lengths.items()))
+
+
+def scan_oscillation_threshold(f, s):
+    """oscillation_threshold as it was: every candidate weight in turn,
+    rescanning the class heads at that scale."""
+    node_stats = f.trie_stats()
+    weight = {node: f.group.word_weight(node) for node in node_stats}
+    weights = sorted(set(weight.values()))
+    for t_exp in weights:
+        ok = True
+        for node, (lo, hi) in node_stats.items():
+            if weight[node] < t_exp or (node and weight[node[:-1]] >= t_exp):
+                continue
+            if lo <= 0 or hi > s * lo:
+                ok = False
+                break
+        if ok:
+            return t_exp
+    return max(weights)
+
+
+ROUGH_VALUES = {
+    "int": st.integers(0, 6),
+    "fraction": st.fractions(-1, 6, max_denominator=6),
+    "float": st.floats(-0.5, 6, allow_nan=False),
+    "den": st.integers(-2, 40),
+}
+
+
+@st.composite
+def threshold_cases(draw):
+    """A random partition up to depth 3 (weights 1, 1/2 and 3/2, so int and
+    Fraction node weights meet) with values of one kind, some <= 0; "den"
+    holds int numerators over a drawn denominator."""
+    group = draw(groups(weights=("1", "1/2", "3/2")))
+    kind = draw(st.sampled_from(sorted(ROUGH_VALUES)))
+    cells = [()]
+    for _ in range(draw(st.integers(0, 6))):
+        splittable = [w for w in cells if len(w) < 3]
+        w = draw(st.sampled_from(splittable))
+        cells.remove(w)
+        cells.extend(w + (x,) for x in group.valid_extensions(w))
+    values = {w: draw(ROUGH_VALUES[kind]) for w in cells}
+    if kind == "den":
+        f = LocallyConstantFunction.over(group, values, draw(st.integers(1, 12)))
+    else:
+        f = LocallyConstantFunction(group, values)
+    s = draw(st.sampled_from([Fraction(2), Fraction(3, 2), Fraction(4, 3),
+                              Fraction(101, 100)]))
+    return f, s
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(threshold_cases())
+def test_oscillation_threshold_matches_scan(case):
+    f, s = case
+    got, want = oscillation_threshold(f, s), scan_oscillation_threshold(f, s)
+    assert got == want and type(got) is type(want)

@@ -12,7 +12,7 @@ from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       verify_spike, verify_q_spike, decay_check,
                       shadow_lemma_audit, lipschitz_scale, local_doubling_sup,
                       DegenerateSpikeError, integrate, conformal_exponent,
-                      ConformalityError)
+                      ConformalityError, AmbiguousCylinderError)
 from freewalk import spikes
 from freewalk.spikes import _cell_product
 
@@ -114,6 +114,31 @@ def test_decay_check(f2, nu2, params2):
         brute = brute_decay_integral(f2, nu2, (0, 2, 0), r, 2)
         row = [x for x in rep.rows if x["radius"] == str(r)][0]
         assert row["integral"] == brute
+
+
+def test_decay_check_p_zero(f2, nu2, params2):
+    # p = 0 divides the integral by 1 + |log r| in place of multiplying by r^p
+    center = Cylinder((0, 2, 0))
+    radii = [1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]
+    rep = decay_check(nu2, 0, 1, (), [center], radii, params=params2)
+    for row, r in zip(rep.rows, radii):
+        integral = brute_decay_integral(f2, nu2, (0, 2, 0), r, 1)
+        assert row["integral"] == integral
+        assert row["required"] == integral / (1 + abs(math.log(float(r))))
+    assert [row["integral"] for row in rep.rows] == \
+        [0, Fraction(3, 4), Fraction(5, 4), Fraction(7, 4)]
+    assert rep.d_nu == rep.rows[-1]["required"]
+    assert isinstance(rep.d_nu, float)
+
+
+def test_decay_check_radius_below_center_cell(f2, nu2, params2):
+    # the center cell aba has diameter 1/27: a smaller radius cannot be
+    # resolved on it
+    center = Cylinder((0, 2, 0))
+    with pytest.raises(AmbiguousCylinderError):
+        decay_check(nu2, 1, 1, (), [center], [Fraction(1, 81)], params=params2)
+    with pytest.raises(AmbiguousCylinderError):
+        decay_check(nu2, 1, 1, (), [center], [Fraction(1, 3), 0.03], params=params2)
 
 
 def test_regularity_implies_decay_bound(f2, nu2, params2):
