@@ -35,8 +35,8 @@ print("\nShadow Lemma: beta =", audit.beta, " D0 =", audit.d0,
 
 # 3. (Q, theta)-decay of nu: the singular integral per center and radius
 center = Cylinder(G.parse_word("aba"))
-decay = decay_check(nu, 1, 1, (), [center],
-                    [1, Fraction(1, 3), Fraction(1, 9)], params=P)
+decay = decay_check(nu, 1, 1, [center], [1, Fraction(1, 3), Fraction(1, 9)],
+                    params=P)
 print("\ndecay constant D_nu =", decay.d_nu)
 for row in decay.rows:
     print(f"   r = {row['radius']:>4}: integral {row['integral']}  "

@@ -10,13 +10,13 @@ and the shadow/decay inequalities on cylinder partitions.
 from .words import WeightedFreeGroup, InputError, reduce_word, invert, multiply
 from .geometry import (Cylinder, VisualParams, LogScale, default_params,
                        gromov_product, busemann, locally_constant_cells,
-                       locally_constant_depth, visual_quasimetric, shadow,
-                       sup_product, plus_direction, translate_cylinder,
-                       merge_cylinders, IdenticalBoundaryPointsError,
-                       OverlappingCylindersError, AmbiguousCylinderError)
-from .partitions import (CylinderPartition, LocallyConstantFunction,
-                         PartitionError, ValueNotConstantError,
-                         refine_leaves, trie_closure, validate_partition)
+                       visual_quasimetric, shadow, sup_product, plus_direction,
+                       translate_cylinder, merge_cylinders,
+                       IdenticalBoundaryPointsError, OverlappingCylindersError,
+                       AmbiguousCylinderError)
+from .partitions import (LocallyConstantFunction, PartitionError,
+                         ValueNotConstantError, refine_leaves, trie_closure,
+                         validate_partition)
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        critical_exponent, conformal_exponent, poincare_series,
                        weighted_shell_counts, radon_nikodym, pushforward,

@@ -76,14 +76,26 @@ def _int_option(section: dict, key: str, default: Optional[int] = None) -> int:
     return number.numerator
 
 
-def load_config(path: str) -> dict:
+def _read_file(path, what: str, parse=lambda doc: doc):
+    """`parse` of the JSON document in the user file at `path`.  A missing
+    file, invalid JSON or a document `parse` cannot read (a missing key, a
+    value of the wrong type) is a ConfigError that names the file."""
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(doc)
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"{what} file {path} is malformed: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
+def load_config(path: str) -> dict:
+    return _read_file(path, "config")
 
 
 class Run:
@@ -149,13 +161,11 @@ class Run:
         if isinstance(spec, str) and spec.startswith("sphere:"):
             return sphere_uniform(self.group, int(spec.split(":", 1)[1]))
         if isinstance(spec, str):
-            p = Path(spec)
-            if not p.exists():
-                raise ConfigError(f"measure file not found: {spec}")
-            doc = json.loads(p.read_text())
-            if "coefficients" in doc:
-                doc = {"group": self.group.to_config(), "atoms": doc["coefficients"]}
-            return GroupMeasure.from_json(doc)
+            def parse(doc):  # a measure file, or a decomposition report
+                if "coefficients" in doc:
+                    doc = {"group": self.group.to_config(), "atoms": doc["coefficients"]}
+                return GroupMeasure.from_json(doc)
+            return _read_file(spec, "measure", parse)
         if isinstance(spec, dict) and "atoms" in spec:
             doc = {"group": self.group.to_config(), "atoms": spec["atoms"]}
             mu = GroupMeasure.from_json(doc)
@@ -174,11 +184,8 @@ class Run:
             gamma = self.group.parse_word(spec.split(":", 1)[1])
             return pushforward(gamma, self.nu)
         if isinstance(spec, str):
-            p = Path(spec)
-            if not p.exists():
-                raise ConfigError(f"measure file not found: {spec}")
-            return BoundaryMeasure.from_json(json.loads(p.read_text()),
-                                             params=self.params)
+            return _read_file(spec, "measure", lambda doc: BoundaryMeasure.from_json(
+                doc, params=self.params))
         raise ConfigError(f"unknown boundary measure spec {spec!r}")
 
 
@@ -303,10 +310,8 @@ def cmd_audit(run: Run, args) -> int:
 
     injected_fail = None
     if section.get("inject"):
-        p = Path(section["inject"])
-        if not p.exists():
-            raise ConfigError(f"injected spike file not found: {p}")
-        sp = _spike_from_json(run, json.loads(p.read_text()))
+        sp = _read_file(section["inject"], "injected spike",
+                        lambda doc: _spike_from_json(run, doc))
         rep = verify_spike(sp, nu)
         if not rep.all_ok:
             injected_fail = {"witnesses": rep.witnesses,
@@ -339,16 +344,20 @@ def cmd_audit(run: Run, args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="freewalk",
         description="Stationary measures for random walks on free-group boundaries")
-    parser.add_argument("command", choices=["decompose", "verify", "audit", "moments"])
-    parser.add_argument("--config", required=True, help="run config JSON")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--depth", type=int, default=None)
-    parser.add_argument("--threshold", type=float, default=None)
-    parser.add_argument("--witnesses", action="store_true",
-                        help="dump per-spike worst-case witnesses in audit output")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in ("decompose", "verify", "audit", "moments"):
+        sub = commands.add_parser(name)
+        sub.add_argument("--config", required=True, help="run config JSON")
+        sub.add_argument("--out", default=None, help="output directory")
+    verify, audit = commands.choices["verify"], commands.choices["audit"]
+    verify.add_argument("--depth", type=int, default=None)
+    verify.add_argument("--threshold", type=float, default=None)
+    audit.add_argument("--witnesses", action="store_true",
+                       help="dump per-spike worst-case witnesses in audit output")
     return parser
 
 

@@ -99,7 +99,6 @@ class GreedyParams:
     max_rounds: int = 200
     max_shell: int = 24
     audit_len: int = 3
-    truncate: Optional[float] = 1e-15
 
     def __post_init__(self):
         self.s = Fraction(self.s)
@@ -202,24 +201,17 @@ class GreedyOutcome:
 
 def oscillation_threshold(f: LocallyConstantFunction, s):
     """Smallest weighted scale exponent T such that sup f / inf f <= s within
-    every cell class at scale e^{-eps T} (0 when f is globally s-flat)."""
+    every cell class at scale e^{-eps T} (0 when f is globally s-flat).
+
+    A node is rough when its range breaks the bound; a parent's range holds
+    its child's, so T works exactly when it exceeds every rough node's weight.
+    The largest node weight stands in when no node weight does."""
     node_stats = f.trie_stats()
     weight = {node: f.group.word_weight(node) for node in node_stats}
-    # candidate thresholds: distinct node weights, ascending
     weights = sorted(set(weight.values()))
-    for t_exp in weights:
-        ok = True
-        for node, (lo, hi) in node_stats.items():
-            # a class head is the first node of its path with weight >= t_exp;
-            # weights increase along the path, so its parent decides
-            if weight[node] < t_exp or (node and weight[node[:-1]] >= t_exp):
-                continue
-            if lo <= 0 or hi > s * lo:
-                ok = False
-                break
-        if ok:
-            return t_exp
-    return max(weights)
+    top = max((weight[node] for node, (lo, hi) in node_stats.items()
+               if lo <= 0 or hi > s * lo), default=-1)
+    return next((t for t in weights if t > top), weights[-1])
 
 
 def t_factor(sup_val, inf_val, q) -> float:
@@ -607,7 +599,8 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
         inf_r, sup_r = R.inf(), R.sup()
-        sup_slope = max(lipschitz_scale(R, _exp_of(vparams, g_prev), vparams).values())
+        sup_slope = max(lipschitz_scale(R, vparams.epsilon.log_recip(g_prev),
+                                        vparams).values())
         if sup_slope > 0:
             delta_n = min(float((params.s - 1)) * float(inf_r) / float(sup_slope),
                           g_prev)
@@ -640,11 +633,6 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     envelope = _case3_envelope(records, trace[0], params, constants, cap, vparams,
                                eps_sched)
     return _finish(group, nu, mu, trace, records, params, constants, envelope)
-
-
-def _exp_of(vparams: VisualParams, r: float) -> float:
-    """Scale exponent t with e^{-eps t} = r."""
-    return vparams.epsilon.log_recip(r)
 
 
 def _band_shell(vparams: VisualParams, eps_n: float, margin: int,
@@ -710,13 +698,17 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
             "b0": b0, "rows": rows, "checks": checks, "tail_bounds": tails}
 
 
+# float atoms below this share of the total mass are dropped into the leak
+TRUNCATE = 1e-15
+
+
 def _finish(group, nu, mu, trace, records, params, constants, envelope):
     leak = 0.0
     exact_mode = all(isinstance(v, Fraction) for v in mu.values())
     atoms = dict(mu)
-    if params.truncate is not None and not exact_mode and atoms:
+    if not exact_mode and atoms:
         total = sum(float(v) for v in atoms.values())
-        floor = params.truncate * total
+        floor = TRUNCATE * total
         dropped = {w: v for w, v in atoms.items() if float(v) < floor}
         leak = sum(float(v) for v in dropped.values())
         for w in dropped:

@@ -106,10 +106,6 @@ class LogScale:
                 return up * m.numerator >= down * m.denominator
         return math.exp(-self.value * (float(p) - float(t))) <= float(mult) * (1 + 1e-15)
 
-    def leq_value(self, p, r) -> bool:
-        """Exact test of e^{-x p} <= r for rational r."""
-        return self.leq_scaled(p, 0, mult=r)
-
     def log_recip(self, r) -> float:
         """log(1/r) expressed in units of this scale: t with e^{-x t} = r."""
         return -math.log(float(r)) / self.value
@@ -130,10 +126,6 @@ class VisualParams:
     @classmethod
     def floats(cls, alpha: float, epsilon: float) -> "VisualParams":
         return cls(alpha=LogScale.of_float(alpha), epsilon=LogScale.of_float(epsilon))
-
-    @property
-    def exact(self) -> bool:
-        return self.alpha.exact and self.epsilon.exact
 
     @property
     def q_exponent(self):
@@ -305,12 +297,6 @@ def locally_constant_cells(group: WeightedFreeGroup, q: Word,
     return [(Cylinder(w), merged[w]) for w in sorted(merged, key=lambda w: (len(w), w))]
 
 
-def locally_constant_depth(group: WeightedFreeGroup, q: Word,
-                           p: Word = EPSILON) -> List[Cylinder]:
-    """Coarsest cylinder partition on which rho_{q,.}(p) is constant."""
-    return [c for c, _ in locally_constant_cells(group, q, p)]
-
-
 # ---------------------------------------------------------------------------
 # visual quasimetric and shadows
 # ---------------------------------------------------------------------------
@@ -338,13 +324,12 @@ def plus_direction(group: WeightedFreeGroup, gamma: Word, base: Word = EPSILON) 
     return cyls[0] if len(cyls) == 1 else Cylinder(_join_word(cyls))
 
 
-def shadow(group: WeightedFreeGroup, gamma: Word, D=0, base: Word = EPSILON,
-           params: Optional[VisualParams] = None) -> List[Cylinder]:
+def shadow(group: WeightedFreeGroup, gamma: Word, D=0,
+           base: Word = EPSILON) -> List[Cylinder]:
     """O_p(gamma, D) = { y : d_p(z^+, y) <= e^{-(U_{p,gamma} - D)} } as cylinders.
 
     The visual radius threshold only enters through the product bound
-    U - D, so no params are required; they are accepted for API symmetry.
-    """
+    U - D, so no params are required."""
     if not gamma:
         raise InputError("shadow undefined for gamma = e")
     D = as_exact(D)

@@ -22,9 +22,8 @@ from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
                     multiply, is_prefix)
 from .geometry import (Cylinder, VisualParams, LogScale, locally_constant_cells,
                        translate_cylinder)
-from .partitions import (LocallyConstantFunction, CylinderPartition,
-                         trie_closure, validate_partition, _num_to_str,
-                         _num_from_str)
+from .partitions import (LocallyConstantFunction, trie_closure,
+                         validate_partition, _num_to_str, _num_from_str)
 
 
 _RATIONAL = (int, Fraction)
@@ -79,34 +78,16 @@ def weighted_shell_counts(group: WeightedFreeGroup, horizon: int) -> List[int]:
     return counts
 
 
-def critical_exponent(group: WeightedFreeGroup, horizon: int = 12,
-                      method: str = "auto") -> float:
+def critical_exponent(group: WeightedFreeGroup) -> float:
     """Exponential growth rate limsup (1/k) log S_k.
 
-    Equal weights admit the closed form log(2k-1)/w.  On unequal weights
-    "auto" returns `conformal_exponent`, the root s of
-    sum_x e^{-s w_x}/(1 + e^{-s w_x}) = 1 below which the series of reduced
-    words diverges.  "estimate" takes the largest successive-shell log ratio
-    near the horizon (same limsup, exact for unit weights, but far off on
-    lumpy weights: 0.857 at horizon 12 on weights [2, 3], root 0.444).
+    Equal weights w admit the closed form log(2k-1)/w; unequal weights give
+    `conformal_exponent`, the root s of sum_x e^{-s w_x}/(1 + e^{-s w_x}) = 1
+    below which the series of reduced words diverges.
     """
-    if horizon < 2:
-        raise InputError(f"horizon must be >= 2, got {horizon}")
-    if method not in ("auto", "exact", "estimate"):
-        raise InputError(f"unknown method {method!r}")
-    if method in ("auto", "exact") and group.unit_weights():
+    if group.unit_weights():
         return math.log(2 * group.rank - 1) / float(group.weights[0])
-    if method == "exact":
-        raise InputError("closed form requires equal weights")
-    if method == "auto":
-        return conformal_exponent(group)
-    counts = weighted_shell_counts(group, horizon)
-    ratios = [math.log(counts[k] / counts[k - 1])
-              for k in range(max(2, horizon - 2), horizon + 1)
-              if counts[k] > 0 and counts[k - 1] > 0]
-    if not ratios:
-        raise InputError("shell counts vanish below the horizon; raise it")
-    return max(ratios)
+    return conformal_exponent(group)
 
 
 def conformal_exponent(group: WeightedFreeGroup, tol: float = 1e-14) -> float:
@@ -142,7 +123,7 @@ def poincare_series(group: WeightedFreeGroup, s: float, truncation: int):
     partial = sum(cnt * math.exp(-s * float(length))
                   for length, cnt in by_length.items())
     shells = sorted(by_length.items())
-    delta = critical_exponent(group, horizon=max(6, truncation))
+    delta = critical_exponent(group)
     diverges = s <= delta + 1e-12
     return partial, diverges, shells
 
@@ -203,9 +184,6 @@ class BoundaryMeasure:
 
     def depth(self) -> int:
         return max((len(w) for w in self.leaves), default=0)
-
-    def partition(self) -> CylinderPartition:
-        return CylinderPartition.of(self.group, self.leaves.keys())
 
     def materialize(self, leaves: Iterable[Word]) -> "BoundaryMeasure":
         vals = {tuple(w): self.mass_of(w) for w in leaves}
@@ -387,8 +365,8 @@ def radon_nikodym(gamma: Word, nu: BoundaryMeasure,
     require_conformal(nu, params, "radon_nikodym")
     group = nu.group
     cells = locally_constant_cells(group, invert(gamma), EPSILON)
-    return LocallyConstantFunction.from_cells(
-        group, [(c, params.alpha.exp_neg(rho)) for c, rho in cells])
+    return LocallyConstantFunction(
+        group, {c.word: params.alpha.exp_neg(rho) for c, rho in cells})
 
 
 class SpikeAccumulator:
@@ -670,7 +648,7 @@ def ps_series_audit(group: WeightedFreeGroup, params: VisualParams,
     """
     if truncation <= depth:
         raise InputError("truncation must exceed the comparison depth")
-    s = critical_exponent(group, horizon=max(6, truncation)) + offset
+    s = critical_exponent(group) + offset
     weights = {}
     interior = 0.0
     total = 1.0  # gamma = e

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -52,30 +51,6 @@ def validate_partition(group: WeightedFreeGroup, leaves: Iterable[Word]) -> None
                 raise PartitionError(f"cell label {w} is not a reduced word")
     if _coverage(group, seen) != 1:
         raise PartitionError("partition does not cover the boundary exactly")
-
-
-@dataclass(frozen=True)
-class CylinderPartition:
-    """A complete prefix-free set of cylinder cells."""
-
-    group: WeightedFreeGroup
-    cells: Tuple[Word, ...]
-
-    @classmethod
-    def of(cls, group: WeightedFreeGroup, leaves: Iterable[Word]) -> "CylinderPartition":
-        leaves = tuple(sorted(set(leaves), key=lambda w: (len(w), w)))
-        validate_partition(group, leaves)
-        return cls(group, leaves)
-
-    @classmethod
-    def uniform(cls, group: WeightedFreeGroup, depth: int) -> "CylinderPartition":
-        return cls.of(group, group.sphere(depth))
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self):
-        return len(self.cells)
 
 
 def trie_closure(group: WeightedFreeGroup, words: Iterable[Word]) -> List[Word]:
@@ -131,11 +106,6 @@ class LocallyConstantFunction:
         return cls(group, {EPSILON: value}, validate=False)
 
     @classmethod
-    def from_cells(cls, group: WeightedFreeGroup,
-                   cells: Iterable[Tuple[Cylinder, object]]) -> "LocallyConstantFunction":
-        return cls(group, {c.word: v for c, v in cells})
-
-    @classmethod
     def over(cls, group: WeightedFreeGroup, numerators: Dict[Word, object],
              den: Optional[int]) -> "LocallyConstantFunction":
         """The function with int `numerators` over `den` (plain values when
@@ -171,16 +141,12 @@ class LocallyConstantFunction:
         return v if self.den is None else Fraction(v, self.den)
 
     def at(self, word: Word):
-        v = self.values[self.cell_of(word)]
-        return v if self.den is None else Fraction(v, self.den)
+        return self._value(self.values[self.cell_of(word)])
 
     # -- partition plumbing ----------------------------------------------------
 
     def leaves(self) -> List[Word]:
         return sorted(self.values, key=lambda w: (len(w), w))
-
-    def partition(self) -> CylinderPartition:
-        return CylinderPartition.of(self.group, self.values.keys())
 
     def depth(self) -> int:
         return max((len(w) for w in self.values), default=0)

@@ -401,40 +401,33 @@ class DecayReport:
     rows: List[dict]
 
 
-def decay_check(nu: BoundaryMeasure, p, alpha, base: Word,
-                centers: Sequence[Cylinder], radii: Sequence,
-                params: Optional[VisualParams] = None) -> DecayReport:
-    """(p, alpha)-decay audit: evaluate the singular integral exactly per
-    center/radius and report the smallest admissible constant D_nu."""
+def decay_check(nu: BoundaryMeasure, p, alpha, centers: Sequence[Cylinder],
+                radii: Sequence, params: Optional[VisualParams] = None) -> DecayReport:
+    """(p, alpha)-decay audit at the base point e: evaluate the singular
+    integral exactly per center/radius and report the smallest admissible
+    constant D_nu.  The closed ball of radius r is the cylinder
+    C(`_ball_prefix`), and the integral runs over the leaves outside it."""
     params = params or nu.params
     if params is None:
         raise InputError("decay_check needs VisualParams (none on the measure)")
     group = nu.group
     eps = params.epsilon
-    if base != EPSILON:
-        raise InputError("decay_check is implemented at the base point e")
     rows: List[dict] = []
     d_nu = 0
     exponent = p + alpha
     for center in centers:
         cw = center.word
-        leaves = refine_leaves(group, nu.partition().cells,
-                               trie_closure(group, [cw]))
+        leaves = refine_leaves(group, nu.leaves, trie_closure(group, [cw]))
         for r in radii:
             r = Fraction(r) if not isinstance(r, float) else r
             if r <= 0 or r > 1:
                 raise InputError(f"radii must lie in (0,1], got {r}")
-            if not eps.leq_value(group.word_weight(cw), r):
-                raise AmbiguousCylinderError(
-                    f"radius {r} below the center cell {center}; deepen it")
+            ball = _ball_prefix(group, cw, params, 0, r)
             integral = 0
             for w in leaves:
-                if is_prefix(w, cw) or is_prefix(cw, w):
-                    continue
-                prod = _cell_product(group, w, cw)
-                if eps.leq_value(prod, r):
-                    continue  # inside the closed ball
-                integral = integral + nu.mass_of(w) * eps.exp_neg(-exponent * prod)
+                if not is_prefix(ball, w):
+                    integral = integral + nu.mass_of(w) * eps.exp_neg(
+                        -exponent * _cell_product(group, w, cw))
             if p == 0:
                 scale = 1 + abs(math.log(float(r)))
                 required = integral / scale
@@ -454,7 +447,7 @@ def _spine_decay(nu: BoundaryMeasure, params: VisualParams,
     q = params.q_exponent
     center = Cylinder(spine_word(nu.group, EPSILON, max_len + 2))
     radii = [params.epsilon.exp_neg(j) for j in range(1, max_len + 2)]
-    return decay_check(nu, q, q, EPSILON, [center], radii, params=params)
+    return decay_check(nu, q, q, [center], radii, params=params)
 
 
 def _pow(r, p):

@@ -156,9 +156,6 @@ class WeightedFreeGroup:
     def distance(self, g: Sequence[int], h: Sequence[int]) -> Union[int, Fraction]:
         return self.word_weight(multiply(invert(g), h))
 
-    def norm(self, g: Sequence[int]) -> Union[int, Fraction]:
-        return self.word_weight(g)
-
     # -- enumeration ---------------------------------------------------------
 
     def sphere(self, radius: int) -> List[Word]:

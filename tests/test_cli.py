@@ -524,3 +524,34 @@ def test_inline_decimals_need_float_mode(tmp_path, capsys, arithmetic):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "atoms")]) == want
     if arithmetic == "exact":
         assert capsys.readouterr().err.count("decimal") == 2
+
+
+@pytest.mark.parametrize("command, section, key, doc", [
+    ("audit", "audit", "inject", {"function": {}, "r_exp": "1", "center": "a"}),
+    ("verify", "verify", "mu", {"group": {"rank": 2}}),
+    ("verify", "verify", "nu", {"group": {"rank": 2, "weights": ["1", "1"]}}),
+])
+def test_malformed_user_file_exits_2(tmp_path, capsys, command, section, key, doc):
+    # a user file missing a key is a usage error that names the file, not an
+    # internal KeyError
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps(doc))
+    spec = {"audit": {"max_len": 1, "Ds": [0], "inject": str(path)},
+            "verify": {"mu": "sphere:1", key: str(path)}}[section]
+    cfg = write_config(tmp_path, **{section: spec})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "KeyError" in err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("decompose", ["--witnesses", "--depth", "3", "--threshold", "5"]),
+    ("decompose", ["--depth", "3"]),
+    ("moments", ["--threshold", "5"]),
+    ("audit", ["--depth", "3"]),
+    ("verify", ["--witnesses"]),
+])
+def test_flag_of_another_command_exits_2(tmp_path, command, flags):
+    # --depth/--threshold belong to verify and --witnesses to audit
+    cfg = write_config(tmp_path)
+    assert main([command, "--config", cfg, *flags]) == 2

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from freewalk import (Cylinder, WeightedFreeGroup, gromov_product, busemann,
-                      locally_constant_cells, locally_constant_depth,
+                      locally_constant_cells,
                       visual_quasimetric, shadow, sup_product, plus_direction,
                       translate_cylinder, merge_cylinders,
                       IdenticalBoundaryPointsError, OverlappingCylindersError,
@@ -89,10 +89,10 @@ def test_busemann_against_ray_oracle(f2):
 
 
 def test_locally_constant_partition_structure(f2):
-    cells = locally_constant_depth(f2, (0,))
-    assert sorted(c.word for c in cells) == [(0,), (1,), (2,), (3,)]
-    assert locally_constant_depth(f2, ()) == [Cylinder(())]
-    cells_ab = {c.word for c in locally_constant_depth(f2, (0, 2))}
+    cells = locally_constant_cells(f2, (0,))
+    assert sorted(c.word for c, _ in cells) == [(0,), (1,), (2,), (3,)]
+    assert [c for c, _ in locally_constant_cells(f2, ())] == [Cylinder(())]
+    cells_ab = {c.word for c, _ in locally_constant_cells(f2, (0, 2))}
     assert cells_ab == {(1,), (2,), (3,), (0, 0), (0, 2), (0, 3)}
 
 

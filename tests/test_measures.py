@@ -65,8 +65,6 @@ def test_critical_exponent(f2, f3):
     counts = brute_sphere_counts(f2, 8)
     assert weighted_shell_counts(f2, 8) == counts
     assert counts[8] == 4 * 3 ** 7
-    est = critical_exponent(f2, horizon=12, method="estimate")
-    assert abs(est - math.log(3)) <= 1e-6
     w = WeightedFreeGroup(2, weights=[2, 2])
     assert critical_exponent(w) == math.log(3) / 2
 
@@ -74,23 +72,20 @@ def test_critical_exponent(f2, f3):
 @pytest.mark.parametrize("weights", [["1", "2"], ["2", "3"], ["1", "3/2"]])
 def test_critical_exponent_on_unequal_weights(weights):
     # the default is the root of sum_x q_x/(1 + q_x) = 1, q_x = e^{-s w_x},
-    # below which the series of reduced words diverges; the shell-ratio
-    # estimate stays available by name
+    # below which the series of reduced words diverges
     group = WeightedFreeGroup(2, weights)
     root = critical_exponent(group)
     assert root == conformal_exponent(group)
     q = [math.exp(-root * float(group.letter_weight(x))) for x in group.letters()]
     assert sum(v / (1 + v) for v in q) == pytest.approx(1, abs=1e-12)
-    assert critical_exponent(group, method="estimate") != root
     assert poincare_series(group, root - 0.05, 12)[1]
     assert not poincare_series(group, root + 0.05, 12)[1]
 
 
 def test_poincare_series_weighted_convergence():
-    # weights [2, 3]: the root is 0.444, the horizon-12 shell ratio 0.857
+    # weights [2, 3]: the root is 0.444
     group = WeightedFreeGroup(2, ["2", "3"])
     assert critical_exponent(group) == pytest.approx(0.44439, abs=1e-5)
-    assert critical_exponent(group, method="estimate") == pytest.approx(0.85745, abs=1e-5)
     assert not poincare_series(group, 0.6, 12)[1]
     # and the partial sums do converge there: increments shrink geometrically
     p12, p18, p24 = (poincare_series(group, 0.6, n)[0] for n in (12, 18, 24))

@@ -14,7 +14,7 @@ from freewalk import (BoundaryMeasure, GreedyParams, LocallyConstantFunction,
                       measure_constants, uniform_ps_measure)
 from freewalk import decomposition
 from freewalk.decomposition import (InternalInvariantError, RoundRecord,
-                                    _band_shell, _case3_envelope, _exp_of,
+                                    _band_shell, _case3_envelope,
                                     _finish, _round_spikes, basis_decompose,
                                     moment_decompose, oscillation_threshold,
                                     t_factor)
@@ -84,7 +84,7 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
             break
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
-        slopes = lipschitz_scale(R, _exp_of(vparams, g_prev), vparams)
+        slopes = lipschitz_scale(R, vparams.epsilon.log_recip(g_prev), vparams)
         sup_slope = max(slopes.values())
         if sup_slope > 0:
             delta_n = min(float((params.s - 1)) * float(R.inf()) / float(sup_slope),

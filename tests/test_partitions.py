@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from freewalk import (CylinderPartition, LocallyConstantFunction, PartitionError,
+from freewalk import (LocallyConstantFunction, PartitionError,
                       ValueNotConstantError, refine_leaves, trie_closure,
                       validate_partition)
 from freewalk.partitions import spine_word
@@ -22,8 +22,8 @@ def test_partition_validation(f2):
 
 
 def test_uniform_partition(f2):
-    part = CylinderPartition.uniform(f2, 2)
-    assert len(part) == 12
+    validate_partition(f2, f2.sphere(2))
+    assert len(f2.sphere(2)) == 12
 
 
 def test_trie_closure(f2):

@@ -103,7 +103,7 @@ def brute_decay_integral(f2, nu2, center_word, radius, exponent, depth=6):
 def test_decay_check(f2, nu2, params2):
     center = Cylinder((0, 2, 0))
     radii = [1, Fraction(1, 3), Fraction(1, 9)]
-    rep = decay_check(nu2, 1, 1, (), [center], radii, params=params2)
+    rep = decay_check(nu2, 1, 1, [center], radii, params=params2)
     assert rep.d_nu == Fraction(1, 4)
     required = {row["radius"]: row["required"] for row in rep.rows}
     assert required["1"] == 0                    # closed unit ball is everything
@@ -120,7 +120,7 @@ def test_decay_check_p_zero(f2, nu2, params2):
     # p = 0 divides the integral by 1 + |log r| in place of multiplying by r^p
     center = Cylinder((0, 2, 0))
     radii = [1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]
-    rep = decay_check(nu2, 0, 1, (), [center], radii, params=params2)
+    rep = decay_check(nu2, 0, 1, [center], radii, params=params2)
     for row, r in zip(rep.rows, radii):
         integral = brute_decay_integral(f2, nu2, (0, 2, 0), r, 1)
         assert row["integral"] == integral
@@ -136,9 +136,9 @@ def test_decay_check_radius_below_center_cell(f2, nu2, params2):
     # resolved on it
     center = Cylinder((0, 2, 0))
     with pytest.raises(AmbiguousCylinderError):
-        decay_check(nu2, 1, 1, (), [center], [Fraction(1, 81)], params=params2)
+        decay_check(nu2, 1, 1, [center], [Fraction(1, 81)], params=params2)
     with pytest.raises(AmbiguousCylinderError):
-        decay_check(nu2, 1, 1, (), [center], [Fraction(1, 3), 0.03], params=params2)
+        decay_check(nu2, 1, 1, [center], [Fraction(1, 3), 0.03], params=params2)
 
 
 def test_regularity_implies_decay_bound(f2, nu2, params2):
@@ -146,7 +146,7 @@ def test_regularity_implies_decay_bound(f2, nu2, params2):
     # K sum_m nu-shell(m) e^{2 alpha m} over shells outside B(x, r), as an
     # overestimate of the reported constant
     center = Cylinder((0, 2, 0))
-    rep = decay_check(nu2, 1, 1, (), [center], [Fraction(1, 3)], params=params2)
+    rep = decay_check(nu2, 1, 1, [center], [Fraction(1, 3)], params=params2)
     k_upper = Fraction(3, 4)  # nu(B(x, 3^-m)) = (3/4) 3^-m = K r^Q exactly
     # shells at products m = 0..0 outside radius 1/3: replay with K
     bound = Fraction(0)
