@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -343,8 +344,10 @@ def cmd_audit(run: Run, args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with only the flags it reads."""
+    """One subparser per command, each with only the flags it reads.  Built
+    once: a parser is a web of cycles that only the cyclic collector frees."""
     parser = argparse.ArgumentParser(
         prog="freewalk",
         description="Stationary measures for random walks on free-group boundaries")
