@@ -9,9 +9,9 @@ from fractions import Fraction
 import pytest
 
 from freewalk import (Cylinder, WeightedFreeGroup, gromov_product, busemann,
-                      locally_constant_cells,
-                      visual_quasimetric, shadow, sup_product, plus_direction,
-                      translate_cylinder, merge_cylinders,
+                      locally_constant_cells, visual_quasimetric, shadow,
+                      sup_product, plus_direction, translate_cylinder,
+                      merge_cylinders,
                       IdenticalBoundaryPointsError, OverlappingCylindersError,
                       AmbiguousCylinderError)
 from freewalk.words import invert, multiply

@@ -71,7 +71,7 @@ def test_critical_exponent(f2, f3):
 
 @pytest.mark.parametrize("weights", [["1", "2"], ["2", "3"], ["1", "3/2"]])
 def test_critical_exponent_on_unequal_weights(weights):
-    # the default is the root of sum_x q_x/(1 + q_x) = 1, q_x = e^{-s w_x},
+    # the exponent is the root of sum_x q_x/(1 + q_x) = 1, q_x = e^{-s w_x},
     # below which the series of reduced words diverges
     group = WeightedFreeGroup(2, weights)
     root = critical_exponent(group)
