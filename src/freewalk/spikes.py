@@ -77,6 +77,11 @@ class SpikeReport:
 # ball and class machinery on a cylinder partition
 # ---------------------------------------------------------------------------
 
+def _ratio(a, b):
+    """a / b, as a Fraction when both are ints (`/` would make it a float)."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
 def _cell_product(group: WeightedFreeGroup, w: Word, center: Word):
     """Weighted Gromov product of two disjoint cells (common prefix weight)."""
     return group.word_weight(w[:common_prefix_length(w, center)])
@@ -280,7 +285,7 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     # condition 1: h >= sup/C on the ball
     low = min(inside, key=key)
     wit1 = min(w for w in inside if num[w] == num[low])
-    measured["cond1"] = sup / values[low] if num[low] > 0 else None
+    measured["cond1"] = _ratio(sup, values[low]) if num[low] > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
     # compare the ratio as measured: in floats h_min * (sup / h_min) can
     # round below sup
@@ -340,7 +345,7 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
         measured["cond3"], witnesses["cond3"] = 1, None
     else:
         members, hi, lo = top3
-        measured["cond3"] = values[hi] / values[lo]
+        measured["cond3"] = _ratio(values[hi], values[lo])
         witnesses["cond3"] = tuple(
             group.format_word(min(w for w in members if num[w] == num[end]))
             for end in (hi, lo))
@@ -375,7 +380,7 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
 
     # local doubling nu(B(a,5r))/nu(B(a,r))
     _, mass_5r = _ball(spike, cells, nu, mult=5)
-    doubling = mass_5r / mass_r if mass_r > 0 else None
+    doubling = _ratio(mass_5r, mass_r) if mass_r > 0 else None
 
     return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
                        q_spike_ok=q_spike_ok, local_doubling=doubling,
@@ -530,5 +535,5 @@ def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
             mass_5r = nu.mass_of(_ball_prefix(group, center, params, u_val - d,
                                               mult=5))
             if mass_r > 0:
-                worst = max(worst, mass_5r / mass_r)
+                worst = max(worst, _ratio(mass_5r, mass_r))
     return worst

@@ -165,6 +165,23 @@ def test_audit_injected_failure_matches_golden(tmp_path, spike, mode):
         (INJECT / f"{spike}.{mode}.audit.json").read_bytes()
 
 
+def test_audit_int_valued_spike_reports_exact_ratios(tmp_path):
+    # integer cell strings read as ints: the ratios of two of them are
+    # written as p/q, not as floats
+    spike = {"function": {"cells": [["a", "1"], ["A", "2"], ["b", "3"],
+                                    ["B", "2"]]},
+             "r_exp": "0", "center": "a", "C": "1"}
+    inject = tmp_path / "spike.json"
+    inject.write_text(json.dumps(spike))
+    cfg = write_config(tmp_path, audit={"max_len": 1, "Ds": [0],
+                                        "inject": str(inject)})
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 1
+    measured = json.loads((out / "audit.json").read_text())["injected_failure"]["measured"]
+    assert measured == {"cond1": "3/1", "cond2": None, "cond3": "3/1",
+                        "lipschitz": "2/1", "mass": "1/1"}
+
+
 @pytest.mark.parametrize("key", ["function", "r_exp", "center"])
 def test_audit_injected_spike_missing_key_exits_2(tmp_path, capsys, key):
     spike = json.loads((INJECT / "no_c.spike.json").read_text())

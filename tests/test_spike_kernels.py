@@ -111,6 +111,11 @@ def cond2_by_double_sum(spike, nu):
     return worst, wit
 
 
+def ratio(a, b):
+    """a / b; two ints make a Fraction, never a float."""
+    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+
+
 def old_verify_spike(spike, nu):
     """`verify_spike` as a loop over cells, one Fraction (or float) per
     comparison, on the per-cell kernels above."""
@@ -132,7 +137,7 @@ def old_verify_spike(spike, nu):
 
     min_ball = min(values[w] for w in inside)
     wit1 = min(w for w in inside if values[w] == min_ball)
-    measured["cond1"] = sup / min_ball if min_ball > 0 else None
+    measured["cond1"] = ratio(sup, min_ball) if min_ball > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
     cond1_ok = min_ball > 0 and (c_stored is None or measured["cond1"] <= c_stored)
 
@@ -172,9 +177,9 @@ def old_verify_spike(spike, nu):
         if lo <= 0:
             positive = False
             continue
-        ratio = hi / lo
-        if ratio > worst3:
-            worst3 = ratio
+        hi_lo = ratio(hi, lo)
+        if hi_lo > worst3:
+            worst3 = hi_lo
             wit3 = (group.format_word(min(w for w in members if values[w] == hi)),
                     group.format_word(min(w for w in members if values[w] == lo)))
     measured["cond3"] = worst3
@@ -207,7 +212,7 @@ def old_verify_spike(spike, nu):
 
     ball5 = old_ball_cells(group, cells, center, params, spike.r_exp, mult=5)
     mass_5r = sum(nu.mass_of(w) for w in ball5)
-    doubling = mass_5r / mass_r if mass_r > 0 else None
+    doubling = ratio(mass_5r, mass_r) if mass_r > 0 else None
 
     return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
                        q_spike_ok=q_spike_ok, local_doubling=doubling,
