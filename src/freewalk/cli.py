@@ -95,8 +95,26 @@ def _read_file(path, what: str, parse=lambda doc: doc):
                           f"{type(exc).__name__}: {exc}") from exc
 
 
+SECTIONS = ("group", "params", "decompose", "verify", "audit", "moments")
+
+
+def _config_shape(cfg):
+    """`cfg` if its top level and each section it has are JSON objects and
+    audit's `Ds` is a list; else a ConfigError that names the key."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
+    for key in SECTIONS:
+        if key in cfg and not isinstance(cfg[key], dict):
+            raise ConfigError(f"config section {key!r} must be an object, "
+                              f"got {type(cfg[key]).__name__}")
+    ds = cfg.get("audit", {}).get("Ds", [])
+    if not isinstance(ds, list):
+        raise ConfigError(f"audit 'Ds' must be a list, got {type(ds).__name__}")
+    return cfg
+
+
 def load_config(path: str) -> dict:
-    return _read_file(path, "config")
+    return _read_file(path, "config", _config_shape)
 
 
 class Run:

@@ -572,3 +572,21 @@ def test_flag_of_another_command_exits_2(tmp_path, command, flags):
     # --depth/--threshold belong to verify and --witnesses to audit
     cfg = write_config(tmp_path)
     assert main([command, "--config", cfg, *flags]) == 2
+
+
+@pytest.mark.parametrize("doc, key", [
+    (5, "config"),
+    ({"group": 5}, "'group'"),
+    ({"group": {"rank": 2}, "params": 5}, "'params'"),
+    ({"group": {"rank": 2}, "audit": 5}, "'audit'"),
+    ({"group": {"rank": 2}, "audit": {"Ds": 5}}, "'Ds'"),
+])
+def test_config_of_the_wrong_shape_exits_2(tmp_path, capsys, doc, key):
+    # the top level and each section are objects and Ds is a list; anything
+    # else is a usage error that names the key, not an internal TypeError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["audit", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
