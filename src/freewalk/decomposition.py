@@ -549,7 +549,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                                    residual_l1=l1_next))
         R = R_next
         trace.append(l1_next)
-    return _finish(group, nu, mu, trace, records, params, constants, None)
+    return _finish(group, mu, trace, records, None)
 
 
 def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
@@ -632,7 +632,7 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         trace.append(l1_next)
     envelope = _case3_envelope(records, trace[0], params, constants, cap, vparams,
                                eps_sched)
-    return _finish(group, nu, mu, trace, records, params, constants, envelope)
+    return _finish(group, mu, trace, records, envelope)
 
 
 def _band_shell(vparams: VisualParams, eps_n: float, margin: int,
@@ -702,7 +702,7 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
 TRUNCATE = 1e-15
 
 
-def _finish(group, nu, mu, trace, records, params, constants, envelope):
+def _finish(group, mu, trace, records, envelope):
     leak = 0.0
     exact_mode = all(isinstance(v, Fraction) for v in mu.values())
     atoms = dict(mu)

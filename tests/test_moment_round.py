@@ -130,7 +130,7 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
         trace.append(l1_next)
     envelope = _case3_envelope(records, trace[0], params, constants, cap, vparams,
                                eps_sched)
-    return _finish(group, nu, mu, trace, records, params, constants, envelope)
+    return _finish(group, mu, trace, records, envelope)
 
 
 def oracle_finisher(R, nu, spikes, vparams, tau):
@@ -230,7 +230,7 @@ def oracle_basis_decompose(F, nu, params, constants, seen):
                                    residual_l1=l1_next))
         R = R_next
         trace.append(l1_next)
-    return _finish(group, nu, mu, trace, records, params, constants, None)
+    return _finish(group, mu, trace, records, None)
 
 
 def held_as_ints(f):
@@ -686,15 +686,14 @@ def test_basis_round_matches_value_round(case):
         assert all(0 < r.factor < 1 for r in records)
 
 
-def test_finish_drops_tiny_float_atoms_into_leak(f2, nu2, constants2):
+def test_finish_drops_tiny_float_atoms_into_leak(f2):
     # float atoms below 1e-15 of the total mass leave mu and count as leak;
     # exact atoms are all kept
     mu = {(0,): 1.0, (2,): 1e-20, (3,): 2e-15}
-    res = _finish(f2, nu2, mu, [0.5, 0.25], [], GreedyParams(), constants2, None)
+    res = _finish(f2, mu, [0.5, 0.25], [], None)
     assert res.coefficients.atoms == {(0,): 1.0, (3,): 2e-15}
     assert res.leak == 1e-20
     assert res.achieved_tolerance == 0.25 + 1e-20
     exact = {(0,): Fraction(1), (2,): Fraction(1, 10 ** 30)}
-    res = _finish(f2, nu2, exact, [Fraction(1, 2)], [], GreedyParams(), constants2,
-                  None)
+    res = _finish(f2, exact, [Fraction(1, 2)], [], None)
     assert res.coefficients.atoms == exact and res.leak == 0.0
