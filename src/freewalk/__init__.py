@@ -23,8 +23,8 @@ from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        convolve, density, integrate, l1_distance,
                        ps_series_audit, DivergentNormalizationError,
                        ConformalityError, RefinementRuleError)
-from .spikes import (Spike, SpikeReport, build_spike, make_spike, verify_spike,
-                     verify_q_spike, decay_check, shadow_lemma_audit,
+from .spikes import (Spike, SpikeReport, build_spike, make_spike, with_margin,
+                     verify_spike, verify_q_spike, decay_check, shadow_lemma_audit,
                      lipschitz_scale, local_doubling_sup, ball_cells,
                      DegenerateSpikeError, DecayReport, ShadowAuditReport)
 from .decomposition import (GreedyParams, DecompositionResult, AuditConstants,

@@ -26,8 +26,8 @@ from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, conformal_exponent)
-from .spikes import make_spike, verify_spike, shadow_lemma_audit, Spike, \
-    _spine_decay
+from .spikes import make_spike, with_margin, verify_spike, shadow_lemma_audit, \
+    Spike, _spine_decay
 from .decomposition import GreedyParams, basis_decompose, moment_decompose
 from .stationarity import verify_stationarity, sphere_uniform, mix
 
@@ -289,6 +289,18 @@ def _spike_from_json(run: Run, doc: dict) -> Spike:
                  params=run.params)
 
 
+def _spike_sweep(gammas, ds, nu: BoundaryMeasure, params: VisualParams):
+    """(gamma, D, spike) for every gamma and then every D.  f_gamma, the
+    center and Q do not depend on D: the first margin builds them, and the
+    others reuse them with their own radius and C."""
+    for gamma in gammas:
+        sp = None
+        for d in ds:
+            sp = make_spike(gamma, nu, params, margin=d) if sp is None \
+                else with_margin(sp, d, nu)
+            yield gamma, d, sp
+
+
 def cmd_audit(run: Run, args) -> int:
     section = run.cfg.get("audit", {})
     max_len = _int_option(section, "max_len", 5)
@@ -303,15 +315,13 @@ def cmd_audit(run: Run, args) -> int:
     shadows = shadow_lemma_audit(nu, params, max_len, ds)
     decay = _spine_decay(nu, params, max_len)
 
-    sweep = [(gamma, d) for n in range(1, max_len + 1)
-             for gamma in run.group.sphere(n) for d in ds]
+    gammas = [gamma for n in range(1, max_len + 1) for gamma in run.group.sphere(n)]
 
     failures = []
     witness_dump = []
     worst_c = Fraction(0)
     worst_doubling = 0
-    for gamma, d in sweep:
-        sp = make_spike(gamma, nu, params, margin=d)
+    for gamma, d, sp in _spike_sweep(gammas, ds, nu, params):
         rep = verify_spike(sp, nu)
         if not rep.all_ok:
             failures.append({"gamma": run.group.format_word(gamma), "D": str(d),
@@ -342,7 +352,7 @@ def cmd_audit(run: Run, args) -> int:
         "D0": _num_to_str(shadows.d0),
         "D_nu": _num_to_str(decay.d_nu),
         "T_nu": _num_to_str(worst_doubling),
-        "spikes_checked": len(sweep),
+        "spikes_checked": len(gammas) * len(ds),
         "spikes_failed": len(failures),
         "worst_measured_C": _num_to_str(worst_c),
         "worst_lower": {"gamma": shadows.worst_lower["gamma"],

@@ -9,10 +9,15 @@ union, so all five conditions reduce to exact finite maxima, which
 `verify_spike` computes in one pass over one refined partition.  On rational
 values it decides every comparison on int numerators over one denominator and
 builds each reported number once; float values run the per-cell checks.
+Each ball is one cylinder C(p), and a rational nu(C(p)) is read off the
+cylinder; a float one is summed over the ball's cells, as before.  f_gamma
+does not depend on the shadow margin D: `with_margin` moves a built spike to
+another D.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,7 +112,13 @@ def ball_cells(group: WeightedFreeGroup, cells: Sequence[Word], center: Word,
 
     The visual metric is an ultrametric, so the ball is the one cylinder
     C(`_ball_prefix`) and its cells are the cells under that prefix."""
-    prefix = _ball_prefix(group, center, params, r_exp, mult)
+    return _cells_under(_ball_prefix(group, center, params, r_exp, mult), cells,
+                        center)
+
+
+def _cells_under(prefix: Word, cells: Sequence[Word], center: Word) -> List[Word]:
+    """The cells under `prefix`, in partition order; a cell that strictly
+    contains `center` makes the ball ambiguous."""
     inside = []
     for w in cells:
         if len(w) < len(center) and is_prefix(w, center):
@@ -116,6 +127,17 @@ def ball_cells(group: WeightedFreeGroup, cells: Sequence[Word], center: Word,
         if is_prefix(prefix, w):
             inside.append(w)
     return inside
+
+
+def _ball_mass(nu: BoundaryMeasure, prefix: Word, cells: Sequence[Word]):
+    """nu of the ball C(prefix), which the partition `cells` tiles.  A Fraction
+    read off the cylinder is exactly the sum over its cells; any other value
+    is that sum in partition order, as a float sum rounds by the order of its
+    terms."""
+    mass = nu.mass_of(prefix)
+    if type(mass) is Fraction:
+        return mass
+    return sum(nu.mass_of(w) for w in cells if is_prefix(prefix, w))
 
 
 def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
@@ -197,6 +219,13 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
 # construction and verification
 # ---------------------------------------------------------------------------
 
+def _checked_margin(margin):
+    margin = as_exact(margin)
+    if margin < 0:
+        raise InputError(f"shadow margin must be >= 0, got {margin}")
+    return margin
+
+
 def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
                 margin=0) -> Spike:
     """Unit-normalized spike from the Radon-Nikodym derivative f_gamma, with
@@ -208,9 +237,7 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     gamma = tuple(gamma)
     if not gamma:
         raise DegenerateSpikeError("gamma = e gives a degenerate (constant) spike")
-    margin = as_exact(margin)
-    if margin < 0:
-        raise InputError(f"shadow margin must be >= 0, got {margin}")
+    margin = _checked_margin(margin)
     group = nu.group
     f = radon_nikodym(gamma, nu, params)
     sup = f.sup()
@@ -222,13 +249,25 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
                  gamma=gamma, margin=margin, params=params)
 
 
+def with_margin(spike: Spike, margin, nu: BoundaryMeasure) -> Spike:
+    """The spike of `spike.gamma` at shadow margin D = `margin`, with C set to
+    the measured tightest constant over the spike and Q-spike conditions.
+
+    f_gamma, the center and Q do not depend on D, so they are shared with
+    `spike`; the radius exponent is ||gamma|| - D.
+    """
+    margin = _checked_margin(margin)
+    r_exp = sup_product(spike.function.group, spike.gamma) - margin
+    spike = dataclasses.replace(spike, r_exp=r_exp, margin=margin, c=None)
+    spike.c = verify_spike(spike, nu).measured_c
+    return spike
+
+
 def make_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
                margin=0) -> Spike:
     """`build_spike` with C set to the measured tightest constant over the
     spike and Q-spike conditions."""
-    spike = build_spike(gamma, nu, params, margin)
-    spike.c = verify_spike(spike, nu).measured_c
-    return spike
+    return with_margin(build_spike(gamma, nu, params), margin, nu)
 
 
 def _prepared_cells(spike: Spike) -> Dict[Word, object]:
@@ -239,14 +278,6 @@ def _prepared_cells(spike: Spike) -> Dict[Word, object]:
     leaves = refine_leaves(f.group, f.values.keys(),
                            trie_closure(f.group, [spike.center.word]))
     return {w: f.at(w) for w in leaves}
-
-
-def _ball(spike: Spike, cells: Sequence[Word], nu: BoundaryMeasure,
-          mult=1):
-    """The cells in B(a, mult*r) and nu of that ball, summed in partition order."""
-    inside = ball_cells(spike.function.group, cells, spike.center.word,
-                        spike.params or nu.params, spike.r_exp, mult)
-    return inside, sum(nu.mass_of(w) for w in inside)
 
 
 def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
@@ -274,7 +305,10 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     cells = list(values)
     center = spike.center.word
     sup = values[max(cells, key=key)]
-    ball, mass_r = _ball(spike, cells, nu)
+    # B(a, r) is one cylinder C(p): its cells are read once, its mass off C(p)
+    prefix_r = _ball_prefix(group, center, params, spike.r_exp)
+    ball = _cells_under(prefix_r, cells, center)
+    mass_r = _ball_mass(nu, prefix_r, ball)
     inside = set(ball)
     r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
     c_stored = spike.c
@@ -379,7 +413,8 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     measured_c = max(finite) if finite else None
 
     # local doubling nu(B(a,5r))/nu(B(a,r))
-    _, mass_5r = _ball(spike, cells, nu, mult=5)
+    mass_5r = _ball_mass(nu, _ball_prefix(group, center, params, spike.r_exp, 5),
+                         cells)
     doubling = _ratio(mass_5r, mass_r) if mass_r > 0 else None
 
     return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
@@ -528,9 +563,7 @@ def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
         center = shadow(group, gamma, 0)[0].word
         u_val = sup_product(group, gamma)
         for d in ds:
-            d = as_exact(d)
-            if d < 0:
-                raise InputError(f"shadow margin must be >= 0, got {d}")
+            d = _checked_margin(d)
             mass_r = nu.mass_of(_ball_prefix(group, center, params, u_val - d))
             mass_5r = nu.mass_of(_ball_prefix(group, center, params, u_val - d,
                                               mult=5))

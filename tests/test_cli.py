@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from freewalk import cli
+from freewalk import cli, spikes
 from freewalk.cli import main
 from freewalk.decomposition import InternalInvariantError
 
@@ -590,3 +590,35 @@ def test_config_of_the_wrong_shape_exits_2(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
 
+
+@pytest.mark.parametrize("epsilon", ["critical", "1/2*log(3)"])
+def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
+    # f_gamma does not depend on D: one radon_nikodym per gamma, and each
+    # (gamma, D) spike is still verified twice (C measured, then checked)
+    calls = {"radon_nikodym": 0, "verify_spike": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(spikes, "radon_nikodym")
+    counted(spikes, "verify_spike")
+    monkeypatch.setattr(cli, "verify_spike", spikes.verify_spike)
+    cfg = write_config(tmp_path, params={"alpha": "critical", "epsilon": epsilon,
+                                         "arithmetic": "exact"},
+                       audit={"max_len": 2, "Ds": [0, 1, 2]})
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+    gammas = 4 + 12
+    assert calls == {"radon_nikodym": gammas, "verify_spike": 2 * 3 * gammas}
+    assert json.loads((out / "audit.json").read_text())["spikes_checked"] == 3 * gammas
+
+
+def test_audit_negative_margin_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, audit={"max_len": 1, "Ds": [0, -1]})
+    assert main(["audit", "--config", cfg]) == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err

@@ -15,7 +15,8 @@ from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
                       Spike, SpikeReport, VisualParams, WeightedFreeGroup,
                       ball_cells, default_params, lipschitz_scale,
                       uniform_ps_measure, verify_spike)
-from freewalk.spikes import _cell_product, _prepared_cells, _scale_classes
+from freewalk.spikes import (_ball_prefix, _cell_product, _prepared_cells,
+                             _scale_classes)
 from freewalk.words import common_prefix_length, is_prefix
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None,
@@ -344,6 +345,26 @@ def test_condition_2_integral_is_the_double_sum(which, data):
     worst, wit = cond2_by_double_sum(spike, nu)
     assert (rep.measured["cond2"], rep.witnesses["cond2"]) == (worst, wit)
     assert worst is None or isinstance(worst, Fraction)
+
+
+@SETTINGS
+@given(which=st.integers(0, len(EXACT_MEASURES) - 1), mult=st.sampled_from([1, 5]),
+       data=st.data())
+def test_ball_mass_is_the_cylinder_mass(which, mult, data):
+    # a ball is one cylinder C(p): nu(C(p)) is the Fraction that the sum over
+    # the ball's cells, in partition order, gives
+    group, params, nu = EXACT_MEASURES[which]
+    cells = list(data.draw(functions(group)).values)
+    cell = data.draw(st.sampled_from(cells))
+    center = cell + tuple(group.valid_extensions(cell)[:1]) * data.draw(st.integers(0, 1))
+    r_exp = data.draw(HALVES)
+    try:
+        inside = ball_cells(group, cells, center, params, r_exp, mult)
+    except AmbiguousCylinderError:
+        return
+    mass = nu.mass_of(_ball_prefix(group, center, params, r_exp, mult))
+    summed = sum(nu.mass_of(w) for w in inside)
+    assert type(mass) is Fraction and mass == summed
 
 
 def test_condition_2_on_the_audited_spikes():

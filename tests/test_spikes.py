@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
-                      build_spike, WeightedFreeGroup, VisualParams,
+                      build_spike, with_margin, WeightedFreeGroup, VisualParams,
                       uniform_ps_measure,
                       verify_spike, verify_q_spike, decay_check,
                       shadow_lemma_audit, lipschitz_scale, local_doubling_sup,
                       DegenerateSpikeError, integrate, conformal_exponent,
-                      ConformalityError, AmbiguousCylinderError)
+                      ConformalityError, AmbiguousCylinderError, InputError)
 from freewalk import spikes
 from freewalk.spikes import _cell_product
 
@@ -280,6 +280,35 @@ def test_build_spike_leaves_c_unset(f2, nu2, params2):
     assert built.c is None and made.c is not None
     assert (built.function, built.r_exp, built.center) == \
         (made.function, made.r_exp, made.center)
+
+
+def _typed(x):
+    return type(x), repr(x)
+
+
+@pytest.mark.parametrize("params", [
+    VisualParams.exact_base(3), VisualParams.exact_base(3, 1, Fraction(1, 2)),
+    VisualParams.floats(1.0986122886681098, 0.7)])
+def test_with_margin_matches_make_spike(params):
+    # a spike moved to another margin, and moved again, as `audit` does: every
+    # field (numbers with their types) and every report field match a spike
+    # built at that margin
+    group = WeightedFreeGroup(2)
+    nu = uniform_ps_measure(group, params)
+    for gamma in filter(None, group.ball(2)):
+        derived = make_spike(gamma, nu, params, margin=0)
+        for d in (1, 2, Fraction(3, 2), 0, 4):
+            derived = with_margin(derived, d, nu)
+            made = make_spike(gamma, nu, params, margin=d)
+            for name in ("r_exp", "q", "theta", "c", "margin"):
+                assert _typed(getattr(derived, name)) == _typed(getattr(made, name))
+            assert derived.function.values == made.function.values
+            assert (derived.center, derived.gamma, derived.params) == \
+                (made.center, made.gamma, made.params)
+            # the dataclass repr shows each number with its type
+            assert repr(verify_spike(derived, nu)) == repr(verify_spike(made, nu))
+    with pytest.raises(InputError):
+        with_margin(derived, -1, nu)
 
 
 def test_local_doubling_sup_verifies_each_spike_once(monkeypatch):
