@@ -1,11 +1,13 @@
 """The spike kernels (`ball_cells`, `_scale_classes`, `lipschitz_scale` and
 condition 2 of `verify_spike`) test each distance once per distinct prefix
-weight, and `verify_spike` decides on int numerators and divides once per
+weight, `lipschitz_scale` reads each meet node's range instead of its sibling
+subtrees, and `verify_spike` decides on int numerators and divides once per
 report.  These properties hold them to the per-cell formulas they replace,
 which are copied below as oracles, over weights {1, 3/2}, exact and float
 scales (coefficient 1/2 takes the float fallback of `leq_scaled`) and
 multipliers {1, 5, 2.5}."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
                       Spike, SpikeReport, VisualParams, WeightedFreeGroup,
-                      ball_cells, default_params, lipschitz_scale,
+                      ball_cells, build_spike, conformal_exponent,
+                      default_params, lipschitz_scale, shadow,
                       uniform_ps_measure, verify_spike)
 from freewalk.spikes import (_ball_prefix, _cell_product, _prepared_cells,
                              _scale_classes)
@@ -256,6 +259,16 @@ def functions(draw, group, values=st.sampled_from([Fraction(1), Fraction(2),
     return LocallyConstantFunction(group, cells)
 
 
+# exact values (ints and Fractions), floats with close neighbours, a mix, and
+# ints tied with equal Fractions; each pool has a 0 and negative values
+VALUE_POOLS = [
+    [0, 1, 2, Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(-1, 2), -1],
+    [0.0, 1.0, 2.5, -0.5, 0.1, 0.2, 0.3, 0.30000000000000004, 1 / 3],
+    [Fraction(1, 3), 1 / 3, Fraction(1), 1.0, 0, Fraction(-1, 2), 2.5],
+    [1, Fraction(1), 2, Fraction(2), 0, -1],
+]
+
+
 HALVES = st.integers(0, 10).map(lambda n: Fraction(n, 2))
 MULTS = st.sampled_from([1, 5, 2.5])
 
@@ -281,11 +294,16 @@ def test_ball_cells_match_per_cell_tests(scale, r_exp, mult, data):
     assert run(ball_cells) == run(old_ball_cells)
 
 
-@SETTINGS
-@given(scale=st.sampled_from(SCALES), r_exp=HALVES, mult=MULTS, data=st.data())
-def test_scale_classes_and_slopes_match_per_cell_tests(scale, r_exp, mult, data):
+MIXED = VALUE_POOLS[2]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(scale=st.sampled_from(SCALES), r_exp=HALVES, mult=MULTS,
+       pool=st.sampled_from(VALUE_POOLS), data=st.data())
+def test_scale_classes_and_slopes_match_per_cell_tests(scale, r_exp, mult, pool,
+                                                       data):
     params = make_params(*scale)
-    f = data.draw(functions(data.draw(groups())))
+    f = data.draw(functions(data.draw(groups()), st.sampled_from(pool)))
     cells = list(f.values)
     new = _scale_classes(f.group, cells, params, r_exp, mult)
     old = old_scale_classes(f.group, cells, params, r_exp, mult)
@@ -295,8 +313,45 @@ def test_scale_classes_and_slopes_match_per_cell_tests(scale, r_exp, mult, data)
     # is an int there)
     for g in (f, f.over_shared_den()):
         new = lipschitz_scale(g, r_exp, params, mult)
-        assert list(new.items()) == list(old.items())
-        assert all(type(new[w]) is type(old[w]) for w in new)
+        if pool is not MIXED:
+            assert list(new.items()) == list(old.items())
+            assert all(type(new[w]) is type(old[w]) for w in new)
+            continue
+        # a float and an equal Fraction (1.0 and 1) give gaps that differ by
+        # a rounding: the oracle keeps the larger of the two and the first
+        # of equal gaps of either type, the meet node's range only one
+        assert list(new) == list(old)
+        assert all(new[w] <= old[w] and math.isclose(new[w], old[w], rel_tol=1e-15)
+                   for w in new)
+
+
+@pytest.mark.parametrize("params", [VisualParams.exact_base(3, 1, 1),
+                                    VisualParams.floats(1.1, 0.7)])
+def test_slope_when_the_meet_range_peaks_in_the_own_branch(params):
+    # the root's range [1, 10] peaks at aa, in the branch of ab: the root
+    # level reads gap 9 there, which the meet at a (gap 9, larger 1/d) beats
+    group = WeightedFreeGroup(2)
+    a, A, b, B = (group.parse_word(x) for x in "aAbB")
+    f = LocallyConstantFunction(group, {a + a: 10, a + b: 1, a + B: 1,
+                                        A: 1, b: 1, B: 1})
+    new = lipschitz_scale(f, 0, params)
+    old = old_lipschitz_scale(f, 0, params)
+    assert list(new.items()) == list(old.items())
+    assert all(type(new[w]) is type(old[w]) for w in new)
+    assert new[a + b] == 9 * (1 / params.epsilon.exp_neg(1)) and new[b] == 9
+    assert list(lipschitz_scale(f.over_shared_den(), 0, params).items()) \
+        == list(old.items())
+
+
+@pytest.mark.parametrize("group", [WeightedFreeGroup(2), WeightedFreeGroup(3),
+                                   WeightedFreeGroup(2, ["1", "3/2"])])
+def test_spike_center_is_the_zero_margin_shadow(group):
+    # unequal weights have a float conformal exponent
+    params = default_params(group) if group.unit_weights() else \
+        VisualParams.floats(conformal_exponent(group), 1.0)
+    nu = uniform_ps_measure(group, params)
+    for gamma in filter(None, group.ball(3)):
+        assert build_spike(gamma, nu, params).center == shadow(group, gamma, 0)[0]
 
 
 # -- condition 2 ----------------------------------------------------------------
@@ -382,16 +437,6 @@ def test_condition_2_on_the_audited_spikes():
 
 
 # -- the whole spike check ------------------------------------------------------
-
-# exact values (ints and Fractions), floats with close neighbours, a mix, and
-# ints tied with equal Fractions; each pool has a 0 and negative values
-VALUE_POOLS = [
-    [0, 1, 2, Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(-1, 2), -1],
-    [0.0, 1.0, 2.5, -0.5, 0.1, 0.2, 0.3, 0.30000000000000004, 1 / 3],
-    [Fraction(1, 3), 1 / 3, Fraction(1), 1.0, 0, Fraction(-1, 2), 2.5],
-    [1, Fraction(1), 2, Fraction(2), 0, -1],
-]
-
 
 def as_seen(x):
     """A number with its type; floats bit for bit."""
