@@ -10,9 +10,10 @@ union, so all five conditions reduce to exact finite maxima, which
 values it decides every comparison on int numerators over one denominator and
 builds each reported number once; float values run the per-cell checks.
 Each ball is one cylinder C(p), and a rational nu(C(p)) is read off the
-cylinder; a float one is summed over the ball's cells, as before.  f_gamma
-does not depend on the shadow margin D: `with_margin` moves a built spike to
-another D.
+cylinder; a float one is summed over the ball's cells, as before.  Lipschitz
+slopes read each meet node's range of h.  The spike of gamma is centered at
+z^+ = C(gamma^{-1}) and f_gamma does not depend on the shadow margin D:
+`with_margin` moves a built spike to another D.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .words import (Word, EPSILON, WeightedFreeGroup, InputError, is_prefix,
-                    common_prefix_length, as_exact)
+                    common_prefix_length, as_exact, invert)
 from .geometry import (Cylinder, VisualParams, AmbiguousCylinderError,
                        shadow, sup_product)
 from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
@@ -165,24 +166,21 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
     """D_r f per cell at scale r = mult*e^{-eps r_exp}: the max of
     |f(x)-f(y)|/d(x,y) over cells y within distance r.
 
-    For f on a shared denominator the gaps are numerators: against a
-    rational 1/d (an int when integral, so gap * 1/d multiplies ints) they are
-    compared as they are and one Fraction is built per cell with a nonzero
-    slope; against a float 1/d a gap enters as gap / den, which rounds like
-    Fraction(gap, den) and cannot overflow.  Either way each value and its
-    type are those the same f gives on its values.
+    The metric is an ultrametric: the cells meeting x at node p lie in C(p),
+    so f's range over C(p) gives the gap at that distance.  The cells of x's
+    own branch meet it deeper, where 1/d is larger and within the scale, so
+    they never raise the maximum.  For f on a shared denominator the gaps are
+    numerators: against a rational 1/d (an int when integral, so gap * 1/d
+    multiplies ints) they are compared as they are and one Fraction is built
+    per cell with a nonzero slope; against a float 1/d a gap enters as
+    gap / den, which rounds like Fraction(gap, den) and cannot overflow.
+    Either way each value and its type are those the same f gives on its
+    values.
     """
     group = f.group
     eps = params.epsilon
     den = f.den
     stats = f.trie_stats()
-    children: Dict[Word, List[Word]] = {}
-    for w in f.values:
-        for i in range(len(w)):
-            node, child = w[:i], w[: i + 1]
-            bucket = children.setdefault(node, [])
-            if child not in bucket:
-                bucket.append(child)
     # 1/d at a meet of weight W, or None when W is beyond the scale
     inv_d_at: Dict[object, object] = {}
     out: Dict[Word, object] = {}
@@ -198,18 +196,12 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
             inv_d = inv_d_at[meet]
             if inv_d is None:
                 continue
-            as_value = den is not None and type(inv_d) is float
-            for sib in children.get(w[:j], []):
-                if sib == w[: j + 1]:
-                    continue
-                lo, hi = stats[sib]
-                gap = max(abs(v - lo), abs(v - hi))
-                if as_value:
-                    float_best = max(float_best, gap / den * inv_d)
-                    continue
-                cand = gap * inv_d
-                if cand > best:
-                    best = cand
+            lo, hi = stats[w[:j]]
+            gap = max(v - lo, hi - v)
+            if den is not None and type(inv_d) is float:
+                float_best = max(float_best, gap / den * inv_d)
+            else:
+                best = max(best, gap * inv_d)
         out[w] = best if den is None else \
             max(Fraction(best, den) if best else 0, float_best)
     return out
@@ -231,8 +223,8 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     """Unit-normalized spike from the Radon-Nikodym derivative f_gamma, with
     no constant (c = None).
 
-    Center is the D = 0 shadow cylinder (the full reduced word of gamma^{-1});
-    the radius exponent is ||gamma|| - D.
+    Center is z^+ = C(gamma^{-1}), the D = 0 shadow cylinder; the radius
+    exponent is ||gamma|| - D.
     """
     gamma = tuple(gamma)
     if not gamma:
@@ -242,7 +234,7 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     f = radon_nikodym(gamma, nu, params)
     sup = f.sup()
     unit = f.scale(1 / sup)
-    center = shadow(group, gamma, 0)[0]
+    center = Cylinder(invert(gamma))
     q_exp = params.q_exponent
     return Spike(function=unit, r_exp=sup_product(group, gamma) - margin,
                  center=center, q=q_exp, theta=q_exp, c=None,
@@ -271,12 +263,16 @@ def make_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
 
 
 def _prepared_cells(spike: Spike) -> Dict[Word, object]:
-    """Spike values on a partition refined to contain the center as a cell."""
+    """Spike values on a partition refined to contain the center as a cell;
+    cells strictly below the center make it ambiguous."""
     f = spike.function
-    if spike.center.word in f.values:
+    center = spike.center.word
+    if center in f.values:
         return dict(f.values)
-    leaves = refine_leaves(f.group, f.values.keys(),
-                           trie_closure(f.group, [spike.center.word]))
+    leaves = refine_leaves(f.group, f.values.keys(), trie_closure(f.group, [center]))
+    if center not in leaves:
+        raise AmbiguousCylinderError(f"the spike is not constant on its center "
+                                     f"{f.group.format_word(center)}")
     return {w: f.at(w) for w in leaves}
 
 
@@ -502,7 +498,6 @@ class ShadowAuditReport:
     d0: object
     rows: List[dict]
     worst_lower: Optional[dict]
-    worst_upper: Optional[dict]
 
 
 def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
@@ -524,7 +519,7 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
     alpha = params.alpha
     beta = Fraction(1)
     rows: List[dict] = []
-    worst_lower = worst_upper = None
+    worst_lower = None
     for gamma in group.ball(max_len):
         if not gamma:
             continue
@@ -541,12 +536,9 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
             if worst_lower is None or lower_ratio > worst_lower["ratio"]:
                 worst_lower = {"gamma": group.format_word(gamma), "D": str(d),
                                "ratio": lower_ratio}
-            if worst_upper is None or upper_ratio > worst_upper["ratio"]:
-                worst_upper = {"gamma": group.format_word(gamma), "D": str(d),
-                               "ratio": upper_ratio}
             beta = max(beta, lower_ratio, upper_ratio)
     return ShadowAuditReport(beta=beta, d0=Fraction(0), rows=rows,
-                             worst_lower=worst_lower, worst_upper=worst_upper)
+                             worst_lower=worst_lower)
 
 
 def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
@@ -560,13 +552,11 @@ def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
     for gamma in group.ball(max_len):
         if not gamma:
             continue
-        center = shadow(group, gamma, 0)[0].word
-        u_val = sup_product(group, gamma)
+        center, u_val = invert(gamma), sup_product(group, gamma)
         for d in ds:
-            d = _checked_margin(d)
-            mass_r = nu.mass_of(_ball_prefix(group, center, params, u_val - d))
-            mass_5r = nu.mass_of(_ball_prefix(group, center, params, u_val - d,
-                                              mult=5))
+            r_exp = u_val - _checked_margin(d)
+            mass_r = nu.mass_of(_ball_prefix(group, center, params, r_exp))
+            mass_5r = nu.mass_of(_ball_prefix(group, center, params, r_exp, 5))
             if mass_r > 0:
                 worst = max(worst, _ratio(mass_5r, mass_r))
     return worst

@@ -39,6 +39,19 @@ def test_verify_spike_passes(f2, nu2, params2):
     assert s.function.at(s.center.word) == 1
 
 
+def test_verify_spike_centered_above_its_cells(f2, nu2, params2):
+    # the cells aa, ab, aB lie strictly below the center a: h is not
+    # constant there, so the center value is undefined
+    a = f2.parse_word("a")
+    cells = {a + (x,): Fraction(1 + i) for i, x in enumerate(f2.valid_extensions(a))}
+    cells.update({f2.parse_word(x): Fraction(1) for x in "AbB"})
+    spike = Spike(function=LocallyConstantFunction(f2, cells), r_exp=1,
+                  center=Cylinder(a), q=params2.q_exponent,
+                  theta=params2.q_exponent, c=None, gamma=(1,), params=params2)
+    with pytest.raises(AmbiguousCylinderError, match="center a"):
+        verify_spike(spike, nu2)
+
+
 def test_constant_function_trivial_spike(f2, nu2, params2):
     one = LocallyConstantFunction.constant(f2, Fraction(1)).refine_to(f2.sphere(1))
     s = Spike(function=one, r_exp=Fraction(0), center=Cylinder((0,)),
