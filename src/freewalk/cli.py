@@ -12,6 +12,7 @@ Exit codes: 0 pass, 1 check failed, 2 usage/config error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -21,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .words import WeightedFreeGroup, InputError, as_exact
+from .words import WeightedFreeGroup, as_exact
 from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
@@ -40,6 +41,18 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _parsing(what: str):
+    """A KeyError, TypeError, AttributeError or IndexError while parsing
+    `what` (a missing key, a value of the wrong type) becomes a ConfigError
+    that names it."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ConfigError(f"{what} is malformed: "
+                          f"{type(exc).__name__}: {exc}") from exc
+
+
 def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
     if isinstance(spec, str):
         spec = spec.strip()
@@ -56,12 +69,10 @@ def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
         if "*log(" in spec and spec.endswith(")"):
             coeff, base = spec.split("*log(")
             return LogScale.log_of(Fraction(base[:-1]), Fraction(coeff))
-        if exact:
-            raise ConfigError(f"float scale {spec!r} forbidden in exact mode")
-        return LogScale.of_float(float(spec))
     if exact:
         raise ConfigError(f"float scale {spec!r} forbidden in exact mode")
-    return LogScale.of_float(float(spec))
+    with _parsing(f"scale {spec!r}"):
+        return LogScale.of_float(float(spec))
 
 
 def _int_option(section: dict, key: str, default: Optional[int] = None) -> int:
@@ -79,8 +90,8 @@ def _int_option(section: dict, key: str, default: Optional[int] = None) -> int:
 
 def _read_file(path, what: str, parse=lambda doc: doc):
     """`parse` of the JSON document in the user file at `path`.  A missing
-    file, invalid JSON or a document `parse` cannot read (a missing key, a
-    value of the wrong type) is a ConfigError that names the file."""
+    file, invalid JSON or a document `parse` cannot read is a ConfigError
+    that names the file."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"{what} file not found: {path}")
@@ -88,11 +99,8 @@ def _read_file(path, what: str, parse=lambda doc: doc):
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
-    try:
+    with _parsing(f"{what} file {path}"):
         return parse(doc)
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
-        raise ConfigError(f"{what} file {path} is malformed: "
-                          f"{type(exc).__name__}: {exc}") from exc
 
 
 SECTIONS = ("group", "params", "decompose", "verify", "audit", "moments")
@@ -123,10 +131,8 @@ class Run:
     def __init__(self, cfg: dict):
         if "group" not in cfg:
             raise ConfigError("config needs a 'group' section")
-        try:
+        with _parsing("config 'group'"):
             self.group = WeightedFreeGroup.from_config(cfg["group"])
-        except InputError as exc:
-            raise ConfigError(str(exc)) from exc
         pc = dict(cfg.get("params", {}))
         self.arithmetic = pc.get("arithmetic", "exact")
         if self.arithmetic not in ("exact", "float"):
@@ -135,22 +141,20 @@ class Run:
         self.params = VisualParams(
             alpha=_parse_scale(pc.get("alpha", "critical"), self.group, exact),
             epsilon=_parse_scale(pc.get("epsilon", "critical"), self.group, exact))
-        tau = float(pc.get("tau", 1e-6))
+        with _parsing("config 'tau'"):
+            tau = float(pc.get("tau", 1e-6))
         if not exact and tau <= 0:
             raise ConfigError("tau = 0 is unreachable in float mode")
-        try:
-            self.greedy = GreedyParams(
-                s=Fraction(str(pc.get("s", "2"))),
-                beta=Fraction(str(pc.get("beta", "1/2"))),
-                c_cap=Fraction(str(pc["C"])) if "C" in pc else None,
-                margin=Fraction(str(pc.get("D", 0))),
-                tau=tau,
-                schedule=pc.get("schedule", "fixed"),
-                rescale=pc.get("rescale", "adaptive"),
-                max_rounds=_int_option(pc, "max_rounds", 120),
-                audit_len=_int_option(pc, "audit_len", 3))
-        except InputError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.greedy = GreedyParams(
+            s=Fraction(str(pc.get("s", "2"))),
+            beta=Fraction(str(pc.get("beta", "1/2"))),
+            c_cap=Fraction(str(pc["C"])) if "C" in pc else None,
+            margin=Fraction(str(pc.get("D", 0))),
+            tau=tau,
+            schedule=pc.get("schedule", "fixed"),
+            rescale=pc.get("rescale", "adaptive"),
+            max_rounds=_int_option(pc, "max_rounds", 120),
+            audit_len=_int_option(pc, "audit_len", 3))
         self.cfg = cfg
         self.nu = uniform_ps_measure(self.group, self.params)
 
@@ -171,7 +175,8 @@ class Run:
             f = radon_nikodym(gamma, self.nu, self.params)
             return f if conv is Fraction else f.map(float)
         if isinstance(spec, dict) and "cells" in spec:
-            f = LocallyConstantFunction.from_json(self.group, spec)
+            with _parsing("target 'cells'"):
+                f = LocallyConstantFunction.from_json(self.group, spec)
             self._exact_inline(f.values.values(), "target cell")
             return f if conv is Fraction else f.map(float)
         raise ConfigError(f"unknown decomposition target {spec!r}")
@@ -187,13 +192,14 @@ class Run:
             return _read_file(spec, "measure", parse)
         if isinstance(spec, dict) and "atoms" in spec:
             doc = {"group": self.group.to_config(), "atoms": spec["atoms"]}
-            mu = GroupMeasure.from_json(doc)
+            with _parsing("measure 'atoms'"):
+                mu = GroupMeasure.from_json(doc)
             self._exact_inline(mu.atoms.values(), "atom")
             return mu
         if isinstance(spec, dict) and "mix" in spec:
-            parts = [(self.group_measure(m), Fraction(str(t)))
-                     for m, t in spec["mix"]]
-            return mix(parts)
+            with _parsing("measure 'mix'"):
+                parts = [(m, Fraction(str(t))) for m, t in spec["mix"]]
+            return mix([(self.group_measure(m), t) for m, t in parts])
         raise ConfigError(f"unknown group measure spec {spec!r}")
 
     def boundary_measure(self, spec) -> BoundaryMeasure:
@@ -269,8 +275,9 @@ def cmd_verify(run: Run, args) -> int:
     report = verify_stationarity(mu, nu, nu_prime, depth=depth)
     _write(args.out, "stationarity.json", _dump(report.to_json()))
     _write_meta(args.out, "verify")
-    threshold = args.threshold if args.threshold is not None \
-        else float(section.get("threshold", 1e-9))
+    with _parsing("verify 'threshold'"):
+        threshold = args.threshold if args.threshold is not None \
+            else float(section.get("threshold", 1e-9))
     return 0 if float(report.max_cell_error) <= threshold else 1
 
 
@@ -339,7 +346,9 @@ def cmd_audit(run: Run, args) -> int:
 
     injected_fail = None
     if section.get("inject"):
-        sp = _read_file(section["inject"], "injected spike",
+        with _parsing("audit 'inject'"):
+            path = Path(section["inject"])
+        sp = _read_file(path, "injected spike",
                         lambda doc: _spike_from_json(run, doc))
         rep = verify_spike(sp, nu)
         if not rep.all_ok:

@@ -591,6 +591,43 @@ def test_config_of_the_wrong_shape_exits_2(tmp_path, capsys, doc, key):
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("command, section, value, key", [
+    ("audit", "audit", {"max_len": 1, "Ds": [0], "inject": 5}, "'inject'"),
+    ("audit", "group", {"rank": 2, "weights": 5}, "'group'"),
+    ("audit", "group", {"rank": 2, "names": 5}, "'group'"),
+    ("verify", "verify", {"mu": {"mix": 5}}, "'mix'"),
+    ("verify", "verify", {"mu": {"mix": [5]}}, "'mix'"),
+    ("verify", "verify", {"mu": {"atoms": 5}}, "'atoms'"),
+    ("decompose", "decompose", {"target": {"cells": 5}}, "'cells'"),
+    ("audit", "params", {"tau": [1]}, "'tau'"),
+    ("audit", "params", {"arithmetic": "float", "alpha": [1]}, "scale [1]"),
+    ("verify", "verify", {"mu": "sphere:1", "threshold": [1]}, "'threshold'"),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command,
+                                               section, value, key):
+    # a value of the wrong type below the section level is a usage error that
+    # names the key, not an internal TypeError
+    cfg = write_config(tmp_path, **{section: value})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "TypeError" in err
+
+
+def test_injected_spike_centered_above_its_cells_exits_2(tmp_path, capsys):
+    # the center a lies above the cells aa, ab, aB: the spike has no value
+    # there
+    spike = {"function": {"cells": [["aa", "1"], ["ab", "2"], ["aB", "3"],
+                                    ["A", "1"], ["b", "1"], ["B", "1"]]},
+             "r_exp": "1", "center": "a"}
+    inject = tmp_path / "spike.json"
+    inject.write_text(json.dumps(spike))
+    cfg = write_config(tmp_path, audit={"max_len": 1, "Ds": [0],
+                                        "inject": str(inject)})
+    assert main(["audit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "center a" in err
+
+
 @pytest.mark.parametrize("epsilon", ["critical", "1/2*log(3)"])
 def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
     # f_gamma does not depend on D: one radon_nikodym per gamma, and each
