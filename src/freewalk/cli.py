@@ -275,9 +275,10 @@ def cmd_verify(run: Run, args) -> int:
     report = verify_stationarity(mu, nu, nu_prime, depth=depth)
     _write(args.out, "stationarity.json", _dump(report.to_json()))
     _write_meta(args.out, "verify")
-    with _parsing("verify 'threshold'"):
-        threshold = args.threshold if args.threshold is not None \
-            else float(section.get("threshold", 1e-9))
+    threshold = args.threshold
+    if threshold is None:
+        with _parsing("verify 'threshold'"):
+            threshold = float(section.get("threshold", 1e-9))
     return 0 if float(report.max_cell_error) <= threshold else 1
 
 
@@ -286,6 +287,7 @@ def _spike_from_json(run: Run, doc: dict) -> Spike:
         if key not in doc:
             raise ConfigError(f"injected spike file has no {key!r}")
     f = LocallyConstantFunction.from_json(run.group, doc["function"])
+    run._exact_inline(f.values.values(), "spike cell")
     return Spike(function=f,
                  r_exp=as_exact(str(doc["r_exp"])),
                  center=Cylinder(run.group.parse_word(doc["center"])),
@@ -333,8 +335,7 @@ def cmd_audit(run: Run, args) -> int:
         if not rep.all_ok:
             failures.append({"gamma": run.group.format_word(gamma), "D": str(d),
                              "witnesses": rep.witnesses})
-        if rep.measured_c > worst_c:
-            worst_c = rep.measured_c
+        worst_c = max(worst_c, rep.measured_c)
         if rep.local_doubling is not None and rep.local_doubling > worst_doubling:
             worst_doubling = rep.local_doubling
         if args.witnesses:
@@ -364,8 +365,7 @@ def cmd_audit(run: Run, args) -> int:
         "spikes_checked": len(gammas) * len(ds),
         "spikes_failed": len(failures),
         "worst_measured_C": _num_to_str(worst_c),
-        "worst_lower": {"gamma": shadows.worst_lower["gamma"],
-                        "D": shadows.worst_lower["D"],
+        "worst_lower": {**shadows.worst_lower,
                         "ratio": _num_to_str(shadows.worst_lower["ratio"])},
         "failures": failures,
         "injected_failure": injected_fail,

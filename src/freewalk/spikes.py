@@ -9,11 +9,10 @@ union, so all five conditions reduce to exact finite maxima, which
 `verify_spike` computes in one pass over one refined partition.  On rational
 values it decides every comparison on int numerators over one denominator and
 builds each reported number once; float values run the per-cell checks.
-Each ball is one cylinder C(p), and a rational nu(C(p)) is read off the
-cylinder; a float one is summed over the ball's cells, as before.  Lipschitz
-slopes read each meet node's range of h.  The spike of gamma is centered at
-z^+ = C(gamma^{-1}) and f_gamma does not depend on the shadow margin D:
-`with_margin` moves a built spike to another D.
+Each ball is one cylinder C(p): a rational nu(C(p)) is read off it, a float
+one summed over its cells.  Lipschitz slopes read each meet node's range of
+h.  The spike of gamma is centered at z^+ = C(gamma^{-1}); f_gamma does not
+depend on the shadow margin D, and `with_margin` moves a spike to another D.
 """
 
 from __future__ import annotations
@@ -167,16 +166,17 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
     |f(x)-f(y)|/d(x,y) over cells y within distance r.
 
     The metric is an ultrametric: the cells meeting x at node p lie in C(p),
-    so f's range over C(p) gives the gap at that distance.  The cells of x's
-    own branch meet it deeper, where 1/d is larger and within the scale, so
-    they never raise the maximum.  For f on a shared denominator the gaps are
-    numerators: against a rational 1/d (an int when integral, so gap * 1/d
-    multiplies ints) they are compared as they are and one Fraction is built
-    per cell with a nonzero slope; against a float 1/d a gap enters as
-    gap / den, which rounds like Fraction(gap, den) and cannot overflow.
-    Either way each value and its type are those the same f gives on its
-    values.
+    so f's range over C(p) gives the gap at that distance (x's own branch
+    meets it deeper, where 1/d is larger).  An f that mixes floats with ints
+    or Fractions is read as floats, as a range keeps one of two equal cells
+    1.0 and Fraction(1).  On a shared denominator the gaps are numerators:
+    against a rational 1/d (an int when integral) they are compared as they
+    are, one Fraction built per nonzero slope; against a float 1/d a gap
+    enters as gap / den, which rounds like Fraction(gap, den).  Either way
+    each value and its type are those f gives on its values.
     """
+    if len({type(v) is float for v in f.values.values()}) == 2:
+        f = f.map(float)
     group = f.group
     eps = params.epsilon
     den = f.den

@@ -628,6 +628,20 @@ def test_injected_spike_centered_above_its_cells_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "center a" in err
 
 
+@pytest.mark.parametrize("mode, code", [("exact", 2), ("float", 1)])
+def test_injected_spike_with_a_decimal_cell(tmp_path, capsys, mode, code):
+    # exact mode reads the cells as ints or p/q only, as it does inline ones
+    spike = {"function": {"cells": [["a", "1/3"], ["A", 0.5], ["b", "1"],
+                                    ["B", "1"]]},
+             "r_exp": "0", "center": "a", "C": "1"}
+    inject = tmp_path / "spike.json"
+    inject.write_text(json.dumps(spike))
+    cfg = write_config(tmp_path, params=INJECT_PARAMS[mode], audit={
+        "max_len": 1, "Ds": [0], "inject": str(inject)})
+    assert main(["audit", "--config", cfg]) == code
+    assert ("spike cell 0.5 is a decimal" in capsys.readouterr().err) == (code == 2)
+
+
 @pytest.mark.parametrize("epsilon", ["critical", "1/2*log(3)"])
 def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
     # f_gamma does not depend on D: one radon_nikodym per gamma, and each
