@@ -159,11 +159,11 @@ class Run:
         self.nu = uniform_ps_measure(self.group, self.params)
 
     def _exact_inline(self, numbers, what: str) -> None:
-        """Exact mode reads inline numbers as ints or "p/q" only; a decimal
-        would silently turn the run into floats."""
+        """Exact mode reads numbers written in the config or a spike file as
+        ints or "p/q" only; a decimal would silently turn the run into floats."""
         bad = [v for v in numbers if isinstance(v, float)]
         if bad and self.arithmetic == "exact":
-            raise ConfigError(f"inline {what} {bad[0]!r} is a decimal, forbidden "
+            raise ConfigError(f"{what} {bad[0]!r} is a decimal, forbidden "
                               "in exact mode; write it as an integer or p/q")
 
     def target(self, spec) -> LocallyConstantFunction:
@@ -177,7 +177,7 @@ class Run:
         if isinstance(spec, dict) and "cells" in spec:
             with _parsing("target 'cells'"):
                 f = LocallyConstantFunction.from_json(self.group, spec)
-            self._exact_inline(f.values.values(), "target cell")
+            self._exact_inline(f.values.values(), "inline target cell")
             return f if conv is Fraction else f.map(float)
         raise ConfigError(f"unknown decomposition target {spec!r}")
 
@@ -194,7 +194,7 @@ class Run:
             doc = {"group": self.group.to_config(), "atoms": spec["atoms"]}
             with _parsing("measure 'atoms'"):
                 mu = GroupMeasure.from_json(doc)
-            self._exact_inline(mu.atoms.values(), "atom")
+            self._exact_inline(mu.atoms.values(), "inline atom")
             return mu
         if isinstance(spec, dict) and "mix" in spec:
             with _parsing("measure 'mix'"):
@@ -287,7 +287,7 @@ def _spike_from_json(run: Run, doc: dict) -> Spike:
         if key not in doc:
             raise ConfigError(f"injected spike file has no {key!r}")
     f = LocallyConstantFunction.from_json(run.group, doc["function"])
-    run._exact_inline(f.values.values(), "spike cell")
+    run._exact_inline(f.values.values(), "injected spike cell")
     return Spike(function=f,
                  r_exp=as_exact(str(doc["r_exp"])),
                  center=Cylinder(run.group.parse_word(doc["center"])),

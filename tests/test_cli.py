@@ -639,7 +639,7 @@ def test_injected_spike_with_a_decimal_cell(tmp_path, capsys, mode, code):
     cfg = write_config(tmp_path, params=INJECT_PARAMS[mode], audit={
         "max_len": 1, "Ds": [0], "inject": str(inject)})
     assert main(["audit", "--config", cfg]) == code
-    assert ("spike cell 0.5 is a decimal" in capsys.readouterr().err) == (code == 2)
+    assert ("injected spike cell 0.5 is a decimal" in capsys.readouterr().err) == (code == 2)
 
 
 @pytest.mark.parametrize("epsilon", ["critical", "1/2*log(3)"])
