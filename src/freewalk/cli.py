@@ -2,9 +2,9 @@
 
 Commands: decompose | verify | audit | moments.  A JSON run config holds the
 group (weights as exact fraction strings), the visual/greedy parameters and
-per-command options; results are machine-readable JSON (and CSV for
-coefficient tables).  Outputs are byte-identical across runs; timestamps go
-to a separate meta file.
+per-command options; `CONFIG_KEYS` lists every key it may hold.  Results are
+machine-readable JSON (and CSV for coefficient tables).  Outputs are
+byte-identical across runs; timestamps go to a separate meta file.
 
 Exit codes: 0 pass, 1 check failed, 2 usage/config error, 3 internal error.
 """
@@ -16,6 +16,9 @@ import contextlib
 import dataclasses
 import functools
 import json
+import math
+import os
+import reprlib
 import sys
 import time
 from fractions import Fraction
@@ -24,7 +27,7 @@ from typing import Optional
 
 from .words import WeightedFreeGroup, as_exact
 from .geometry import VisualParams, LogScale, Cylinder
-from .partitions import LocallyConstantFunction, _num_to_str
+from .partitions import LocallyConstantFunction, _num_from_str, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, conformal_exponent)
 from .spikes import make_spike, with_margin, verify_spike, shadow_lemma_audit, \
@@ -42,18 +45,82 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def _parsing(what: str):
-    """A KeyError, TypeError, AttributeError or IndexError while parsing
-    `what` (a missing key, a value of the wrong type) becomes a ConfigError
-    that names it."""
+def _parsing(what: str, *value):
+    """A missing key, a value of the wrong type, "1/0" or any such error in
+    parsing `what` (a config key holding `value`, or a user file) becomes a
+    ConfigError that names it."""
     try:
         yield
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
-        raise ConfigError(f"{what} is malformed: "
+    except (ValueError, TypeError, ZeroDivisionError, KeyError, AttributeError,
+            IndexError) as exc:
+        shown = "".join(f" = {reprlib.repr(v)}" for v in value)
+        raise ConfigError(f"{what}{shown} is malformed: "
                           f"{type(exc).__name__}: {exc}") from exc
 
 
-def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
+def _read_file(path, what: str, parse=lambda doc: doc):
+    """`parse` of the JSON document in the user file at `path`.  A path that
+    is not a readable file of JSON is a ConfigError that names it."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} file {str(path)!r} cannot be read: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    with _parsing(f"{what} file {path}"):
+        return parse(doc)
+
+
+# The parsers of CONFIG_KEYS read one JSON value each, given the group and
+# whether the run is exact; a target or measure becomes a function of the Run.
+
+def _rational(value, *_):
+    """A number or "p/q", read exactly: 1.5 is 3/2 and no float enters."""
+    return as_exact(str(value))
+
+
+def _int(value, *_) -> int:
+    if not isinstance(number := _rational(value), int):  # 1.5 is not truncated
+        raise ValueError(f"must be an integer, got {value!r}")
+    return number
+
+
+def _rationals(values, *_) -> list:
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list, got {type(values).__name__}")
+    return [_rational(v) for v in values]
+
+
+def _margins(values, *_) -> list:
+    """Shadow margins D for the audit: 0 or at least 1, as the spike sweep
+    checks no margin in between."""
+    for d in (margins := _rationals(values)):
+        if 0 < d < 1:
+            raise ValueError(f"shadow margin D = {d} is not checked by the "
+                             "spike sweep; use D = 0 or D >= 1")
+    return margins
+
+
+def _finite(value, *_) -> float:
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"{number} is not finite")
+    return number
+
+
+def _tau(value, group, exact) -> float:
+    tau = _finite(value)
+    if not exact and tau <= 0:
+        raise ValueError("tau = 0 is unreachable in float mode")
+    return tau
+
+
+def _arithmetic(value, *_) -> str:
+    if value not in ("exact", "float"):
+        raise ValueError(f"unknown arithmetic mode {value!r}")
+    return value
+
+
+def _scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
+    """"critical", "log(b)" or "c*log(b)"; a number in float mode only."""
     if isinstance(spec, str):
         spec = spec.strip()
         if spec == "critical":
@@ -61,157 +128,168 @@ def _parse_scale(spec, group: WeightedFreeGroup, exact: bool) -> LogScale:
                 return LogScale.log_of(2 * group.rank - 1,
                                        Fraction(1) / group.weights[0])
             if exact:
-                raise ConfigError("'critical' on unequal weights is a float "
-                                  "root, forbidden in exact mode")
+                raise ValueError("'critical' on unequal weights is a float "
+                                 "root, forbidden in exact mode")
             return LogScale.of_float(conformal_exponent(group))
         if spec.startswith("log(") and spec.endswith(")"):
-            return LogScale.log_of(Fraction(spec[4:-1]))
+            return LogScale.log_of(_rational(spec[4:-1]))
         if "*log(" in spec and spec.endswith(")"):
             coeff, base = spec.split("*log(")
-            return LogScale.log_of(Fraction(base[:-1]), Fraction(coeff))
+            return LogScale.log_of(_rational(base[:-1]), _rational(coeff))
     if exact:
-        raise ConfigError(f"float scale {spec!r} forbidden in exact mode")
-    with _parsing(f"scale {spec!r}"):
-        return LogScale.of_float(float(spec))
+        raise ValueError(f"float scale {spec!r} forbidden in exact mode")
+    if not isinstance(spec, (int, float, str)):
+        raise TypeError(f"scale {spec!r} is neither a number nor a log")
+    return LogScale.of_float(_finite(spec))
 
 
-def _int_option(section: dict, key: str, default: Optional[int] = None) -> int:
-    """An integer config field; a non-integral value is a ConfigError, never
-    truncated."""
-    value = section.get(key, default)
-    try:
-        number = Fraction(str(value))
-    except ValueError:
-        number = None
-    if number is None or number.denominator != 1:
-        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
-    return number.numerator
+def _inline(numbers, what: str, exact: bool) -> None:
+    """Cells and atoms written in the config or a spike file are ints or
+    "p/q": a decimal would silently turn an exact run into floats, so only
+    float mode takes one, and only a finite one."""
+    for v in numbers:
+        if isinstance(v, float) and exact:
+            raise ValueError(f"{what} {v!r} is a decimal, forbidden in exact "
+                             "mode; write it as an integer or p/q")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{what} {v!r} is not finite")
 
 
-def _read_file(path, what: str, parse=lambda doc: doc):
-    """`parse` of the JSON document in the user file at `path`.  A missing
-    file, invalid JSON or a document `parse` cannot read is a ConfigError
-    that names the file."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} file not found: {path}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
-    with _parsing(f"{what} file {path}"):
-        return parse(doc)
+def _target(spec, group: WeightedFreeGroup, exact: bool):
+    """"ones", "derivative:WORD" (the density of WORD nu) or inline
+    {"cells": ...}."""
+    if isinstance(spec, str) and spec.startswith("derivative:"):
+        gamma = group.parse_word(spec.split(":", 1)[1])
+        build = lambda run: radon_nikodym(gamma, run.nu, run.params)
+    elif spec in (None, "ones", "1"):
+        build = lambda run: LocallyConstantFunction.constant(group, Fraction(1))
+    elif isinstance(spec, dict) and "cells" in spec:
+        f = LocallyConstantFunction.from_json(group, spec)
+        _inline(f.values.values(), "inline target cell", exact)
+        build = lambda run: f
+    else:
+        raise ValueError(f"unknown decomposition target {spec!r}")
+    return build if exact else lambda run: build(run).map(float)
 
 
-SECTIONS = ("group", "params", "decompose", "verify", "audit", "moments")
+def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
+    """"sphere:R", a measure file or decomposition report, inline
+    {"atoms": ...}, or a convex {"mix": [[spec, weight], ...]}."""
+    if isinstance(spec, str) and spec.startswith("sphere:"):
+        radius = _int(spec.split(":", 1)[1])
+        return lambda run: sphere_uniform(group, radius)
+    if isinstance(spec, str):
+        def parse(doc):  # a measure file, or a decomposition report
+            if "coefficients" in doc:
+                doc = {"group": group.to_config(), "atoms": doc["coefficients"]}
+            return GroupMeasure.from_json(doc)
+        return lambda run: _read_file(spec, "measure", parse)
+    if isinstance(spec, dict) and "atoms" in spec:
+        atoms = {group.parse_word(w): _num_from_str(v) for w, v in spec["atoms"]}
+        _inline(atoms.values(), "inline atom", exact)
+        return lambda run: GroupMeasure(group, atoms)
+    if isinstance(spec, dict) and "mix" in spec:
+        parts = [(_group_measure(m, group, exact), _rational(t)) for m, t in spec["mix"]]
+        return lambda run: mix([(m(run), t) for m, t in parts])
+    raise ValueError(f"unknown group measure spec {spec!r}")
 
 
-def _config_shape(cfg):
-    """`cfg` if its top level and each section it has are JSON objects and
-    audit's `Ds` is a list; else a ConfigError that names the key."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
-    for key in SECTIONS:
-        if key in cfg and not isinstance(cfg[key], dict):
-            raise ConfigError(f"config section {key!r} must be an object, "
-                              f"got {type(cfg[key]).__name__}")
-    ds = cfg.get("audit", {}).get("Ds", [])
-    if not isinstance(ds, list):
-        raise ConfigError(f"audit 'Ds' must be a list, got {type(ds).__name__}")
-    return cfg
+def _boundary_measure(spec, group: WeightedFreeGroup, exact: bool):
+    """"uniform" (the conformal nu), "pushforward:WORD" or a measure file."""
+    if spec in (None, "uniform", "ps"):
+        return lambda run: run.nu
+    if isinstance(spec, str) and spec.startswith("pushforward:"):
+        gamma = group.parse_word(spec.split(":", 1)[1])
+        return lambda run: pushforward(gamma, run.nu)
+    if isinstance(spec, str):
+        return lambda run: _read_file(spec, "measure", lambda doc: (
+            BoundaryMeasure.from_json(doc, params=run.params)))
+    raise ValueError(f"unknown boundary measure spec {spec!r}")
+
+
+# Every config key: (section, key) -> (default, parser).  The group keys build
+# the group and come first, then "arithmetic": the rest are read on that group
+# in that mode.  A key with default None may be left out or null; any other
+# null goes to its parser, which reads it as the default target or nu and
+# refuses it elsewhere.
+CONFIG_KEYS = {
+    ("group", "rank"): (None, _int),
+    ("group", "weights"): (None, _rationals),
+    ("group", "names"): (None, lambda names, *_: names),
+    ("params", "arithmetic"): ("exact", _arithmetic),
+    ("params", "alpha"): ("critical", _scale),
+    ("params", "epsilon"): ("critical", _scale),
+    ("params", "s"): ("2", _rational),
+    ("params", "beta"): ("1/2", _rational),
+    ("params", "C"): (None, _rational),
+    ("params", "D"): (0, _int),
+    ("params", "tau"): (1e-6, _tau),
+    ("params", "schedule"): ("fixed", lambda name, *_: name),
+    ("params", "rescale"): ("adaptive", lambda name, *_: name),
+    ("params", "max_rounds"): (120, _int),
+    ("params", "audit_len"): (3, _int),
+    ("decompose", "target"): ("ones", _target),
+    ("verify", "mu"): ("sphere:1", _group_measure),
+    ("verify", "nu"): ("uniform", _boundary_measure),
+    ("verify", "nu_prime"): ("uniform", _boundary_measure),
+    ("verify", "depth"): (None, _int),
+    ("verify", "threshold"): (1e-9, _finite),
+    ("audit", "max_len"): (5, _int),
+    ("audit", "Ds"): ([0, 1, 2], _margins),
+    ("audit", "inject"): (None, lambda path, *_: os.fspath(path)),
+    ("moments", "rounds"): (3, _int),
+    ("moments", "target"): ("ones", _target),
+}
 
 
 def load_config(path: str) -> dict:
-    return _read_file(path, "config", _config_shape)
+    """The config file at `path` as {section: {key: value}}, each key of
+    CONFIG_KEYS parsed or defaulted and "group" the group.  An unknown or
+    malformed section or key is a ConfigError that names it."""
+    doc = _read_file(path, "config")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    cfg = {section: {} for section, _ in CONFIG_KEYS}
+    for section, body in doc.items():
+        if section not in cfg:
+            raise ConfigError(f"unknown config section {section!r}")
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section {section!r} must be an object, "
+                              f"got {type(body).__name__}")
+        for key in body:
+            if (section, key) not in CONFIG_KEYS:
+                raise ConfigError(f"unknown config key {section}.{key}")
+    group = exact = None
+    for (section, key), (default, parse) in CONFIG_KEYS.items():
+        value = doc.get(section, {}).get(key, default)
+        if value is not None or default is not None:
+            with _parsing(f"config[{section!r}][{key!r}]", value):
+                value = parse(value, group, exact)
+        cfg[section][key] = value
+        if key == "names":  # the last group key
+            with _parsing("config['group']"):
+                group = cfg["group"] = WeightedFreeGroup(**cfg["group"])
+        elif key == "arithmetic":
+            exact = value == "exact"
+    return cfg
 
 
 class Run:
-    """Materialized run state shared by the commands."""
+    """Run state shared by the commands, from a config `load_config` read."""
 
     def __init__(self, cfg: dict):
-        if "group" not in cfg:
-            raise ConfigError("config needs a 'group' section")
-        with _parsing("config 'group'"):
-            self.group = WeightedFreeGroup.from_config(cfg["group"])
-        pc = dict(cfg.get("params", {}))
-        self.arithmetic = pc.get("arithmetic", "exact")
-        if self.arithmetic not in ("exact", "float"):
-            raise ConfigError(f"unknown arithmetic mode {self.arithmetic!r}")
-        exact = self.arithmetic == "exact"
-        self.params = VisualParams(
-            alpha=_parse_scale(pc.get("alpha", "critical"), self.group, exact),
-            epsilon=_parse_scale(pc.get("epsilon", "critical"), self.group, exact))
-        with _parsing("config 'tau'"):
-            tau = float(pc.get("tau", 1e-6))
-        if not exact and tau <= 0:
-            raise ConfigError("tau = 0 is unreachable in float mode")
+        self.cfg, self.group, pc = cfg, cfg["group"], cfg["params"]
+        self.exact = pc["arithmetic"] == "exact"
+        self.params = VisualParams(alpha=pc["alpha"], epsilon=pc["epsilon"])
         self.greedy = GreedyParams(
-            s=Fraction(str(pc.get("s", "2"))),
-            beta=Fraction(str(pc.get("beta", "1/2"))),
-            c_cap=Fraction(str(pc["C"])) if "C" in pc else None,
-            margin=Fraction(str(pc.get("D", 0))),
-            tau=tau,
-            schedule=pc.get("schedule", "fixed"),
-            rescale=pc.get("rescale", "adaptive"),
-            max_rounds=_int_option(pc, "max_rounds", 120),
-            audit_len=_int_option(pc, "audit_len", 3))
-        self.cfg = cfg
+            s=pc["s"], beta=pc["beta"], c_cap=pc["C"], margin=pc["D"],
+            tau=pc["tau"], schedule=pc["schedule"], rescale=pc["rescale"],
+            max_rounds=pc["max_rounds"], audit_len=pc["audit_len"])
         self.nu = uniform_ps_measure(self.group, self.params)
 
-    def _exact_inline(self, numbers, what: str) -> None:
-        """Exact mode reads numbers written in the config or a spike file as
-        ints or "p/q" only; a decimal would silently turn the run into floats."""
-        bad = [v for v in numbers if isinstance(v, float)]
-        if bad and self.arithmetic == "exact":
-            raise ConfigError(f"{what} {bad[0]!r} is a decimal, forbidden "
-                              "in exact mode; write it as an integer or p/q")
-
     def target(self, spec) -> LocallyConstantFunction:
-        conv = Fraction if self.arithmetic == "exact" else float
-        if spec in (None, "ones", "1"):
-            return LocallyConstantFunction.constant(self.group, conv(1))
-        if isinstance(spec, str) and spec.startswith("derivative:"):
-            gamma = self.group.parse_word(spec.split(":", 1)[1])
-            f = radon_nikodym(gamma, self.nu, self.params)
-            return f if conv is Fraction else f.map(float)
-        if isinstance(spec, dict) and "cells" in spec:
-            with _parsing("target 'cells'"):
-                f = LocallyConstantFunction.from_json(self.group, spec)
-            self._exact_inline(f.values.values(), "inline target cell")
-            return f if conv is Fraction else f.map(float)
-        raise ConfigError(f"unknown decomposition target {spec!r}")
-
-    def group_measure(self, spec) -> GroupMeasure:
-        if isinstance(spec, str) and spec.startswith("sphere:"):
-            return sphere_uniform(self.group, int(spec.split(":", 1)[1]))
-        if isinstance(spec, str):
-            def parse(doc):  # a measure file, or a decomposition report
-                if "coefficients" in doc:
-                    doc = {"group": self.group.to_config(), "atoms": doc["coefficients"]}
-                return GroupMeasure.from_json(doc)
-            return _read_file(spec, "measure", parse)
-        if isinstance(spec, dict) and "atoms" in spec:
-            doc = {"group": self.group.to_config(), "atoms": spec["atoms"]}
-            with _parsing("measure 'atoms'"):
-                mu = GroupMeasure.from_json(doc)
-            self._exact_inline(mu.atoms.values(), "inline atom")
-            return mu
-        if isinstance(spec, dict) and "mix" in spec:
-            with _parsing("measure 'mix'"):
-                parts = [(m, Fraction(str(t))) for m, t in spec["mix"]]
-            return mix([(self.group_measure(m), t) for m, t in parts])
-        raise ConfigError(f"unknown group measure spec {spec!r}")
-
-    def boundary_measure(self, spec) -> BoundaryMeasure:
-        if spec in (None, "uniform", "ps"):
-            return self.nu
-        if isinstance(spec, str) and spec.startswith("pushforward:"):
-            gamma = self.group.parse_word(spec.split(":", 1)[1])
-            return pushforward(gamma, self.nu)
-        if isinstance(spec, str):
-            return _read_file(spec, "measure", lambda doc: BoundaryMeasure.from_json(
-                doc, params=self.params))
-        raise ConfigError(f"unknown boundary measure spec {spec!r}")
+        """F for a decomposition target spec such as "derivative:ab"."""
+        return _target(spec, self.group, self.exact)(self)
 
 
 def _write(out_dir: Optional[str], name: str, text: str) -> None:
@@ -239,8 +317,7 @@ def _write_meta(out_dir: Optional[str], command: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_decompose(run: Run, args) -> int:
-    section = run.cfg.get("decompose", {})
-    F = run.target(section.get("target"))
+    F = run.cfg["decompose"]["target"](run)
     result = basis_decompose(F, run.nu, run.greedy)
     _write(args.out, "decomposition.json", _dump(result.to_json()))
     _write(args.out, "decomposition.csv", result.to_csv())
@@ -249,13 +326,13 @@ def cmd_decompose(run: Run, args) -> int:
 
 
 def cmd_moments(run: Run, args) -> int:
-    section = run.cfg.get("moments", {})
-    F = run.target(section.get("target"))
+    section = run.cfg["moments"]
+    F = section["target"](run)
     params = run.greedy
     if params.margin < 1:
         params = dataclasses.replace(params, margin=1, rescale="proof")
     result = moment_decompose(F, run.nu, params,
-                              rounds=_int_option(section, "rounds", 3))
+                              rounds=section["rounds"])
     doc = result.to_json()
     _write(args.out, "moments.json", _dump(doc))
     _write(args.out, "moments.csv", result.to_csv())
@@ -265,36 +342,31 @@ def cmd_moments(run: Run, args) -> int:
 
 
 def cmd_verify(run: Run, args) -> int:
-    section = run.cfg.get("verify", {})
-    mu = run.group_measure(section.get("mu", "sphere:1"))
-    nu = run.boundary_measure(section.get("nu"))
-    nu_prime = run.boundary_measure(section.get("nu_prime"))
-    depth = args.depth
-    if depth is None and section.get("depth") is not None:
-        depth = _int_option(section, "depth")
+    section = run.cfg["verify"]
+    mu = section["mu"](run)
+    nu = section["nu"](run)
+    nu_prime = section["nu_prime"](run)
+    depth = section["depth"] if args.depth is None else args.depth
     report = verify_stationarity(mu, nu, nu_prime, depth=depth)
     _write(args.out, "stationarity.json", _dump(report.to_json()))
     _write_meta(args.out, "verify")
-    threshold = args.threshold
-    if threshold is None:
-        with _parsing("verify 'threshold'"):
-            threshold = float(section.get("threshold", 1e-9))
+    threshold = section["threshold"] if args.threshold is None else args.threshold
     return 0 if float(report.max_cell_error) <= threshold else 1
 
 
 def _spike_from_json(run: Run, doc: dict) -> Spike:
     for key in ("function", "r_exp", "center"):
         if key not in doc:
-            raise ConfigError(f"injected spike file has no {key!r}")
+            raise ValueError(f"injected spike file has no {key!r}")
     f = LocallyConstantFunction.from_json(run.group, doc["function"])
-    run._exact_inline(f.values.values(), "injected spike cell")
+    _inline(f.values.values(), "injected spike cell", run.exact)
     return Spike(function=f,
-                 r_exp=as_exact(str(doc["r_exp"])),
+                 r_exp=_rational(doc["r_exp"]),
                  center=Cylinder(run.group.parse_word(doc["center"])),
                  q=run.params.q_exponent, theta=run.params.q_exponent,
-                 c=Fraction(str(doc["C"])) if "C" in doc else None,
+                 c=_rational(doc["C"]) if "C" in doc else None,
                  gamma=run.group.parse_word(doc.get("gamma", "e")),
-                 margin=as_exact(str(doc.get("D", 0))),
+                 margin=_rational(doc.get("D", 0)),
                  params=run.params)
 
 
@@ -311,15 +383,8 @@ def _spike_sweep(gammas, ds, nu: BoundaryMeasure, params: VisualParams):
 
 
 def cmd_audit(run: Run, args) -> int:
-    section = run.cfg.get("audit", {})
-    max_len = _int_option(section, "max_len", 5)
-    ds = [Fraction(str(d)) for d in section.get("Ds", [0, 1, 2])]
-    if max_len < 1 or not ds:
-        raise ConfigError("audit sweep is empty (need max_len >= 1 and Ds)")
-    for d in ds:
-        if 0 < d < 1:
-            raise ConfigError(f"shadow margin D = {d} is not checked by the "
-                              "spike sweep; use D = 0 or D >= 1")
+    section = run.cfg["audit"]
+    max_len, ds = section["max_len"], section["Ds"]
     nu, params = run.nu, run.params
     shadows = shadow_lemma_audit(nu, params, max_len, ds)
     decay = _spine_decay(nu, params, max_len)
@@ -346,10 +411,8 @@ def cmd_audit(run: Run, args) -> int:
                               if v is not None}})
 
     injected_fail = None
-    if section.get("inject"):
-        with _parsing("audit 'inject'"):
-            path = Path(section["inject"])
-        sp = _read_file(path, "injected spike",
+    if section["inject"] is not None:
+        sp = _read_file(section["inject"], "injected spike",
                         lambda doc: _spike_from_json(run, doc))
         rep = verify_spike(sp, nu)
         if not rep.all_ok:

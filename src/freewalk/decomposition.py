@@ -537,7 +537,10 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             raise InternalInvariantError(
                 f"residual did not decrease in round {round_idx}: "
                 f"{trace[-1]} -> {l1_next}")
-        if float(l1_next) > float(rho) * float(trace[-1]) + 1e-12:
+        # exact when all three are rational; the slack is for floats only
+        exact = all(isinstance(x, (int, Fraction)) for x in (l1_next, rho, trace[-1]))
+        if (l1_next > rho * trace[-1] if exact else
+                float(l1_next) > float(rho) * float(trace[-1]) + 1e-12):
             raise InternalInvariantError(
                 f"round {round_idx} violated the guaranteed contraction "
                 f"{float(rho):.6f}")
@@ -599,8 +602,7 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
         inf_r, sup_r = R.inf(), R.sup()
-        sup_slope = max(lipschitz_scale(R, vparams.epsilon.log_recip(g_prev),
-                                        vparams).values())
+        sup_slope = max(lipschitz_scale(R, 0, vparams, g_prev).values())
         if sup_slope > 0:
             delta_n = min(float((params.s - 1)) * float(inf_r) / float(sup_slope),
                           g_prev)

@@ -106,10 +106,6 @@ class LogScale:
                 return up * m.numerator >= down * m.denominator
         return math.exp(-self.value * (float(p) - float(t))) <= float(mult) * (1 + 1e-15)
 
-    def log_recip(self, r) -> float:
-        """log(1/r) expressed in units of this scale: t with e^{-x t} = r."""
-        return -math.log(float(r)) / self.value
-
 
 @dataclass(frozen=True)
 class VisualParams:

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freewalk import cli, spikes
 from freewalk.cli import main
@@ -673,3 +674,131 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, audit={"max_len": 1, "Ds": [0, -1]})
     assert main(["audit", "--config", cfg]) == 2
     assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, value, name", [
+    ("audit", "group", {"rank": "1/0"}, "config['group']['rank']"),
+    ("decompose", "decompose", {"target": {"cells": [["a", "1/0"], ["A", "1"],
+                                                     ["b", "1"], ["B", "1"]]}},
+     "config['decompose']['target']"),
+    ("moments", "params", {"D": "1/0"}, "config['params']['D']"),
+    ("audit", "audit", {"Ds": ["1/0"]}, "config['audit']['Ds']"),
+    ("verify", "verify", {"mu": {"mix": [["sphere:1", "1/0"]]}}, "config['verify']['mu']"),
+    ("moments", "moments", {"rounds": "1/0"}, "config['moments']['rounds']"),
+    ("verify", "verify", {"depth": "1/0"}, "config['verify']['depth']"),
+    ("audit", "params", {"arithmetic": "float", "alpha": "inf"},
+     "config['params']['alpha']"),
+    ("verify", "verify", {"mu": ""}, "measure file ''"),
+    ("decompose", "params", {"max_round": 3}, "params.max_round"),
+    ("decompose", "params", {"rescal": "proof"}, "params.rescal"),
+    ("audit", "audit", {"maxlen": 9}, "audit.maxlen"),
+    ("audit", "extra", {}, "config section 'extra'"),
+    ("decompose", "params", {"tau": "nan"}, "config['params']['tau']"),
+    ("decompose", "params", {"s": None}, "config['params']['s']"),
+    ("audit", "params", {"D": True}, "config['params']['D']"),
+])
+def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
+    # "1/0", a non-finite float, a path that is no file, a misspelled key or
+    # an unknown section: a usage error that names the key, never exit 3 or a
+    # silently ignored setting
+    cfg = write_config(tmp_path, **{section: value})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, section, key, doc", [
+    ("verify", "verify", "mu", {"group": {"rank": 2}, "atoms": [["a", "1/0"]]}),
+    ("audit", "audit", "inject", {"function": {"cells": [["a", "1/0"]]},
+                                  "r_exp": "1", "center": "a"}),
+    ("audit", "audit", "inject", {"function": {"cells": [["a", "1"], ["A", "1"],
+                                                         ["b", "1"], ["B", "1"]]},
+                                  "r_exp": "1/0", "center": "a"}),
+])
+def test_user_file_with_a_zero_denominator_exits_2(tmp_path, capsys, command,
+                                                   section, key, doc):
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps(doc))
+    spec = {"audit": {"max_len": 1, "Ds": [0], "inject": str(path)},
+            "verify": {"mu": str(path)}}[section]
+    cfg = write_config(tmp_path, **{section: spec})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "ZeroDivisionError" in err
+
+
+def test_null_leaves_out_a_key_without_a_default(tmp_path):
+    # "C", "depth", "inject" and the group's "weights" and "names" have no
+    # default value, so null is the same as leaving them out; a null target
+    # or boundary measure is the default one
+    cfg = write_config(tmp_path, group={"rank": 2, "weights": None, "names": None},
+                       params={"C": None}, decompose={"target": None},
+                       verify={"mu": "sphere:1", "nu": None, "nu_prime": None,
+                               "depth": None},
+                       audit={"max_len": 1, "Ds": [0], "inject": None})
+    run = cli.Run(cli.load_config(cfg))
+    assert run.greedy.c_cap is None and run.cfg["verify"]["depth"] is None
+    for command in ("audit", "verify", "decompose"):
+        assert main([command, "--config", cfg]) == 0
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert [f"{s}.{k}" for s, k in cli.CONFIG_KEYS
+            if f"`{s}.{k}`" not in section] == []
+
+
+# One small golden-style config per command, and the values a mutation
+# writes into it under every config key and some misspelled ones: values
+# that suit the key, and small numbers, "1/0", "", "nan", spec strings,
+# short lists, objects and null.
+FUZZ_BASE = {"group": {"rank": 2, "weights": ["1", "1"], "names": ["a", "b"]},
+             "params": {"arithmetic": "exact"}}
+FUZZ_COMMANDS = {"audit": {"audit": {"max_len": 1, "Ds": [0, 1]}},
+                 "decompose": {"params": {"arithmetic": "exact", "max_rounds": 1}},
+                 "moments": {"moments": {"rounds": 1}},
+                 "verify": {"verify": {"mu": "sphere:1"}}}
+FUZZ_SUITED = {
+    "rank": [2], "weights": [["1", "1"], [1.5, 1.5]], "names": [["x", "y"]],
+    "arithmetic": ["exact", "float"], "alpha": ["critical", "log(3)", 1.1],
+    "epsilon": ["critical", "1/2*log(3)", 0.7], "s": ["3/2", 2], "beta": ["1/3", 0.5],
+    "C": [2, "3/2"], "D": [0, 1], "tau": [1e-3, 0], "schedule": ["fixed", "growing"],
+    "rescale": ["adaptive", "proof"], "max_rounds": [1, 2], "audit_len": [1, 2],
+    "target": ["ones", "derivative:a",
+               {"cells": [["a", "2"], ["A", "1"], ["b", "1"], ["B", "1"]]}],
+    "mu": ["sphere:1", {"atoms": [["A", "1"]]},
+           {"mix": [["sphere:1", "1/2"], ["sphere:2", "1/2"]]}],
+    "nu": ["uniform", "pushforward:a"], "nu_prime": ["uniform", "pushforward:a"],
+    "depth": [1, 3], "threshold": [0, 1], "max_len": [1, 2], "Ds": [[0], [0, 2]],
+    "inject": [None], "rounds": [1, 2]}
+FUZZ_KEYS = sorted(cli.CONFIG_KEYS) + [("params", "max_round"), ("params", "rescal"),
+                                       ("audit", "maxlen"), ("extra", "x")]
+FUZZ_SCALARS = st.one_of(
+    st.integers(-2, 3), st.floats(-2, 3), st.none(), st.booleans(),
+    st.sampled_from([float("nan"), float("inf"), "1/0", "", "nan", "1/2", "a",
+                     "critical", "float", "log(3)", "sphere:2", "derivative:a",
+                     "pushforward:a"]))
+FUZZ_VALUES = st.one_of(
+    FUZZ_SCALARS, st.lists(FUZZ_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from(["cells", "atoms", "mix"]),
+                    st.lists(st.lists(FUZZ_SCALARS, max_size=2), max_size=2),
+                    max_size=1))
+FUZZ_MUTATIONS = st.sampled_from(FUZZ_KEYS).flatmap(lambda path: st.tuples(
+    st.just(path), st.one_of(st.sampled_from(FUZZ_SUITED.get(path[1], [None])),
+                             FUZZ_VALUES)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(sorted(FUZZ_COMMANDS)),
+       mutations=st.lists(FUZZ_MUTATIONS, min_size=1, max_size=2))
+def test_mutated_config_never_exits_3(tmp_path_factory, command, mutations):
+    # a valid config passes or fails its check, and any other is a usage
+    # error: no config exits 3
+    cfg = json.loads(json.dumps({**FUZZ_BASE, **FUZZ_COMMANDS[command]}))
+    for (section, key), value in mutations:
+        cfg.setdefault(section, {})[key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) in (0, 1, 2)

@@ -13,7 +13,8 @@ from freewalk import (Cylinder, LocallyConstantFunction, GreedyParams,
                       radon_nikodym, audit_case_envelope, InputError, density,
                       integrate, WeightedFreeGroup)
 from freewalk import decomposition
-from freewalk.decomposition import greedy_lambdas, _round_spikes
+from freewalk.decomposition import (InternalInvariantError, greedy_lambdas,
+                                    _round_spikes)
 
 
 def four_unit_spikes(f2, params2):
@@ -142,6 +143,26 @@ def test_basis_decompose_falls_back_to_a_uniform_cap(monkeypatch, f2, nu2,
     assert all(0 < f < 1 for f in seen["fallback"])
     assert any(lam == 0 for lams in seen["lambdas"] for lam in lams)
     _check_rounds(res, F, nu2)
+
+
+def test_basis_decompose_checks_contraction_exactly(monkeypatch, f2, nu2,
+                                                    constants2):
+    # exact mode compares the round's residual with rho* times the last one
+    # exactly: a rho* 10^-20 below the measured ratio is a violation, which a
+    # float comparison with slack 1e-12 would let pass
+    F = LocallyConstantFunction(f2, CONTRAST)
+    gp = GreedyParams(max_rounds=1)
+    trace = basis_decompose(F, nu2, gp, constants=constants2).residual_trace
+    ratio = Fraction(trace[1]) / trace[0]
+    rho_star = type(constants2).rho_star
+    monkeypatch.setattr(type(constants2), "rho_star", lambda *args: ratio)
+    assert basis_decompose(F, nu2, gp, constants=constants2).residual_trace == trace
+    monkeypatch.setattr(type(constants2), "rho_star",
+                        lambda *args: ratio - Fraction(1, 10 ** 20))
+    with pytest.raises(InternalInvariantError, match="guaranteed contraction"):
+        basis_decompose(F, nu2, gp, constants=constants2)
+    assert rho_star(constants2, gp.beta, gp.cap_for(constants2, nu2.params),
+                    gp.s) >= ratio
 
 
 def test_growing_schedule_proof_factors(f2, nu2, params2, constants2):

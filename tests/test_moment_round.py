@@ -84,7 +84,8 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
             break
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
-        slopes = lipschitz_scale(R, vparams.epsilon.log_recip(g_prev), vparams)
+        # the radius g_prev as a float exponent: e^{-eps t} = g_prev
+        slopes = lipschitz_scale(R, -math.log(g_prev) / vparams.epsilon.value, vparams)
         sup_slope = max(slopes.values())
         if sup_slope > 0:
             delta_n = min(float((params.s - 1)) * float(R.inf()) / float(sup_slope),
