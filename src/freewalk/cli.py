@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", default=None, help="output directory")
     verify, audit = commands.choices["verify"], commands.choices["audit"]
     verify.add_argument("--depth", type=int, default=None)
-    verify.add_argument("--threshold", type=float, default=None)
+    verify.add_argument("--threshold", type=_finite, default=None)
     audit.add_argument("--witnesses", action="store_true",
                        help="dump per-spike worst-case witnesses in audit output")
     return parser

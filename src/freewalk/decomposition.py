@@ -324,13 +324,13 @@ def _round_spikes(group: WeightedFreeGroup, vparams: VisualParams, shell: int,
     cover_depth = shell - margin
     if cover_depth < 0:
         raise InternalInvariantError(f"shell {shell} below margin {margin}")
+    q = vparams.q_exponent  # a property that builds a Fraction per read
     spikes = []
     for cell in group.sphere(cover_depth):
         word = spine_word(group, cell, shell)
         gamma = invert(word)
         spikes.append(Spike(function=None, r_exp=sup_product(group, gamma) - margin,
-                            center=Cylinder(word), q=vparams.q_exponent,
-                            theta=vparams.q_exponent, c=cap, gamma=gamma,
+                            center=Cylinder(word), q=q, theta=q, c=cap, gamma=gamma,
                             margin=margin, params=vparams))
     spikes.sort(key=lambda s: (s.r_exp, len(s.gamma), s.gamma))
     return spikes
@@ -659,7 +659,9 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
     Soundness inputs (round mass bound, per-spike log bound) are checked
     separately so the envelope is not fitted to what it certifies.
     """
-    rho = float(constants.rho_star(params.beta, cap, params.s))
+    rho_q = constants.rho_star(params.beta, cap, params.s)
+    c_prime_q = params.beta * norm_f
+    rho = float(rho_q)
     q = float(constants.q)
     c_prime = float(params.beta) * float(norm_f)
     lam_hat = 0.0
@@ -676,7 +678,11 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
         rec.envelope = env
         # log(1/||u||_1) <= Q log(1/r) + 2 log C at the round's smallest radius
         log_r_bound = q * float(rec.max_r_exp) * vparams.epsilon.value + 2 * math.log(float(cap))
-        if float(rec.round_mass) > c_prime * rho ** (n - 1) + 1e-12:
+        # exact when all three are rational; the slack is for floats only
+        exact = all(isinstance(x, (int, Fraction))
+                    for x in (rec.round_mass, rho_q, c_prime_q))
+        if (rec.round_mass > c_prime_q * rho_q ** (n - 1) if exact else
+                float(rec.round_mass) > c_prime * rho ** (n - 1) + 1e-12):
             checks["mass_bound"] = False
         if rec.max_log_inv_l1 is not None and rec.max_log_inv_l1 > log_r_bound + 1e-9:
             checks["log_bound"] = False

@@ -511,15 +511,85 @@ class SpikeAccumulator:
         children.  Bottom up, each node satisfies N_v = a_v - b_v A_parent
         (A = 0 above the root): (a, b) = (t, 1)/(1 - s) at a center, and
         (a, b) = (sum s a, sum s b)/(1 + (1 - s) sum s b) at an inner node.
-        No denominator can be 0.  Top down, A and N follow.  The arithmetic
-        is the steps' and targets' own: exact for Fractions.
+        No denominator can be 0.  Top down, A and N follow.
+
+        In the scaled-integer mode with every target an int or a Fraction,
+        each node value is a reduced (numerator, denominator) pair of ints
+        (`_solve_pairs`) and one Fraction is built per center.  Every other
+        case (float params, a step that is not a Fraction, a float target)
+        runs on the steps' and targets' own arithmetic (`_solve_plain`).
+        Both give the same Fractions in exact mode.
         """
-        step = self.step
-        order = sorted({b[:t] for b in targets for t in range(len(b) + 1)},
-                       key=lambda w: (len(w), w))
+        if not targets:
+            return {}
+        if self._den is not None and all(isinstance(t, (int, Fraction))
+                                         for t in targets.values()):
+            return self._solve_pairs(targets)
+        return self._solve_plain(targets)
+
+    @staticmethod
+    def _trie(targets: Dict[Word, object]) -> Tuple[List[Word], Dict[Word, List[Word]]]:
+        """The prefixes of the centers, parents first and siblings in word
+        order, and each one's children."""
+        order = sorted({b[:t] for b in targets for t in range(len(b) + 1)})
+        order.sort(key=len)
         children: Dict[Word, List[Word]] = {v: [] for v in order}
         for v in order[1:]:
             children[v[:-1]].append(v)
+        return order, children
+
+    def _solve_pairs(self, targets: Dict[Word, object]) -> Dict[Word, Fraction]:
+        """`solve` on int pairs.  A step p/q enters as its two ints, so
+        1 - s = (q - p)/q, and with sb = bn/bd the inner-node divisor is
+        d = 1 + (1 - s) sb = (q bd + (q - p) bn)/(q bd).  Sums over children
+        are kept unreduced; one gcd reduces each node's a, b, N and A."""
+        gcd = math.gcd
+        order, children = self._trie(targets)
+        pq = {x: (s.numerator, s.denominator) for x, s in self.step.items()}
+        ab: Dict[Word, Tuple[int, int, int, int]] = {}   # a = an/ad, b = bn/bd
+        for v in reversed(order):
+            p, q = pq[v[-1]] if v else (0, 1)
+            t = targets.get(v)
+            if t is not None:
+                # (a, b) = (t, 1) q/(q - p); q and q - p are coprime
+                an, ad = t.numerator * q, t.denominator * (q - p)
+                g = gcd(an, ad)
+                ab[v] = (an // g, ad // g, q, q - p)
+                continue
+            an = bn = 0
+            ad = bd = 1
+            for c in children[v]:
+                pc, qc = pq[c[-1]]
+                can, cad, cbn, cbd = ab[c]
+                an, ad = an * qc * cad + pc * can * ad, ad * qc * cad
+                bn, bd = bn * qc * cbd + pc * cbn * bd, bd * qc * cbd
+            e = q * bd + (q - p) * bn
+            an, ad, bn, bd = an * q * bd, ad * e, bn * q, e
+            g, h = gcd(an, ad), gcd(bn, bd)
+            ab[v] = (an // g, ad // g, bn // h, bd // h)
+        root = order[0]
+        A = {root: ab[root][:2]}   # s = 0 at the root: A = N = a
+        lambdas = {}
+        for v in order[1:]:
+            an, ad, bn, bd = ab[v]
+            xn, xd = A[v[:-1]]
+            n, d = an * bd * xd - bn * xn * ad, ad * bd * xd   # N = a - b A_parent
+            if v in targets:
+                lambdas[v] = Fraction(n, d)
+                continue
+            g = gcd(n, d)
+            n, d = n // g, d // g
+            p, q = pq[v[-1]]
+            n, d = xn * q * d + (q - p) * n * xd, xd * q * d   # A = A_parent + (1 - s) N
+            g = gcd(n, d)
+            A[v] = (n // g, d // g)
+        return {b: lambdas[b] for b in targets}
+
+    def _solve_plain(self, targets: Dict[Word, object]) -> Dict[Word, object]:
+        """`solve` on the steps' and targets' own arithmetic: exact for
+        Fractions, float otherwise."""
+        step = self.step
+        order, children = self._trie(targets)
         s = {v: step[v[-1]] if v else 0 for v in order}
         ab = {}
         for v in reversed(order):

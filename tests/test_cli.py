@@ -87,6 +87,31 @@ def test_verify_depth_zero_rejected(tmp_path, capsys):
     assert not (out / "stationarity.json").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_non_finite_threshold_flag_rejected(tmp_path, capsys, value):
+    # the flag follows the rule of the config key: every error would pass
+    # under inf and fail under nan, so neither is a threshold
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out),
+                 f"--threshold={value}"]) == 2
+    assert "--threshold" in capsys.readouterr().err
+    assert not (out / "stationarity.json").exists()
+
+
+def test_verify_finite_threshold_flag(tmp_path):
+    # the perturbed mu has a cell error above the default 1e-9 and below 1
+    perturbed = {
+        "atoms": [["a", "26/100"], ["A", "1/4"], ["b", "1/4"], ["B", "1/4"]]}
+    cfg = write_config(tmp_path, verify={"mu": perturbed})
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    assert main(["verify", "--config", cfg, "--out", out, "--threshold", "1"]) == 0
+    assert main(["verify", "--config", cfg, "--out", out, "--threshold", "1e-12"]) == 1
+    assert main(["verify", "--config", write_config(tmp_path), "--out", out,
+                 "--threshold", "0"]) == 0
+
+
 def test_verify_missing_file(tmp_path):
     cfg = write_config(tmp_path, verify={"mu": str(tmp_path / "nope.json")})
     assert main(["verify", "--config", cfg]) == 2

@@ -1,12 +1,15 @@
 """The cone finisher: the exact trie solve of SpikeAccumulator against the
-inserted sums, and the finisher against the float projected Gauss-Seidel
-sweep it replaced, kept here as the oracle."""
+inserted sums, its int-pair path against its plain Fraction/float path, and
+the finisher against the float projected Gauss-Seidel sweep it replaced,
+kept here as the oracle."""
 
 import json
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freewalk import (GreedyParams, LocallyConstantFunction, VisualParams,
                       WeightedFreeGroup, default_params, integrate,
@@ -89,19 +92,34 @@ def sweep_finisher(R, nu, spikes, vparams, tau, sweeps=120):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def solve_cases(draw):
-    """A rank 2-3 group with rational steps e^{-2 alpha w_x}, a set of
-    centers of one length, and positive targets."""
+def prefix_free_centers(draw, group):
+    """Up to 12 cells of a cover grown from the depth-1 cells by splitting
+    cells up to depth 4: centers of mixed lengths, none a prefix of
+    another."""
+    cells = [(x,) for x in group.letters()]
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(cells) - 1))
+        if len(cells[i]) < 4:
+            cells[i:i + 1] = [cells[i] + (x,) for x in group.valid_extensions(cells[i])]
+    return draw(st.lists(st.sampled_from(cells), min_size=1, max_size=12,
+                         unique=True))
+
+
+@st.composite
+def solve_cases(draw, fraction_steps=True):
+    """A rank 2-3 group with weights from {1, 2, 3/2}, alpha = epsilon =
+    c log b with c in {1, 1/2} and b in {2, 3}, prefix-free centers and int
+    or Fraction targets of either sign.  With `fraction_steps`, no weight is
+    3/2 when c = 1/2, so every step e^{-2 alpha w_x} is a Fraction."""
     rank = draw(st.integers(2, 3))
     alpha = draw(st.sampled_from([1, Fraction(1, 2)]))
-    letters = ["1", "2", "3/2"] if alpha == 1 else ["1", "2"]
+    letters = ["1", "2"] if fraction_steps and alpha != 1 else ["1", "2", "3/2"]
     group = WeightedFreeGroup(rank, [draw(st.sampled_from(letters))
                                      for _ in range(rank)])
-    sphere = group.sphere(draw(st.integers(1, 3)))
-    centers = draw(st.lists(st.sampled_from(sphere), min_size=1, max_size=12,
-                            unique=True))
-    targets = {b: draw(st.fractions(Fraction(1, 8), 6, max_denominator=12))
-               for b in centers}
+    centers = draw(prefix_free_centers(group))
+    value = st.one_of(st.integers(-3, 6),
+                      st.fractions(-2, 6, max_denominator=12))
+    targets = {b: draw(value) for b in centers}
     base = draw(st.sampled_from([2, 3]))
     return group, VisualParams.exact_base(base, alpha, alpha), targets
 
@@ -119,6 +137,57 @@ def test_solve_reproduces_every_target(case):
         acc.insert(b, x)
     for b, t in targets.items():
         assert acc.value_at(b) == t
+
+
+# F_2 = <a, b> on the centers a, A, ba, bA, bb: positive targets whose
+# solution has lambda_ba = -9/164
+POSITIVE_TARGETS_NEGATIVE_LAMBDA = (
+    WeightedFreeGroup(2), VisualParams.exact_base(3),
+    {(0,): 1, (1,): 1, (2, 0): Fraction(1, 2), (2, 1): 3, (2, 2): 1})
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(solve_cases(fraction_steps=False))
+@example(POSITIVE_TARGETS_NEGATIVE_LAMBDA)
+def test_pair_solve_matches_plain_solve(case):
+    # with every step a Fraction, solve runs on int pairs and gives the plain
+    # solve's values, types and order; with a step that is not, it is the
+    # plain solve
+    group, params, targets = case
+    acc = SpikeAccumulator(group, params)
+    fraction_steps = all(isinstance(s, Fraction) for s in acc.step.values())
+    oracle = acc._solve_plain(targets)
+    with mock.patch.object(acc, "_solve_plain", wraps=acc._solve_plain) as plain:
+        got = acc.solve(targets)
+    assert plain.called is not fraction_steps
+    assert list(got) == list(oracle)
+    assert [(type(x), x) for x in got.values()] == \
+        [(type(x), x) for x in oracle.values()]
+
+
+def test_example_has_a_negative_lambda():
+    group, params, targets = POSITIVE_TARGETS_NEGATIVE_LAMBDA
+    assert SpikeAccumulator(group, params).solve(targets)[(2, 0)] == Fraction(-9, 164)
+
+
+def test_float_params_and_float_targets_take_the_plain_solve():
+    # float params, or a float target in exact mode: plain float arithmetic,
+    # and the sums of the solved spikes reproduce the targets
+    group = WeightedFreeGroup(2)
+    centers = [(0,), (1,), (2, 0), (2, 1), (2, 2), (3, 1, 1), (3, 1, 3), (3, 3)]
+    targets = {b: Fraction(i + 1, 3) for i, b in enumerate(centers)}
+    cases = [(VisualParams.floats(math.log(3), math.log(3)), targets),
+             (VisualParams.exact_base(3), {**targets, (3, 3): 0.5})]
+    for params, case_targets in cases:
+        acc = SpikeAccumulator(group, params)
+        with mock.patch.object(acc, "_solve_pairs",
+                               side_effect=AssertionError("int-pair solve")):
+            lambdas = acc.solve(case_targets)
+        assert all(type(x) is float for x in lambdas.values())
+        for b, x in lambdas.items():
+            acc.insert(b, x)
+        for b, t in case_targets.items():
+            assert math.isclose(acc.value_at(b), t, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

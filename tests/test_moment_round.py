@@ -10,8 +10,8 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from freewalk import (BoundaryMeasure, GreedyParams, LocallyConstantFunction,
-                      LogScale, VisualParams, WeightedFreeGroup, integrate,
-                      measure_constants, uniform_ps_measure)
+                      LogScale, VisualParams, WeightedFreeGroup, default_params,
+                      integrate, measure_constants, uniform_ps_measure)
 from freewalk import decomposition
 from freewalk.decomposition import (InternalInvariantError, RoundRecord,
                                     _band_shell, _case3_envelope,
@@ -416,6 +416,31 @@ def test_float_proof_factor_keeps_the_value_round(f2, nu2, constants2):
     F = LocallyConstantFunction.constant(f2, Fraction(1))
     params = GreedyParams(margin=1, rescale="proof")
     assert compare_runs(F, nu2, params, 2, constants) == [True, False]
+
+
+def test_mass_bound_is_exact_for_rational_masses(f2):
+    # rho* = 1 - (1/10)(1/2)/((3/2)^2 2^2) = 179/180 and beta ||F||_1 = 1/2:
+    # the round-3 cap is (1/2)(179/180)^2.  A rational mass 10^-15 above it
+    # fails the check; the same mass as a float passes within the 1e-12 slack
+    constants = decomposition.AuditConstants(
+        beta=Fraction(1), d0=Fraction(0), d_nu=Fraction(1), t_nu=Fraction(1),
+        lebesgue_b=1, q=1, l_nu=Fraction(1, 10))
+    params, cap = GreedyParams(), Fraction(3, 2)
+    assert constants.rho_star(params.beta, cap, params.s) == Fraction(179, 180)
+    mass_cap = Fraction(1, 2) * Fraction(179, 180) ** 2
+
+    def mass_bound(mass):
+        records = [RoundRecord(index=n, shell=1, cover_depth=1, spike_count=4,
+                               factor=1, round_mass=mass if n == 3 else 0,
+                               residual_l1=0, max_r_exp=1)
+                   for n in (1, 2, 3)]
+        report = _case3_envelope(records, Fraction(1), params, constants, cap,
+                                 default_params(f2), [1.0, 0.5, 0.25, 0.125])
+        return report["checks"]["mass_bound"]
+
+    above = mass_cap + Fraction(1, 10 ** 15)
+    assert mass_bound(mass_cap) and not mass_bound(above)
+    assert mass_bound(float(above))
 
 
 # ---------------------------------------------------------------------------
