@@ -9,8 +9,6 @@ the Q-spike Lipschitz bound, the Shadow Lemma and the decay integral are all
 finite exact computations.
 """
 
-from fractions import Fraction
-
 from freewalk import (WeightedFreeGroup, Cylinder, default_params,
                       uniform_ps_measure, make_spike, verify_spike,
                       shadow_lemma_audit, decay_check, measure_constants)
@@ -34,9 +32,9 @@ print("\nShadow Lemma: beta =", audit.beta, " D0 =", audit.d0,
       " worst lower witness:", audit.worst_lower)
 
 # 3. (Q, theta)-decay of nu: the singular integral per center and radius
+#    r = e^{-eps j}, given by its exponent j: here r = 1, 1/3, 1/9
 center = Cylinder(G.parse_word("aba"))
-decay = decay_check(nu, 1, 1, [center], [1, Fraction(1, 3), Fraction(1, 9)],
-                    params=P)
+decay = decay_check(nu, 1, 1, [center], [0, 1, 2], params=P)
 print("\ndecay constant D_nu =", decay.d_nu)
 for row in decay.rows:
     print(f"   r = {row['radius']:>4}: integral {row['integral']}  "

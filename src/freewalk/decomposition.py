@@ -55,9 +55,13 @@ class AuditConstants:
     q: object             # Q = alpha/epsilon
     l_nu: object          # 3 L_nu = 1 / (1 + B + D B + B T + B D 2^Q)
 
+    def rho_gap(self, beta_damp, c_cap, s):
+        """1 - rho* = L_nu beta / (C^2 s^2), the guaranteed per-round decrease."""
+        return self.l_nu * beta_damp / (c_cap * c_cap * s * s)
+
     def rho_star(self, beta_damp, c_cap, s):
         """Guaranteed per-round residual factor 1 - L_nu beta / (C^2 s^2)."""
-        return 1 - self.l_nu * beta_damp / (c_cap * c_cap * s * s)
+        return 1 - self.rho_gap(beta_damp, c_cap, s)
 
 
 def measure_constants(nu: BoundaryMeasure, params: VisualParams,
@@ -414,11 +418,12 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
 def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
             vparams: VisualParams) -> List[Tuple[object, object]]:
     """Add factor * lambda * ||u_gamma||_1 to mu(gamma) for every positive
-    lambda; returns the (coefficient, ||u_gamma||_1) pairs added."""
+    lambda; returns the (coefficient, ||u_gamma||_1) pairs added.  At the
+    base point sup_product(gamma) = d(e, gamma^{-1}) = W(gamma)."""
     added = []
     for gamma, lam in lambdas:
         if lam > 0:
-            mass = vparams.alpha.exp_neg(sup_product(group, gamma))
+            mass = vparams.alpha.exp_neg(group.word_weight(gamma))
             coeff = factor * lam * mass
             mu[gamma] = mu.get(gamma, 0) + coeff
             added.append((coeff, mass))
@@ -659,7 +664,8 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
     Soundness inputs (round mass bound, per-spike log bound) are checked
     separately so the envelope is not fitted to what it certifies.
     """
-    rho_q = constants.rho_star(params.beta, cap, params.s)
+    gap_q = constants.rho_gap(params.beta, cap, params.s)
+    rho_q = 1 - gap_q
     c_prime_q = params.beta * norm_f
     rho = float(rho_q)
     q = float(constants.q)
@@ -692,15 +698,14 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
                      "contribution": rec.moment_contribution,
                      "mass": float(rec.round_mass),
                      "mass_cap": c_prime * rho ** (n - 1)})
-    # infinite-tail certificate: sum_{M>N} C' rho^{M-1} (lam q (M-1)^2 + b0)
-    def tail(after: int) -> float:
-        total, m = 0.0, after + 1
-        while True:
-            term = c_prime * rho ** (m - 1) * (lam_hat * q * (m - 1) ** 2 + b0)
-            total += term
-            if term < 1e-18 * max(total, 1.0) or m > after + 10000:
-                return total
-            m += 1
+    # infinite-tail certificate: sum_{k >= N} C' rho^k (A k^2 + b0), A =
+    # lambda_hat Q, in closed form.  1 - rho is the exact gap, not
+    # 1 - float(rho*), so a rho* within float precision of 1 keeps its tail
+    gap, a = float(gap_q), lam_hat * q
+
+    def tail(n: int) -> float:
+        k2 = n * n - (2 * n * n - 2 * n - 1) * rho + (n - 1) ** 2 * rho * rho
+        return c_prime * rho ** n * (a * k2 / gap ** 3 + b0 / gap)
     tails = {str(rec.index): tail(rec.index) for rec in records}
     return {"rho_star": rho, "c_prime": c_prime, "lambda_hat": lam_hat,
             "b0": b0, "rows": rows, "checks": checks, "tail_bounds": tails}

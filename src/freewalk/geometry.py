@@ -249,13 +249,10 @@ def gromov_product(group: WeightedFreeGroup, x: BoundaryArg, y: BoundaryArg,
         dy = group.word_weight(wy)
         dxy = group.distance(wx, wy)
         return as_exact(Fraction(dx + dy - dxy, 2))
-    if kx == "bdy" and ky == "bdy":
-        if isinstance(x, Cylinder) and isinstance(y, Cylinder) and x == y:
-            raise IdenticalBoundaryPointsError(
-                f"Gromov product of {x} with itself is +infinity")
-        n = common_prefix_length(wx, wy)
-        return group.word_weight(wx[:n])
-    # mixed: common prefix of the element's word with the cylinder prefix
+    if isinstance(x, Cylinder) and isinstance(y, Cylinder) and x == y:
+        raise IdenticalBoundaryPointsError(
+            f"Gromov product of {x} with itself is +infinity")
+    # a boundary point on either side: the weight of the common prefix
     n = common_prefix_length(wx, wy)
     return group.word_weight(wx[:n])
 

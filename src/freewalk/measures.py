@@ -635,9 +635,7 @@ def density(mu: GroupMeasure, nu: BoundaryMeasure) -> LocallyConstantFunction:
         center = invert(gamma)
         acc.insert(center, weight * alpha.exp_neg(-group.word_weight(gamma)))
         centers.append(center)
-    return LocallyConstantFunction(
-        group, {w: acc.value_at(w) for w in trie_closure(group, centers)},
-        validate=False)
+    return acc.function(trie_closure(group, centers))
 
 
 def _pushforward_mass(group: WeightedFreeGroup, gamma: Word,

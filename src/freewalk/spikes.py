@@ -18,7 +18,6 @@ depend on the shadow margin D, and `with_margin` moves a spike to another D.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -438,11 +437,12 @@ class DecayReport:
 
 
 def decay_check(nu: BoundaryMeasure, p, alpha, centers: Sequence[Cylinder],
-                radii: Sequence, params: Optional[VisualParams] = None) -> DecayReport:
+                r_exps: Sequence, params: Optional[VisualParams] = None) -> DecayReport:
     """(p, alpha)-decay audit at the base point e: evaluate the singular
-    integral exactly per center/radius and report the smallest admissible
-    constant D_nu.  The closed ball of radius r is the cylinder
-    C(`_ball_prefix`), and the integral runs over the leaves outside it."""
+    integral exactly per center and radius r = e^{-eps j}, given by its
+    exponent j >= 0, and report the smallest admissible constant D_nu.  The
+    closed ball of radius r is the cylinder C(`_ball_prefix`), and the
+    integral runs over the leaves outside it."""
     params = params or nu.params
     if params is None:
         raise InputError("decay_check needs VisualParams (none on the measure)")
@@ -454,22 +454,19 @@ def decay_check(nu: BoundaryMeasure, p, alpha, centers: Sequence[Cylinder],
     for center in centers:
         cw = center.word
         leaves = refine_leaves(group, nu.leaves, trie_closure(group, [cw]))
-        for r in radii:
-            r = Fraction(r) if not isinstance(r, float) else r
-            if r <= 0 or r > 1:
-                raise InputError(f"radii must lie in (0,1], got {r}")
-            ball = _ball_prefix(group, cw, params, 0, r)
+        for j in r_exps:
+            ball = _ball_prefix(group, cw, params, j)
             integral = 0
             for w in leaves:
                 if not is_prefix(ball, w):
                     integral = integral + nu.mass_of(w) * eps.exp_neg(
                         -exponent * _cell_product(group, w, cw))
             if p == 0:
-                scale = 1 + abs(math.log(float(r)))
-                required = integral / scale
+                required = integral / (1 + eps.value * j)
             else:
-                required = integral * _pow(r, p)
-            rows.append({"center": group.format_word(cw), "radius": str(r),
+                required = integral * eps.exp_neg(p * j)
+            rows.append({"center": group.format_word(cw),
+                         "radius": str(eps.exp_neg(j)),
                          "integral": integral, "required": required})
             if required > d_nu:
                 d_nu = required
@@ -482,14 +479,7 @@ def _spine_decay(nu: BoundaryMeasure, params: VisualParams,
     spine word of length max_len + 2, radii e^{-eps j} for j = 1..max_len+1."""
     q = params.q_exponent
     center = Cylinder(spine_word(nu.group, EPSILON, max_len + 2))
-    radii = [params.epsilon.exp_neg(j) for j in range(1, max_len + 2)]
-    return decay_check(nu, q, q, [center], radii, params=params)
-
-
-def _pow(r, p):
-    if isinstance(r, Fraction) and isinstance(p, (int, Fraction)) and p.denominator == 1:
-        return r ** p.numerator
-    return float(r) ** float(p)
+    return decay_check(nu, q, q, [center], range(1, max_len + 2), params=params)
 
 
 @dataclass

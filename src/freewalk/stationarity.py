@@ -68,13 +68,15 @@ def _density_masses(mu: GroupMeasure, nu: BoundaryMeasure,
                     depth: int) -> Dict[Word, object]:
     """(mu * nu)(C) for every cylinder C of the given depth, as the sum of
     D(w) nu(w) over the cells w of C in the common refinement with the
-    partition of the density D = sum_gamma mu(gamma) f_gamma."""
+    partition of the density D = sum_gamma mu(gamma) f_gamma, read once per
+    cell of D."""
     group = nu.group
     D = density(mu, nu)
+    value = {cell: D.at(cell) for cell in D.values}
     masses: Dict[Word, object] = {}
     for w in refine_leaves(group, group.sphere(depth), D.leaves()):
         cell = w[:depth]
-        masses[cell] = masses.get(cell, 0) + D.at(w) * nu.mass_of(w)
+        masses[cell] = masses.get(cell, 0) + value[D.cell_of(w)] * nu.mass_of(w)
     return masses
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,21 @@ def test_moments_proof_schedule_golden(tmp_path):
     assert json.loads(report)["rounds"] == 2
     assert hashlib.sha256(report).hexdigest() == \
         "677fad57a6a2c33b9dca6841dabe5153b5c5355cee60ac83ee87913b55b7a164"
+
+
+def test_moments_half_epsilon_stays_exact(tmp_path):
+    # epsilon = 1/2 log 3: the decay radii are exponents, so D_nu = 1/4,
+    # L_nu = 4/183 and the proof factor are rational, and the residual stays so
+    cfg = write_config(tmp_path, params={
+        "alpha": "log(3)", "epsilon": "1/2*log(3)", "arithmetic": "exact",
+        "tau": 1e-6, "D": 1, "rescale": "proof"},
+        moments={"rounds": 1, "target": "ones"})
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "moments.json").read_text())
+    numbers = [v for _, v in doc["coefficients"]] + doc["residual_trace"]
+    assert len(doc["coefficients"]) == 36
+    assert all(re.fullmatch(r"-?[0-9]+/[0-9]+", v) for v in numbers), numbers[:3]
 
 
 @pytest.mark.parametrize("command", ["decompose", "moments", "audit"])

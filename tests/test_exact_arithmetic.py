@@ -97,6 +97,8 @@ def test_logscale_keeps_integral_constants_as_ints():
 CASES = {
     "F2": (WeightedFreeGroup(2), VisualParams.exact_base(3), True),
     "F3": (WeightedFreeGroup(3), VisualParams.exact_base(5), True),
+    "F2-half-eps": (WeightedFreeGroup(2), VisualParams.exact_base(3, 1, "1/2"),
+                    True),
     "w22-half-log3": (WeightedFreeGroup(2, [2, 2]),
                       VisualParams.exact_base(3, "1/2", "1/2"), True),
     # no exact conformal alpha exists here: nu is the Markov measure
@@ -155,9 +157,12 @@ def test_group_geometry_is_exact(name):
 
 
 # 3 L_nu at the defaults (max_len 3, D in {0, 1}), as the all-Fraction code
-# computed it.  On weights [2, 2] with epsilon = 1/2 log 3 the decay radii
-# e^{-eps j} of odd j are irrational, so D_nu, and with it L_nu, is a float.
+# computed it.  The decay radii are exponents j, so on F_2 with
+# epsilon = 1/2 log 3 each r^Q = e^{-alpha j} is rational and D_nu = 1/4.  On
+# weights [2, 2] with alpha = epsilon = 1/2 log 3 (Q = 1), r^Q = 3^{-j/2} is
+# irrational for odd j, so D_nu, and with it L_nu, is a float.
 L_NU = {"F2": Fraction(4, 81), "F3": Fraction(2, 51),
+        "F2-half-eps": Fraction(4, 183),
         "w22-half-log3": 0.04566811797764024}
 
 

@@ -77,6 +77,13 @@ def test_report_bytes(name, mode):
     assert report(name, mode).encode() == path(name, mode).read_bytes()
 
 
+def test_moment_tail_is_the_series_sum():
+    # a float sum of 4 10^6 terms of the series beyond round 1 of the exact
+    # moment-proof run gives 4.55073571665e13
+    tails = json.loads(report("moment-proof", "exact"))["envelope"]["tail_bounds"]
+    assert abs(tails["1"] - 4.55073571665e13) <= 1.5e-12 * 4.55073571665e13
+
+
 if __name__ == "__main__":
     REPORTS.mkdir(parents=True, exist_ok=True)
     for run_name in sorted(RUNS):

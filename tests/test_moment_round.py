@@ -443,6 +443,54 @@ def test_mass_bound_is_exact_for_rational_masses(f2):
     assert mass_bound(float(above))
 
 
+def _envelope(f2, l_nu, indices):
+    """The case-3 report over rounds `indices` (masses 0) with the constants
+    above, where rho* = 1 - L_nu / 18."""
+    constants = decomposition.AuditConstants(
+        beta=Fraction(1), d0=Fraction(0), d_nu=Fraction(1), t_nu=Fraction(1),
+        lebesgue_b=1, q=1, l_nu=l_nu)
+    records = [RoundRecord(index=n, shell=1, cover_depth=1, spike_count=4,
+                           factor=1, round_mass=0, residual_l1=0, max_r_exp=1)
+               for n in indices]
+    return _case3_envelope(records, Fraction(1), GreedyParams(), constants,
+                           Fraction(3, 2), default_params(f2),
+                           [1.0, 0.5, 0.25, 0.125])
+
+
+def _partial_tail(report, rho, start, terms):
+    """sum_{k = start}^{start + terms - 1} C' rho^k (lambda_hat Q k^2 + b0), Q = 1."""
+    c, a, b0 = report["c_prime"], report["lambda_hat"], report["b0"]
+    return sum(c * rho ** k * (a * k * k + b0) for k in range(start, start + terms))
+
+
+def test_tail_is_the_series_sum(f2):
+    # rho* = 9/10: 1,000 terms leave less than 10^-40 of the series
+    report = _envelope(f2, Fraction(9, 5), range(1, 6))
+    assert report["rho_star"] == 0.9
+    for n in range(1, 6):
+        direct = _partial_tail(report, 0.9, n, 1000)
+        assert abs(report["tail_bounds"][str(n)] - direct) <= 1e-12 * direct
+
+
+def test_tails_do_not_grow(f2):
+    # a tail over fewer terms never reads larger, down to a rho* within
+    # 10^-20 of 1
+    for l_nu in (Fraction(9, 5), Fraction(1, 1296), Fraction(18, 10 ** 20)):
+        tails = list(_envelope(f2, l_nu, range(1, 61))["tail_bounds"].values())
+        assert all(later <= tail for tail, later in zip(tails, tails[1:]))
+
+
+def test_tail_next_to_rho_one_is_finite(f2):
+    # 1 - rho* = 10^-20 rounds rho* to the float 1.0; the gap is taken from
+    # the exact 1 - rho*, so the tail is finite and keeps the series' size,
+    # at least C' lambda_hat rho (1 + rho) / (1 - rho)^3 ~ 2 C' lambda_hat 10^60
+    report = _envelope(f2, Fraction(18, 10 ** 20), [1])
+    assert report["rho_star"] == 1.0
+    tail = report["tail_bounds"]["1"]
+    assert math.isfinite(tail)
+    assert tail >= 2 * report["c_prime"] * report["lambda_hat"] * 1e60 * (1 - 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------

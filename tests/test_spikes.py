@@ -115,8 +115,7 @@ def brute_decay_integral(f2, nu2, center_word, radius, exponent, depth=6):
 
 def test_decay_check(f2, nu2, params2):
     center = Cylinder((0, 2, 0))
-    radii = [1, Fraction(1, 3), Fraction(1, 9)]
-    rep = decay_check(nu2, 1, 1, [center], radii, params=params2)
+    rep = decay_check(nu2, 1, 1, [center], [0, 1, 2], params=params2)
     assert rep.d_nu == Fraction(1, 4)
     required = {row["radius"]: row["required"] for row in rep.rows}
     assert required["1"] == 0                    # closed unit ball is everything
@@ -130,14 +129,15 @@ def test_decay_check(f2, nu2, params2):
 
 
 def test_decay_check_p_zero(f2, nu2, params2):
-    # p = 0 divides the integral by 1 + |log r| in place of multiplying by r^p
+    # p = 0 divides the integral by 1 + |log r| = 1 + j log 3 in place of
+    # multiplying by r^p
     center = Cylinder((0, 2, 0))
-    radii = [1, Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]
-    rep = decay_check(nu2, 0, 1, [center], radii, params=params2)
-    for row, r in zip(rep.rows, radii):
-        integral = brute_decay_integral(f2, nu2, (0, 2, 0), r, 1)
+    r_exps = [0, 1, 2, 3]
+    rep = decay_check(nu2, 0, 1, [center], r_exps, params=params2)
+    for row, j in zip(rep.rows, r_exps):
+        integral = brute_decay_integral(f2, nu2, (0, 2, 0), Fraction(1, 3 ** j), 1)
         assert row["integral"] == integral
-        assert row["required"] == integral / (1 + abs(math.log(float(r))))
+        assert row["required"] == integral / (1 + j * math.log(3))
     assert [row["integral"] for row in rep.rows] == \
         [0, Fraction(3, 4), Fraction(5, 4), Fraction(7, 4)]
     assert rep.d_nu == rep.rows[-1]["required"]
@@ -145,13 +145,13 @@ def test_decay_check_p_zero(f2, nu2, params2):
 
 
 def test_decay_check_radius_below_center_cell(f2, nu2, params2):
-    # the center cell aba has diameter 1/27: a smaller radius cannot be
-    # resolved on it
+    # the center cell aba has diameter 1/27: a smaller radius (1/81, or
+    # 3^{-16/5} ~ 0.03 after a resolvable one) cannot be resolved on it
     center = Cylinder((0, 2, 0))
     with pytest.raises(AmbiguousCylinderError):
-        decay_check(nu2, 1, 1, [center], [Fraction(1, 81)], params=params2)
+        decay_check(nu2, 1, 1, [center], [4], params=params2)
     with pytest.raises(AmbiguousCylinderError):
-        decay_check(nu2, 1, 1, [center], [Fraction(1, 3), 0.03], params=params2)
+        decay_check(nu2, 1, 1, [center], [1, Fraction(16, 5)], params=params2)
 
 
 def test_regularity_implies_decay_bound(f2, nu2, params2):
@@ -159,7 +159,7 @@ def test_regularity_implies_decay_bound(f2, nu2, params2):
     # K sum_m nu-shell(m) e^{2 alpha m} over shells outside B(x, r), as an
     # overestimate of the reported constant
     center = Cylinder((0, 2, 0))
-    rep = decay_check(nu2, 1, 1, [center], [Fraction(1, 3)], params=params2)
+    rep = decay_check(nu2, 1, 1, [center], [1], params=params2)
     k_upper = Fraction(3, 4)  # nu(B(x, 3^-m)) = (3/4) 3^-m = K r^Q exactly
     # shells at products m = 0..0 outside radius 1/3: replay with K
     bound = Fraction(0)
