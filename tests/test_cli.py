@@ -292,7 +292,7 @@ def test_moments_without_margin(tmp_path):
     report = (out / "moments.json").read_bytes()
     assert all(json.loads(report)["envelope"]["checks"].values())
     assert hashlib.sha256(report).hexdigest() == \
-        "677fad57a6a2c33b9dca6841dabe5153b5c5355cee60ac83ee87913b55b7a164"
+        "41fbf035d03a29fc443a1866c203fbba9681eef65108f2f0c5d58a9c6f6f20b0"
 
 
 
@@ -308,7 +308,7 @@ def test_moments_proof_schedule_golden(tmp_path):
     report = (out / "moments.json").read_bytes()
     assert json.loads(report)["rounds"] == 2
     assert hashlib.sha256(report).hexdigest() == \
-        "677fad57a6a2c33b9dca6841dabe5153b5c5355cee60ac83ee87913b55b7a164"
+        "41fbf035d03a29fc443a1866c203fbba9681eef65108f2f0c5d58a9c6f6f20b0"
 
 
 def test_moments_half_epsilon_stays_exact(tmp_path):
