@@ -7,6 +7,7 @@ same operations on values."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freewalk import (BoundaryMeasure, GreedyParams, LocallyConstantFunction,
@@ -480,11 +481,13 @@ def test_tails_do_not_grow(f2):
         assert all(later <= tail for tail, later in zip(tails, tails[1:]))
 
 
-def test_tail_next_to_rho_one_is_finite(f2):
+@pytest.mark.parametrize("l_nu", [Fraction(18, 10 ** 20), 18e-20])
+def test_tail_next_to_rho_one_is_finite(f2, l_nu):
     # 1 - rho* = 10^-20 rounds rho* to the float 1.0; the gap is taken from
-    # the exact 1 - rho*, so the tail is finite and keeps the series' size,
-    # at least C' lambda_hat rho (1 + rho) / (1 - rho)^3 ~ 2 C' lambda_hat 10^60
-    report = _envelope(f2, Fraction(18, 10 ** 20), [1])
+    # L_nu beta / (C^2 s^2), not from 1 - rho*, so in exact and float mode the
+    # tail is finite and keeps the series' size, at least
+    # C' lambda_hat rho (1 + rho) / (1 - rho)^3 ~ 2 C' lambda_hat 10^60
+    report = _envelope(f2, l_nu, [1])
     assert report["rho_star"] == 1.0
     tail = report["tail_bounds"]["1"]
     assert math.isfinite(tail)
