@@ -30,9 +30,9 @@ from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_from_str, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, conformal_exponent)
-from .spikes import make_spike, with_margin, verify_spike, shadow_lemma_audit, \
-    Spike, _spine_decay
-from .decomposition import GreedyParams, basis_decompose, moment_decompose
+from .spikes import make_spike, with_margin, verify_spike, Spike
+from .decomposition import (GreedyParams, basis_decompose, moment_decompose,
+                            measure_constants)
 from .stationarity import verify_stationarity, sphere_uniform, mix
 
 
@@ -386,23 +386,19 @@ def cmd_audit(run: Run, args) -> int:
     section = run.cfg["audit"]
     max_len, ds = section["max_len"], section["Ds"]
     nu, params = run.nu, run.params
-    shadows = shadow_lemma_audit(nu, params, max_len, ds)
-    decay = _spine_decay(nu, params, max_len)
+    constants = measure_constants(nu, params, max_len, ds)
 
     gammas = [gamma for n in range(1, max_len + 1) for gamma in run.group.sphere(n)]
 
     failures = []
     witness_dump = []
     worst_c = Fraction(0)
-    worst_doubling = 0
     for gamma, d, sp in _spike_sweep(gammas, ds, nu, params):
         rep = verify_spike(sp, nu)
         if not rep.all_ok:
             failures.append({"gamma": run.group.format_word(gamma), "D": str(d),
                              "witnesses": rep.witnesses})
         worst_c = max(worst_c, rep.measured_c)
-        if rep.local_doubling is not None and rep.local_doubling > worst_doubling:
-            worst_doubling = rep.local_doubling
         if args.witnesses:
             witness_dump.append({
                 "gamma": run.group.format_word(gamma), "D": str(d),
@@ -421,15 +417,15 @@ def cmd_audit(run: Run, args) -> int:
                                           for k, v in rep.measured.items()}}
 
     doc = {
-        "beta": _num_to_str(shadows.beta),
-        "D0": _num_to_str(shadows.d0),
-        "D_nu": _num_to_str(decay.d_nu),
-        "T_nu": _num_to_str(worst_doubling),
+        "beta": _num_to_str(constants.beta),
+        "D0": _num_to_str(constants.d0),
+        "D_nu": _num_to_str(constants.d_nu),
+        "T_nu": _num_to_str(constants.t_nu),
         "spikes_checked": len(gammas) * len(ds),
         "spikes_failed": len(failures),
         "worst_measured_C": _num_to_str(worst_c),
-        "worst_lower": {**shadows.worst_lower,
-                        "ratio": _num_to_str(shadows.worst_lower["ratio"])},
+        "worst_lower": {**constants.worst_lower,
+                        "ratio": _num_to_str(constants.worst_lower["ratio"])},
         "failures": failures,
         "injected_failure": injected_fail,
     }

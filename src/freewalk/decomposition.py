@@ -19,15 +19,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .words import Word, WeightedFreeGroup, InputError, invert, is_prefix
-from .geometry import Cylinder, VisualParams, sup_product
+from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert, is_prefix
+from .geometry import Cylinder, VisualParams
 from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
                          trie_closure)
 # radon_nikodym stays bound here for bench/test_tracer.py
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        integrate, radon_nikodym)  # noqa: F401
-from .spikes import (Spike, shadow_lemma_audit, local_doubling_sup,
-                     lipschitz_scale, ball_cells, _spine_decay)
+from .spikes import (Spike, shadow_lemma_audit, local_doubling_sup, decay_check,
+                     lipschitz_scale, ball_cells)
 from .stationarity import functionals
 
 
@@ -54,6 +54,7 @@ class AuditConstants:
     lebesgue_b: int       # cover Lebesgue number (1: disjoint cylinder covers)
     q: object             # Q = alpha/epsilon
     l_nu: object          # 3 L_nu = 1 / (1 + B + D B + B T + B D 2^Q)
+    worst_lower: Optional[dict] = None  # the Shadow row of the largest lower ratio
 
     def rho_gap(self, beta_damp, c_cap, s):
         """1 - rho* = L_nu beta / (C^2 s^2), the guaranteed per-round decrease."""
@@ -67,16 +68,19 @@ class AuditConstants:
 def measure_constants(nu: BoundaryMeasure, params: VisualParams,
                       max_len: int = 3, ds: Sequence = (0, 1)) -> AuditConstants:
     """Run the shadow/decay/doubling audits and assemble L_nu from the measured
-    values via 3 L_nu = 1/(1 + B + D_nu B + B T_nu + B D_nu 2^Q)."""
+    values via 3 L_nu = 1/(1 + B + D_nu B + B T_nu + B D_nu 2^Q).  The decay
+    audit is (Q, Q) on the spine word of length max_len + 2, j = 1..max_len+1."""
     aud = shadow_lemma_audit(nu, params, max_len, list(ds))
     q = params.q_exponent
-    dec = _spine_decay(nu, params, max_len)
+    spine = Cylinder(spine_word(nu.group, EPSILON, max_len + 2))
+    d_nu = decay_check(nu, q, q, [spine], range(1, max_len + 2), params=params).d_nu
     t_nu = local_doubling_sup(nu, params, max_len, list(ds))
     b = 1
     two_q = 2 ** q if isinstance(q, int) else 2.0 ** float(q)
-    l_nu = Fraction(1, 3) / (1 + b + dec.d_nu * b + b * t_nu + b * dec.d_nu * two_q)
-    return AuditConstants(beta=aud.beta, d0=aud.d0, d_nu=dec.d_nu, t_nu=t_nu,
-                          lebesgue_b=b, q=q, l_nu=l_nu)
+    l_nu = Fraction(1, 3) / (1 + b + d_nu * b + b * t_nu + b * d_nu * two_q)
+    return AuditConstants(beta=aud.beta, d0=aud.d0, d_nu=d_nu, t_nu=t_nu,
+                          lebesgue_b=b, q=q, l_nu=l_nu,
+                          worst_lower=aud.worst_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +93,8 @@ class GreedyParams:
 
     s: oscillation bound in (1, 2]; beta: damping in (0, 1); c_cap: spike
     constant cap C > 1; margin: integer shadow margin D; tau: L1 stopping
-    threshold; schedule: "fixed" C or slowly "growing" C_n; rescale:
-    "adaptive" (largest safe factor) or "proof" (3 L_nu / (C s)).
+    threshold; schedule: "fixed" C or slowly "growing" C_n (basis loop
+    only); rescale: "adaptive" (largest safe factor) or "proof" (3 L_nu / (C s)).
     """
 
     s: Fraction = Fraction(2)
@@ -333,7 +337,7 @@ def _round_spikes(group: WeightedFreeGroup, vparams: VisualParams, shell: int,
     for cell in group.sphere(cover_depth):
         word = spine_word(group, cell, shell)
         gamma = invert(word)
-        spikes.append(Spike(function=None, r_exp=sup_product(group, gamma) - margin,
+        spikes.append(Spike(function=None, r_exp=group.word_weight(gamma) - margin,
                             center=Cylinder(word), q=q, theta=q, c=cap, gamma=gamma,
                             margin=margin, params=vparams))
     spikes.sort(key=lambda s: (s.r_exp, len(s.gamma), s.gamma))
@@ -418,8 +422,8 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
 def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
             vparams: VisualParams) -> List[Tuple[object, object]]:
     """Add factor * lambda * ||u_gamma||_1 to mu(gamma) for every positive
-    lambda; returns the (coefficient, ||u_gamma||_1) pairs added.  At the
-    base point sup_product(gamma) = d(e, gamma^{-1}) = W(gamma)."""
+    lambda; returns the (coefficient, ||u_gamma||_1) pairs added, with
+    ||u_gamma||_1 = e^{-alpha W(gamma)}, W(gamma) = d(e, gamma^{-1})."""
     added = []
     for gamma, lam in lambdas:
         if lam > 0:
@@ -583,6 +587,8 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     if params.margin < 1:
         raise InputError("moment schedule needs an integer shadow margin D >= 1 "
                          "(the radius band must contain a shell)")
+    if params.schedule != "fixed":
+        raise InputError(f"moments certifies a fixed C, got schedule {params.schedule!r}")
     if constants is None:
         constants = measure_constants(nu, vparams, max_len=params.audit_len,
                                       ds=(0, params.margin))

@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .words import (Word, EPSILON, WeightedFreeGroup, InputError, is_prefix,
+from .words import (Word, WeightedFreeGroup, InputError, is_prefix,
                     common_prefix_length, as_exact, invert)
-from .geometry import (Cylinder, VisualParams, AmbiguousCylinderError,
-                       shadow, sup_product)
-from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
-                         trie_closure)
+from .geometry import Cylinder, LogScale, VisualParams, AmbiguousCylinderError
+from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
 from .measures import BoundaryMeasure, radon_nikodym, require_conformal
 
 
@@ -91,6 +89,12 @@ def _cell_product(group: WeightedFreeGroup, w: Word, center: Word):
     return group.word_weight(w[:common_prefix_length(w, center)])
 
 
+def _within(eps: LogScale, weight, r_exp, mult) -> bool:
+    """e^{-eps W} <= mult*e^{-eps r_exp} for a meet of weight W: at mult 1
+    that is W >= r_exp, decided exactly whatever eps is."""
+    return weight >= r_exp if mult == 1 else eps.leq_scaled(weight, r_exp, mult)
+
+
 def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
                  r_exp, mult=1) -> Word:
     """The prefix p of `center` with B(center, mult*e^{-eps r_exp}) = C(p):
@@ -98,7 +102,7 @@ def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
     some depth on since prefix weights increase."""
     eps = params.epsilon
     for k, weight in enumerate(group.prefix_weights(center)):
-        if eps.leq_scaled(weight, r_exp, mult):
+        if _within(eps, weight, r_exp, mult):
             return center[:k]
     raise AmbiguousCylinderError(
         f"ball smaller than the center cell {center}; deepen the partition")
@@ -151,7 +155,7 @@ def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
         for i, weight in enumerate(group.prefix_weights(w)):
             ok = within.get(weight)
             if ok is None:
-                ok = within[weight] = eps.leq_scaled(weight, r_exp, mult)
+                ok = within[weight] = _within(eps, weight, r_exp, mult)
             if ok:
                 key = w[:i]
                 break
@@ -187,7 +191,7 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
         best = float_best = 0
         for j, meet in enumerate(group.prefix_weights(w)[:-1]):
             if meet not in inv_d_at:
-                inv_d = 1 / eps.exp_neg(meet) if eps.leq_scaled(meet, r_exp, mult) \
+                inv_d = 1 / eps.exp_neg(meet) if _within(eps, meet, r_exp, mult) \
                     else None
                 if den is not None and type(inv_d) is Fraction and inv_d.denominator == 1:
                     inv_d = inv_d.numerator
@@ -229,13 +233,12 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     if not gamma:
         raise DegenerateSpikeError("gamma = e gives a degenerate (constant) spike")
     margin = _checked_margin(margin)
-    group = nu.group
     f = radon_nikodym(gamma, nu, params)
     sup = f.sup()
     unit = f.scale(1 / sup)
     center = Cylinder(invert(gamma))
     q_exp = params.q_exponent
-    return Spike(function=unit, r_exp=sup_product(group, gamma) - margin,
+    return Spike(function=unit, r_exp=nu.group.word_weight(gamma) - margin,
                  center=center, q=q_exp, theta=q_exp, c=None,
                  gamma=gamma, margin=margin, params=params)
 
@@ -248,7 +251,7 @@ def with_margin(spike: Spike, margin, nu: BoundaryMeasure) -> Spike:
     `spike`; the radius exponent is ||gamma|| - D.
     """
     margin = _checked_margin(margin)
-    r_exp = sup_product(spike.function.group, spike.gamma) - margin
+    r_exp = spike.function.group.word_weight(spike.gamma) - margin
     spike = dataclasses.replace(spike, r_exp=r_exp, margin=margin, c=None)
     spike.c = verify_spike(spike, nu).measured_c
     return spike
@@ -473,15 +476,6 @@ def decay_check(nu: BoundaryMeasure, p, alpha, centers: Sequence[Cylinder],
     return DecayReport(p=p, alpha=alpha, d_nu=d_nu, rows=rows)
 
 
-def _spine_decay(nu: BoundaryMeasure, params: VisualParams,
-                 max_len: int) -> DecayReport:
-    """The (Q, Q)-decay audit of `audit` and `measure_constants`: center the
-    spine word of length max_len + 2, radii e^{-eps j} for j = 1..max_len+1."""
-    q = params.q_exponent
-    center = Cylinder(spine_word(nu.group, EPSILON, max_len + 2))
-    return decay_check(nu, q, q, [center], range(1, max_len + 2), params=params)
-
-
 @dataclass
 class ShadowAuditReport:
     beta: object
@@ -498,9 +492,10 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
 
     for all 0 < ||gamma|| <= max_len and D in ds.
 
-    The margin floor D_0 (the smallest D from which the lower bound holds) is
-    0, since beta is the largest lower ratio; it stays in the report as
-    d0 = 0, and as "D0" in `audit.json`, so the report format is unchanged."""
+    O(gamma, D) is the spike ball C(`_ball_prefix`) of radius exponent
+    ||gamma|| - D.  The margin floor D_0 (the smallest D from which the lower
+    bound holds) is 0, since beta is the largest lower ratio; it stays in the
+    report as d0 = 0, and as "D0" in `audit.json`, so the format is unchanged."""
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
     if not ds:
@@ -513,11 +508,11 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
     for gamma in group.ball(max_len):
         if not gamma:
             continue
-        u_val = sup_product(group, gamma)
+        center, u_val = invert(gamma), group.word_weight(gamma)
         base_mass = alpha.exp_neg(u_val)
         for d in ds:
-            d = as_exact(d)
-            mass = sum(nu.mass_of(c.word) for c in shadow(group, gamma, d))
+            d = _checked_margin(d)
+            mass = nu.mass_of(_ball_prefix(group, center, params, u_val - d))
             lower_ratio = base_mass / mass           # beta must dominate this
             upper_ratio = mass / (base_mass / alpha.exp_neg(2 * d))
             rows.append({"gamma": group.format_word(gamma), "D": str(d),
@@ -542,7 +537,7 @@ def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
     for gamma in group.ball(max_len):
         if not gamma:
             continue
-        center, u_val = invert(gamma), sup_product(group, gamma)
+        center, u_val = invert(gamma), group.word_weight(gamma)
         for d in ds:
             r_exp = u_val - _checked_margin(d)
             mass_r = nu.mass_of(_ball_prefix(group, center, params, r_exp))

@@ -3,14 +3,17 @@
 import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freewalk import cli, spikes
+from freewalk import cli, decomposition, spikes
 from freewalk.cli import main
 from freewalk.decomposition import InternalInvariantError
+from freewalk.geometry import LogScale
+from freewalk.partitions import _num_to_str
 
 
 def write_config(path: Path, **overrides) -> str:
@@ -309,6 +312,16 @@ def test_moments_proof_schedule_golden(tmp_path):
     assert json.loads(report)["rounds"] == 2
     assert hashlib.sha256(report).hexdigest() == \
         "41fbf035d03a29fc443a1866c203fbba9681eef65108f2f0c5d58a9c6f6f20b0"
+
+
+def test_moments_refuses_growing_schedule(tmp_path, capsys):
+    # moment_decompose reads no schedule: a growing C would be ignored
+    cfg = write_config(tmp_path, params={
+        "arithmetic": "exact", "D": 1, "schedule": "growing", "max_rounds": 1})
+    out = tmp_path / "out"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 2
+    assert "schedule 'growing'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_moments_half_epsilon_stays_exact(tmp_path):
@@ -709,6 +722,61 @@ def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
     gammas = 4 + 12
     assert calls == {"radon_nikodym": gammas, "verify_spike": 2 * 3 * gammas}
     assert json.loads((out / "audit.json").read_text())["spikes_checked"] == 3 * gammas
+
+
+def test_audit_measures_the_constants_once(tmp_path, monkeypatch):
+    # beta, D0, D_nu, T_nu and worst_lower come from one measure_constants
+    # call, which runs the shadow audit and the doubling sup once each
+    calls = {"measure_constants": 0, "shadow_lemma_audit": 0,
+             "local_doubling_sup": 0}
+    results = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = real(*args, **kwargs)
+            results.append(result)
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "measure_constants")
+    counted(decomposition, "shadow_lemma_audit")
+    counted(decomposition, "local_doubling_sup")
+    cfg = write_config(tmp_path, audit={"max_len": 2, "Ds": [0, 1, 2]})
+    out = tmp_path / "out"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == dict.fromkeys(calls, 1)
+    constants = results[-1]
+    doc = json.loads((out / "audit.json").read_text())
+    assert [doc[k] for k in ("beta", "D0", "D_nu", "T_nu")] == [
+        _num_to_str(x) for x in (constants.beta, constants.d0, constants.d_nu,
+                                 constants.t_nu)]
+    assert doc["worst_lower"] == {**constants.worst_lower,
+                                  "ratio": _num_to_str(constants.worst_lower["ratio"])}
+
+
+def test_audit_at_half_epsilon_takes_floats_only_at_5r(tmp_path, monkeypatch):
+    # at epsilon = 1/2 log 3 an odd weight difference is a non-integral
+    # exponent, which leq_scaled decides in floats; a radius test at
+    # multiplier 1 is W >= r, so only the 5r balls of the spikes and of T_nu
+    # still reach that path
+    mults = []
+    real = LogScale.leq_scaled
+
+    def recorded(self, p, t, mult=1):
+        if (self.coeff * (Fraction(p) - Fraction(t))).denominator != 1:
+            mults.append(mult)
+        return real(self, p, t, mult)
+    monkeypatch.setattr(LogScale, "leq_scaled", recorded)
+    name = "f2_half_epsilon"
+    out = tmp_path / "out"
+    assert main(["audit", "--witnesses", "--config",
+                 str(GOLDEN / f"{name}.config.json"), "--out", str(out)]) == 0
+    assert mults and set(mults) == {5}
+    assert (out / "audit.json").read_bytes() == \
+        (GOLDEN / f"{name}.audit.json").read_bytes()
 
 
 def test_audit_negative_margin_exits_2(tmp_path, capsys):

@@ -180,6 +180,17 @@ def test_growing_schedule_proof_factors(f2, nu2, params2, constants2):
     assert factors["fixed"] == [Fraction(1, 18)] * 3
 
 
+def test_configured_cap_sets_the_proof_factor(f2, nu2, constants2):
+    # a configured C is the cap: each proof round rescales by 3 L_nu / (C s),
+    # 3 (4/81) / (2 * 2) = 1/27 at C = 2 (the measured cap 4/3 gives 1/18)
+    F = LocallyConstantFunction.constant(f2, Fraction(1))
+    gp = GreedyParams(c_cap=2, rescale="proof", max_rounds=2)
+    assert gp.cap_for(constants2, nu2.params) == 2
+    res = basis_decompose(F, nu2, gp, constants=constants2)
+    assert [r.factor for r in res.records] == \
+        [3 * constants2.l_nu / (2 * gp.s)] * 2 == [Fraction(1, 27)] * 2
+
+
 def test_basis_decompose_float_tolerance(f2, nu2, params2, constants2):
     F = LocallyConstantFunction.constant(f2, 1.0)
     gp = GreedyParams(tau=1e-6)
@@ -259,6 +270,28 @@ def test_moment_default_rescale(f2, nu2, constants2):
     assert res.rounds == 1 and len(res.coefficients.atoms) == 12
     assert all(res.envelope_report["checks"].values())
     assert res.residual_trace[1] < res.residual_trace[0]
+
+
+def test_moment_schedule_stops_at_tau(f2, nu2, constants2):
+    # ||R_1||_1 = 0.99865... is below tau = 0.999: of 3 rounds the run makes
+    # one, the round a one-round run makes
+    F = LocallyConstantFunction.constant(f2, Fraction(1))
+    one = moment_decompose(F, nu2, GreedyParams(margin=1, rescale="proof", tau=0),
+                           rounds=1, constants=constants2)
+    assert one.residual_trace[1] <= 0.999 < one.residual_trace[0]
+    res = moment_decompose(F, nu2, GreedyParams(margin=1, rescale="proof", tau=0.999),
+                           rounds=3, constants=constants2)
+    assert res.rounds == len(res.records) == 1
+    assert res.residual_trace == one.residual_trace
+    assert dict(res.coefficients.items()) == dict(one.coefficients.items())
+
+
+def test_moment_refuses_growing_schedule(f2, nu2, constants2):
+    # the case-3 certificate is stated for a fixed C
+    F = LocallyConstantFunction.constant(f2, Fraction(1))
+    with pytest.raises(InputError, match="schedule 'growing'"):
+        moment_decompose(F, nu2, GreedyParams(margin=1, schedule="growing"),
+                         constants=constants2)
 
 
 def test_moment_requires_margin(f2, nu2, constants2):

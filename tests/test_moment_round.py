@@ -444,18 +444,44 @@ def test_mass_bound_is_exact_for_rational_masses(f2):
     assert mass_bound(float(above))
 
 
+def _constants(l_nu):
+    return decomposition.AuditConstants(
+        beta=Fraction(1), d0=Fraction(0), d_nu=Fraction(1), t_nu=Fraction(1),
+        lebesgue_b=1, q=1, l_nu=l_nu)
+
+
 def _envelope(f2, l_nu, indices):
     """The case-3 report over rounds `indices` (masses 0) with the constants
     above, where rho* = 1 - L_nu / 18."""
-    constants = decomposition.AuditConstants(
-        beta=Fraction(1), d0=Fraction(0), d_nu=Fraction(1), t_nu=Fraction(1),
-        lebesgue_b=1, q=1, l_nu=l_nu)
+    constants = _constants(l_nu)
     records = [RoundRecord(index=n, shell=1, cover_depth=1, spike_count=4,
                            factor=1, round_mass=0, residual_l1=0, max_r_exp=1)
                for n in indices]
     return _case3_envelope(records, Fraction(1), GreedyParams(), constants,
                            Fraction(3, 2), default_params(f2),
                            [1.0, 0.5, 0.25, 0.125])
+
+
+def test_log_and_envelope_checks_fail_above_their_bounds(f2):
+    # log(1/||u||_1) is bounded by Q r log 3 + 2 log C = log 3 + 2 log(3/2)
+    # at radius exponent 1, and each round's moment contribution by its
+    # envelope; a record at the bound passes, one above it fails
+    bound = math.log(3) + 2 * math.log(1.5)
+    envelopes = [row["envelope"] for row in _envelope(f2, Fraction(9, 5), [1, 2])["rows"]]
+
+    def checks(log_inv, over):
+        records = [RoundRecord(index=n, shell=1, cover_depth=1, spike_count=4,
+                               factor=1, round_mass=0, residual_l1=0, max_r_exp=1,
+                               max_log_inv_l1=log_inv,
+                               moment_contribution=env * over)
+                   for n, env in zip([1, 2], envelopes)]
+        return _case3_envelope(records, Fraction(1), GreedyParams(), _constants(
+            Fraction(9, 5)), Fraction(3, 2), default_params(f2),
+            [1.0, 0.5, 0.25, 0.125])["checks"]
+
+    assert checks(bound, 1) == {"mass_bound": True, "log_bound": True, "envelope": True}
+    assert checks(bound + 1e-6, 1)["log_bound"] is False
+    assert checks(bound, 1 + 1e-6)["envelope"] is False
 
 
 def _partial_tail(report, rho, start, terms):

@@ -4,8 +4,8 @@ weight, `lipschitz_scale` reads each meet node's range instead of its sibling
 subtrees, and `verify_spike` decides on int numerators and divides once per
 report.  These properties hold them to the per-cell formulas they replace,
 which are copied below as oracles, over weights {1, 3/2}, exact and float
-scales (coefficient 1/2 takes the float fallback of `leq_scaled`) and
-multipliers {1, 5, 2.5}."""
+scales (at multipliers other than 1, coefficient 1/2 takes the float
+fallback of `leq_scaled`) and multipliers {1, 5, 2.5}."""
 
 from fractions import Fraction
 

@@ -11,6 +11,7 @@ from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       uniform_ps_measure,
                       verify_spike, verify_q_spike, decay_check,
                       shadow_lemma_audit, lipschitz_scale, local_doubling_sup,
+                      shadow,
                       DegenerateSpikeError, integrate, conformal_exponent,
                       ConformalityError, AmbiguousCylinderError, InputError)
 from freewalk import spikes
@@ -185,6 +186,41 @@ def test_shadow_lemma_audit(f2, nu2, params2):
     # stability: identical across runs
     again = shadow_lemma_audit(nu2, params2, 5, [0, 1, 2])
     assert again.beta == rep.beta and again.rows == rep.rows
+
+
+@pytest.mark.parametrize("weights,params", [
+    (["1", "1"], VisualParams.exact_base(3)),
+    (["1", "1"], VisualParams.exact_base(3, 1, Fraction(1, 2))),
+    (["1", "2"], None),
+    (["1", "3/2", "1"], VisualParams.exact_base(5))])
+def test_shadow_masses_are_spike_ball_masses(weights, params):
+    # O(gamma, D) at the base point is one cylinder: the audit's masses are
+    # the geometry.shadow sums, value and type, margins above ||gamma|| included
+    group = WeightedFreeGroup(len(weights), weights)
+    if params is None:
+        params = VisualParams.floats(conformal_exponent(group), conformal_exponent(group))
+    nu = uniform_ps_measure(group, params)
+    ds = [0, 1, Fraction(3, 2), 4]
+    rows = iter(shadow_lemma_audit(nu, params, 2, ds).rows)
+    for gamma in filter(None, group.ball(2)):
+        for d in ds:
+            mass = sum(nu.mass_of(c.word) for c in shadow(group, gamma, d))
+            assert _typed(next(rows)["mass"]) == _typed(mass)
+    with pytest.raises(InputError, match="must be >= 0, got -1"):
+        shadow_lemma_audit(nu, params, 1, [0, -1])
+
+
+def test_within_decides_multiplier_one_exactly():
+    # at epsilon = 1/2 log 3 a weight W = r - 10^-20 gives 3^{-(W - r)/2}
+    # = 1 + 5.5e-21 > 1, a difference no float sees: W >= r decides it
+    eps = VisualParams.exact_base(3, 1, Fraction(1, 2)).epsilon
+    r, tiny = Fraction(7, 2), Fraction(1, 10 ** 20)
+    assert not spikes._within(eps, r - tiny, r, 1)
+    assert spikes._within(eps, r, r, 1) and spikes._within(eps, r + tiny, r, 1)
+    # any other multiplier is leq_scaled's test
+    for w in (0, Fraction(1, 2), 3, Fraction(9, 2), 7):
+        for mult in (5, Fraction(1, 3), 2.5):
+            assert spikes._within(eps, w, r, mult) == eps.leq_scaled(w, r, mult)
 
 
 def test_lipschitz_scale(f2, nu2, params2):
