@@ -231,19 +231,28 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
     """Run the positive greedy recursion; returns the raw (gamma, lambda)
     list and the accumulated g on the common refinement.
 
-    Each lambda is read off `target.at`, a Fraction for a target of
-    numerators over its `den`.  In the accumulator's scaled-integer mode g
-    comes back as int numerators over one denominator (see
+    For a target of int numerators t over its `den` T, with the
+    accumulator in its scaled-integer mode (value n/d as `value_pair`),
+    each lambda is one Fraction (t d - n T)/(T d), built only when it is
+    positive; otherwise it is target.at - value_at.  In the scaled-integer
+    mode g comes back as int numerators over one denominator (see
     `SpikeAccumulator.function`), with no Fraction per cell.
     """
     group = target.group
     acc = SpikeAccumulator(group, params)
     depth = max([target.depth()] + [len(s.center.word) for s in spikes])
+    T = target.den
     lambdas: List[Tuple[Word, object]] = []
     for sp in spikes:
         b = sp.center.word
         spine = spine_word(group, b, depth)
-        lam = target.at(spine) - acc.value_at(spine)
+        pair = None if T is None else acc.value_pair(spine)
+        if pair is None:
+            lam = target.at(spine) - acc.value_at(spine)
+        else:
+            n, d = pair
+            num = target.num_at(spine) * d - n * T
+            lam = Fraction(num, T * d) if num > 0 else 0
         if lam > 0:
             acc.insert(b, lam)
             lambdas.append((sp.gamma, lam))
@@ -624,13 +633,19 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
         spikes = _round_spikes(group, vparams, shell, params.margin, cap)
-        lambdas, _, factor, R, l1_next = _greedy_round(R, R, spikes, nu, factors,
+        lambdas, g, factor, R, l1_next = _greedy_round(R, R, spikes, nu, factors,
                                                        params.beta)
-        round_mass = 0
+        added = _credit(mu, lambdas, factor, group, vparams)
+        # each coefficient is factor * lambda * int u d nu for the conformal
+        # nu, so the round's mass is one exact integral of g when g and the
+        # factor are rational; otherwise the sum of the terms, in order
+        if nu.conformal and g.den is not None and isinstance(factor, (int, Fraction)):
+            round_mass = factor * integrate(g, nu)
+        else:
+            round_mass = sum(coeff for coeff, _ in added)
         max_log = 0.0
         contribution = 0.0
-        for coeff, mass_u in _credit(mu, lambdas, factor, group, vparams):
-            round_mass = round_mass + coeff
+        for coeff, mass_u in added:
             log_inv = -math.log(float(mass_u))
             max_log = max(max_log, log_inv)
             contribution += float(coeff) * log_inv

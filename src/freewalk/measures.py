@@ -380,15 +380,19 @@ class SpikeAccumulator:
         value_at(w) = N_0 + sum_t (1 - step[w_t]) N_{t+1}.
 
     When every step[x] is a Fraction p_x/q_x (alpha = c log b with every
-    2 c w_x an integer), each N_t is kept as an int over one shared
+    2 c w_x an integer), each N_t is kept as an int over a shared
     denominator `den`, and each center's profile as (node, int) pairs over
     the product of its letters' q_x, so `insert` adds integers with no gcd.
-    `den` grows, and every node with it, only when a coefficient's
-    denominator times the profile's does not divide it.  With L = lcm q_x
-    and m_x = (L/q_x)(q_x - p_x), `value_at` returns
-    Fraction(L N_0 + sum_t m_{w_t} N_{t+1}, den L): one Fraction per call.
-    `function` returns the sum on many cells as those ints over the one
-    denominator den L (a LocallyConstantFunction with `den`).
+    `den` grows only when a coefficient's denominator times the profile's
+    does not divide it, and the nodes do not grow with it: each node keeps
+    the `den` it was last written over, and is brought up to the current
+    one (times den // its own, an exact quotient, since each `den` divides
+    the next) only when `insert` or a reader touches it.  With L = lcm q_x
+    and m_x = (L/q_x)(q_x - p_x), `value_pair` returns
+    (L N_0 + sum_t m_{w_t} N_{t+1}, den L) and `value_at` that quotient as
+    one Fraction.  `function` brings every node up to date once and returns
+    the sum on many cells as ints over the one denominator den L (a
+    LocallyConstantFunction with `den`).
 
     Every other case keeps plain Fraction/float arithmetic on the node sums:
     float params; a step that is not a Fraction (e.g. alpha = 1/3 log 3 on
@@ -406,6 +410,7 @@ class SpikeAccumulator:
                      for x in group.letters()}
         self._profiles: Dict[Word, Tuple[Optional[int], list]] = {}
         self._den: Optional[int] = None   # None: plain arithmetic
+        self._over: Dict[Word, int] = {}  # scaled mode: the den of each node
         if all(isinstance(s, Fraction) for s in self.step.values()):
             self._den = 1
             self._lcm = math.lcm(*(s.denominator for s in self.step.values()))
@@ -441,10 +446,22 @@ class SpikeAccumulator:
 
     def _to_plain(self) -> None:
         """Leave the scaled-integer mode: node sums become Fractions."""
-        den = self._den
-        self.nodes = {node: Fraction(v, den) for node, v in self.nodes.items()}
+        self.nodes = self.node_sums()
         self._den = None
+        self._over = {}
         self._profiles.clear()
+
+    def _fresh(self, node: Word) -> Optional[int]:
+        """Scaled-integer mode: the node's sum over the current den, stored
+        back (None for a node not yet written)."""
+        v = self.nodes.get(node)
+        if v is not None:
+            den, was = self._den, self._over[node]
+            if was is not den:
+                v *= den // was
+                self.nodes[node] = v
+                self._over[node] = den
+        return v
 
     def insert(self, center: Word, coeff) -> None:
         if self._den is not None and not isinstance(coeff, (int, Fraction)):
@@ -456,31 +473,39 @@ class SpikeAccumulator:
                 nodes[node] = nodes.get(node, 0) + coeff * decay
             return
         need = coeff.denominator * scale
-        if self._den % need:
-            grow = need // math.gcd(self._den, need)
-            self._den *= grow
-            for node in nodes:
-                nodes[node] *= grow
-        k = coeff.numerator * (self._den // need)
+        den = self._den
+        if den % need:
+            den *= need // math.gcd(den, need)
+            self._den = den
+        k = coeff.numerator * (den // need)
+        fresh, over = self._fresh, self._over
         for node, v in profile:
-            nodes[node] = nodes.get(node, 0) + k * v
+            nodes[node] = (fresh(node) or 0) + k * v
+            over[node] = den
 
     def _numerator(self, word: Word) -> int:
         """Scaled-integer mode: value_at(word) times den * L, as an int."""
-        nodes = self.nodes
+        fresh = self._fresh
         m = self._m
-        total = self._lcm * nodes.get(EPSILON, 0)
+        total = self._lcm * (fresh(EPSILON) or 0)
         for t in range(len(word)):
-            child = nodes.get(word[:t + 1])
+            child = fresh(word[:t + 1])
             if child is None:
                 break  # the nodes are prefix-closed: no deeper one either
             total += m[word[t]] * child
         return total
 
+    def value_pair(self, word: Word) -> Optional[Tuple[int, int]]:
+        """In the scaled-integer mode, ints (n, d) with value_at(word) = n/d,
+        unreduced (d = den * L); None in every other case."""
+        if self._den is None:
+            return None
+        return self._numerator(word), self._den * self._lcm
+
     def value_at(self, word: Word):
         nodes = self.nodes
         if self._den is not None and nodes:
-            return Fraction(self._numerator(word), self._den * self._lcm)
+            return Fraction(*self.value_pair(word))
         step = self.step
         total = 0
         here = nodes.get(word[:0], 0)
@@ -497,6 +522,8 @@ class SpikeAccumulator:
         if self._den is None:
             return LocallyConstantFunction(
                 self.group, {w: self.value_at(w) for w in cells}, validate=False)
+        for node in self.nodes:
+            self._fresh(node)
         return LocallyConstantFunction.over(
             self.group, {w: self._numerator(w) for w in cells}, self._den * self._lcm)
 
@@ -613,7 +640,7 @@ class SpikeAccumulator:
         scaled-integer mode)."""
         if self._den is None:
             return dict(self.nodes)
-        return {node: Fraction(v, self._den) for node, v in self.nodes.items()}
+        return {node: Fraction(v, self._over[node]) for node, v in self.nodes.items()}
 
 
 def density(mu: GroupMeasure, nu: BoundaryMeasure) -> LocallyConstantFunction:
@@ -692,15 +719,21 @@ def integrate(f: LocallyConstantFunction, nu: BoundaryMeasure):
     terms = [(v, nu.mass_of(w)) for w, v in f.values.items()]
     if not all(type(v) in _RATIONAL and type(m) in _RATIONAL for v, m in terms):
         return sum((v if den is None else v / den) * m for v, m in terms)
-    groups: Dict[int, int] = {}
-    for v, m in terms:
-        d = v.denominator * m.denominator
-        groups[d] = groups.get(d, 0) + v.numerator * m.numerator
     if den is None and all(type(v) is int and type(m) is int for v, m in terms):
-        return groups[1]
+        return sum(v * m for v, m in terms)
+    return rational_sum(((v.numerator * m.numerator, v.denominator * m.denominator)
+                         for v, m in terms), den or 1)
+
+
+def rational_sum(terms: Iterable[Tuple[int, int]], den: int = 1) -> Fraction:
+    """The sum of n/d over the int pairs (n, d), divided by `den`, as one
+    Fraction: the numerators are summed per d and the groups over the lcm
+    of the d, so no gcd is taken per term."""
+    groups: Dict[int, int] = {}
+    for n, d in terms:
+        groups[d] = groups.get(d, 0) + n
     common = math.lcm(*groups)
-    return Fraction(sum(n * (common // d) for d, n in groups.items()),
-                    common * (den or 1))
+    return Fraction(sum(n * (common // d) for d, n in groups.items()), common * den)
 
 
 def ps_series_audit(group: WeightedFreeGroup, params: VisualParams,

@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .words import Word, WeightedFreeGroup, InputError, invert
-from .measures import BoundaryMeasure, GroupMeasure, convolve, density
+from .measures import (BoundaryMeasure, GroupMeasure, convolve, density,
+                       rational_sum)
 from .partitions import refine_leaves
 
 
@@ -47,20 +48,26 @@ def functionals(mu: GroupMeasure) -> Tuple[object, float, float]:
     """(first moment, log-moment, entropy) of a finitely supported measure.
 
     Per-term log contributions are clamped at 0 for d(e, gamma) < 1, so the
-    log-moment keeps its finiteness semantics on weighted groups.
+    log-moment keeps its finiteness semantics on weighted groups.  With every
+    atom a Fraction the moment is one exact sum (`rational_sum`); an atom
+    whose float is 0 (an exact atom below float range) adds 0 to the
+    entropy, as its float term would.
     """
     group = mu.group
-    exact = all(isinstance(v, Fraction) for v in mu.atoms.values())
-    moment = Fraction(0) if exact else 0.0
+    terms = [(v, group.word_weight(w)) for w, v in mu.atoms.items()]
+    if all(isinstance(v, Fraction) for v, _ in terms):
+        moment = rational_sum((v.numerator * d.numerator, v.denominator * d.denominator)
+                              for v, d in terms)
+    else:
+        moment = sum((v * d for v, d in terms), 0.0)
     log_moment = 0.0
     entropy = 0.0
-    for w, v in mu.atoms.items():
-        d = group.word_weight(w)
-        moment = moment + v * d
+    for v, d in terms:
         if d > 1:
             log_moment += float(v) * math.log(float(d))
-        if v > 0:
-            entropy -= float(v) * math.log(float(v))
+        x = float(v)
+        if x > 0:
+            entropy -= x * math.log(x)
     return moment, log_moment, entropy
 
 

@@ -566,6 +566,20 @@ def test_verify_integer_atom_stays_exact(tmp_path):
         assert rc == 0 and rep["exact"] is True and rep["max_cell_error"] == "0.0"
 
 
+def test_verify_atom_below_float_range(tmp_path):
+    # a = 10^-400 is 0.0 as a float: it adds 0 to the float entropy instead
+    # of failing math.log, and mu * nu is within 10^-400 of b nu
+    tiny = Fraction(1, 10 ** 400)
+    mu = tmp_path / "tiny_mu.json"
+    mu.write_text(json.dumps({"group": {"rank": 2, "weights": ["1", "1"]},
+                              "atoms": [["a", _num_to_str(tiny)],
+                                        ["b", _num_to_str(1 - tiny)]]}))
+    rc, rep = _verify(tmp_path, "tiny", {"mu": str(mu), "nu_prime": "pushforward:b"})
+    assert rc == 0
+    assert rep["exact"] is False and rep["max_cell_error"] == "0.0"
+    assert (rep["moment"], rep["entropy"]) == ("1.0", "0.0")
+
+
 def test_integer_cell_stays_exact(tmp_path):
     # a cell "7" is read as the int 7: the target and the report stay exact
     cells = {"cells": [["a", "7"], ["A", "7"], ["b", "7"], ["B", "7"]]}

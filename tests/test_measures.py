@@ -343,6 +343,108 @@ def test_spike_accumulator_property(run):
     _replay(group, params, ops, probes)
 
 
+class EagerAccumulator(SpikeAccumulator):
+    """The scaled-integer accumulator as it was: every growth of `den`
+    rescales every node at once, and readers take the stored ints as they
+    are."""
+
+    def _fresh(self, node):
+        return self.nodes.get(node)
+
+    def insert(self, center, coeff):
+        if self._den is not None and not isinstance(coeff, (int, Fraction)):
+            self._to_plain()
+        nodes = self.nodes
+        scale, profile = self._profile(center)
+        if self._den is None:
+            for node, decay in profile:
+                nodes[node] = nodes.get(node, 0) + coeff * decay
+            return
+        need = coeff.denominator * scale
+        if self._den % need:
+            grow = need // math.gcd(self._den, need)
+            self._den *= grow
+            for node in nodes:
+                nodes[node] *= grow
+        k = coeff.numerator * (self._den // need)
+        for node, v in profile:
+            nodes[node] = nodes.get(node, 0) + k * v
+
+    def node_sums(self):
+        if self._den is None:
+            return dict(self.nodes)
+        return {node: Fraction(v, self._den) for node, v in self.nodes.items()}
+
+
+def _primes(count, start):
+    """The first `count` primes above `start`."""
+    found, n = [], start
+    while len(found) < count:
+        n += 1
+        if all(n % p for p in range(2, math.isqrt(n) + 1)):
+            found.append(n)
+    return found
+
+
+@pytest.mark.parametrize("weights", [["1", "1"], ["1", "2"]])
+def test_lazy_accumulator_matches_eager_rescaling(weights):
+    # 320 exact inserts whose coefficients' prime denominators make den grow
+    # on every one, so most nodes are written over an older den than the
+    # current one when they are read
+    group = WeightedFreeGroup(2, weights=weights)
+    params = VisualParams.exact_base(3, 1, 1)
+    rng = random.Random(20)
+    words = group.ball(5)
+    probes = words[:20] + rng.sample(group.sphere(7), 10)
+    lazy, eager = SpikeAccumulator(group, params), EagerAccumulator(group, params)
+    for i, p in enumerate(_primes(320, 100)):
+        before = lazy._den
+        center, coeff = rng.choice(words), Fraction(rng.choice([-1, 1]) * rng.randint(1, 90), p)
+        lazy.insert(center, coeff)
+        eager.insert(center, coeff)
+        assert lazy._den == eager._den > before
+        if i % 16 == 0:
+            for w in rng.sample(probes, 4):
+                assert lazy.value_at(w) == eager.value_at(w)
+                n, d = lazy.value_pair(w)
+                assert Fraction(n, d) == eager.value_at(w) and d == lazy._den * lazy._lcm
+    stale = sum(at != lazy._den for at in lazy._over.values())
+    assert stale >= 200
+    assert lazy.node_sums() == eager.node_sums()
+    for w in probes:
+        assert repr(lazy.value_at(w)) == repr(eager.value_at(w))
+    cells = group.sphere(5)
+    got, want = lazy.function(cells), eager.function(cells)
+    assert got.den == want.den == lazy._den * lazy._lcm
+    assert got.values == want.values
+    assert all(at == lazy._den for at in lazy._over.values())
+    lazy._to_plain()
+    eager._to_plain()
+    assert lazy.nodes == eager.nodes and lazy._den is eager._den is None
+
+
+def test_float_after_stale_nodes_matches_eager():
+    # a float coefficient turns the node sums into Fractions: each over the
+    # den it was written at, equal to the eagerly rescaled ones
+    group = WeightedFreeGroup(2)
+    params = VisualParams.exact_base(3, 1, 1)
+    rng = random.Random(21)
+    words = group.ball(5)
+    lazy, eager = SpikeAccumulator(group, params), EagerAccumulator(group, params)
+    for p in _primes(300, 100):
+        center, coeff = rng.choice(words), Fraction(rng.randint(1, 90), p)
+        lazy.insert(center, coeff)
+        eager.insert(center, coeff)
+    assert sum(at != lazy._den for at in lazy._over.values()) >= 200
+    lazy.insert(words[7], 0.3125)
+    eager.insert(words[7], 0.3125)
+    assert lazy._den is None and eager._den is None
+    assert lazy.nodes == eager.nodes
+    for w in words[:40] + rng.sample(group.sphere(7), 10):
+        got = lazy.value_at(w)
+        assert isinstance(got, float) and repr(got) == repr(eager.value_at(w))
+
+
 def test_integrate(f2, nu2, params2):
     from freewalk import LocallyConstantFunction
     one = LocallyConstantFunction.constant(f2, Fraction(1))

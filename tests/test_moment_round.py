@@ -800,3 +800,67 @@ def test_finish_drops_tiny_float_atoms_into_leak(f2):
     exact = {(0,): Fraction(1), (2,): Fraction(1, 10 ** 30)}
     res = _finish(f2, exact, [Fraction(1, 2)], [], None)
     assert res.coefficients.atoms == exact and res.leak == 0.0
+
+
+# ---------------------------------------------------------------------------
+# round mass
+# ---------------------------------------------------------------------------
+
+def _round_masses(monkeypatch, F, nu, constants, rounds):
+    """(recorded round mass, factor * int g d nu, the sum of the round's
+    coefficients in order) for each round of a proof-rescale
+    moment_decompose, read off its _greedy_round calls."""
+    seen = []
+    original = decomposition._greedy_round
+
+    def spy(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(decomposition, "_greedy_round", spy)
+    params = GreedyParams(margin=1, rescale="proof")
+    res = moment_decompose(F, nu, params, rounds=rounds, constants=constants)
+    alpha, group = nu.params.alpha, F.group
+    rows = []
+    for rec, (lambdas, g, factor, _, _) in zip(res.records, seen, strict=True):
+        terms = 0
+        for gamma, lam in lambdas:
+            if lam > 0:
+                terms = terms + factor * lam * alpha.exp_neg(group.word_weight(gamma))
+        rows.append((rec.round_mass, factor * integrate(g, nu), terms))
+    return rows
+
+
+@pytest.mark.parametrize("index,eps_coeff", [(0, 1), (2, Fraction(1, 2)), (1, 1)])
+def test_round_mass_is_the_integral_of_g(monkeypatch, index, eps_coeff):
+    # int u_{gamma^-1} d nu = e^{-alpha ||gamma||} for the conformal nu, so
+    # factor * int g d nu is the sum of the round's coefficients exactly
+    # (F_2, weights [2, 2] and F_3; the rounds only read the constants'
+    # numbers, here F_2's, with a rational L_nu)
+    group, nu, _ = setup(index, eps_coeff)
+    constants = setup(0, 1)[2]
+    assert nu.conformal and type(constants.l_nu) is Fraction
+    F = LocallyConstantFunction.constant(group, Fraction(1))
+    rows = _round_masses(monkeypatch, F, nu, constants, 2)
+    assert len(rows) == 2
+    for mass, integral, terms in rows:
+        assert type(mass) is Fraction and mass == integral == terms
+
+
+def test_round_mass_off_the_identity_sums_the_terms(monkeypatch):
+    # a Markov nu breaks int u d nu = e^{-alpha ||gamma||}, and float params
+    # keep g in floats: both record the per-term sum
+    constants = setup(0, 1)[2]
+    group, markov, _ = setup(3, 2)
+    assert not markov.conformal
+    F = LocallyConstantFunction.constant(group, Fraction(1))
+    rows = _round_masses(monkeypatch, F, markov, constants, 2)
+    assert len(rows) == 2 and all(mass == terms for mass, _, terms in rows)
+    assert any(integral != terms for _, integral, terms in rows)
+    f2 = WeightedFreeGroup(2)
+    floats = uniform_ps_measure(f2, VisualParams.floats(math.log(3), math.log(3)))
+    F = LocallyConstantFunction.constant(f2, 1.0)
+    rows = _round_masses(monkeypatch, F, floats, constants, 2)
+    assert len(rows) == 2
+    for mass, _, terms in rows:
+        assert type(mass) is float and repr(mass) == repr(terms)

@@ -63,6 +63,54 @@ def test_functionals_examples(f2):
     assert m3 == 1 and h3 == 0 and lm3 == 0   # log clamp at d = 1
 
 
+def plain_functionals(mu):
+    """The functionals term by term: the exact moment as a running Fraction
+    sum, the float terms in atom order."""
+    moment = Fraction(0) if all(isinstance(v, Fraction) for v in mu.atoms.values()) \
+        else 0.0
+    log_moment = entropy = 0.0
+    for w, v in mu.atoms.items():
+        d = mu.group.word_weight(w)
+        moment = moment + v * d
+        if d > 1:
+            log_moment += float(v) * math.log(float(d))
+        if float(v) > 0:
+            entropy -= float(v) * math.log(float(v))
+    return moment, log_moment, entropy
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([["1", "1"], ["1", "3/2"], ["2", "2"]]),
+       st.lists(st.integers(1, 10 ** 30), min_size=1, max_size=30),
+       st.lists(st.integers(1, 10 ** 40), min_size=1, max_size=30))
+def test_exact_moment_is_the_plain_sum(weights, nums, dens):
+    # one Fraction over the lcm of the term denominators equals the running
+    # Fraction sum, and the float log-moment and entropy keep their bits
+    group = WeightedFreeGroup(2, weights=weights)
+    words = group.ball(3)
+    mu = GroupMeasure(group, {words[i % len(words)]: Fraction(n, dens[i % len(dens)])
+                              for i, n in enumerate(nums)})
+    got, want = functionals(mu), plain_functionals(mu)
+    assert type(got[0]) is Fraction and got[0] == want[0]
+    assert [repr(x) for x in got[1:]] == [repr(x) for x in want[1:]]
+
+
+def test_atom_below_float_range_adds_no_entropy(f2):
+    # float(10^-400) is 0.0, so math.log would fail on it: the atom adds 0 to
+    # the entropy, and every other term keeps its bits
+    tiny = Fraction(1, 10 ** 400)
+    a, A, b, B = (0,), (1,), (2,), (3,)
+    mu = GroupMeasure(f2, {a: tiny, b: 1 - tiny})
+    assert functionals(mu) == (1, 0.0, 0.0)
+    mu = GroupMeasure(f2, {a: Fraction(1, 4), A: tiny, (0, 2): Fraction(1, 3),
+                           B: Fraction(5, 12) - tiny})
+    moment, log_moment, entropy = functionals(mu)
+    assert moment == Fraction(1, 4) + tiny + 2 * Fraction(1, 3) + Fraction(5, 12) - tiny
+    assert repr(entropy) == repr(-0.25 * math.log(0.25) - (1 / 3) * math.log(1 / 3)
+                                 - float(Fraction(5, 12)) * math.log(float(Fraction(5, 12))))
+    assert repr(log_moment) == repr(float(Fraction(1, 3)) * math.log(2.0))
+
+
 def test_mix(f2, nu2):
     mu1 = sphere_uniform(f2, 1)
     mu2 = sphere_uniform(f2, 2)
