@@ -24,7 +24,7 @@ print("center:", G.format_word(s.center.word), " radius:", s.radius,
 rep = verify_spike(s, nu)  # one report: spike and Q-spike conditions
 print("conditions:", rep.cond1_ok, rep.cond2_ok, rep.cond3_ok,
       " measured:", {k: str(v) for k, v in rep.measured.items()})
-print("Q-spike:", rep.q_spike_ok, " local doubling:", rep.local_doubling)
+print("Q-spike:", rep.q_spike_ok)
 
 # 2. the Shadow Lemma sweep: one beta certifies both inequalities
 audit = shadow_lemma_audit(nu, P, max_len=4, ds=[0, 1, 2])

@@ -10,7 +10,7 @@ and the shadow/decay inequalities on cylinder partitions.
 from .words import WeightedFreeGroup, InputError, reduce_word, invert, multiply
 from .geometry import (Cylinder, VisualParams, LogScale, default_params,
                        gromov_product, busemann, locally_constant_cells,
-                       visual_quasimetric, shadow, sup_product, plus_direction,
+                       visual_quasimetric, shadow, sup_product,
                        translate_cylinder, merge_cylinders,
                        IdenticalBoundaryPointsError, OverlappingCylindersError,
                        AmbiguousCylinderError)
@@ -19,17 +19,15 @@ from .partitions import (LocallyConstantFunction, PartitionError,
                          validate_partition)
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        critical_exponent, conformal_exponent, poincare_series,
-                       weighted_shell_counts, radon_nikodym, pushforward,
-                       convolve, density, integrate, l1_distance,
-                       ps_series_audit, DivergentNormalizationError,
-                       ConformalityError, RefinementRuleError)
+                       radon_nikodym, pushforward, convolve, density, integrate,
+                       DivergentNormalizationError, ConformalityError,
+                       RefinementRuleError)
 from .spikes import (Spike, SpikeReport, build_spike, make_spike, with_margin,
                      verify_spike, verify_q_spike, decay_check, shadow_lemma_audit,
                      lipschitz_scale, local_doubling_sup, ball_cells,
                      DegenerateSpikeError, DecayReport, ShadowAuditReport)
 from .decomposition import (GreedyParams, DecompositionResult, AuditConstants,
-                            measure_constants, greedy_subfunction,
-                            basis_decompose, moment_decompose,
+                            measure_constants, basis_decompose, moment_decompose,
                             sequence_decay_bound, sequence_decay_iterate,
                             audit_case_envelope, GreedyParameterError,
                             InternalInvariantError)

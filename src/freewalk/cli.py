@@ -84,6 +84,14 @@ def _int(value, *_) -> int:
     return number
 
 
+def _count(value, *_) -> int:
+    """An integer >= 1, for a number of rounds: zero rounds would certify an
+    empty mu with every check true."""
+    if (number := _int(value)) < 1:
+        raise ValueError(f"must be an integer >= 1, got {value!r}")
+    return number
+
+
 def _rationals(values, *_) -> list:
     if not isinstance(values, list):
         raise TypeError(f"expected a list, got {type(values).__name__}")
@@ -226,7 +234,7 @@ CONFIG_KEYS = {
     ("params", "tau"): (1e-6, _tau),
     ("params", "schedule"): ("fixed", lambda name, *_: name),
     ("params", "rescale"): ("adaptive", lambda name, *_: name),
-    ("params", "max_rounds"): (120, _int),
+    ("params", "max_rounds"): (120, _count),
     ("params", "audit_len"): (3, _int),
     ("decompose", "target"): ("ones", _target),
     ("verify", "mu"): ("sphere:1", _group_measure),
@@ -237,7 +245,7 @@ CONFIG_KEYS = {
     ("audit", "max_len"): (5, _int),
     ("audit", "Ds"): ([0, 1, 2], _margins),
     ("audit", "inject"): (None, lambda path, *_: os.fspath(path)),
-    ("moments", "rounds"): (3, _int),
+    ("moments", "rounds"): (3, _count),
     ("moments", "target"): ("ones", _target),
 }
 

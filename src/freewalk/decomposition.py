@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert, is_prefix
+from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert
 from .geometry import Cylinder, VisualParams
 from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
                          trie_closure)
@@ -27,12 +27,13 @@ from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        integrate, radon_nikodym)  # noqa: F401
 from .spikes import (Spike, shadow_lemma_audit, local_doubling_sup, decay_check,
-                     lipschitz_scale, ball_cells)
+                     lipschitz_scale)
 from .stationarity import functionals
 
 
 class GreedyParameterError(ValueError):
-    """A precondition of the greedy subfunction construction fails."""
+    """A precondition of the greedy decomposition fails: the target is not
+    uniformly positive."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -197,16 +198,6 @@ class DecompositionResult:
 # the inner greedy construction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GreedyOutcome:
-    lambdas: List[Tuple[Word, object]]   # (gamma, raw lambda)
-    g: LocallyConstantFunction
-    h: LocallyConstantFunction
-    factor: object
-    t_value: float
-    delta_exp: object
-
-
 def oscillation_threshold(f: LocallyConstantFunction, s):
     """Smallest weighted scale exponent T such that sup f / inf f <= s within
     every cell class at scale e^{-eps T} (0 when f is globally s-flat).
@@ -260,74 +251,6 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
             lambdas.append((sp.gamma, 0))
     return lambdas, acc.function(refine_leaves(
         group, target.leaves(), trie_closure(group, [s.center.word for s in spikes])))
-
-
-def greedy_subfunction(F: LocallyConstantFunction, spikes: Sequence[Spike],
-                       Y: Sequence[Cylinder], params: GreedyParams,
-                       constants: AuditConstants,
-                       vparams: VisualParams) -> GreedyOutcome:
-    """Proposition-style subfunction: validate the radius/oscillation
-    preconditions, run the recursion, and rescale by 3 L_nu / (C s).
-
-    Guarantees h <= F pointwise and, on a covered Y, h >= (L_nu/(C^2 s^2)) F.
-    The infimum and the oscillation pairs range over the span of the cover
-    (the union of the spike balls with Y); for the full covers used by the
-    outer loops the span is the whole boundary.
-    """
-    if not spikes:
-        raise GreedyParameterError("no spikes supplied")
-    group = F.group
-    inf_f = F.inf()
-    if inf_f <= 0:
-        raise GreedyParameterError(
-            f"target must be uniformly positive; min cell value is {inf_f}")
-    spikes = sorted(spikes, key=lambda s: (s.r_exp, len(s.gamma), s.gamma))
-    c_cap = params.cap_for(constants, vparams)
-    for sp in spikes:
-        if sp.c is not None and sp.c > c_cap:
-            raise GreedyParameterError(
-                f"spike constant {sp.c} exceeds the cap C = {c_cap}")
-    leaves = refine_leaves(group, F.leaves(),
-                           trie_closure(group, [sp.center.word for sp in spikes]))
-    span = set()
-    for sp in spikes:
-        span.update(ball_cells(group, leaves, sp.center.word, vparams, sp.r_exp))
-    for cyl in Y:
-        span.update(w for w in leaves
-                    if is_prefix(cyl.word, w) or is_prefix(w, cyl.word))
-    restricted = LocallyConstantFunction(group, {w: F.at(w) for w in span},
-                                         validate=False)
-    inf_span = restricted.inf()
-    sup_y = _sup_over(F, Y)
-    t_val = t_factor(sup_y, inf_span, constants.q)
-    delta_exp = oscillation_threshold(restricted, params.s)
-    r_min_exp = min(sp.r_exp for sp in spikes)  # largest radius
-    if not vparams.epsilon.leq_scaled(r_min_exp, delta_exp, 1.0 / t_val):
-        raise GreedyParameterError(
-            f"largest spike radius exceeds delta/t: radius exponent {r_min_exp} "
-            f"vs oscillation scale {delta_exp} with t = {t_val:.3f}")
-    lambdas, g = greedy_lambdas(F, spikes, vparams)
-    factor = 3 * constants.l_nu / (c_cap * params.s)
-    h = g.scale(factor)
-    bad = _exceeding(g, factor, F, 1)
-    if bad:
-        raise InternalInvariantError(f"h exceeds F on cells {bad[:3]}")
-    return GreedyOutcome(lambdas=lambdas, g=g, h=h, factor=factor,
-                         t_value=t_val, delta_exp=delta_exp)
-
-
-def _sup_over(F: LocallyConstantFunction, Y: Sequence[Cylinder]):
-    if not Y or any(c.is_everything for c in Y):
-        return F.sup()
-    best = None
-    for cyl in Y:
-        for w in F.values:
-            if is_prefix(cyl.word, w) or is_prefix(w, cyl.word):
-                v = F.at(w)
-                best = v if best is None else max(best, v)
-    if best is None:
-        raise GreedyParameterError("Y does not meet the target's partition")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +409,7 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
 def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                     params: GreedyParams,
                     constants: Optional[AuditConstants] = None) -> DecompositionResult:
-    """Iterate the greedy subfunction on residuals until ||R||_1 <= tau.
+    """Iterate the greedy round on residuals until ||R||_1 <= tau.
 
     Returns mu with convolve(mu, nu) within tau of F d nu in total variation;
     the residual trace contracts at least by 1 - L_nu beta/(C^2 s^2) per round.

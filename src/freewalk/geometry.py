@@ -308,15 +308,6 @@ def sup_product(group: WeightedFreeGroup, gamma: Word, base: Word = EPSILON) -> 
     return group.distance(base, multiply(invert(gamma), base))
 
 
-def plus_direction(group: WeightedFreeGroup, gamma: Word, base: Word = EPSILON) -> Cylinder:
-    """Canonical z^+: the cylinder of the full reduced word of gamma^{-1} p seen from p."""
-    q = multiply(invert(base), multiply(invert(gamma), base))
-    if not q:
-        raise InputError("z^+ undefined for gamma with gamma^{-1} p = p")
-    cyls = translate_cylinder(group, base, Cylinder(q))
-    return cyls[0] if len(cyls) == 1 else Cylinder(_join_word(cyls))
-
-
 def shadow(group: WeightedFreeGroup, gamma: Word, D=0,
            base: Word = EPSILON) -> List[Cylinder]:
     """O_p(gamma, D) = { y : d_p(z^+, y) <= e^{-(U_{p,gamma} - D)} } as cylinders.

@@ -69,15 +69,6 @@ def _length_counts(group: WeightedFreeGroup, bound) -> Dict[object, int]:
     return by_length
 
 
-def weighted_shell_counts(group: WeightedFreeGroup, horizon: int) -> List[int]:
-    """S_k = number of gamma with ||gamma|| in the annulus (k-1/2, k+1/2],
-    for k = 0..horizon (orbit of the identity)."""
-    counts = [0] * (horizon + 1)
-    for length, cnt in _length_counts(group, Fraction(2 * horizon + 1, 2)).items():
-        counts[math.ceil(length - Fraction(1, 2))] += cnt
-    return counts
-
-
 def critical_exponent(group: WeightedFreeGroup) -> float:
     """Exponential growth rate limsup (1/k) log S_k.
 
@@ -734,44 +725,3 @@ def rational_sum(terms: Iterable[Tuple[int, int]], den: int = 1) -> Fraction:
         groups[d] = groups.get(d, 0) + n
     common = math.lcm(*groups)
     return Fraction(sum(n * (common // d) for d, n in groups.items()), common * den)
-
-
-def ps_series_audit(group: WeightedFreeGroup, params: VisualParams,
-                    depth: int = 3, truncation: int = 8,
-                    offset: float = 0.01) -> dict:
-    """Compare the closed-form conformal measure against the truncated atomic
-    measure nu^s at s = delta(Gamma) + offset, in total variation over the
-    depth-d cylinders.
-
-    nu^s puts mass e^{-s ||gamma||} / g_s at each orbit point; atoms whose
-    words are shorter than the depth sit in the interior and are reported
-    separately (they vanish in the weak limit).
-    """
-    if truncation <= depth:
-        raise InputError("truncation must exceed the comparison depth")
-    s = critical_exponent(group) + offset
-    weights = {}
-    interior = 0.0
-    total = 1.0  # gamma = e
-    for n in range(1, truncation + 1):
-        for gamma in group.sphere(n):
-            w = math.exp(-s * float(group.word_weight(gamma)))
-            total += w
-            if n < depth:
-                interior += w
-            else:
-                key = gamma[:depth]
-                weights[key] = weights.get(key, 0.0) + w
-    interior += 1.0  # the identity atom
-    boundary_total = total - interior
-    nu = uniform_ps_measure(group, params)
-    tv = 0.0
-    for w in group.sphere(depth):
-        tv += abs(weights.get(w, 0.0) / boundary_total - float(nu.mass_of(w)))
-    return {"s": s, "tv_distance": tv, "interior_mass": interior / total,
-            "depth": depth, "truncation": truncation}
-
-
-def l1_distance(f: LocallyConstantFunction, g: LocallyConstantFunction,
-                nu: BoundaryMeasure):
-    return integrate(f.sub(g).abs(), nu)

@@ -64,7 +64,6 @@ class SpikeReport:
     cond2_ok: bool
     cond3_ok: bool
     q_spike_ok: bool
-    local_doubling: object
     measured_c: object
     measured: Dict[str, object] = field(default_factory=dict)
     witnesses: Dict[str, object] = field(default_factory=dict)
@@ -132,15 +131,15 @@ def _cells_under(prefix: Word, cells: Sequence[Word], center: Word) -> List[Word
     return inside
 
 
-def _ball_mass(nu: BoundaryMeasure, prefix: Word, cells: Sequence[Word]):
-    """nu of the ball C(prefix), which the partition `cells` tiles.  A Fraction
-    read off the cylinder is exactly the sum over its cells; any other value
-    is that sum in partition order, as a float sum rounds by the order of its
+def _ball_mass(nu: BoundaryMeasure, prefix: Word, ball: Sequence[Word]):
+    """nu of the ball C(prefix), which its cells `ball` tile.  A Fraction read
+    off the cylinder is exactly the sum over its cells; any other value is
+    that sum in partition order, as a float sum rounds by the order of its
     terms."""
     mass = nu.mass_of(prefix)
     if type(mass) is Fraction:
         return mass
-    return sum(nu.mass_of(w) for w in cells if is_prefix(prefix, w))
+    return sum(nu.mass_of(w) for w in ball)
 
 
 def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
@@ -410,15 +409,9 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     finite = [m for m in measured.values() if m is not None]
     measured_c = max(finite) if finite else None
 
-    # local doubling nu(B(a,5r))/nu(B(a,r))
-    mass_5r = _ball_mass(nu, _ball_prefix(group, center, params, spike.r_exp, 5),
-                         cells)
-    doubling = _ratio(mass_5r, mass_r) if mass_r > 0 else None
-
     return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
-                       q_spike_ok=q_spike_ok, local_doubling=doubling,
-                       measured_c=measured_c, measured=measured,
-                       witnesses=witnesses)
+                       q_spike_ok=q_spike_ok, measured_c=measured_c,
+                       measured=measured, witnesses=witnesses)
 
 
 # verify_spike checks the Q-spike conditions too; this name stays only because

@@ -1,5 +1,8 @@
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
+from typing import List
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -7,6 +10,18 @@ import pytest
 
 from freewalk import (WeightedFreeGroup, default_params, uniform_ps_measure,
                       measure_constants)
+from freewalk.measures import _length_counts
+
+
+# the oracle for `measures._length_counts` shared by test_measures and
+# test_properties
+def weighted_shell_counts(group: WeightedFreeGroup, horizon: int) -> List[int]:
+    """S_k = number of gamma with ||gamma|| in the annulus (k-1/2, k+1/2],
+    for k = 0..horizon (orbit of the identity)."""
+    counts = [0] * (horizon + 1)
+    for length, cnt in _length_counts(group, Fraction(2 * horizon + 1, 2)).items():
+        counts[math.ceil(length - Fraction(1, 2))] += cnt
+    return counts
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,6 +174,29 @@ def test_audit_witnesses_match_golden(tmp_path, name):
                  "--out", str(out), "--witnesses"]) == 0
     assert (out / "audit.json").read_bytes() == \
         (GOLDEN / f"{name}.audit.json").read_bytes()
+
+
+def test_half_epsilon_audit_float_comparisons(tmp_path, monkeypatch):
+    # at epsilon = 1/2 log 3 a comparison with a non-integral exponent leaves
+    # exact arithmetic; the exact audit makes such comparisons only for the
+    # 5r balls of T_nu (verify_spike builds no 5r ball)
+    real = LogScale.leq_scaled
+    callers = Counter()
+
+    def counted(self, p, t, mult=1):
+        if self.base is not None and \
+                (self.coeff * (Fraction(p) - Fraction(t))).denominator != 1:
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in (
+                    "local_doubling_sup", "verify_spike"):
+                frame = frame.f_back
+            callers[None if frame is None else frame.f_code.co_name] += 1
+        return real(self, p, t, mult)
+
+    monkeypatch.setattr(LogScale, "leq_scaled", counted)
+    assert main(["audit", "--config", str(GOLDEN / "f2_half_epsilon.config.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert dict(callers) == {"local_doubling_sup": 92}
 
 
 INJECT = GOLDEN / "inject"
@@ -819,11 +844,16 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("decompose", "params", {"tau": "nan"}, "config['params']['tau']"),
     ("decompose", "params", {"s": None}, "config['params']['s']"),
     ("audit", "params", {"D": True}, "config['params']['D']"),
+    ("moments", "moments", {"rounds": 0}, "config['moments']['rounds'] = 0"),
+    ("moments", "moments", {"rounds": -2}, "config['moments']['rounds'] = -2"),
+    ("decompose", "params", {"max_rounds": 0}, "config['params']['max_rounds'] = 0"),
+    ("decompose", "params", {"max_rounds": -2}, "config['params']['max_rounds'] = -2"),
 ])
 def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
-    # "1/0", a non-finite float, a path that is no file, a misspelled key or
-    # an unknown section: a usage error that names the key, never exit 3 or a
-    # silently ignored setting
+    # "1/0", a non-finite float, a path that is no file, a misspelled key, an
+    # unknown section or a round count below 1 (zero rounds would write an
+    # empty mu with every check true): a usage error that names the key,
+    # never exit 3 or a silently ignored setting
     cfg = write_config(tmp_path, **{section: value})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -1,14 +1,14 @@
-"""The greedy subfunction construction, the outer decomposition loops and the
-sequence-decay lemma."""
+"""The greedy recursion, the outer decomposition loops and the sequence-decay
+lemma."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from freewalk import (Cylinder, LocallyConstantFunction, GreedyParams,
-                      GreedyParameterError, make_spike, greedy_subfunction,
-                      basis_decompose, moment_decompose, sequence_decay_bound,
+from freewalk import (LocallyConstantFunction, GreedyParams,
+                      GreedyParameterError, make_spike, basis_decompose,
+                      moment_decompose, sequence_decay_bound,
                       sequence_decay_iterate, convolve, pushforward,
                       radon_nikodym, audit_case_envelope, InputError, density,
                       integrate, WeightedFreeGroup)
@@ -40,33 +40,25 @@ def test_single_spike_trivial(f2, nu2, params2, constants2):
     s = make_spike((1,), nu2, params2, margin=0)
     F = s.function
     gp = GreedyParams()
-    out = greedy_subfunction(F, [s], [s.center], gp, constants2, params2)
-    assert out.lambdas == [((1,), 1)]
+    lambdas, g = greedy_lambdas(F, [s], params2)
+    assert lambdas == [((1,), 1)]
     # proof rescale: h = (3 L_nu / (C s)) g <= F pointwise, and the covered
-    # lower bound h >= (L_nu / (C^2 s^2)) F holds on Y
+    # lower bound h >= (L_nu / (C^2 s^2)) F holds at the center
     cap = gp.cap_for(constants2, params2)
-    for w in out.h.values:
-        assert out.h.at(w) <= F.at(w)
+    h = g.scale(3 * constants2.l_nu / (cap * gp.s))
+    for w in h.values:
+        assert h.at(w) <= F.at(w)
     lower = constants2.l_nu / (cap * cap * gp.s * gp.s)
-    assert out.h.at(s.center.word) >= lower * F.at(s.center.word)
-    assert out.factor == 3 * constants2.l_nu / (cap * gp.s)
+    assert h.at(s.center.word) >= lower * F.at(s.center.word)
 
 
-def test_greedy_preconditions(f2, nu2, params2, constants2):
-    gp = GreedyParams()
+def test_greedy_preconditions(f2, nu2, constants2):
     not_positive = LocallyConstantFunction(f2, {(0,): Fraction(0), (1,): Fraction(1),
                                                 (2,): Fraction(1), (3,): Fraction(1)})
-    spikes = four_unit_spikes(f2, params2)
     with pytest.raises(GreedyParameterError):
-        greedy_subfunction(not_positive, spikes, [Cylinder(())], gp, constants2, params2)
-    # radius too large for the oscillation bound: F oscillates at depth 2
-    osc = LocallyConstantFunction(f2, {w: Fraction(1 + (w[-1] % 2) * 80)
-                                       for w in f2.sphere(2)})
+        basis_decompose(not_positive, nu2, GreedyParams(), constants=constants2)
     with pytest.raises(GreedyParameterError):
-        greedy_subfunction(osc, spikes, [Cylinder(())], gp, constants2, params2)
-    with pytest.raises(GreedyParameterError):
-        greedy_subfunction(not_positive.map(lambda v: v + 1), [], [Cylinder(())],
-                           gp, constants2, params2)
+        moment_decompose(not_positive, nu2, GreedyParams(margin=1), constants=constants2)
 
 
 def test_basis_decompose_constant_exact(f2, nu2, constants2):

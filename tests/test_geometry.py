@@ -10,11 +10,21 @@ import pytest
 
 from freewalk import (Cylinder, WeightedFreeGroup, gromov_product, busemann,
                       locally_constant_cells, visual_quasimetric, shadow,
-                      sup_product, plus_direction, translate_cylinder,
-                      merge_cylinders,
+                      sup_product, translate_cylinder, merge_cylinders,
                       IdenticalBoundaryPointsError, OverlappingCylindersError,
-                      AmbiguousCylinderError)
-from freewalk.words import invert, multiply
+                      AmbiguousCylinderError, InputError)
+from freewalk.geometry import _join_word
+from freewalk.words import EPSILON, Word, invert, multiply
+
+
+# the oracle for the full-word direction that `shadow` truncates
+def plus_direction(group: WeightedFreeGroup, gamma: Word, base: Word = EPSILON) -> Cylinder:
+    """Canonical z^+: the cylinder of the full reduced word of gamma^{-1} p seen from p."""
+    q = multiply(invert(base), multiply(invert(gamma), base))
+    if not q:
+        raise InputError("z^+ undefined for gamma with gamma^{-1} p = p")
+    cyls = translate_cylinder(group, base, Cylinder(q))
+    return cyls[0] if len(cyls) == 1 else Cylinder(_join_word(cyls))
 
 
 def deep_point(group, cyl, depth):

@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from freewalk import (WeightedFreeGroup, VisualParams,
                       default_params, uniform_ps_measure, critical_exponent,
-                      conformal_exponent, poincare_series, weighted_shell_counts,
+                      conformal_exponent, poincare_series,
                       radon_nikodym, pushforward, convolve, integrate,
                       density, GroupMeasure, BoundaryMeasure,
                       DivergentNormalizationError, ConformalityError,
-                      RefinementRuleError)
+                      RefinementRuleError, InputError)
 from freewalk.measures import SpikeAccumulator
 from freewalk.words import invert, multiply
+
+from conftest import weighted_shell_counts
 
 
 def test_uniform_masses(f2, nu2):
@@ -473,10 +475,46 @@ def test_measure_serialization(f2, nu2, params2):
     assert raw.mass_of(()) == 1
 
 
+# the series oracle for the closed form of `uniform_ps_measure`
+def ps_series_audit(group: WeightedFreeGroup, params: VisualParams,
+                    depth: int = 3, truncation: int = 8,
+                    offset: float = 0.01) -> dict:
+    """Compare the closed-form conformal measure against the truncated atomic
+    measure nu^s at s = delta(Gamma) + offset, in total variation over the
+    depth-d cylinders.
+
+    nu^s puts mass e^{-s ||gamma||} / g_s at each orbit point; atoms whose
+    words are shorter than the depth sit in the interior and are reported
+    separately (they vanish in the weak limit).
+    """
+    if truncation <= depth:
+        raise InputError("truncation must exceed the comparison depth")
+    s = critical_exponent(group) + offset
+    weights = {}
+    interior = 0.0
+    total = 1.0  # gamma = e
+    for n in range(1, truncation + 1):
+        for gamma in group.sphere(n):
+            w = math.exp(-s * float(group.word_weight(gamma)))
+            total += w
+            if n < depth:
+                interior += w
+            else:
+                key = gamma[:depth]
+                weights[key] = weights.get(key, 0.0) + w
+    interior += 1.0  # the identity atom
+    boundary_total = total - interior
+    nu = uniform_ps_measure(group, params)
+    tv = 0.0
+    for w in group.sphere(depth):
+        tv += abs(weights.get(w, 0.0) / boundary_total - float(nu.mass_of(w)))
+    return {"s": s, "tv_distance": tv, "interior_mass": interior / total,
+            "depth": depth, "truncation": truncation}
+
+
 def test_ps_series_audit(f2, f3, params2):
     # unit weights: the conditioned truncated series measure matches the
     # closed form exactly at every s > delta, so TV vanishes
-    from freewalk import ps_series_audit, default_params
     rep = ps_series_audit(f2, params2, depth=3, truncation=9)
     assert rep["tv_distance"] <= 1e-11   # exact cancellation up to float dust
     assert 0 < rep["interior_mass"] < 1

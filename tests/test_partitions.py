@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from freewalk import (LocallyConstantFunction, PartitionError,
-                      ValueNotConstantError, refine_leaves, trie_closure,
-                      validate_partition)
+                      ValueNotConstantError, integrate, refine_leaves,
+                      trie_closure, validate_partition)
 from freewalk.partitions import spine_word
 
 
@@ -68,8 +68,7 @@ def test_function_algebra(f2, nu2):
     # two-cell L1 distance against a hand computation
     h1 = LocallyConstantFunction(f2, {(0,): Fraction(2), (1,): Fraction(1),
                                       (2,): Fraction(1), (3,): Fraction(1)})
-    from freewalk import l1_distance
-    assert l1_distance(f, h1, nu2) == Fraction(1, 4) * (1 + 1 + 2 + 3)
+    assert integrate(f.sub(h1).abs(), nu2) == Fraction(1, 4) * (1 + 1 + 2 + 3)
 
 
 def test_translate(f2):

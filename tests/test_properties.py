@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freewalk import (Cylinder, LocallyConstantFunction, WeightedFreeGroup,
-                      merge_cylinders, poincare_series, validate_partition,
-                      weighted_shell_counts)
+                      merge_cylinders, poincare_series, validate_partition)
 from freewalk.decomposition import oscillation_threshold
 from freewalk.words import is_prefix
+
+from conftest import weighted_shell_counts
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None,
                     derandomize=True)

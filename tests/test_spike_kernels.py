@@ -216,14 +216,9 @@ def old_verify_spike(spike, nu):
     finite = [m for m in measured.values() if m is not None]
     measured_c = max(finite) if finite else None
 
-    ball5 = old_ball_cells(group, cells, center, params, spike.r_exp, mult=5)
-    mass_5r = sum(nu.mass_of(w) for w in ball5)
-    doubling = ratio(mass_5r, mass_r) if mass_r > 0 else None
-
     return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
-                       q_spike_ok=q_spike_ok, local_doubling=doubling,
-                       measured_c=measured_c, measured=measured,
-                       witnesses=witnesses)
+                       q_spike_ok=q_spike_ok, measured_c=measured_c,
+                       measured=measured, witnesses=witnesses)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -449,7 +444,7 @@ def as_seen(x):
 
 def report_fields(rep):
     return (rep.cond1_ok, rep.cond2_ok, rep.cond3_ok, rep.q_spike_ok,
-            as_seen(rep.local_doubling), as_seen(rep.measured_c),
+            as_seen(rep.measured_c),
             [(k, as_seen(v)) for k, v in rep.measured.items()],
             list(rep.witnesses.items()))
 

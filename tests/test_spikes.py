@@ -11,11 +11,21 @@ from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       uniform_ps_measure,
                       verify_spike, verify_q_spike, decay_check,
                       shadow_lemma_audit, lipschitz_scale, local_doubling_sup,
-                      shadow,
+                      shadow, ball_cells,
                       DegenerateSpikeError, integrate, conformal_exponent,
                       ConformalityError, AmbiguousCylinderError, InputError)
 from freewalk import spikes
-from freewalk.spikes import _cell_product
+from freewalk.spikes import _cell_product, _prepared_cells
+
+
+def cell_doubling(spike, nu):
+    """The local doubling nu(B(a, 5r)) / nu(B(a, r)) of a spike with center a
+    and radius r, each ball's mass summed over its cells in the spike's
+    partition."""
+    group, cells, center = nu.group, list(_prepared_cells(spike)), spike.center.word
+    mass_r, mass_5r = (sum(nu.mass_of(w) for w in ball_cells(
+        group, cells, center, spike.params, spike.r_exp, mult)) for mult in (1, 5))
+    return mass_5r / mass_r
 
 
 def test_make_spike_basic(f2, nu2, params2):
@@ -35,7 +45,7 @@ def test_verify_spike_passes(f2, nu2, params2):
     rep = verify_spike(s, nu2)
     assert rep.all_ok
     assert rep.measured_c == Fraction(4, 3)
-    assert rep.local_doubling == 4
+    assert cell_doubling(s, nu2) == 4
     # center value >= 1/C with C = 1 here (constant on its cell)
     assert s.function.at(s.center.word) == 1
 
@@ -365,9 +375,9 @@ def test_local_doubling_sup_verifies_each_spike_once(monkeypatch):
     params = VisualParams.exact_base(3, 1, Fraction(1, 2))
     nu = uniform_ps_measure(group, params)
     ds = [0, 1, 2]
-    # T_nu as computed before: make_spike, then one more verify_spike
-    expected = max(verify_spike(make_spike(g, nu, params, margin=d), nu)
-                   .local_doubling for g in group.ball(2) if g for d in ds)
+    # T_nu from each spike's two ball sums over its cells
+    expected = max(cell_doubling(make_spike(g, nu, params, margin=d), nu)
+                   for g in group.ball(2) if g for d in ds)
     calls = {"verify_spike": 0, "verify_q_spike": 0}
 
     def counted(name):
@@ -397,8 +407,8 @@ def test_local_doubling_sup_matches_spike_balls(weights, exact):
         params = VisualParams.floats(s, s)
     nu = uniform_ps_measure(group, params)
     ds = [0, 1]
-    expected = max(verify_spike(build_spike(g, nu, params, margin=d), nu)
-                   .local_doubling for g in group.ball(2) if g for d in ds)
+    expected = max(cell_doubling(build_spike(g, nu, params, margin=d), nu)
+                   for g in group.ball(2) if g for d in ds)
     got = local_doubling_sup(nu, params, 2, ds)
     if exact:
         assert got == expected
