@@ -85,8 +85,8 @@ def _int(value, *_) -> int:
 
 
 def _count(value, *_) -> int:
-    """An integer >= 1, for a number of rounds: zero rounds would certify an
-    empty mu with every check true."""
+    """An integer >= 1, for a number of rounds or a word length: zero rounds
+    would certify an empty mu with every check true."""
     if (number := _int(value)) < 1:
         raise ValueError(f"must be an integer >= 1, got {value!r}")
     return number
@@ -99,9 +99,11 @@ def _rationals(values, *_) -> list:
 
 
 def _margins(values, *_) -> list:
-    """Shadow margins D for the audit: 0 or at least 1, as the spike sweep
-    checks no margin in between."""
-    for d in (margins := _rationals(values)):
+    """Shadow margins D for the audit, at least one: 0 or at least 1, as the
+    spike sweep checks no margin in between."""
+    if not (margins := _rationals(values)):
+        raise ValueError("needs at least one shadow margin D")
+    for d in margins:
         if 0 < d < 1:
             raise ValueError(f"shadow margin D = {d} is not checked by the "
                              "spike sweep; use D = 0 or D >= 1")
@@ -235,14 +237,14 @@ CONFIG_KEYS = {
     ("params", "schedule"): ("fixed", lambda name, *_: name),
     ("params", "rescale"): ("adaptive", lambda name, *_: name),
     ("params", "max_rounds"): (120, _count),
-    ("params", "audit_len"): (3, _int),
+    ("params", "audit_len"): (3, _count),
     ("decompose", "target"): ("ones", _target),
     ("verify", "mu"): ("sphere:1", _group_measure),
     ("verify", "nu"): ("uniform", _boundary_measure),
     ("verify", "nu_prime"): ("uniform", _boundary_measure),
     ("verify", "depth"): (None, _int),
     ("verify", "threshold"): (1e-9, _finite),
-    ("audit", "max_len"): (5, _int),
+    ("audit", "max_len"): (5, _count),
     ("audit", "Ds"): ([0, 1, 2], _margins),
     ("audit", "inject"): (None, lambda path, *_: os.fspath(path)),
     ("moments", "rounds"): (3, _count),

@@ -12,7 +12,9 @@ builds each reported number once; float values run the per-cell checks.
 Each ball is one cylinder C(p): a rational nu(C(p)) is read off it, a float
 one summed over its cells.  Lipschitz slopes read each meet node's range of
 h.  The spike of gamma is centered at z^+ = C(gamma^{-1}); f_gamma does not
-depend on the shadow margin D, and `with_margin` moves a spike to another D.
+depend on the shadow margin D, and `with_margin` moves a spike to another D
+with its cell table: what the checks read of f_gamma, its center and Q at
+every radius and C, built once per spike family.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class Spike:
     gamma: Word
     margin: object = 0
     params: Optional[VisualParams] = None
+    cell_table: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
     def radius(self):
@@ -110,17 +113,12 @@ def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
 def ball_cells(group: WeightedFreeGroup, cells: Sequence[Word], center: Word,
                params: VisualParams, r_exp, mult=1) -> List[Word]:
     """Cells of the partition inside the closed ball of radius mult*e^{-eps r_exp}
-    around the direction of `center` (which must be a cell or deeper).
+    around the direction of `center` (which must be a cell or deeper), in
+    partition order; a cell that strictly contains `center` makes it ambiguous.
 
     The visual metric is an ultrametric, so the ball is the one cylinder
     C(`_ball_prefix`) and its cells are the cells under that prefix."""
-    return _cells_under(_ball_prefix(group, center, params, r_exp, mult), cells,
-                        center)
-
-
-def _cells_under(prefix: Word, cells: Sequence[Word], center: Word) -> List[Word]:
-    """The cells under `prefix`, in partition order; a cell that strictly
-    contains `center` makes the ball ambiguous."""
+    prefix = _ball_prefix(group, center, params, r_exp, mult)
     inside = []
     for w in cells:
         if len(w) < len(center) and is_prefix(w, center):
@@ -131,30 +129,59 @@ def _cells_under(prefix: Word, cells: Sequence[Word], center: Word) -> List[Word
     return inside
 
 
-def _ball_mass(nu: BoundaryMeasure, prefix: Word, ball: Sequence[Word]):
-    """nu of the ball C(prefix), which its cells `ball` tile.  A Fraction read
-    off the cylinder is exactly the sum over its cells; any other value is
-    that sum in partition order, as a float sum rounds by the order of its
-    terms."""
-    mass = nu.mass_of(prefix)
-    if type(mass) is Fraction:
-        return mass
-    return sum(nu.mass_of(w) for w in ball)
+class _CellTable:
+    """What the scale-r kernels read of f at every scale: its values as
+    `lipschitz_scale` reads them (`read`), each cell's prefix weights and f's
+    range under each node above it.  1/d per meet weight is filled in as it
+    is first read."""
+
+    def __init__(self, f: LocallyConstantFunction, eps: LogScale):
+        if len({type(v) is float for v in f.values.values()}) == 2:
+            f = f.map(float)
+        self.eps, self.den, self.inv_d, self.read = eps, f.den, {}, f.values
+        stats = f.trie_stats()
+        self.weights = {w: f.group.prefix_weights(w) for w in f.values}
+        self.ranges = {w: [stats[w[:j]] for j in range(len(w))] for w in f.values}
+
+    def inv_d_at(self, meet):
+        """1/d at a meet of weight `meet`: an int when integral on a shared den."""
+        if meet not in self.inv_d:
+            inv_d = 1 / self.eps.exp_neg(meet)
+            self.inv_d[meet] = inv_d.numerator if self.den is not None and \
+                type(inv_d) is Fraction and inv_d.denominator == 1 else inv_d
+        return self.inv_d[meet]
 
 
-def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
-                   params: VisualParams, r_exp, mult=1) -> Dict[Word, List[Word]]:
+class _SpikeTable(_CellTable):
+    """A spike's `_CellTable` plus the rest of what `verify_spike` reads at
+    every radius and C: the prepared cells as int numerators over one `den`,
+    sup, each cell's meet depth with the center, the first nonpositive cell,
+    and condition 2's kernel e^{(q+theta) eps W_k} per meet depth k, as first
+    read.  It holds for `function` (by identity) and `source`."""
+
+    def __init__(self, spike: Spike, eps: LogScale, source: tuple):
+        self.function, self.source, self.kernel = spike.function, source, {}
+        self.values = _prepared_cells(spike)
+        self.func = LocallyConstantFunction(spike.function.group, self.values,
+                                            validate=False).over_shared_den()
+        super().__init__(self.func, eps)
+        self.num = num = self.func.values
+        self.sup = self.values[max(num, key=num.__getitem__)]
+        self.meet = {w: common_prefix_length(w, spike.center.word) for w in num}
+        self.nonpositive = next((w for w in num if num[w] <= 0), None)
+
+
+def _scale_classes(table: _CellTable, r_exp, mult=1) -> Dict[Word, List[Word]]:
     """Group cells so that two cells are within distance mult*e^{-eps r_exp}
     iff they share a class (key = minimal prefix at that scale)."""
-    eps = params.epsilon
     within: Dict[object, bool] = {}
     classes: Dict[Word, List[Word]] = {}
-    for w in cells:
+    for w, weights in table.weights.items():
         key = w  # entire cell is smaller than the scale: isolated class
-        for i, weight in enumerate(group.prefix_weights(w)):
+        for i, weight in enumerate(weights):
             ok = within.get(weight)
             if ok is None:
-                ok = within[weight] = _within(eps, weight, r_exp, mult)
+                ok = within[weight] = _within(table.eps, weight, r_exp, mult)
             if ok:
                 key = w[:i]
                 break
@@ -163,9 +190,10 @@ def _scale_classes(group: WeightedFreeGroup, cells: Sequence[Word],
 
 
 def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
-                    mult=1) -> Dict[Word, object]:
+                    mult=1, table: Optional[_CellTable] = None) -> Dict[Word, object]:
     """D_r f per cell at scale r = mult*e^{-eps r_exp}: the max of
-    |f(x)-f(y)|/d(x,y) over cells y within distance r.
+    |f(x)-f(y)|/d(x,y) over cells y within distance r, read off f's
+    `_CellTable` (`table`, when the caller holds one).
 
     The metric is an ultrametric: the cells meeting x at node p lie in C(p),
     so f's range over C(p) gives the gap at that distance (x's own branch
@@ -177,28 +205,20 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
     enters as gap / den, which rounds like Fraction(gap, den).  Either way
     each value and its type are those f gives on its values.
     """
-    if len({type(v) is float for v in f.values.values()}) == 2:
-        f = f.map(float)
-    group = f.group
-    eps = params.epsilon
-    den = f.den
-    stats = f.trie_stats()
+    table = table or _CellTable(f, params.epsilon)
+    eps, den = table.eps, table.den
     # 1/d at a meet of weight W, or None when W is beyond the scale
     inv_d_at: Dict[object, object] = {}
     out: Dict[Word, object] = {}
-    for w, v in f.values.items():
+    for w, v in table.read.items():
         best = float_best = 0
-        for j, meet in enumerate(group.prefix_weights(w)[:-1]):
+        for meet, (lo, hi) in zip(table.weights[w], table.ranges[w]):
             if meet not in inv_d_at:
-                inv_d = 1 / eps.exp_neg(meet) if _within(eps, meet, r_exp, mult) \
-                    else None
-                if den is not None and type(inv_d) is Fraction and inv_d.denominator == 1:
-                    inv_d = inv_d.numerator
-                inv_d_at[meet] = inv_d
+                inv_d_at[meet] = table.inv_d_at(meet) \
+                    if _within(eps, meet, r_exp, mult) else None
             inv_d = inv_d_at[meet]
             if inv_d is None:
                 continue
-            lo, hi = stats[w[:j]]
             gap = max(v - lo, hi - v)
             if den is not None and type(inv_d) is float:
                 float_best = max(float_best, gap / den * inv_d)
@@ -281,6 +301,12 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     """Check the three spike conditions and the two Q-spike conditions
     exactly over the cylinder partition.
 
+    What the radius and C do not change is read off the spike's
+    `_SpikeTable`, which the first call builds and `with_margin` carries; a
+    spike whose function, center, q, theta or epsilon is not its table's
+    builds its own.  Each call makes the ball, its mass, the scale classes,
+    the distance tests and every comparison against C.
+
     When every value is an int or a Fraction, the cells are read once as
     int numerators over their lcm (`over_shared_den`), and every ordering
     decision runs on those ints: the ball minimum, the sign tests, each
@@ -292,31 +318,33 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     spikes f_gamma that is once per depth.  Float values are their own
     numerators and run the per-cell checks in their order, unchanged.
     """
-    group = spike.function.group
-    params = spike.params or nu.params
+    group, params = spike.function.group, spike.params or nu.params
     eps = params.epsilon
-    values = _prepared_cells(spike)
-    func = LocallyConstantFunction(group, values, validate=False).over_shared_den()
-    num, den = func.values, func.den
+    # by type too: an int q and a float one give kernels of different types
+    source = (spike.center, type(spike.q), spike.q, type(spike.theta), spike.theta, eps)
+    table = spike.cell_table
+    if table is None or table.function is not spike.function or table.source != source:
+        table = spike.cell_table = _SpikeTable(spike, eps, source)
+    values, num, den = table.values, table.num, table.den
     key = num.__getitem__
-    cells = list(values)
     center = spike.center.word
-    sup = values[max(cells, key=key)]
-    # B(a, r) is one cylinder C(p): its cells are read once, its mass off C(p)
+    # B(a, r) is one cylinder C(p): its cells meet the center at depth >= |p|.
+    # A Fraction nu(C(p)) is exactly their sum; any other value is that sum
+    # in partition order, as a float sum rounds by the order of its terms
     prefix_r = _ball_prefix(group, center, params, spike.r_exp)
-    ball = _cells_under(prefix_r, cells, center)
-    mass_r = _ball_mass(nu, prefix_r, ball)
+    ball = [w for w in values if table.meet[w] >= len(prefix_r)]
+    if type(mass_r := nu.mass_of(prefix_r)) is not Fraction:
+        mass_r = sum(nu.mass_of(w) for w in ball)
     inside = set(ball)
     r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
     c_stored = spike.c
 
-    measured: Dict[str, object] = {}
-    witnesses: Dict[str, object] = {}
+    measured, witnesses = {}, {}
 
     # condition 1: h >= sup/C on the ball
     low = min(inside, key=key)
     wit1 = min(w for w in inside if num[w] == num[low])
-    measured["cond1"] = _ratio(sup, values[low]) if num[low] > 0 else None
+    measured["cond1"] = _ratio(table.sup, values[low]) if num[low] > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
     # compare the ratio as measured: in floats h_min * (sup / h_min) can
     # round below sup
@@ -329,16 +357,14 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     # At one depth the ratio h(y) / (h(a) r^Q nu(B) K_k) is monotone in h(y),
     # rising when h(a) >= 0, so a cell whose h does not beat the last cell
     # divided at its depth cannot pass the worst ratio.
-    prefix = group.prefix_weights(center)
     h_r = values[center] * r_pow_q
     sign = 1 if num[center] >= 0 else -1
     expo = spike.q + spike.theta
     denom: Dict[int, object] = {}
     last: Dict[int, object] = {}
-    worst2 = None
-    wit2 = None
+    worst2 = wit2 = None
     positive = True
-    for y in cells:
+    for y in values:
         if y in inside:
             continue
         n = num[y]
@@ -346,12 +372,14 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
             positive = False
             wit2 = group.format_word(y)
             break
-        k = common_prefix_length(y, center)
+        k = table.meet[y]
         if den is not None and k in last and sign * n <= last[k]:
             continue
         last[k] = sign * n
         if k not in denom:
-            denom[k] = h_r * (mass_r * eps.exp_neg(-expo * prefix[k]))
+            if k not in table.kernel:
+                table.kernel[k] = eps.exp_neg(-expo * table.weights[center][k])
+            denom[k] = h_r * (mass_r * table.kernel[k])
         need = values[y] / denom[k]
         if worst2 is None or need > worst2:
             worst2, wit2 = need, group.format_word(y)
@@ -364,7 +392,7 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     # factor shared by the check, so p1 q2 > p2 q1 orders two ratios; a float
     # one is (ratio, 1).
     worst3, top3 = (1, 1), None
-    for members in _scale_classes(group, cells, params, spike.r_exp).values():
+    for members in _scale_classes(table, spike.r_exp).values():
         lo, hi = min(members, key=key), max(members, key=key)
         if num[lo] <= 0:
             positive = False
@@ -383,17 +411,16 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     cond3_ok = positive and (c_stored is None or measured["cond3"] <= c_stored)
 
     # Q-spike: D_r h <= C h / r on every cell, and nu(B(a, r)) >= r^Q / C
-    nonpositive = next((w for w in cells if num[w] <= 0), None)
-    if nonpositive is not None:
+    if table.nonpositive is not None:
         measured["lipschitz"] = None
-        witnesses["lipschitz"] = group.format_word(nonpositive)
+        witnesses["lipschitz"] = group.format_word(table.nonpositive)
         q_spike_ok = False
     else:
-        slopes = lipschitz_scale(func, spike.r_exp, params)
+        slopes = lipschitz_scale(table.func, spike.r_exp, params, table=table)
         r_val = eps.exp_neg(spike.r_exp)
         exact = den is not None and float not in {type(r_val), *map(type, slopes.values())}
         worst_lip, top_lip = (0, 1), None
-        for w in cells:
+        for w in values:
             s = slopes[w]
             p, q = (s.numerator, s.denominator * num[w]) if exact \
                 else (s * r_val / values[w], 1)

@@ -15,7 +15,7 @@ from freewalk import cli, decomposition, spikes
 from freewalk.cli import main
 from freewalk.decomposition import InternalInvariantError
 from freewalk.geometry import LogScale
-from freewalk.partitions import _num_to_str
+from freewalk.partitions import LocallyConstantFunction, _num_to_str
 
 
 def write_config(path: Path, **overrides) -> str:
@@ -763,6 +763,31 @@ def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
     assert json.loads((out / "audit.json").read_text())["spikes_checked"] == 3 * gammas
 
 
+def test_audit_reads_each_f_gamma_from_one_cell_table(tmp_path, monkeypatch):
+    # the first verification of f_gamma builds its cell table, and the other
+    # three (two margins, each verified in with_margin and again in the
+    # sweep) read it: one trie_stats and one over_shared_den per gamma
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(LocallyConstantFunction, "trie_stats")
+    counted(LocallyConstantFunction, "over_shared_den")
+    counted(spikes, "verify_spike")
+    monkeypatch.setattr(cli, "verify_spike", spikes.verify_spike)
+    cfg = write_config(tmp_path, audit={"max_len": 2, "Ds": [0, 1]})
+    assert main(["audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    gammas = 4 + 12
+    assert calls == {"trie_stats": gammas, "over_shared_den": gammas,
+                     "verify_spike": 2 * 2 * gammas}
+
+
 def test_audit_measures_the_constants_once(tmp_path, monkeypatch):
     # beta, D0, D_nu, T_nu and worst_lower come from one measure_constants
     # call, which runs the shadow audit and the doubling sup once each
@@ -848,12 +873,17 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("moments", "moments", {"rounds": -2}, "config['moments']['rounds'] = -2"),
     ("decompose", "params", {"max_rounds": 0}, "config['params']['max_rounds'] = 0"),
     ("decompose", "params", {"max_rounds": -2}, "config['params']['max_rounds'] = -2"),
+    ("decompose", "params", {"audit_len": 0}, "config['params']['audit_len'] = 0"),
+    ("moments", "params", {"audit_len": 0}, "config['params']['audit_len'] = 0"),
+    ("audit", "audit", {"max_len": 0}, "config['audit']['max_len'] = 0"),
+    ("audit", "audit", {"Ds": []}, "config['audit']['Ds'] = []"),
 ])
 def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
     # "1/0", a non-finite float, a path that is no file, a misspelled key, an
-    # unknown section or a round count below 1 (zero rounds would write an
-    # empty mu with every check true): a usage error that names the key,
-    # never exit 3 or a silently ignored setting
+    # unknown section, a round count or word length below 1 (zero rounds
+    # would write an empty mu with every check true) or no shadow margin: a
+    # usage error that names the key, never exit 3 or a silently ignored
+    # setting
     cfg = write_config(tmp_path, **{section: value})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ which are copied below as oracles, over weights {1, 3/2}, exact and float
 scales (at multipliers other than 1, coefficient 1/2 takes the float
 fallback of `leq_scaled`) and multipliers {1, 5, 2.5}."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
                       ball_cells, build_spike, conformal_exponent,
                       default_params, lipschitz_scale, shadow,
                       uniform_ps_measure, verify_spike)
-from freewalk.spikes import (_ball_prefix, _cell_product, _prepared_cells,
-                             _scale_classes)
+from freewalk.spikes import (_ball_prefix, _CellTable, _cell_product,
+                             _prepared_cells, _scale_classes)
 from freewalk.words import common_prefix_length, is_prefix
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None,
@@ -299,7 +300,7 @@ def test_scale_classes_and_slopes_match_per_cell_tests(scale, r_exp, mult, pool,
     params = make_params(*scale)
     f = data.draw(functions(data.draw(groups()), st.sampled_from(pool)))
     cells = list(f.values)
-    new = _scale_classes(f.group, cells, params, r_exp, mult)
+    new = _scale_classes(_CellTable(f, params.epsilon), r_exp, mult)
     old = old_scale_classes(f.group, cells, params, r_exp, mult)
     assert list(new.items()) == list(old.items())  # same class order too
     old = old_lipschitz_scale(f, r_exp, params, mult)
@@ -449,12 +450,9 @@ def report_fields(rep):
             list(rep.witnesses.items()))
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
-@given(scale=st.sampled_from(SCALES), pool=st.sampled_from(VALUE_POOLS),
-       c=st.sampled_from([None, Fraction(1), Fraction(7, 2), 100, 2.5]),
-       float_nu=st.booleans(), data=st.data())
-def test_verify_spike_matches_the_per_cell_checks(scale, pool, c, float_nu, data):
-    params = make_params(*scale)
+def draw_spike(data, params, pool, float_nu):
+    """A spike with C unset on a drawn function (one cell's value drawn from
+    `pool`) and center, at a drawn radius, with its nu (float or exact)."""
     group = data.draw(groups())
     # all the other values positive half the time: else condition 2 mostly
     # stops at a 0
@@ -470,16 +468,76 @@ def test_verify_spike_matches_the_per_cell_checks(scale, pool, c, float_nu, data
     center = cell
     for _ in range(data.draw(st.integers(0, 2))):
         center = center + (data.draw(st.sampled_from(group.valid_extensions(center))),)
-    top = 2 * group.word_weight(center)
-    r_exp = Fraction(data.draw(st.integers(0, int(top))), 2)
     q = params.q_exponent
-    spike = Spike(function=f, r_exp=r_exp, center=Cylinder(center), q=q,
-                  theta=q, c=c, gamma=(0,), params=params)
+    spike = Spike(function=f, r_exp=data.draw(r_exps(group, center)),
+                  center=Cylinder(center), q=q, theta=q, c=None, gamma=(0,),
+                  params=params)
+    return spike, nu
 
-    def run(check):
-        try:
-            return report_fields(check(spike, nu))
-        except (AmbiguousCylinderError, ZeroDivisionError) as exc:
-            return type(exc)
 
-    assert run(verify_spike) == run(old_verify_spike)
+def r_exps(group, center):
+    """Radius exponents from 0 to the center's weight, in halves."""
+    top = 2 * group.word_weight(center)
+    return st.integers(0, int(top)).map(lambda n: Fraction(n, 2))
+
+
+def run(check, spike, nu):
+    try:
+        return report_fields(check(spike, nu))
+    except (AmbiguousCylinderError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+CS = st.sampled_from([None, Fraction(1), Fraction(7, 2), 100, 2.5])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(scale=st.sampled_from(SCALES), pool=st.sampled_from(VALUE_POOLS),
+       c=CS, float_nu=st.booleans(), data=st.data())
+def test_verify_spike_matches_the_per_cell_checks(scale, pool, c, float_nu, data):
+    spike, nu = draw_spike(data, make_params(*scale), pool, float_nu)
+    spike.c = c
+    assert run(verify_spike, spike, nu) == run(old_verify_spike, spike, nu)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(scale=st.sampled_from(SCALES), pool=st.sampled_from(VALUE_POOLS),
+       float_nu=st.booleans(), data=st.data())
+def test_verify_spike_reads_one_table_per_spike_family(scale, pool, float_nu, data):
+    # one spike verified at 2-3 radii and constants in turn, as `with_margin`
+    # moves f_gamma to its margins: the calls share the table the first one
+    # built, and each report is the per-cell checks' on that spike
+    params = make_params(*scale)
+    spike, nu = draw_spike(data, params, pool, float_nu)
+    group, center = spike.function.group, spike.center.word
+    pairs = [(data.draw(r_exps(group, center)), data.draw(CS))
+             for _ in range(data.draw(st.integers(2, 3)))]
+    tables = set()
+    for r_exp, c in pairs:
+        spike = dataclasses.replace(spike, r_exp=r_exp, c=c)
+        assert run(verify_spike, spike, nu) == run(old_verify_spike, spike, nu)
+        tables.add(id(spike.cell_table))
+    assert len(tables) == 1
+    # a spike that differs from its table's in the function, the center, the
+    # scales or Q builds a table of its own, and reports as the per-cell
+    # checks do at every radius
+    which = data.draw(st.sampled_from(["function", "center", "params", "q"]))
+    if which == "function":
+        values = {w: data.draw(st.sampled_from(pool)) for w in spike.function.values}
+        change = {"function": LocallyConstantFunction(group, values)}
+    elif which == "center":
+        cells = [w for w in sorted(spike.function.values) if w != center]
+        change = {"center": Cylinder(data.draw(st.sampled_from(
+            cells or [center + tuple(group.valid_extensions(center)[:1])])))}
+    elif which == "params":
+        change = {"params": make_params(*data.draw(st.sampled_from(
+            [s for s in SCALES if s != scale])))}
+    else:
+        change = {"q": spike.q + 1}
+    for r_exp, c in pairs:
+        other = dataclasses.replace(spike, r_exp=r_exp, c=c, **change)
+        report = run(verify_spike, other, nu)
+        assert report == run(old_verify_spike, other, nu)
+        # only a spike that fails to build a table keeps the stale one
+        assert other.cell_table is not spike.cell_table \
+            or report is AmbiguousCylinderError
