@@ -30,7 +30,7 @@ from .geometry import VisualParams, LogScale, Cylinder
 from .partitions import LocallyConstantFunction, _num_from_str, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, conformal_exponent)
-from .spikes import make_spike, with_margin, verify_spike, Spike
+from .spikes import make_spike, with_margin, verify_spike, Spike, _checked_margin
 from .decomposition import (GreedyParams, basis_decompose, moment_decompose,
                             measure_constants)
 from .stationarity import verify_stationarity, sphere_uniform, mix
@@ -100,8 +100,8 @@ def _rationals(values, *_) -> list:
 
 def _margins(values, *_) -> list:
     """Shadow margins D for the audit, at least one: 0 or at least 1, as the
-    spike sweep checks no margin in between."""
-    if not (margins := _rationals(values)):
+    spike sweep checks no margin in between (nor below 0)."""
+    if not (margins := [_checked_margin(d) for d in _rationals(values)]):
         raise ValueError("needs at least one shadow margin D")
     for d in margins:
         if 0 < d < 1:
@@ -290,12 +290,13 @@ class Run:
     def __init__(self, cfg: dict):
         self.cfg, self.group, pc = cfg, cfg["group"], cfg["params"]
         self.exact = pc["arithmetic"] == "exact"
-        self.params = VisualParams(alpha=pc["alpha"], epsilon=pc["epsilon"])
-        self.greedy = GreedyParams(
-            s=pc["s"], beta=pc["beta"], c_cap=pc["C"], margin=pc["D"],
-            tau=pc["tau"], schedule=pc["schedule"], rescale=pc["rescale"],
-            max_rounds=pc["max_rounds"], audit_len=pc["audit_len"])
-        self.nu = uniform_ps_measure(self.group, self.params)
+        with _parsing("config['params']"):
+            self.params = VisualParams(alpha=pc["alpha"], epsilon=pc["epsilon"])
+            self.greedy = GreedyParams(
+                s=pc["s"], beta=pc["beta"], c_cap=pc["C"], margin=pc["D"],
+                tau=pc["tau"], schedule=pc["schedule"], rescale=pc["rescale"],
+                max_rounds=pc["max_rounds"], audit_len=pc["audit_len"])
+            self.nu = uniform_ps_measure(self.group, self.params)
 
     def target(self, spec) -> LocallyConstantFunction:
         """F for a decomposition target spec such as "derivative:ab"."""

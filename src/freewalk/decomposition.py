@@ -25,9 +25,8 @@ from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
                          trie_closure)
 # radon_nikodym stays bound here for bench/test_tracer.py
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
-                       integrate, radon_nikodym)  # noqa: F401
-from .spikes import (Spike, shadow_lemma_audit, local_doubling_sup, decay_check,
-                     lipschitz_scale)
+                       integrate, radon_nikodym, require_conformal)  # noqa: F401
+from .spikes import Spike, shadow_lemma_audit, decay_check, lipschitz_scale
 from .stationarity import functionals
 
 
@@ -68,18 +67,19 @@ class AuditConstants:
 
 def measure_constants(nu: BoundaryMeasure, params: VisualParams,
                       max_len: int = 3, ds: Sequence = (0, 1)) -> AuditConstants:
-    """Run the shadow/decay/doubling audits and assemble L_nu from the measured
-    values via 3 L_nu = 1/(1 + B + D_nu B + B T_nu + B D_nu 2^Q).  The decay
-    audit is (Q, Q) on the spine word of length max_len + 2, j = 1..max_len+1."""
+    """Run the shadow/doubling sweep and the decay audit of the conformal nu
+    and assemble L_nu from the measured values via
+    3 L_nu = 1/(1 + B + D_nu B + B T_nu + B D_nu 2^Q).  The decay audit is
+    (Q, Q) on the spine word of length max_len + 2, j = 1..max_len+1."""
+    require_conformal(nu, params, "measure_constants")
     aud = shadow_lemma_audit(nu, params, max_len, list(ds))
     q = params.q_exponent
     spine = Cylinder(spine_word(nu.group, EPSILON, max_len + 2))
     d_nu = decay_check(nu, q, q, [spine], range(1, max_len + 2), params=params).d_nu
-    t_nu = local_doubling_sup(nu, params, max_len, list(ds))
     b = 1
     two_q = 2 ** q if isinstance(q, int) else 2.0 ** float(q)
-    l_nu = Fraction(1, 3) / (1 + b + d_nu * b + b * t_nu + b * d_nu * two_q)
-    return AuditConstants(beta=aud.beta, d0=aud.d0, d_nu=d_nu, t_nu=t_nu,
+    l_nu = Fraction(1, 3) / (1 + b + d_nu * b + b * aud.t_nu + b * d_nu * two_q)
+    return AuditConstants(beta=aud.beta, d0=aud.d0, d_nu=d_nu, t_nu=aud.t_nu,
                           lebesgue_b=b, q=q, l_nu=l_nu,
                           worst_lower=aud.worst_lower)
 

@@ -352,12 +352,13 @@ def require_conformal(nu: BoundaryMeasure, params: VisualParams,
 def radon_nikodym(gamma: Word, nu: BoundaryMeasure,
                   params: VisualParams) -> LocallyConstantFunction:
     """f_gamma = d(gamma * nu)/d nu = e^{-alpha rho_{gamma^{-1},.}(e)} on the
-    partition where the Busemann function is constant."""
+    partition where the Busemann function is constant, a complete partition
+    by construction (not validated again)."""
     require_conformal(nu, params, "radon_nikodym")
     group = nu.group
     cells = locally_constant_cells(group, invert(gamma), EPSILON)
     return LocallyConstantFunction(
-        group, {c.word: params.alpha.exp_neg(rho) for c, rho in cells})
+        group, {c.word: params.alpha.exp_neg(rho) for c, rho in cells}, validate=False)
 
 
 class SpikeAccumulator:

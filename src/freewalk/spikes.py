@@ -14,7 +14,9 @@ one summed over its cells.  Lipschitz slopes read each meet node's range of
 h.  The spike of gamma is centered at z^+ = C(gamma^{-1}); f_gamma does not
 depend on the shadow margin D, and `with_margin` moves a spike to another D
 with its cell table: what the checks read of f_gamma, its center and Q at
-every radius and C, built once per spike family.
+every radius and C, built once per spike family.  `shadow_lemma_audit`
+sweeps the family once: the masses of each spike's balls at r and 5r give
+the Shadow Lemma constant beta and the local doubling supremum T_nu.
 """
 
 from __future__ import annotations
@@ -502,6 +504,7 @@ class ShadowAuditReport:
     d0: object
     rows: List[dict]
     worst_lower: Optional[dict]
+    t_nu: object
 
 
 def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
@@ -510,58 +513,52 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
 
         beta^{-1} e^{-alpha U} <= nu(O(gamma, D)) <= beta e^{-alpha U} e^{2 alpha D}
 
-    for all 0 < ||gamma|| <= max_len and D in ds.
+    for all 0 < ||gamma|| <= max_len and D in ds, and T_nu, the supremum of
+    the local doubling constant nu(B(a, 5r)) / nu(B(a, r)) over the same
+    spike family.
 
-    O(gamma, D) is the spike ball C(`_ball_prefix`) of radius exponent
-    ||gamma|| - D.  The margin floor D_0 (the smallest D from which the lower
-    bound holds) is 0, since beta is the largest lower ratio; it stays in the
-    report as d0 = 0, and as "D0" in `audit.json`, so the format is unchanged."""
+    O(gamma, D) is the ball B(a, r) of the spike of `build_spike`: center
+    a = gamma^{-1}, radius exponent ||gamma|| - D.  It is the one cylinder
+    C(`_ball_prefix`), as is B(a, 5r), so each mass is read off nu directly.
+    The margin floor D_0 (the smallest D from which the lower bound holds) is
+    0, since beta is the largest lower ratio; it stays in the report as
+    d0 = 0, and as "D0" in `audit.json`, so the format is unchanged."""
     if max_len < 1:
         raise InputError(f"max_len must be >= 1, got {max_len}")
     if not ds:
         raise InputError("empty list of shadow margins D")
+    ds = [_checked_margin(d) for d in ds]
     group = nu.group
     alpha = params.alpha
     beta = Fraction(1)
+    t_nu = 0
     rows: List[dict] = []
     worst_lower = None
     for gamma in group.ball(max_len):
         if not gamma:
             continue
-        center, u_val = invert(gamma), group.word_weight(gamma)
+        name, center = group.format_word(gamma), invert(gamma)
+        u_val = group.word_weight(gamma)
         base_mass = alpha.exp_neg(u_val)
         for d in ds:
-            d = _checked_margin(d)
-            mass = nu.mass_of(_ball_prefix(group, center, params, u_val - d))
+            r_exp = u_val - d
+            mass = nu.mass_of(_ball_prefix(group, center, params, r_exp))
+            mass_5r = nu.mass_of(_ball_prefix(group, center, params, r_exp, 5))
             lower_ratio = base_mass / mass           # beta must dominate this
             upper_ratio = mass / (base_mass / alpha.exp_neg(2 * d))
-            rows.append({"gamma": group.format_word(gamma), "D": str(d),
-                         "mass": mass, "lower_ratio": lower_ratio,
-                         "upper_ratio": upper_ratio})
+            rows.append({"gamma": name, "D": str(d), "mass": mass,
+                         "lower_ratio": lower_ratio, "upper_ratio": upper_ratio})
             if worst_lower is None or lower_ratio > worst_lower["ratio"]:
-                worst_lower = {"gamma": group.format_word(gamma), "D": str(d),
-                               "ratio": lower_ratio}
+                worst_lower = {"gamma": name, "D": str(d), "ratio": lower_ratio}
             beta = max(beta, lower_ratio, upper_ratio)
+            t_nu = max(t_nu, _ratio(mass_5r, mass))
     return ShadowAuditReport(beta=beta, d0=Fraction(0), rows=rows,
-                             worst_lower=worst_lower)
+                             worst_lower=worst_lower, t_nu=t_nu)
 
 
+# shadow_lemma_audit measures T_nu; this name stays only because
+# bench/tracer.py lists it in LAYERS, like verify_q_spike
 def local_doubling_sup(nu: BoundaryMeasure, params: VisualParams,
                        max_len: int, ds: Sequence) -> object:
-    """T_nu: supremum of the local doubling constant nu(B(a,5r))/nu(B(a,r))
-    over the spike family (center a and radius r of `build_spike`).  Each
-    ball is one cylinder, so its mass is read off nu directly."""
     require_conformal(nu, params, "local_doubling_sup")
-    group = nu.group
-    worst = 0
-    for gamma in group.ball(max_len):
-        if not gamma:
-            continue
-        center, u_val = invert(gamma), group.word_weight(gamma)
-        for d in ds:
-            r_exp = u_val - _checked_margin(d)
-            mass_r = nu.mass_of(_ball_prefix(group, center, params, r_exp))
-            mass_5r = nu.mass_of(_ball_prefix(group, center, params, r_exp, 5))
-            if mass_r > 0:
-                worst = max(worst, _ratio(mass_5r, mass_r))
-    return worst
+    return shadow_lemma_audit(nu, params, max_len, ds).t_nu

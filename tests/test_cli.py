@@ -179,7 +179,7 @@ def test_audit_witnesses_match_golden(tmp_path, name):
 def test_half_epsilon_audit_float_comparisons(tmp_path, monkeypatch):
     # at epsilon = 1/2 log 3 a comparison with a non-integral exponent leaves
     # exact arithmetic; the exact audit makes such comparisons only for the
-    # 5r balls of T_nu (verify_spike builds no 5r ball)
+    # 5r balls of T_nu in the shadow sweep (verify_spike builds no 5r ball)
     real = LogScale.leq_scaled
     callers = Counter()
 
@@ -188,7 +188,7 @@ def test_half_epsilon_audit_float_comparisons(tmp_path, monkeypatch):
                 (self.coeff * (Fraction(p) - Fraction(t))).denominator != 1:
             frame = sys._getframe(1)
             while frame is not None and frame.f_code.co_name not in (
-                    "local_doubling_sup", "verify_spike"):
+                    "shadow_lemma_audit", "verify_spike"):
                 frame = frame.f_back
             callers[None if frame is None else frame.f_code.co_name] += 1
         return real(self, p, t, mult)
@@ -196,7 +196,7 @@ def test_half_epsilon_audit_float_comparisons(tmp_path, monkeypatch):
     monkeypatch.setattr(LogScale, "leq_scaled", counted)
     assert main(["audit", "--config", str(GOLDEN / "f2_half_epsilon.config.json"),
                  "--out", str(tmp_path / "out")]) == 0
-    assert dict(callers) == {"local_doubling_sup": 92}
+    assert dict(callers) == {"shadow_lemma_audit": 92}
 
 
 INJECT = GOLDEN / "inject"
@@ -790,7 +790,7 @@ def test_audit_reads_each_f_gamma_from_one_cell_table(tmp_path, monkeypatch):
 
 def test_audit_measures_the_constants_once(tmp_path, monkeypatch):
     # beta, D0, D_nu, T_nu and worst_lower come from one measure_constants
-    # call, which runs the shadow audit and the doubling sup once each
+    # call, which runs the shadow sweep once; T_nu is read off that sweep
     calls = {"measure_constants": 0, "shadow_lemma_audit": 0,
              "local_doubling_sup": 0}
     results = []
@@ -807,11 +807,12 @@ def test_audit_measures_the_constants_once(tmp_path, monkeypatch):
 
     counted(cli, "measure_constants")
     counted(decomposition, "shadow_lemma_audit")
-    counted(decomposition, "local_doubling_sup")
+    counted(spikes, "local_doubling_sup")
     cfg = write_config(tmp_path, audit={"max_len": 2, "Ds": [0, 1, 2]})
     out = tmp_path / "out"
     assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
-    assert calls == dict.fromkeys(calls, 1)
+    assert calls == {"measure_constants": 1, "shadow_lemma_audit": 1,
+                     "local_doubling_sup": 0}
     constants = results[-1]
     doc = json.loads((out / "audit.json").read_text())
     assert [doc[k] for k in ("beta", "D0", "D_nu", "T_nu")] == [
@@ -877,13 +878,22 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("moments", "params", {"audit_len": 0}, "config['params']['audit_len'] = 0"),
     ("audit", "audit", {"max_len": 0}, "config['audit']['max_len'] = 0"),
     ("audit", "audit", {"Ds": []}, "config['audit']['Ds'] = []"),
+    ("audit", "audit", {"Ds": [-1]}, "config['audit']['Ds'] = [-1]"),
+    ("decompose", "params", {"s": 3}, "config['params']"),
+    ("decompose", "params", {"beta": 1}, "config['params']"),
+    ("decompose", "params", {"C": 1}, "config['params']"),
+    ("decompose", "params", {"D": -1}, "config['params']"),
+    ("decompose", "params", {"schedule": "grow"}, "config['params']"),
+    ("decompose", "params", {"rescale": "x"}, "config['params']"),
+    ("decompose", "params", {"alpha": "log(2)"}, "config['params']"),
 ])
 def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
     # "1/0", a non-finite float, a path that is no file, a misspelled key, an
     # unknown section, a round count or word length below 1 (zero rounds
-    # would write an empty mu with every check true) or no shadow margin: a
-    # usage error that names the key, never exit 3 or a silently ignored
-    # setting
+    # would write an empty mu with every check true), no or a negative shadow
+    # margin, or a greedy parameter or alpha out of range: a usage error that
+    # names the key (the section, for what the params build together), never
+    # exit 3 or a silently ignored setting
     cfg = write_config(tmp_path, **{section: value})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Property tests over random rank 2-3 groups: the canonical form of a
 locally constant function, minimal cylinder unions, the weighted shell
-counts and the oscillation threshold, each against a definition, a
-brute-force enumeration or the scan it replaced."""
+counts, the oscillation threshold and the cells of f_gamma, each against a
+definition, a brute-force enumeration or the scan it replaced."""
 
 import math
 from collections import Counter
@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freewalk import (Cylinder, LocallyConstantFunction, WeightedFreeGroup,
-                      merge_cylinders, poincare_series, validate_partition)
+                      VisualParams, conformal_exponent, merge_cylinders,
+                      poincare_series, radon_nikodym, uniform_ps_measure,
+                      validate_partition)
 from freewalk.decomposition import oscillation_threshold
 from freewalk.words import is_prefix
 
@@ -171,3 +173,19 @@ def test_oscillation_threshold_matches_scan(case):
     f, s = case
     got, want = oscillation_threshold(f, s), scan_oscillation_threshold(f, s)
     assert got == want and type(got) is type(want)
+
+
+@SETTINGS
+@given(groups(weights=("1", "3/2")), st.data())
+def test_radon_nikodym_cells_are_a_partition(group, data):
+    # radon_nikodym does not validate the cells of f_gamma: those of
+    # locally_constant_cells must be a complete partition by construction
+    if group.unit_weights():  # equal weights w: critical at log(2k-1)/w
+        coeff = Fraction(1) / group.weights[0]
+        params = VisualParams.exact_base(2 * group.rank - 1, coeff, coeff)
+    else:
+        s = conformal_exponent(group)
+        params = VisualParams.floats(s, s)
+    nu = uniform_ps_measure(group, params)
+    gamma = data.draw(st.sampled_from([g for g in group.ball(3) if g]))
+    validate_partition(group, radon_nikodym(gamma, nu, params).values)

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       build_spike, with_margin, WeightedFreeGroup, VisualParams,
@@ -15,7 +16,9 @@ from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       DegenerateSpikeError, integrate, conformal_exponent,
                       ConformalityError, AmbiguousCylinderError, InputError)
 from freewalk import spikes
-from freewalk.spikes import _cell_product, _prepared_cells
+from freewalk.spikes import (_ball_prefix, _cell_product, _checked_margin,
+                             _prepared_cells, _ratio)
+from freewalk.words import invert
 
 
 def cell_doubling(spike, nu):
@@ -418,3 +421,88 @@ def test_local_doubling_sup_matches_spike_balls(weights, exact):
         markov = uniform_ps_measure(group, VisualParams.floats(2 * s, 2 * s))
         with pytest.raises(ConformalityError):
             local_doubling_sup(markov, markov.params, 2, ds)
+
+
+# ---------------------------------------------------------------------------
+# the two sweeps that measured beta and T_nu apart, oracles of the one sweep
+# ---------------------------------------------------------------------------
+
+def shadow_oracle(nu, params, max_len, ds):
+    """beta, rows and worst_lower of the Shadow Lemma sweep alone."""
+    group = nu.group
+    alpha = params.alpha
+    beta = Fraction(1)
+    rows = []
+    worst_lower = None
+    for gamma in group.ball(max_len):
+        if not gamma:
+            continue
+        center, u_val = invert(gamma), group.word_weight(gamma)
+        base_mass = alpha.exp_neg(u_val)
+        for d in ds:
+            d = _checked_margin(d)
+            mass = nu.mass_of(_ball_prefix(group, center, params, u_val - d))
+            lower_ratio = base_mass / mass
+            upper_ratio = mass / (base_mass / alpha.exp_neg(2 * d))
+            rows.append({"gamma": group.format_word(gamma), "D": str(d),
+                         "mass": mass, "lower_ratio": lower_ratio,
+                         "upper_ratio": upper_ratio})
+            if worst_lower is None or lower_ratio > worst_lower["ratio"]:
+                worst_lower = {"gamma": group.format_word(gamma), "D": str(d),
+                               "ratio": lower_ratio}
+            beta = max(beta, lower_ratio, upper_ratio)
+    return beta, rows, worst_lower
+
+
+def doubling_oracle(nu, params, max_len, ds):
+    """T_nu of its own sweep: the largest nu(B(a, 5r)) / nu(B(a, r))."""
+    group = nu.group
+    worst = 0
+    for gamma in group.ball(max_len):
+        if not gamma:
+            continue
+        center, u_val = invert(gamma), group.word_weight(gamma)
+        for d in ds:
+            r_exp = u_val - _checked_margin(d)
+            mass_r = nu.mass_of(_ball_prefix(group, center, params, r_exp))
+            mass_5r = nu.mass_of(_ball_prefix(group, center, params, r_exp, 5))
+            if mass_r > 0:
+                worst = max(worst, _ratio(mass_5r, mass_r))
+    return worst
+
+
+def _float_params(weights, factor=1):
+    s = factor * conformal_exponent(WeightedFreeGroup(len(weights), weights))
+    return VisualParams.floats(s, s)
+
+
+SWEEP_CASES = {  # (weights, params): exact, half epsilon, float and Markov nu
+    "exact F_2": (["1", "1"], VisualParams.exact_base(3)),
+    "exact F_3": (["1", "1", "1"], VisualParams.exact_base(5)),
+    "half epsilon": (["1", "1"], VisualParams.exact_base(3, 1, Fraction(1, 2))),
+    "float": (["1", "2"], _float_params(["1", "2"])),
+    "Markov exact": (["1", "3/2", "1"], VisualParams.exact_base(5)),
+    "Markov float": (["1", "2"], _float_params(["1", "2"], 2)),
+}
+
+
+def _typed_row(row):
+    return {k: _typed(v) for k, v in row.items()}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(sorted(SWEEP_CASES)), st.integers(1, 2),
+       st.lists(st.sampled_from([0, 1, Fraction(1, 2), Fraction(3, 2), 2, 4]),
+                min_size=1, max_size=3))
+def test_one_sweep_matches_the_two_sweeps(case, max_len, ds):
+    weights, params = SWEEP_CASES[case]
+    group = WeightedFreeGroup(len(weights), weights)
+    nu = uniform_ps_measure(group, params)
+    rep = shadow_lemma_audit(nu, params, max_len, ds)
+    beta, rows, worst_lower = shadow_oracle(nu, params, max_len, ds)
+    assert _typed(rep.beta) == _typed(beta)
+    assert list(map(_typed_row, rep.rows)) == list(map(_typed_row, rows))
+    assert _typed_row(rep.worst_lower) == _typed_row(worst_lower)
+    assert _typed(rep.t_nu) == _typed(doubling_oracle(nu, params, max_len, ds))
+    if nu.conformal:
+        assert _typed(local_doubling_sup(nu, params, max_len, ds)) == _typed(rep.t_nu)
