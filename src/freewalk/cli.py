@@ -100,13 +100,15 @@ def _rationals(values, *_) -> list:
 
 def _margins(values, *_) -> list:
     """Shadow margins D for the audit, at least one: 0 or at least 1, as the
-    spike sweep checks no margin in between (nor below 0)."""
+    spike sweep checks no margin in between (nor below 0), and none twice."""
     if not (margins := [_checked_margin(d) for d in _rationals(values)]):
         raise ValueError("needs at least one shadow margin D")
     for d in margins:
         if 0 < d < 1:
             raise ValueError(f"shadow margin D = {d} is not checked by the "
                              "spike sweep; use D = 0 or D >= 1")
+        if margins.count(d) > 1:
+            raise ValueError(f"shadow margin D = {d} is repeated")
     return margins
 
 

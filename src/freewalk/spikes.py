@@ -14,7 +14,8 @@ one summed over its cells.  Lipschitz slopes read each meet node's range of
 h.  The spike of gamma is centered at z^+ = C(gamma^{-1}); f_gamma does not
 depend on the shadow margin D, and `with_margin` moves a spike to another D
 with its cell table: what the checks read of f_gamma, its center and Q at
-every radius and C, built once per spike family.  `shadow_lemma_audit`
+every radius and C, built once per spike family, and what they measure at
+each radius, which every C is compared against.  `shadow_lemma_audit`
 sweeps the family once: the masses of each spike's balls at r and 5r give
 the Shadow Lemma constant beta and the local doubling supremum T_nu.
 """
@@ -159,10 +160,12 @@ class _SpikeTable(_CellTable):
     every radius and C: the prepared cells as int numerators over one `den`,
     sup, each cell's meet depth with the center, the first nonpositive cell,
     and condition 2's kernel e^{(q+theta) eps W_k} per meet depth k, as first
-    read.  It holds for `function` (by identity) and `source`."""
+    read, and `verify_spike`'s measurement per radius (`measured`).  It holds
+    for `function` (by identity) and `source`."""
 
     def __init__(self, spike: Spike, eps: LogScale, source: tuple):
-        self.function, self.source, self.kernel = spike.function, source, {}
+        self.function, self.source, self.kernel, self.measured = \
+            spike.function, source, {}, {}
         self.values = _prepared_cells(spike)
         self.func = LocallyConstantFunction(spike.function.group, self.values,
                                             validate=False).over_shared_den()
@@ -306,8 +309,11 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     What the radius and C do not change is read off the spike's
     `_SpikeTable`, which the first call builds and `with_margin` carries; a
     spike whose function, center, q, theta or epsilon is not its table's
-    builds its own.  Each call makes the ball, its mass, the scale classes,
-    the distance tests and every comparison against C.
+    builds its own.  What C does not change is measured once per radius
+    exponent (by type and value) and nu (by identity) and kept on the table:
+    the ball, its mass, the scale classes, the slopes, the measured numbers
+    and witnesses, and each check's sign and mass precondition.  Each call
+    compares that measurement against C and returns a report of its own.
 
     When every value is an int or a Fraction, the cells are read once as
     int numerators over their lcm (`over_shared_den`), and every ordering
@@ -320,13 +326,31 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     spikes f_gamma that is once per depth.  Float values are their own
     numerators and run the per-cell checks in their order, unchanged.
     """
-    group, params = spike.function.group, spike.params or nu.params
+    params = spike.params or nu.params
     eps = params.epsilon
     # by type too: an int q and a float one give kernels of different types
     source = (spike.center, type(spike.q), spike.q, type(spike.theta), spike.theta, eps)
     table = spike.cell_table
     if table is None or table.function is not spike.function or table.source != source:
         table = spike.cell_table = _SpikeTable(spike, eps, source)
+    radius = (type(spike.r_exp), spike.r_exp)
+    if (cached := table.measured.get(radius)) is None or cached[0] is not nu:
+        cached = table.measured[radius] = (nu, *_measure(spike, nu, table, params))
+    _, measured, witnesses, measured_c, checks = cached
+    c = spike.c
+    # a check holds when its precondition does and C bounds its numbers
+    oks = [pre and (c is None or all(measured[k] is None or measured[k] <= c for k in keys))
+           for pre, keys in checks]
+    return SpikeReport(*oks, measured_c=measured_c, measured=dict(measured),
+                       witnesses=dict(witnesses))
+
+
+def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable,
+             params: VisualParams) -> tuple:
+    """`verify_spike`'s measurement at the spike's radius: (measured,
+    witnesses, measured_c, checks), where `checks` holds, per condition 1,
+    2, 3 and Q-spike, its precondition and the measured keys C must bound."""
+    group, eps = spike.function.group, table.eps
     values, num, den = table.values, table.num, table.den
     key = num.__getitem__
     center = spike.center.word
@@ -339,7 +363,6 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
         mass_r = sum(nu.mass_of(w) for w in ball)
     inside = set(ball)
     r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
-    c_stored = spike.c
 
     measured, witnesses = {}, {}
 
@@ -348,9 +371,9 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     wit1 = min(w for w in inside if num[w] == num[low])
     measured["cond1"] = _ratio(table.sup, values[low]) if num[low] > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
-    # compare the ratio as measured: in floats h_min * (sup / h_min) can
+    # C bounds the ratio as measured: in floats h_min * (sup / h_min) can
     # round below sup
-    cond1_ok = num[low] > 0 and (c_stored is None or measured["cond1"] <= c_stored)
+    pre1 = num[low] > 0
 
     # condition 2: off-ball decay against the singular kernel.  The metric is
     # an ultrametric and the ball is a union of cells meeting the center at
@@ -387,7 +410,7 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
             worst2, wit2 = need, group.format_word(y)
     measured["cond2"] = worst2 if positive else None
     witnesses["cond2"] = wit2
-    cond2_ok = positive and (worst2 is None or c_stored is None or worst2 <= c_stored)
+    pre2 = positive
 
     # condition 3: short-range oscillation.  Here and for the Lipschitz
     # bound a ratio is a pair (p, q), q > 0, equal to it up to a positive
@@ -410,13 +433,13 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
         witnesses["cond3"] = tuple(
             group.format_word(min(w for w in members if num[w] == num[end]))
             for end in (hi, lo))
-    cond3_ok = positive and (c_stored is None or measured["cond3"] <= c_stored)
+    pre3 = positive
 
     # Q-spike: D_r h <= C h / r on every cell, and nu(B(a, r)) >= r^Q / C
     if table.nonpositive is not None:
         measured["lipschitz"] = None
         witnesses["lipschitz"] = group.format_word(table.nonpositive)
-        q_spike_ok = False
+        pre_q = False
     else:
         slopes = lipschitz_scale(table.func, spike.r_exp, params, table=table)
         r_val = eps.exp_neg(spike.r_exp)
@@ -432,15 +455,13 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
             slopes[top_lip] * r_val / values[top_lip]
         witnesses["lipschitz"] = None if top_lip is None else group.format_word(top_lip)
         measured["mass"] = r_pow_q / mass_r if mass_r > 0 else None
-        q_spike_ok = mass_r > 0 and (c_stored is None or (
-            measured["lipschitz"] <= c_stored and measured["mass"] <= c_stored))
+        pre_q = mass_r > 0
 
     finite = [m for m in measured.values() if m is not None]
     measured_c = max(finite) if finite else None
-
-    return SpikeReport(cond1_ok=cond1_ok, cond2_ok=cond2_ok, cond3_ok=cond3_ok,
-                       q_spike_ok=q_spike_ok, measured_c=measured_c,
-                       measured=measured, witnesses=witnesses)
+    checks = ((pre1, ("cond1",)), (pre2, ("cond2",)), (pre3, ("cond3",)),
+              (pre_q, ("lipschitz", "mass")))
+    return measured, witnesses, measured_c, checks
 
 
 # verify_spike checks the Q-spike conditions too; this name stays only because

@@ -766,7 +766,10 @@ def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
 def test_audit_reads_each_f_gamma_from_one_cell_table(tmp_path, monkeypatch):
     # the first verification of f_gamma builds its cell table, and the other
     # three (two margins, each verified in with_margin and again in the
-    # sweep) read it: one trie_stats and one over_shared_den per gamma
+    # sweep) read it: one trie_stats and one over_shared_den per gamma.  Each
+    # (gamma, D) spike is measured once, in with_margin: the sweep's call
+    # compares that measurement against C, with one _scale_classes and one
+    # lipschitz_scale per (gamma, D)
     calls = Counter()
 
     def counted(owner, name):
@@ -780,12 +783,15 @@ def test_audit_reads_each_f_gamma_from_one_cell_table(tmp_path, monkeypatch):
     counted(LocallyConstantFunction, "trie_stats")
     counted(LocallyConstantFunction, "over_shared_den")
     counted(spikes, "verify_spike")
+    counted(spikes, "_scale_classes")
+    counted(spikes, "lipschitz_scale")
     monkeypatch.setattr(cli, "verify_spike", spikes.verify_spike)
     cfg = write_config(tmp_path, audit={"max_len": 2, "Ds": [0, 1]})
     assert main(["audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     gammas = 4 + 12
     assert calls == {"trie_stats": gammas, "over_shared_den": gammas,
-                     "verify_spike": 2 * 2 * gammas}
+                     "verify_spike": 2 * 2 * gammas,
+                     "_scale_classes": 2 * gammas, "lipschitz_scale": 2 * gammas}
 
 
 def test_audit_measures_the_constants_once(tmp_path, monkeypatch):
@@ -886,14 +892,17 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("decompose", "params", {"schedule": "grow"}, "config['params']"),
     ("decompose", "params", {"rescale": "x"}, "config['params']"),
     ("decompose", "params", {"alpha": "log(2)"}, "config['params']"),
+    ("audit", "audit", {"Ds": [0, 0]}, "config['audit']['Ds'] = [0, 0]"),
+    ("audit", "audit", {"Ds": [1, "2/2"]}, "config['audit']['Ds'] = [1, '2/2']"),
 ])
 def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
     # "1/0", a non-finite float, a path that is no file, a misspelled key, an
     # unknown section, a round count or word length below 1 (zero rounds
-    # would write an empty mu with every check true), no or a negative shadow
-    # margin, or a greedy parameter or alpha out of range: a usage error that
-    # names the key (the section, for what the params build together), never
-    # exit 3 or a silently ignored setting
+    # would write an empty mu with every check true), no, a negative or a
+    # repeated shadow margin (a repeat would check its spikes twice and count
+    # them twice in spikes_checked), or a greedy parameter or alpha out of
+    # range: a usage error that names the key (the section, for what the
+    # params build together), never exit 3 or a silently ignored setting
     cfg = write_config(tmp_path, **{section: value})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err

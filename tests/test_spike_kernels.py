@@ -1,18 +1,21 @@
 """The spike kernels (`ball_cells`, `_scale_classes`, `lipschitz_scale` and
 condition 2 of `verify_spike`) test each distance once per distinct prefix
 weight, `lipschitz_scale` reads each meet node's range instead of its sibling
-subtrees, and `verify_spike` decides on int numerators and divides once per
-report.  These properties hold them to the per-cell formulas they replace,
-which are copied below as oracles, over weights {1, 3/2}, exact and float
-scales (at multipliers other than 1, coefficient 1/2 takes the float
-fallback of `leq_scaled`) and multipliers {1, 5, 2.5}."""
+subtrees, and `verify_spike` decides on int numerators, divides once per
+report and measures a spike once per radius and nu.  These properties hold
+them to the per-cell formulas they replace, which are copied below as
+oracles, over weights {1, 3/2}, exact and float scales (at multipliers other
+than 1, coefficient 1/2 takes the float fallback of `leq_scaled`) and
+multipliers {1, 5, 2.5}."""
 
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freewalk import spikes
 from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
                       Spike, SpikeReport, VisualParams, WeightedFreeGroup,
                       ball_cells, build_spike, conformal_exponent,
@@ -541,3 +544,86 @@ def test_verify_spike_reads_one_table_per_spike_family(scale, pool, float_nu, da
         # only a spike that fails to build a table keeps the stale one
         assert other.cell_table is not spike.cell_table \
             or report is AmbiguousCylinderError
+
+
+def verified(spike, nu):
+    """`run(verify_spike, spike, nu)`, and whether the call measured the
+    spike (the measurement starts at the ball's prefix) rather than read the
+    measurement its table holds."""
+    with mock.patch.object(spikes, "_ball_prefix", wraps=spikes._ball_prefix) as ball:
+        return run(verify_spike, spike, nu), ball.called
+
+
+def constants(spike, nu):
+    """C unset, and below, at and above the spike's measured constant."""
+    try:
+        c = old_verify_spike(spike, nu).measured_c
+    except (AmbiguousCylinderError, ZeroDivisionError):
+        return [None]
+    return [None] if c is None else [None, c - 1, c, c + 1]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(scale=st.sampled_from(SCALES), pool=st.sampled_from(VALUE_POOLS),
+       float_nu=st.booleans(), data=st.data())
+def test_verify_spike_measures_each_radius_once(scale, pool, float_nu, data):
+    # one spike verified at a sequence of radii with repeats, each with C
+    # unset or below, at or above the measured constant: the first call at a
+    # radius measures the spike, and a later one compares that measurement
+    # against its own C.  Every report is the per-cell checks', by value and
+    # type
+    params = make_params(*scale)
+    spike, nu = draw_spike(data, params, pool, float_nu)
+    group, center = spike.function.group, spike.center.word
+    radii = [data.draw(r_exps(group, center)) for _ in range(data.draw(st.integers(1, 2)))]
+    measured = set()
+    for r_exp in data.draw(st.lists(st.sampled_from(radii), min_size=3, max_size=6)):
+        spike = dataclasses.replace(spike, r_exp=r_exp, c=None)
+        spike.c = data.draw(st.sampled_from(constants(spike, nu)))
+        report, fresh = verified(spike, nu)
+        assert report == run(old_verify_spike, spike, nu)
+        if spike.cell_table is None:  # no table, as the center is no cell
+            assert report is AmbiguousCylinderError and not fresh
+            return
+        # a call that raised kept no measurement
+        assert fresh == (r_exp not in measured)
+        if not isinstance(report, type):
+            measured.add(r_exp)
+    if not measured:
+        return
+    spike = dataclasses.replace(spike, r_exp=data.draw(st.sampled_from(sorted(measured))))
+    # a report is the caller's: editing it leaves the next one unchanged
+    edited = verify_spike(spike, nu)
+    edited.measured["cond1"] = -1
+    edited.witnesses.clear()
+    assert verified(spike, nu) == (run(old_verify_spike, spike, nu), False)
+    # another nu, even an equal one built again, is measured afresh
+    markov = VisualParams.floats(3.0, 1.0) if float_nu else VisualParams.exact_base(3, 3, 1)
+    for other_nu in (uniform_ps_measure(group, nu.params), uniform_ps_measure(group, markov)):
+        assert verified(spike, other_nu) == (run(old_verify_spike, spike, other_nu), True)
+    # the radius is keyed by type: the cache holding an int n does not
+    # answer for Fraction(n)
+    n = data.draw(st.integers(0, int(group.word_weight(center))))
+    spike = dataclasses.replace(spike, r_exp=n, cell_table=None)
+    for r_exp, fresh in ((n, True), (Fraction(n), True), (n, False)):
+        spike = dataclasses.replace(spike, r_exp=r_exp)
+        report = run(old_verify_spike, spike, nu)
+        assert verified(spike, nu) == (report, fresh or isinstance(report, type))
+    # a spike that differs in its function, center, q or epsilon is measured
+    # afresh, unless it builds no table
+    which = data.draw(st.sampled_from(["function", "center", "q", "epsilon"]))
+    if which == "function":
+        change = {"function": LocallyConstantFunction(group, dict(spike.function.values))}
+    elif which == "center":
+        cells = [w for w in sorted(spike.function.values) if w != center]
+        change = {"center": Cylinder(data.draw(st.sampled_from(
+            cells or [center + tuple(group.valid_extensions(center)[:1])])))}
+    elif which == "q":
+        change = {"q": spike.q + 1}
+    else:
+        change = {"params": make_params(*data.draw(st.sampled_from(
+            [s for s in SCALES if make_params(*s).epsilon != params.epsilon])))}
+    other = dataclasses.replace(spike, **change)
+    report, fresh = verified(other, nu)
+    assert report == run(old_verify_spike, other, nu)
+    assert fresh or report is AmbiguousCylinderError
