@@ -376,7 +376,6 @@ def _spike_from_json(run: Run, doc: dict) -> Spike:
     return Spike(function=f,
                  r_exp=_rational(doc["r_exp"]),
                  center=Cylinder(run.group.parse_word(doc["center"])),
-                 q=run.params.q_exponent, theta=run.params.q_exponent,
                  c=_rational(doc["C"]) if "C" in doc else None,
                  gamma=run.group.parse_word(doc.get("gamma", "e")),
                  margin=_rational(doc.get("D", 0)),

@@ -258,19 +258,19 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
 # ---------------------------------------------------------------------------
 
 def _round_spikes(group: WeightedFreeGroup, vparams: VisualParams, shell: int,
-                  margin: int, cap) -> List[Spike]:
+                  margin: int) -> List[Spike]:
     """One spike per cover cell: shadows of a canonical gamma per cell of the
-    depth-(shell - margin) partition (disjoint; Lebesgue number 1)."""
+    depth-(shell - margin) partition (disjoint; Lebesgue number 1).  A cover
+    spike is never verified, so it carries no C."""
     cover_depth = shell - margin
     if cover_depth < 0:
         raise InternalInvariantError(f"shell {shell} below margin {margin}")
-    q = vparams.q_exponent  # a property that builds a Fraction per read
     spikes = []
     for cell in group.sphere(cover_depth):
         word = spine_word(group, cell, shell)
         gamma = invert(word)
         spikes.append(Spike(function=None, r_exp=group.word_weight(gamma) - margin,
-                            center=Cylinder(word), q=q, theta=q, c=cap, gamma=gamma,
+                            center=Cylinder(word), c=None, gamma=gamma,
                             margin=margin, params=vparams))
     spikes.sort(key=lambda s: (s.r_exp, len(s.gamma), s.gamma))
     return spikes
@@ -438,7 +438,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
 
     def spikes_at(shell: int) -> List[Spike]:
         if shell not in spike_cache:
-            spike_cache[shell] = _round_spikes(group, vparams, shell, params.margin, cap)
+            spike_cache[shell] = _round_spikes(group, vparams, shell, params.margin)
         return spike_cache[shell]
 
     for round_idx in range(1, params.max_rounds + 1):
@@ -555,7 +555,7 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_n = min(delta_n / t_n, eps_prev)
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
-        spikes = _round_spikes(group, vparams, shell, params.margin, cap)
+        spikes = _round_spikes(group, vparams, shell, params.margin)
         lambdas, g, factor, R, l1_next = _greedy_round(R, R, spikes, nu, factors,
                                                        params.beta)
         added = _credit(mu, lambdas, factor, group, vparams)

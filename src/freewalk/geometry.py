@@ -94,14 +94,15 @@ class LogScale:
         return math.exp(-self.value * float(t))
 
     def leq_scaled(self, p, t, mult=1) -> bool:
-        """Exact test of e^{-x p} <= mult * e^{-x t} (mult rational or float)."""
+        """Exact test of e^{-x p} <= mult * e^{-x t} (mult rational or float);
+        False at every mult <= 0, as the left side is positive."""
+        if mult <= 0:
+            return False
         if self.base is not None:
             e = self.coeff * (_rational(p) - _rational(t))
             if e.denominator == 1 and mult == mult:  # a NaN mult takes floats
-                # b^{-e} <= mult  <=>  b^{e} >= 1/mult
+                # b^{-e} <= mult  <=>  b^{e} >= 1/mult, as mult > 0
                 m = _rational(mult)
-                if m.numerator <= 0:  # 1/mult is negative, or undefined at 0
-                    return 1 / m < 0
                 up, down = _power(self.base, e.numerator)
                 return up * m.numerator >= down * m.denominator
         return math.exp(-self.value * (float(p) - float(t))) <= float(mult) * (1 + 1e-15)

@@ -181,9 +181,6 @@ class BoundaryMeasure:
         return BoundaryMeasure(self.group, vals, mass_fn=self.mass_fn,
                                params=self.params, rule=self.rule, validate=False)
 
-    def materialize_depth(self, depth: int) -> "BoundaryMeasure":
-        return self.materialize(self.group.sphere(depth))
-
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> dict:

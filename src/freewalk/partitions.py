@@ -151,9 +151,6 @@ class LocallyConstantFunction:
     def depth(self) -> int:
         return max((len(w) for w in self.values), default=0)
 
-    def refine_to(self, leaves: Iterable[Word]) -> "LocallyConstantFunction":
-        return self.over(self.group, {w: self.num_at(w) for w in leaves}, self.den)
-
     def combine(self, other: "LocallyConstantFunction",
                 fn: Callable) -> "LocallyConstantFunction":
         leaves = refine_leaves(self.group, self.values.keys(), other.values.keys())

@@ -40,23 +40,23 @@ class DegenerateSpikeError(ValueError):
 
 @dataclass
 class Spike:
-    """Unit-sup spike tuple (h, r, a, Q, theta, C) with provenance gamma.
+    """Unit-sup spike tuple (h, r, a, C) with provenance gamma; it is a
+    Q-spike for Q = alpha/epsilon of its `params`.
 
     The radius is carried symbolically as r = e^{-epsilon * r_exp}, with
     r_exp and the margin ints when integral (see `words.as_exact`).  The
-    greedy's cover spikes carry no function: it reads only the center and
-    radius, and ||h||_1 = e^{-alpha ||gamma||} since f_gamma integrates to 1.
+    greedy's cover spikes carry no function and no C: it reads only the
+    center and radius, and ||h||_1 = e^{-alpha ||gamma||} since f_gamma
+    integrates to 1.
     """
 
     function: Optional[LocallyConstantFunction]
     r_exp: object
     center: Cylinder
-    q: object
-    theta: object
     c: object
     gamma: Word
+    params: VisualParams
     margin: object = 0
-    params: Optional[VisualParams] = None
     cell_table: Optional[object] = field(default=None, repr=False, compare=False)
 
     @property
@@ -159,35 +159,31 @@ class _SpikeTable(_CellTable):
     """A spike's `_CellTable` plus the rest of what `verify_spike` reads at
     every radius and C: the prepared cells as int numerators over one `den`,
     sup, each cell's meet depth with the center, the first nonpositive cell,
-    and condition 2's kernel e^{(q+theta) eps W_k} per meet depth k, as first
-    read, and `verify_spike`'s measurement per radius (`measured`).  It holds
-    for `function` (by identity) and `source`."""
+    and condition 2's kernel e^{2Q eps W_k} per meet depth k, as first read,
+    and `verify_spike`'s measurement per radius (`measured`).  It holds for
+    `function` (by identity), the center and the params (`source`)."""
 
-    def __init__(self, spike: Spike, eps: LogScale, source: tuple):
+    def __init__(self, spike: Spike, source: tuple):
         self.function, self.source, self.kernel, self.measured = \
             spike.function, source, {}, {}
         self.values = _prepared_cells(spike)
         self.func = LocallyConstantFunction(spike.function.group, self.values,
                                             validate=False).over_shared_den()
-        super().__init__(self.func, eps)
+        super().__init__(self.func, spike.params.epsilon)
         self.num = num = self.func.values
         self.sup = self.values[max(num, key=num.__getitem__)]
         self.meet = {w: common_prefix_length(w, spike.center.word) for w in num}
         self.nonpositive = next((w for w in num if num[w] <= 0), None)
 
 
-def _scale_classes(table: _CellTable, r_exp, mult=1) -> Dict[Word, List[Word]]:
-    """Group cells so that two cells are within distance mult*e^{-eps r_exp}
-    iff they share a class (key = minimal prefix at that scale)."""
-    within: Dict[object, bool] = {}
+def _scale_classes(table: _CellTable, r_exp) -> Dict[Word, List[Word]]:
+    """Group cells so that two cells are within distance e^{-eps r_exp} iff
+    they share a class (key = minimal prefix at that scale)."""
     classes: Dict[Word, List[Word]] = {}
     for w, weights in table.weights.items():
         key = w  # entire cell is smaller than the scale: isolated class
         for i, weight in enumerate(weights):
-            ok = within.get(weight)
-            if ok is None:
-                ok = within[weight] = _within(table.eps, weight, r_exp, mult)
-            if ok:
+            if weight >= r_exp:
                 key = w[:i]
                 break
         classes.setdefault(key, []).append(w)
@@ -260,11 +256,9 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     f = radon_nikodym(gamma, nu, params)
     sup = f.sup()
     unit = f.scale(1 / sup)
-    center = Cylinder(invert(gamma))
-    q_exp = params.q_exponent
     return Spike(function=unit, r_exp=nu.group.word_weight(gamma) - margin,
-                 center=center, q=q_exp, theta=q_exp, c=None,
-                 gamma=gamma, margin=margin, params=params)
+                 center=Cylinder(invert(gamma)), c=None, gamma=gamma,
+                 margin=margin, params=params)
 
 
 def with_margin(spike: Spike, margin, nu: BoundaryMeasure) -> Spike:
@@ -308,11 +302,11 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
 
     What the radius and C do not change is read off the spike's
     `_SpikeTable`, which the first call builds and `with_margin` carries; a
-    spike whose function, center, q, theta or epsilon is not its table's
-    builds its own.  What C does not change is measured once per radius
-    exponent (by type and value) and nu (by identity) and kept on the table:
-    the ball, its mass, the scale classes, the slopes, the measured numbers
-    and witnesses, and each check's sign and mass precondition.  Each call
+    spike whose function, center or params are not its table's builds its
+    own.  What C does not change is measured once per radius exponent (by
+    type and value) and nu (by identity) and kept on the table: the ball,
+    its mass, the scale classes, the slopes, the measured numbers and
+    witnesses, and each check's sign and mass precondition.  Each call
     compares that measurement against C and returns a report of its own.
 
     When every value is an int or a Fraction, the cells are read once as
@@ -326,16 +320,13 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     spikes f_gamma that is once per depth.  Float values are their own
     numerators and run the per-cell checks in their order, unchanged.
     """
-    params = spike.params or nu.params
-    eps = params.epsilon
-    # by type too: an int q and a float one give kernels of different types
-    source = (spike.center, type(spike.q), spike.q, type(spike.theta), spike.theta, eps)
+    source = (spike.center, spike.params)
     table = spike.cell_table
     if table is None or table.function is not spike.function or table.source != source:
-        table = spike.cell_table = _SpikeTable(spike, eps, source)
+        table = spike.cell_table = _SpikeTable(spike, source)
     radius = (type(spike.r_exp), spike.r_exp)
     if (cached := table.measured.get(radius)) is None or cached[0] is not nu:
-        cached = table.measured[radius] = (nu, *_measure(spike, nu, table, params))
+        cached = table.measured[radius] = (nu, *_measure(spike, nu, table))
     _, measured, witnesses, measured_c, checks = cached
     c = spike.c
     # a check holds when its precondition does and C bounds its numbers
@@ -345,12 +336,12 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
                        witnesses=dict(witnesses))
 
 
-def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable,
-             params: VisualParams) -> tuple:
+def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
     """`verify_spike`'s measurement at the spike's radius: (measured,
     witnesses, measured_c, checks), where `checks` holds, per condition 1,
     2, 3 and Q-spike, its precondition and the measured keys C must bound."""
-    group, eps = spike.function.group, table.eps
+    group, params, eps = spike.function.group, spike.params, table.eps
+    Q = params.q_exponent
     values, num, den = table.values, table.num, table.den
     key = num.__getitem__
     center = spike.center.word
@@ -362,7 +353,7 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable,
     if type(mass_r := nu.mass_of(prefix_r)) is not Fraction:
         mass_r = sum(nu.mass_of(w) for w in ball)
     inside = set(ball)
-    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
+    r_pow_q = eps.exp_neg(Q * spike.r_exp)
 
     measured, witnesses = {}, {}
 
@@ -378,13 +369,13 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable,
     # condition 2: off-ball decay against the singular kernel.  The metric is
     # an ultrametric and the ball is a union of cells meeting the center at
     # depth >= some k, so an outside cell y (meeting it at k_y) meets every
-    # inside cell at k_y, and its integral is nu(B) e^{(q+theta) eps W(k_y)}.
+    # inside cell at k_y, and its integral is nu(B) e^{2Q eps W(k_y)}.
     # At one depth the ratio h(y) / (h(a) r^Q nu(B) K_k) is monotone in h(y),
     # rising when h(a) >= 0, so a cell whose h does not beat the last cell
     # divided at its depth cannot pass the worst ratio.
     h_r = values[center] * r_pow_q
     sign = 1 if num[center] >= 0 else -1
-    expo = spike.q + spike.theta
+    expo = 2 * Q
     denom: Dict[int, object] = {}
     last: Dict[int, object] = {}
     worst2 = wit2 = None

@@ -24,6 +24,16 @@ def weighted_shell_counts(group: WeightedFreeGroup, horizon: int) -> List[int]:
     return counts
 
 
+def refine_to(f, leaves):
+    """f on the partition `leaves`, which refines f's cells."""
+    return f.over(f.group, {w: f.num_at(w) for w in leaves}, f.den)
+
+
+def materialize_depth(nu, depth: int):
+    """nu stored on the cells of the depth-`depth` sphere."""
+    return nu.materialize(nu.group.sphere(depth))
+
+
 @pytest.fixture(scope="session")
 def f2():
     return WeightedFreeGroup(2)

@@ -17,6 +17,8 @@ from freewalk.decomposition import InternalInvariantError
 from freewalk.geometry import LogScale
 from freewalk.partitions import LocallyConstantFunction, _num_to_str
 
+from conftest import materialize_depth
+
 
 def write_config(path: Path, **overrides) -> str:
     cfg = {
@@ -533,7 +535,7 @@ def test_verify_pushforward_nu(tmp_path):
 def test_verify_file_backed_nu(tmp_path, capsys):
     from freewalk import WeightedFreeGroup, default_params, uniform_ps_measure
     f2 = WeightedFreeGroup(2)
-    doc = uniform_ps_measure(f2, default_params(f2)).materialize_depth(2).to_json()
+    doc = materialize_depth(uniform_ps_measure(f2, default_params(f2)), 2).to_json()
     assert doc["rule"] == "conformal"
     conformal, stored = tmp_path / "conformal.json", tmp_path / "stored.json"
     conformal.write_text(json.dumps(doc))

@@ -18,7 +18,7 @@ from freewalk.decomposition import (InternalInvariantError, greedy_lambdas,
 
 
 def four_unit_spikes(f2, params2):
-    return _round_spikes(f2, params2, shell=1, margin=0, cap=Fraction(4, 3))
+    return _round_spikes(f2, params2, shell=1, margin=0)
 
 
 def test_greedy_hand_replay(f2, nu2, params2):

@@ -35,14 +35,17 @@ def oracle_exp_neg(scale, t):
 
 def oracle_leq_scaled(scale, p, t, mult=1):
     """e^{-x p} <= mult e^{-x t} computed in Fractions throughout; a NaN mult
-    or a non-integral exponent takes the float comparison."""
+    or a non-integral exponent takes the float comparison.  The left side is
+    positive, so it fails at every mult <= 0."""
     if scale.base is not None:
         e = Fraction(scale.coeff) * (Fraction(p) - Fraction(t))
         if e.denominator == 1:
             try:
-                return Fraction(scale.base) ** e.numerator >= 1 / Fraction(mult)
+                m = Fraction(mult)
             except (TypeError, ValueError):
                 pass
+            else:
+                return m > 0 and Fraction(scale.base) ** e.numerator >= 1 / m
     return math.exp(-scale.value * (float(p) - float(t))) <= float(mult) * (1 + 1e-15)
 
 
@@ -64,7 +67,7 @@ EXPONENTS = st.one_of(
     st.fractions(min_value=-6, max_value=6, max_denominator=4),
     st.sampled_from([k / 4 for k in range(-24, 25)]),   # dyadic floats
     st.floats(-6, 6, allow_nan=False))
-MULTS = st.sampled_from([1, 5, Fraction(5, 2), 2.5, math.nan])
+MULTS = st.sampled_from([1, 5, Fraction(5, 2), 2.5, 0, -1, math.nan])
 
 
 @SETTINGS

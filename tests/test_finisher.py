@@ -222,7 +222,7 @@ def _finisher_cases():
                                     for p in (params, fparams)]
         shell = max(1, min(int(oscillation_threshold(F, gp.s)), gp.max_shell))
         for extra in ((0, 1) if group.rank == 2 else (0,)):
-            yield [(G, nu, _round_spikes(group, p, shell + extra, 0, None), p)
+            yield [(G, nu, _round_spikes(group, p, shell + extra, 0), p)
                    for G, (nu, p) in zip((F, F.map(float)), measures[group.rank])]
 
 

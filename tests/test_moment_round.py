@@ -97,7 +97,7 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
         eps_n = min(delta_n / t_n, eps_prev)
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
-        spikes = _round_spikes(group, vparams, shell, params.margin, cap)
+        spikes = _round_spikes(group, vparams, shell, params.margin)
         lambdas, g = oracle_greedy(R, spikes, vparams)
         seen.append((R, lambdas))
         factor = proof_factor if params.rescale == "proof" \
@@ -185,7 +185,7 @@ def oracle_basis_decompose(F, nu, params, constants, seen):
         c_round_cap = cap if params.schedule == "fixed" \
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
-        spikes = _round_spikes(group, vparams, shell, params.margin, cap)
+        spikes = _round_spikes(group, vparams, shell, params.margin)
         finish = None
         if params.rescale == "adaptive":
             finish = oracle_finisher(R, nu, spikes, vparams, params.tau)
@@ -197,7 +197,7 @@ def oracle_basis_decompose(F, nu, params, constants, seen):
         else:
             target = R.scale(params.beta)
             while True:
-                spikes = _round_spikes(group, vparams, shell, params.margin, cap)
+                spikes = _round_spikes(group, vparams, shell, params.margin)
                 lambdas, g = oracle_greedy(target, spikes, vparams)
                 seen.append(("greedy", target, lambda_reprs(lambdas)))
                 factor = 1 if params.rescale == "adaptive" \

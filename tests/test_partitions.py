@@ -9,6 +9,8 @@ from freewalk import (LocallyConstantFunction, PartitionError,
                       trie_closure, validate_partition)
 from freewalk.partitions import spine_word
 
+from conftest import refine_to
+
 
 def test_partition_validation(f2):
     validate_partition(f2, [(0,), (1,), (2,), (3,)])
@@ -49,7 +51,7 @@ def test_function_evaluation_and_refinement(f2):
     assert f.at((3,)) == 4
     with pytest.raises(ValueNotConstantError):
         f.at(())
-    g = f.refine_to(f2.sphere(2))
+    g = refine_to(f, f2.sphere(2))
     assert g.at((0, 2)) == 1 and len(g.values) == 12
     assert f == g                           # refinement-stable equality
     assert g.canonical() == f

@@ -1,13 +1,16 @@
-"""Every top-level function and class in src/freewalk/ is reached by the
-system: by name-reference closure from `cli.main`, the demos, the acceptance
-criteria and the benchmark harness (its names, and the identifiers in its
-strings, since `bench/tracer.py` wraps the functions its `LAYERS` names).
+"""Every top-level function and class in src/freewalk/, and every method of
+those classes, is reached by the system: by name-reference closure from
+`cli.main`, the demos, the acceptance criteria and the benchmark harness (its
+names, and the identifiers in its strings, since `bench/tracer.py` wraps the
+functions its `LAYERS` names).
 
 A definition that only a test reads belongs in that test, as its oracle.
 Names are matched by identifier across modules (an attribute `x.name`
 reaches every definition called `name`), so the closure can only
-over-approximate what runs.  A module-level assignment is reached like a
-definition; any other module-level statement runs on import and is a root.
+over-approximate what runs.  A method is reached by its name, like a
+function; a dunder method runs through Python's protocols, so it is reached
+with its class.  A module-level assignment is reached like a definition; any
+other module-level statement runs on import and is a root.
 """
 
 import ast
@@ -16,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "freewalk"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(tree, strings=False) -> set:
@@ -36,15 +40,30 @@ def _parse(path: Path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def _methods(cls: ast.ClassDef) -> list:
+    """The methods of `cls` that are reached by name: all but the dunders."""
+    return [node for node in cls.body if isinstance(node, FUNCTIONS)
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def unreached() -> list:
-    """The top-level functions and classes of src/freewalk/ that the closure
-    does not reach, as "module.name"."""
+    """The top-level functions and classes of src/freewalk/ and the methods
+    of those classes that the closure does not reach, as "module.name" and
+    "module.Class.name"."""
     defs = {}    # "module.name" -> the names its statement refers to
-    checked = set()  # the keys of functions and classes
+    checked = set()  # the keys of functions, classes and methods
     roots = set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in _parse(path).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(stmt, ast.ClassDef):
+                methods = _methods(stmt)
+                for method in methods:
+                    key = f"{path.stem}.{stmt.name}.{method.name}"
+                    defs[key] = _names(method)
+                    checked.add(key)
+                # the class refers to the rest: bases, attributes and dunders
+                stmt.body = [node for node in stmt.body if node not in methods]
+            if isinstance(stmt, (*FUNCTIONS, ast.ClassDef)):
                 targets = [stmt.name]
                 checked.add(f"{path.stem}.{stmt.name}")
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -66,7 +85,7 @@ def unreached() -> list:
     while todo:
         name = todo.pop()
         for key, refs in defs.items():
-            if key not in reached and key.split(".", 1)[1] == name:
+            if key not in reached and key.rsplit(".", 1)[1] == name:
                 reached.add(key)
                 todo |= refs
     return sorted(checked - reached)

@@ -6,7 +6,7 @@ report and measures a spike once per radius and nu.  These properties hold
 them to the per-cell formulas they replace, which are copied below as
 oracles, over weights {1, 3/2}, exact and float scales (at multipliers other
 than 1, coefficient 1/2 takes the float fallback of `leq_scaled`) and
-multipliers {1, 5, 2.5}."""
+multipliers {1, 5, 2.5} (`_scale_classes` at multiplier 1 only)."""
 
 import dataclasses
 from fractions import Fraction
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from freewalk import spikes
 from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
-                      Spike, SpikeReport, VisualParams, WeightedFreeGroup,
+                      LogScale, Spike, SpikeReport, VisualParams, WeightedFreeGroup,
                       ball_cells, build_spike, conformal_exponent,
                       default_params, lipschitz_scale, shadow,
                       uniform_ps_measure, verify_spike)
@@ -103,8 +103,9 @@ def cond2_by_double_sum(spike, nu):
     center = spike.center.word
     inside = set(old_ball_cells(group, list(values), center, spike.params,
                                 spike.r_exp))
-    expo = spike.q + spike.theta
-    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
+    q = spike.params.q_exponent
+    expo = q + q  # Q + theta, with theta = Q
+    r_pow_q = eps.exp_neg(q * spike.r_exp)
     worst = wit = None
     for y, hy in values.items():
         if y in inside:
@@ -130,8 +131,9 @@ def old_verify_spike(spike, nu):
     """`verify_spike` as a loop over cells, one Fraction (or float) per
     comparison, on the per-cell kernels above."""
     group = spike.function.group
-    params = spike.params or nu.params
+    params = spike.params
     eps = params.epsilon
+    q = params.q_exponent
     values = _prepared_cells(spike)
     cells = list(values)
     center = spike.center.word
@@ -139,7 +141,7 @@ def old_verify_spike(spike, nu):
     ball = old_ball_cells(group, cells, center, params, spike.r_exp)
     mass_r = sum(nu.mass_of(w) for w in ball)
     inside = set(ball)
-    r_pow_q = eps.exp_neg(spike.q * spike.r_exp)
+    r_pow_q = eps.exp_neg(q * spike.r_exp)
     c_stored = spike.c
 
     measured = {}
@@ -153,7 +155,7 @@ def old_verify_spike(spike, nu):
 
     prefix = group.prefix_weights(center)
     h_center = values[center]
-    expo = spike.q + spike.theta
+    expo = q + q  # Q + theta, with theta = Q
     kernel = {}
     worst2 = None
     wit2 = None
@@ -237,6 +239,14 @@ def make_params(kind, a, e):
     return VisualParams.exact_base(a, 1, e)
 
 
+def doubled_alpha(params):
+    """`params` with epsilon kept and alpha's coefficient doubled, so Q doubles."""
+    a = params.alpha
+    alpha = LogScale.of_float(2 * a.value) if a.base is None \
+        else LogScale.log_of(a.base, 2 * a.coeff)
+    return VisualParams(alpha=alpha, epsilon=params.epsilon)
+
+
 @st.composite
 def groups(draw):
     rank = draw(st.integers(2, 3))
@@ -303,8 +313,8 @@ def test_scale_classes_and_slopes_match_per_cell_tests(scale, r_exp, mult, pool,
     params = make_params(*scale)
     f = data.draw(functions(data.draw(groups()), st.sampled_from(pool)))
     cells = list(f.values)
-    new = _scale_classes(_CellTable(f, params.epsilon), r_exp, mult)
-    old = old_scale_classes(f.group, cells, params, r_exp, mult)
+    new = _scale_classes(_CellTable(f, params.epsilon), r_exp)
+    old = old_scale_classes(f.group, cells, params, r_exp)
     assert list(new.items()) == list(old.items())  # same class order too
     old = old_lipschitz_scale(f, r_exp, params, mult)
     # on the values and on int numerators over their lcm (an integral 1/d
@@ -396,9 +406,8 @@ def test_condition_2_integral_is_the_double_sum(which, data):
         f = LocallyConstantFunction(group, values)
     top = int(group.word_weight(center))  # integral r_exp keeps r^q rational
     r_exp = Fraction(data.draw(st.integers(min(1, top), top)))
-    q = params.q_exponent
-    spike = Spike(function=f, r_exp=r_exp, center=Cylinder(center), q=q,
-                  theta=q, c=None, gamma=(0,), params=params)
+    spike = Spike(function=f, r_exp=r_exp, center=Cylinder(center), c=None,
+                  gamma=(0,), params=params)
     rep = verify_spike(spike, nu)
     worst, wit = cond2_by_double_sum(spike, nu)
     assert (rep.measured["cond2"], rep.witnesses["cond2"]) == (worst, wit)
@@ -471,10 +480,8 @@ def draw_spike(data, params, pool, float_nu):
     center = cell
     for _ in range(data.draw(st.integers(0, 2))):
         center = center + (data.draw(st.sampled_from(group.valid_extensions(center))),)
-    q = params.q_exponent
     spike = Spike(function=f, r_exp=data.draw(r_exps(group, center)),
-                  center=Cylinder(center), q=q, theta=q, c=None, gamma=(0,),
-                  params=params)
+                  center=Cylinder(center), c=None, gamma=(0,), params=params)
     return spike, nu
 
 
@@ -521,10 +528,15 @@ def test_verify_spike_reads_one_table_per_spike_family(scale, pool, float_nu, da
         assert run(verify_spike, spike, nu) == run(old_verify_spike, spike, nu)
         tables.add(id(spike.cell_table))
     assert len(tables) == 1
+    # an equal VisualParams built again keys the same table
+    again = dataclasses.replace(spike, params=make_params(*scale))
+    assert again.params is not spike.params
+    assert run(verify_spike, again, nu) == run(old_verify_spike, again, nu)
+    assert again.cell_table is spike.cell_table
     # a spike that differs from its table's in the function, the center, the
     # scales or Q builds a table of its own, and reports as the per-cell
     # checks do at every radius
-    which = data.draw(st.sampled_from(["function", "center", "params", "q"]))
+    which = data.draw(st.sampled_from(["function", "center", "params", "Q"]))
     if which == "function":
         values = {w: data.draw(st.sampled_from(pool)) for w in spike.function.values}
         change = {"function": LocallyConstantFunction(group, values)}
@@ -536,7 +548,7 @@ def test_verify_spike_reads_one_table_per_spike_family(scale, pool, float_nu, da
         change = {"params": make_params(*data.draw(st.sampled_from(
             [s for s in SCALES if s != scale])))}
     else:
-        change = {"q": spike.q + 1}
+        change = {"params": doubled_alpha(params)}
     for r_exp, c in pairs:
         other = dataclasses.replace(spike, r_exp=r_exp, c=c, **change)
         report = run(verify_spike, other, nu)
@@ -609,17 +621,21 @@ def test_verify_spike_measures_each_radius_once(scale, pool, float_nu, data):
         spike = dataclasses.replace(spike, r_exp=r_exp)
         report = run(old_verify_spike, spike, nu)
         assert verified(spike, nu) == (report, fresh or isinstance(report, type))
-    # a spike that differs in its function, center, q or epsilon is measured
+    # an equal VisualParams built again reads the table's measurement
+    again = dataclasses.replace(spike, params=make_params(*scale))
+    report = run(old_verify_spike, again, nu)
+    assert verified(again, nu) == (report, isinstance(report, type))
+    # a spike that differs in its function, center, Q or epsilon is measured
     # afresh, unless it builds no table
-    which = data.draw(st.sampled_from(["function", "center", "q", "epsilon"]))
+    which = data.draw(st.sampled_from(["function", "center", "Q", "epsilon"]))
     if which == "function":
         change = {"function": LocallyConstantFunction(group, dict(spike.function.values))}
     elif which == "center":
         cells = [w for w in sorted(spike.function.values) if w != center]
         change = {"center": Cylinder(data.draw(st.sampled_from(
             cells or [center + tuple(group.valid_extensions(center)[:1])])))}
-    elif which == "q":
-        change = {"q": spike.q + 1}
+    elif which == "Q":
+        change = {"params": doubled_alpha(params)}
     else:
         change = {"params": make_params(*data.draw(st.sampled_from(
             [s for s in SCALES if make_params(*s).epsilon != params.epsilon])))}

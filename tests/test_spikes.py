@@ -20,6 +20,8 @@ from freewalk.spikes import (_ball_prefix, _cell_product, _checked_margin,
                              _prepared_cells, _ratio)
 from freewalk.words import invert
 
+from conftest import refine_to
+
 
 def cell_doubling(spike, nu):
     """The local doubling nu(B(a, 5r)) / nu(B(a, r)) of a spike with center a
@@ -60,17 +62,15 @@ def test_verify_spike_centered_above_its_cells(f2, nu2, params2):
     cells = {a + (x,): Fraction(1 + i) for i, x in enumerate(f2.valid_extensions(a))}
     cells.update({f2.parse_word(x): Fraction(1) for x in "AbB"})
     spike = Spike(function=LocallyConstantFunction(f2, cells), r_exp=1,
-                  center=Cylinder(a), q=params2.q_exponent,
-                  theta=params2.q_exponent, c=None, gamma=(1,), params=params2)
+                  center=Cylinder(a), c=None, gamma=(1,), params=params2)
     with pytest.raises(AmbiguousCylinderError, match="center a"):
         verify_spike(spike, nu2)
 
 
 def test_constant_function_trivial_spike(f2, nu2, params2):
-    one = LocallyConstantFunction.constant(f2, Fraction(1)).refine_to(f2.sphere(1))
+    one = refine_to(LocallyConstantFunction.constant(f2, Fraction(1)), f2.sphere(1))
     s = Spike(function=one, r_exp=Fraction(0), center=Cylinder((0,)),
-              q=Fraction(1), theta=Fraction(1), c=Fraction(1), gamma=(1,),
-              params=params2)
+              c=Fraction(1), gamma=(1,), params=params2)
     rep = verify_spike(s, nu2)
     assert rep.all_ok and rep.measured_c == 1
     qrep = verify_q_spike(s, nu2)
@@ -83,8 +83,7 @@ def test_adversarial_spike_fails(f2, nu2, params2):
     vals[(0, 2, 0)] = Fraction(1)
     bad = LocallyConstantFunction(f2, vals)
     s = Spike(function=bad, r_exp=Fraction(3), center=Cylinder((0, 2, 0)),
-              q=Fraction(1), theta=Fraction(1), c=Fraction(100), gamma=(1, 3, 1),
-              params=params2)
+              c=Fraction(100), gamma=(1, 3, 1), params=params2)
     rep = verify_spike(s, nu2)
     assert not rep.cond2_ok
     assert rep.witnesses["cond2"] is not None
@@ -237,7 +236,7 @@ def test_within_decides_multiplier_one_exactly():
 
 
 def test_lipschitz_scale(f2, nu2, params2):
-    one = LocallyConstantFunction.constant(f2, Fraction(1)).refine_to(f2.sphere(2))
+    one = refine_to(LocallyConstantFunction.constant(f2, Fraction(1)), f2.sphere(2))
     assert set(lipschitz_scale(one, Fraction(0), params2).values()) == {0}
     from freewalk import radon_nikodym
     f = radon_nikodym((1,), nu2, params2)
@@ -272,9 +271,8 @@ def test_power_stability(f2, nu2, params2):
     base = make_spike((1, 3), nu2, params2, margin=1)
     for t in (2, 3):
         powered = Spike(function=base.function.map(lambda v: v ** t),
-                        r_exp=base.r_exp, center=base.center, q=base.q,
-                        theta=base.theta, c=base.c ** t, gamma=base.gamma,
-                        margin=base.margin, params=params2)
+                        r_exp=base.r_exp, center=base.center, c=base.c ** t,
+                        gamma=base.gamma, margin=base.margin, params=params2)
         rep = verify_spike(powered, nu2)
         assert rep.cond1_ok and rep.cond3_ok
         assert rep.measured["cond1"] <= base.c ** t
@@ -291,8 +289,7 @@ def test_pinch_stability(f2, nu2, params2):
     g_vals = {w: v * factor[w] / m for w, v in h.function.values.items()}
     g_fun = LocallyConstantFunction(f2, g_vals)
     g = Spike(function=g_fun.scale(1 / g_fun.sup()), r_exp=h.r_exp,
-              center=h.center, q=h.q, theta=h.theta, c=m * m * h.c,
-              gamma=h.gamma, params=params2)
+              center=h.center, c=m * m * h.c, gamma=h.gamma, params=params2)
     rep = verify_spike(g, nu2)
     assert rep.all_ok
 
@@ -319,8 +316,7 @@ def test_product_stability(f2, nu2, params2):
                                           (2,): Fraction(1), (3,): Fraction(2)})
     prod = h.function.mul(factor)
     g = Spike(function=prod.scale(1 / prod.sup()), r_exp=h.r_exp,
-              center=h.center, q=h.q, theta=h.theta, c=2 * k * k * h.c,
-              gamma=h.gamma, params=params2)
+              center=h.center, c=2 * k * k * h.c, gamma=h.gamma, params=params2)
     qrep = verify_q_spike(g, nu2)
     assert qrep.q_spike_ok
 
@@ -362,7 +358,7 @@ def test_with_margin_matches_make_spike(params):
         for d in (1, 2, Fraction(3, 2), 0, 4):
             derived = with_margin(derived, d, nu)
             made = make_spike(gamma, nu, params, margin=d)
-            for name in ("r_exp", "q", "theta", "c", "margin"):
+            for name in ("r_exp", "c", "margin"):
                 assert _typed(getattr(derived, name)) == _typed(getattr(made, name))
             assert derived.function.values == made.function.values
             assert (derived.center, derived.gamma, derived.params) == \

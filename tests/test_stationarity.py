@@ -14,6 +14,8 @@ from freewalk import (WeightedFreeGroup, GroupMeasure, BoundaryMeasure,
                       UnsupportedClosedFormError, InputError)
 from freewalk import stationarity
 
+from conftest import materialize_depth
+
 
 def cylinder_route_error(mu, nu, nu_prime, depth):
     """max |(mu * nu)(C) - nu'(C)| from the cylinder masses of convolve, the
@@ -227,7 +229,7 @@ def test_conformal_base_uses_the_density(f2, nu2, params2, monkeypatch):
     mu = sphere_uniform(f2, 2)
     assert verify_stationarity(mu, nu2, nu2, depth=5).exact
     # a file-backed rule: conformal measure takes the same route
-    stored = BoundaryMeasure.from_json(nu2.materialize_depth(2).to_json(),
+    stored = BoundaryMeasure.from_json(materialize_depth(nu2, 2).to_json(),
                                        params=params2)
     assert stored.conformal and stored.params is not None
     assert verify_stationarity(mu, stored, nu2, depth=5).exact
