@@ -224,16 +224,18 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
 
     For a target of int numerators t over its `den` T, with the
     accumulator in its scaled-integer mode (value n/d as `value_pair`),
-    each lambda is one Fraction (t d - n T)/(T d), built only when it is
-    positive; otherwise it is target.at - value_at.  In the scaled-integer
-    mode g comes back as int numerators over one denominator (see
-    `SpikeAccumulator.function`), with no Fraction per cell.
+    each lambda is one Fraction (t (d/T) - n)/d when T divides d, else
+    (t d - n T)/(T d), built only when it is positive; otherwise it is
+    target.at - value_at.  In the scaled-integer mode g comes back as int
+    numerators over one denominator (see `SpikeAccumulator.function`), with
+    no Fraction per cell.
     """
     group = target.group
     acc = SpikeAccumulator(group, params)
     depth = max([target.depth()] + [len(s.center.word) for s in spikes])
     T = target.den
     lambdas: List[Tuple[Word, object]] = []
+    last = (None, 0, 1)   # the last d read and divmod(d, T)
     for sp in spikes:
         b = sp.center.word
         spine = spine_word(group, b, depth)
@@ -242,8 +244,11 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
             lam = target.at(spine) - acc.value_at(spine)
         else:
             n, d = pair
-            num = target.num_at(spine) * d - n * T
-            lam = Fraction(num, T * d) if num > 0 else 0
+            if d != last[0]:
+                last = (d, *divmod(d, T))
+            t, q, r = target.num_at(spine), last[1], last[2]
+            num, den = (t * d - n * T, T * d) if r else (t * q - n, d)
+            lam = Fraction(num, den) if num > 0 else 0
         if lam > 0:
             acc.insert(b, lam)
             lambdas.append((sp.gamma, lam))
@@ -313,18 +318,20 @@ def _adaptive_factor(R: LocallyConstantFunction, g: LocallyConstantFunction,
     return c
 
 
-def _exceeding(g: LocallyConstantFunction, c, R: LocallyConstantFunction,
-               bound) -> List[Word]:
+def _check_and_sub(R: LocallyConstantFunction, g: LocallyConstantFunction, c,
+                   bound) -> Tuple[List[Word], Optional[LocallyConstantFunction]]:
     """The cells of g (a refinement of R's partition) where h = c g exceeds
-    bound R: by cross-multiplication when both hold numerators over a `den`
-    and c is rational, so h is never built."""
+    bound R, and R - h (None if any).  When both hold numerators over a
+    `den` and c is rational, one pass takes the numerators a of R and b of h
+    over R.sub's den: b bound.den > a bound.num flags a cell, a - b is R - h."""
     if g.den is None or R.den is None or not isinstance(c, (int, Fraction)):
-        return [w for w in g.values if c * g.at(w) > bound * R.at(w)]
-    left = c.numerator * bound.denominator * R.den
-    right = bound.numerator * c.denominator * g.den
-    common = math.gcd(left, right)  # the dens share most factors: shrink both
-    left, right = left // common, right // common
-    return [w for w, v in g.values.items() if v * left > R.num_at(w) * right]
+        over = [w for w in g.values if c * g.at(w) > bound * R.at(w)]
+        return over, None if over else R.sub(g, c)
+    den = math.lcm(R.den, c.denominator * g.den)
+    up, down = den // R.den, c.numerator * (den // (c.denominator * g.den))
+    ab = {w: (R.num_at(w) * up, v * down) for w, v in g.values.items()}
+    over = [w for w, (a, b) in ab.items() if b * bound.denominator > a * bound.numerator]
+    return over, None if over else R.over(R.group, {w: a - b for w, (a, b) in ab.items()}, den)
 
 
 class _Undominated(InternalInvariantError):
@@ -336,7 +343,7 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
     """One round of both outer loops on the residual R: the greedy recursion
     on `target`, then the first of `factors` (functions of R and g) whose
     h = factor g passes h <= bound R on every cell, then the canonical
-    R - h and its L1 norm.
+    R - h, from the same pass over g's cells as the check, and its L1 norm.
 
     Returns (lambdas, g, factor, R - h, ||R - h||_1); raises _Undominated
     when every factor fails the check.
@@ -344,9 +351,9 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
     lambdas, g = greedy_lambdas(target, spikes, nu.params)
     for factor_of in factors:
         factor = factor_of(R, g)
-        over = _exceeding(g, factor, R, bound)
+        over, rest = _check_and_sub(R, g, factor, bound)
         if not over:
-            R_next = R.sub(g, factor).canonical()
+            R_next = rest.canonical()
             return lambdas, g, factor, R_next, integrate(R_next, nu)
     raise _Undominated(f"h exceeds {'R' if bound == 1 else 'beta R'} on {over[:3]}")
 

@@ -373,15 +373,16 @@ class SpikeAccumulator:
     denominator `den`, and each center's profile as (node, int) pairs over
     the product of its letters' q_x, so `insert` adds integers with no gcd.
     `den` grows only when a coefficient's denominator times the profile's
-    does not divide it, and the nodes do not grow with it: each node keeps
-    the `den` it was last written over, and is brought up to the current
-    one (times den // its own, an exact quotient, since each `den` divides
-    the next) only when `insert` or a reader touches it.  With L = lcm q_x
-    and m_x = (L/q_x)(q_x - p_x), `value_pair` returns
+    does not divide it, by a factor that is recorded; each node keeps the
+    version (the count of growths) it was last written at, and is brought
+    up to the current `den`, times the factors it missed (the last one, for
+    a node one growth behind), only when `insert` or a reader touches it.
+    With L = lcm q_x and m_x = (L/q_x)(q_x - p_x), `value_pair` returns
     (L N_0 + sum_t m_{w_t} N_{t+1}, den L) and `value_at` that quotient as
-    one Fraction.  `function` brings every node up to date once and returns
-    the sum on many cells as ints over the one denominator den L (a
-    LocallyConstantFunction with `den`).
+    one Fraction.  `function` brings every node up to date at once, by
+    suffix products of the factors, and returns the sum on many cells as
+    ints over the one denominator den L (a LocallyConstantFunction with
+    `den`).
 
     Every other case keeps plain Fraction/float arithmetic on the node sums:
     float params; a step that is not a Fraction (e.g. alpha = 1/3 log 3 on
@@ -399,7 +400,8 @@ class SpikeAccumulator:
                      for x in group.letters()}
         self._profiles: Dict[Word, Tuple[Optional[int], list]] = {}
         self._den: Optional[int] = None   # None: plain arithmetic
-        self._over: Dict[Word, int] = {}  # scaled mode: the den of each node
+        self._growths: List[int] = []     # scaled mode: den's growths
+        self._version: Dict[Word, int] = {}  # and each node's count of them
         if all(isinstance(s, Fraction) for s in self.step.values()):
             self._den = 1
             self._lcm = math.lcm(*(s.denominator for s in self.step.values()))
@@ -437,7 +439,6 @@ class SpikeAccumulator:
         """Leave the scaled-integer mode: node sums become Fractions."""
         self.nodes = self.node_sums()
         self._den = None
-        self._over = {}
         self._profiles.clear()
 
     def _fresh(self, node: Word) -> Optional[int]:
@@ -445,12 +446,22 @@ class SpikeAccumulator:
         back (None for a node not yet written)."""
         v = self.nodes.get(node)
         if v is not None:
-            den, was = self._den, self._over[node]
-            if was is not den:
-                v *= den // was
+            growths, was = self._growths, self._version[node]
+            if was != len(growths):
+                v *= math.prod(growths[was:])
                 self.nodes[node] = v
-                self._over[node] = den
+                self._version[node] = len(growths)
         return v
+
+    def _refresh(self) -> None:
+        """Scaled-integer mode: every node over the current den."""
+        growths, version, now = self._growths, self._version, len(self._growths)
+        suffix = {now: 1}   # version -> the product of the factors since
+        for i in range(now - 1, min(version.values(), default=now) - 1, -1):
+            suffix[i] = suffix[i + 1] * growths[i]
+        for node, was in version.items():
+            self.nodes[node] *= suffix[was]
+        self._version = dict.fromkeys(version, now)
 
     def insert(self, center: Word, coeff) -> None:
         if self._den is not None and not isinstance(coeff, (int, Fraction)):
@@ -464,13 +475,13 @@ class SpikeAccumulator:
         need = coeff.denominator * scale
         den = self._den
         if den % need:
-            den *= need // math.gcd(den, need)
-            self._den = den
+            self._growths.append(need // math.gcd(den, need))
+            self._den = den = den * self._growths[-1]
         k = coeff.numerator * (den // need)
-        fresh, over = self._fresh, self._over
+        fresh, version, now = self._fresh, self._version, len(self._growths)
         for node, v in profile:
             nodes[node] = (fresh(node) or 0) + k * v
-            over[node] = den
+            version[node] = now
 
     def _numerator(self, word: Word) -> int:
         """Scaled-integer mode: value_at(word) times den * L, as an int."""
@@ -505,14 +516,14 @@ class SpikeAccumulator:
         return total + here
 
     def function(self, cells: Iterable[Word]) -> LocallyConstantFunction:
-        """The sum on the given cells.  In the scaled-integer mode its values
-        are int numerators over the one denominator den * L, so no Fraction
-        (and no gcd) is built per cell; otherwise they are `value_at`'s."""
+        """The sum on the given cells.  In the scaled-integer mode every node
+        is brought up to date by suffix products of den's growth factors, and
+        the values are int numerators over den * L, with no Fraction (or gcd)
+        per cell; otherwise they are `value_at`'s."""
         if self._den is None:
             return LocallyConstantFunction(
                 self.group, {w: self.value_at(w) for w in cells}, validate=False)
-        for node in self.nodes:
-            self._fresh(node)
+        self._refresh()
         return LocallyConstantFunction.over(
             self.group, {w: self._numerator(w) for w in cells}, self._den * self._lcm)
 
@@ -629,7 +640,8 @@ class SpikeAccumulator:
         scaled-integer mode)."""
         if self._den is None:
             return dict(self.nodes)
-        return {node: Fraction(v, self._over[node]) for node, v in self.nodes.items()}
+        self._refresh()
+        return {node: Fraction(v, self._den) for node, v in self.nodes.items()}
 
 
 def density(mu: GroupMeasure, nu: BoundaryMeasure) -> LocallyConstantFunction:
@@ -716,10 +728,16 @@ def integrate(f: LocallyConstantFunction, nu: BoundaryMeasure):
 
 def rational_sum(terms: Iterable[Tuple[int, int]], den: int = 1) -> Fraction:
     """The sum of n/d over the int pairs (n, d), divided by `den`, as one
-    Fraction: the numerators are summed per d and the groups over the lcm
-    of the d, so no gcd is taken per term."""
+    Fraction: numerators summed per d (no gcd per term), then by ascending d
+    over a common denominator that grows by d // common or to the lcm."""
     groups: Dict[int, int] = {}
     for n, d in terms:
         groups[d] = groups.get(d, 0) + n
-    common = math.lcm(*groups)
-    return Fraction(sum(n * (common // d) for d, n in groups.items()), common * den)
+    common, total = 1, 0
+    for d in sorted(groups):
+        grow, rest = divmod(d, common)
+        if rest:  # d is not a multiple of common: grow to their lcm
+            grow = d // math.gcd(common, d)
+        common *= grow
+        total = total * grow + groups[d] * (common // d)
+    return Fraction(total, common * den)

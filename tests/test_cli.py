@@ -314,6 +314,18 @@ def test_moments_default_rescale(tmp_path):
     assert all(doc["envelope"]["checks"].values())
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: decompose with a "
+                   "shadow margin fails the guaranteed contraction at round 14 "
+                   "and exits 3")
+def test_decompose_with_margin_runs_to_its_end(tmp_path):
+    # a documented config run to its end: it meets tau (exit 0) or reports
+    # the tolerance it reached (exit 1), never an internal error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"group": {"rank": 2}, "params": {"D": 1}}))
+    assert main(["decompose", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) in (0, 1)
+
+
 def test_moments_without_margin(tmp_path):
     # no "D": moments runs with D = 1 and the proof rescale, other knobs kept
     cfg = write_config(tmp_path)

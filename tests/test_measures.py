@@ -410,16 +410,27 @@ def test_lazy_accumulator_matches_eager_rescaling(weights):
                 assert lazy.value_at(w) == eager.value_at(w)
                 n, d = lazy.value_pair(w)
                 assert Fraction(n, d) == eager.value_at(w) and d == lazy._den * lazy._lcm
-    stale = sum(at != lazy._den for at in lazy._over.values())
-    assert stale >= 200
-    assert lazy.node_sums() == eager.node_sums()
-    for w in probes:
-        assert repr(lazy.value_at(w)) == repr(eager.value_at(w))
+    # each node keeps the version (the number of den's growths) it was
+    # written at; probe nodes exactly one growth behind and many behind
+    now = len(lazy._growths)
+    behind = {node: now - was for node, was in lazy._version.items()}
+    assert sum(k > 0 for k in behind.values()) >= 200
+    one = [node for node, k in behind.items() if k == 1]
+    many = [node for node, k in behind.items() if k >= 50]
+    assert one and many
+    for node in one[:5] + many[:5]:
+        assert lazy._fresh(node) == eager.nodes[node]
+        assert lazy._version[node] == now
+    # `function` scales the stale nodes up through suffix products
+    assert sum(at != now for at in lazy._version.values()) >= 190
     cells = group.sphere(5)
     got, want = lazy.function(cells), eager.function(cells)
     assert got.den == want.den == lazy._den * lazy._lcm
     assert got.values == want.values
-    assert all(at == lazy._den for at in lazy._over.values())
+    assert all(at == now for at in lazy._version.values())
+    assert lazy.node_sums() == eager.node_sums()
+    for w in probes:
+        assert repr(lazy.value_at(w)) == repr(eager.value_at(w))
     lazy._to_plain()
     eager._to_plain()
     assert lazy.nodes == eager.nodes and lazy._den is eager._den is None
@@ -437,7 +448,7 @@ def test_float_after_stale_nodes_matches_eager():
         center, coeff = rng.choice(words), Fraction(rng.randint(1, 90), p)
         lazy.insert(center, coeff)
         eager.insert(center, coeff)
-    assert sum(at != lazy._den for at in lazy._over.values()) >= 200
+    assert sum(at != len(lazy._growths) for at in lazy._version.values()) >= 200
     lazy.insert(words[7], 0.3125)
     eager.insert(words[7], 0.3125)
     assert lazy._den is None and eager._den is None

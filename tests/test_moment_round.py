@@ -2,7 +2,8 @@
 one shared denominator, against the Fraction rounds they replaced, kept here
 as the oracles; the shared-denominator operations of
 `LocallyConstantFunction`, and `integrate`'s grouped exact sum, against the
-same operations on values."""
+same operations on values; the round's fused domination check and residual
+against the check it replaced."""
 
 import math
 from fractions import Fraction
@@ -20,7 +21,7 @@ from freewalk.decomposition import (InternalInvariantError, RoundRecord,
                                     moment_decompose, oscillation_threshold,
                                     t_factor)
 from freewalk.geometry import sup_product
-from freewalk.measures import SpikeAccumulator
+from freewalk.measures import SpikeAccumulator, rational_sum
 from freewalk.partitions import refine_leaves, spine_word, trie_closure
 from freewalk.spikes import lipschitz_scale
 from freewalk.words import as_exact
@@ -587,6 +588,30 @@ def test_integrate_int_cells():
     assert repr(integrate(over8, MEASURES["int"])) == "Fraction(5, 2)"
 
 
+@st.composite
+def sum_terms(draw):
+    """(n, d) pairs with negative n and repeated d, the d drawn from a
+    divisibility chain, from loose ints or from both; one term or none."""
+    chain = [draw(st.integers(1, 60))]
+    for _ in range(draw(st.integers(0, 6))):
+        chain.append(chain[-1] * draw(st.integers(1, 2 ** 40)))
+    loose = draw(st.lists(st.integers(1, 10 ** 30), min_size=1, max_size=4))
+    pool = draw(st.sampled_from([chain, loose, chain + loose]))
+    return draw(st.lists(st.tuples(st.integers(-10 ** 40, 10 ** 40),
+                                   st.sampled_from(pool)), max_size=12))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(sum_terms(), st.sampled_from([1, 7, 2 ** 70 * 3 ** 5]))
+@example([], 3)
+@example([(-5, 12)], 1)
+@example([(1, 2), (1, 6), (-1, 4), (3, 24), (1, 6)], 5)
+def test_rational_sum_matches_fraction_sum(terms, den):
+    want = sum((Fraction(n, d) for n, d in terms), Fraction(0)) / den
+    got = rational_sum(iter(terms), den)
+    assert type(got) is type(want) and got == want
+
+
 # ---------------------------------------------------------------------------
 # the shared-denominator operations against the same steps on values
 # ---------------------------------------------------------------------------
@@ -686,6 +711,87 @@ def test_shared_den_ops_match_values(case, vparams, r_exp):
         [repr(v) for v in want_next.values.values()]
     assert held_as_ints(R_next) == (not isinstance(factor, float))
     assert repr(l1) == repr(plain_integrate(want_next, MEASURES["exact"]))
+
+
+def oracle_exceeding(g, c, R, bound):
+    """The domination check as it was, before it shared its pass with
+    R - h: the cells of g where c g > bound R, by cross-multiplication."""
+    left = c.numerator * bound.denominator * R.den
+    right = bound.numerator * c.denominator * g.den
+    common = math.gcd(left, right)
+    left, right = left // common, right // common
+    return [w for w, v in g.values.items() if v * left > R.num_at(w) * right]
+
+
+@st.composite
+def fused_cases(draw):
+    """R and g held as ints, a rational factor and a bound in {1, beta}."""
+    R, g, _, _ = draw(numerator_pairs())
+    c = draw(st.one_of(st.integers(1, 3),
+                       st.fractions(Fraction(1, 64), 4, max_denominator=99)))
+    return R, g, c, draw(st.sampled_from([1, GreedyParams().beta]))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(fused_cases())
+def test_fused_check_matches_exceeding_and_sub(case):
+    R, g, c, bound = case
+    # the largest factor that passes: h = bound R on some cell
+    quotients = [R.at(w) / g.at(w) for w in g.values if g.num_at(w) > 0]
+    passing = bound * min(quotients) if quotients else Fraction(1)
+    for factor in (c, passing):
+        over, rest = decomposition._check_and_sub(R, g, factor, bound)
+        assert over == oracle_exceeding(g, factor, R, bound)
+        if over:
+            assert rest is None
+        else:
+            want = R.sub(g, factor)
+            assert rest.den == want.den
+            assert list(rest.values.items()) == list(want.values.items())
+    assert not over
+    # a first factor that fails and a second that passes, as in the basis
+    # loop's fallback on its last shell
+    original = decomposition.greedy_lambdas
+    decomposition.greedy_lambdas = lambda target, spikes, params: ([], g)
+    try:
+        out = decomposition._greedy_round(
+            R, R, [], MEASURES["exact"], [lambda R, g: c, lambda R, g: passing],
+            bound)
+    finally:
+        decomposition.greedy_lambdas = original
+    first = c if not oracle_exceeding(g, c, R, bound) else passing
+    want = R.sub(g, first).canonical()
+    assert out[2] == first
+    assert out[3].den == want.den and out[3].values == want.values
+
+
+def test_lambdas_over_the_accumulators_den_match_values():
+    # T = 21 does not divide the first den L = 9, and divides the later ones
+    vparams = VisualParams.exact_base(3)
+    spikes = _round_spikes(GROUP2, vparams, 3, 1)
+    cells = GROUP2.sphere(2)
+    target = LocallyConstantFunction(GROUP2, {
+        w: Fraction(5 + i % 4, 21) + (i % 3) for i, w in enumerate(cells)})
+    held = target.over_shared_den()
+    assert held.den == 21
+    dens = []
+    pair = SpikeAccumulator.value_pair
+
+    def spy(acc, word):
+        out = pair(acc, word)
+        dens.append(out[1])
+        return out
+
+    SpikeAccumulator.value_pair = spy
+    try:
+        lambdas, g = decomposition.greedy_lambdas(held, spikes, vparams)
+    finally:
+        SpikeAccumulator.value_pair = pair
+    want, want_g = decomposition.greedy_lambdas(target, spikes, vparams)
+    assert dens[0] % 21 and not dens[-1] % 21
+    assert sum(lam > 0 for _, lam in lambdas) > 5
+    assert lambda_reprs(lambdas) == lambda_reprs(want)
+    assert as_values(g).values == as_values(want_g).values
 
 
 # ---------------------------------------------------------------------------
