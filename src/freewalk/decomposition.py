@@ -70,12 +70,17 @@ def measure_constants(nu: BoundaryMeasure, params: VisualParams,
     """Run the shadow/doubling sweep and the decay audit of the conformal nu
     and assemble L_nu from the measured values via
     3 L_nu = 1/(1 + B + D_nu B + B T_nu + B D_nu 2^Q).  The decay audit is
-    (Q, Q) on the spine word of length max_len + 2, j = 1..max_len+1."""
+    (Q, Q) at j = 1..max_len+1 on the spine word of length max_len + 2,
+    lengthened until it weighs more than max_len + 1 (a letter may weigh
+    less than 1); the integral reads only cells outside the balls."""
     require_conformal(nu, params, "measure_constants")
     aud = shadow_lemma_audit(nu, params, max_len, list(ds))
     q = params.q_exponent
-    spine = Cylinder(spine_word(nu.group, EPSILON, max_len + 2))
-    d_nu = decay_check(nu, q, q, [spine], range(1, max_len + 2), params=params).d_nu
+    spine = spine_word(nu.group, EPSILON, max_len + 2)
+    while nu.group.word_weight(spine) <= max_len + 1:
+        spine = spine_word(nu.group, spine, len(spine) + 1)
+    d_nu = decay_check(nu, q, q, [Cylinder(spine)], range(1, max_len + 2),
+                       params=params).d_nu
     b = 1
     two_q = 2 ** q if isinstance(q, int) else 2.0 ** float(q)
     l_nu = Fraction(1, 3) / (1 + b + d_nu * b + b * aud.t_nu + b * d_nu * two_q)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
-                    multiply, is_prefix)
+                    multiply, is_prefix, common_prefix_length)
 from .geometry import (Cylinder, VisualParams, LogScale, locally_constant_cells,
                        translate_cylinder)
 from .partitions import (LocallyConstantFunction, trie_closure,
@@ -358,20 +358,63 @@ def radon_nikodym(gamma: Word, nu: BoundaryMeasure,
         group, {c.word: params.alpha.exp_neg(rho) for c, rho in cells}, validate=False)
 
 
+def radial_profile(center: Word, step: Dict[int, Fraction]) -> Tuple[int, List[int]]:
+    """The unit spike profile u_center = e^{-2 alpha (W_n - W_t)} at the
+    depths t = 0..n of `center`, as (scale, ints) with u = ints[t] / scale,
+    for Fraction steps step[x] = e^{-2 alpha w_x} = p_x/q_x: ints[t] is the
+    product of p over center[t:] times that of q over center[:t], and scale
+    the product of q over center."""
+    n = len(center)
+    ints = [1] * (n + 1)
+    for t in range(n - 1, -1, -1):
+        ints[t] = ints[t + 1] * step[center[t]].numerator
+    scale = 1
+    for t in range(n + 1):
+        ints[t] *= scale
+        if t < n:
+            scale *= step[center[t]].denominator
+    return scale, ints
+
+
+def unit_spike(gamma: Word, nu: BoundaryMeasure,
+               params: VisualParams) -> LocallyConstantFunction:
+    """f_gamma / sup f_gamma: on the cell of trie_closure([gamma^{-1}]) that
+    leaves the spine at depth t, the profile u_{gamma^{-1}} =
+    e^{-2 alpha (W_n - W_t)} (1 on the center cell), held as
+    `radial_profile`'s ints over den = scale whenever f_gamma is made of
+    Fractions: alpha is exact, alpha W(gamma) is integral in base units and
+    every step on the path is a Fraction.  Otherwise (float params, or
+    alpha = 1/2 log 9 at odd |gamma|, where f_gamma is a float) it is
+    radon_nikodym(...).scale(1 / sup), so its floats are those of f_gamma."""
+    require_conformal(nu, params, "unit_spike")
+    group, alpha, center = nu.group, params.alpha, invert(gamma)
+    if alpha.exact and (alpha.coeff * group.word_weight(gamma)).denominator == 1:
+        step = {x: alpha.exp_neg(2 * group.letter_weight(x)) for x in set(center)}
+        if all(isinstance(s, Fraction) for s in step.values()):
+            scale, ints = radial_profile(center, step)
+            return LocallyConstantFunction.over(
+                group, {w: ints[common_prefix_length(w, center)]
+                        for w in trie_closure(group, [center])}, scale)
+    f = radon_nikodym(gamma, nu, params)
+    return f.scale(1 / f.sup())
+
+
 class SpikeAccumulator:
     """Incremental evaluation of sums of coeff * u_w.
 
     A unit-sup spike profile u_w is radial in the branch depth: on a cell
     meeting the center word w at weighted depth W_t it equals
-    e^{-2 alpha (W_n - W_t)}.  Per-node partial sums N_t make insertion and
-    point evaluation O(depth): with step[x] = e^{-2 alpha w_x},
+    e^{-2 alpha (W_n - W_t)}; at w = gamma^{-1} it is the unit spike
+    f_gamma / sup f_gamma (`unit_spike`).  Per-node partial sums N_t make
+    insertion and point evaluation O(depth): with step[x] = e^{-2 alpha w_x},
 
         value_at(w) = N_0 + sum_t (1 - step[w_t]) N_{t+1}.
 
     When every step[x] is a Fraction p_x/q_x (alpha = c log b with every
     2 c w_x an integer), each N_t is kept as an int over a shared
     denominator `den`, and each center's profile as (node, int) pairs over
-    the product of its letters' q_x, so `insert` adds integers with no gcd.
+    the product of its letters' q_x (`radial_profile`, whose ints
+    `unit_spike` holds too), so `insert` adds integers with no gcd.
     `den` grows only when a coefficient's denominator times the profile's
     does not divide it, by a factor that is recorded; each node keeps the
     version (the count of growths) it was last written at, and is brought
@@ -410,8 +453,8 @@ class SpikeAccumulator:
 
     def _profile(self, center: Word) -> Tuple[Optional[int], list]:
         """(scale, [(center[:t], scale * e^{-2 alpha (W_n - W_t)})]) for
-        t = 0..n: integers over scale = prod q_x in the scaled-integer mode,
-        plain exponentials with scale None otherwise."""
+        t = 0..n: `radial_profile`'s ints over scale = prod q_x in the
+        scaled-integer mode, plain exponentials with scale None otherwise."""
         profile = self._profiles.get(center)
         if profile is None:
             if self._den is None:
@@ -420,18 +463,8 @@ class SpikeAccumulator:
                 profile = (None, [(center[:t], self.alpha.exp_neg(2 * (total - acc)))
                                   for t, acc in enumerate(weights)])
             else:
-                # e^{-2 alpha (W_n - W_t)} = prod_{s >= t} p/q over center[s]
-                step = self.step
-                n = len(center)
-                ints = [1] * (n + 1)
-                for t in range(n - 1, -1, -1):
-                    ints[t] = ints[t + 1] * step[center[t]].numerator
-                scale = 1
-                for t in range(n + 1):
-                    ints[t] *= scale
-                    if t < n:
-                        scale *= step[center[t]].denominator
-                profile = (scale, [(center[:t], ints[t]) for t in range(n + 1)])
+                scale, ints = radial_profile(center, self.step)
+                profile = (scale, [(center[:t], v) for t, v in enumerate(ints)])
             self._profiles[center] = profile
         return profile
 

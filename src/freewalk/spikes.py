@@ -18,6 +18,9 @@ every radius and C, built once per spike family, and what they measure at
 each radius, which every C is compared against.  `shadow_lemma_audit`
 sweeps the family once: the masses of each spike's balls at r and 5r give
 the Shadow Lemma constant beta and the local doubling supremum T_nu.
+The unit spike f_gamma / sup f_gamma is SpikeAccumulator's radial profile
+(`measures.unit_spike`), ints over one denominator that the cell table reads
+as they are, unless f_gamma has a float: then it is f_gamma scaled by 1/sup.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .words import (Word, WeightedFreeGroup, InputError, is_prefix,
                     common_prefix_length, as_exact, invert)
 from .geometry import Cylinder, LogScale, VisualParams, AmbiguousCylinderError
 from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
-from .measures import BoundaryMeasure, radon_nikodym, require_conformal
+from .measures import BoundaryMeasure, require_conformal, unit_spike
 
 
 class DegenerateSpikeError(ValueError):
@@ -109,8 +112,8 @@ def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
     for k, weight in enumerate(group.prefix_weights(center)):
         if _within(eps, weight, r_exp, mult):
             return center[:k]
-    raise AmbiguousCylinderError(
-        f"ball smaller than the center cell {center}; deepen the partition")
+    raise AmbiguousCylinderError(f"ball smaller than the center cell "
+                                 f"{group.format_word(center)}; deepen the partition")
 
 
 def ball_cells(group: WeightedFreeGroup, cells: Sequence[Word], center: Word,
@@ -157,23 +160,27 @@ class _CellTable:
 
 class _SpikeTable(_CellTable):
     """A spike's `_CellTable` plus the rest of what `verify_spike` reads at
-    every radius and C: the prepared cells as int numerators over one `den`,
-    sup, each cell's meet depth with the center, the first nonpositive cell,
-    and condition 2's kernel e^{2Q eps W_k} per meet depth k, as first read,
-    and `verify_spike`'s measurement per radius (`measured`).  It holds for
+    every radius and C: the prepared cells as int numerators over one `den`
+    (a unit spike's own; `over_shared_den` for any other function), sup,
+    each cell's meet depth with the center, the first nonpositive cell, and
+    condition 2's kernel e^{2Q eps W_k} per meet depth k, as first read, and
+    `verify_spike`'s measurement per radius (`measured`).  It holds for
     `function` (by identity), the center and the params (`source`)."""
 
     def __init__(self, spike: Spike, source: tuple):
         self.function, self.source, self.kernel, self.measured = \
             spike.function, source, {}, {}
-        self.values = _prepared_cells(spike)
-        self.func = LocallyConstantFunction(spike.function.group, self.values,
-                                            validate=False).over_shared_den()
+        self.func = _prepared_cells(spike).over_shared_den()
         super().__init__(self.func, spike.params.epsilon)
         self.num = num = self.func.values
-        self.sup = self.values[max(num, key=num.__getitem__)]
+        self.sup = self.value(max(num, key=num.__getitem__))
         self.meet = {w: common_prefix_length(w, spike.center.word) for w in num}
         self.nonpositive = next((w for w in num if num[w] <= 0), None)
+
+    def value(self, w: Word):
+        """f on the cell w: Fraction(num, den) over a shared den, else the
+        stored value."""
+        return self.num[w] if self.den is None else Fraction(self.num[w], self.den)
 
 
 def _scale_classes(table: _CellTable, r_exp) -> Dict[Word, List[Word]]:
@@ -243,8 +250,9 @@ def _checked_margin(margin):
 
 def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
                 margin=0) -> Spike:
-    """Unit-normalized spike from the Radon-Nikodym derivative f_gamma, with
-    no constant (c = None).
+    """Unit-normalized spike f_gamma / sup f_gamma (`measures.unit_spike`,
+    the radial profile u_{gamma^{-1}} when f_gamma is made of Fractions),
+    with no constant (c = None).
 
     Center is z^+ = C(gamma^{-1}), the D = 0 shadow cylinder; the radius
     exponent is ||gamma|| - D.
@@ -253,9 +261,7 @@ def build_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     if not gamma:
         raise DegenerateSpikeError("gamma = e gives a degenerate (constant) spike")
     margin = _checked_margin(margin)
-    f = radon_nikodym(gamma, nu, params)
-    sup = f.sup()
-    unit = f.scale(1 / sup)
+    unit = unit_spike(gamma, nu, params)
     return Spike(function=unit, r_exp=nu.group.word_weight(gamma) - margin,
                  center=Cylinder(invert(gamma)), c=None, gamma=gamma,
                  margin=margin, params=params)
@@ -282,18 +288,19 @@ def make_spike(gamma: Word, nu: BoundaryMeasure, params: VisualParams,
     return with_margin(build_spike(gamma, nu, params), margin, nu)
 
 
-def _prepared_cells(spike: Spike) -> Dict[Word, object]:
-    """Spike values on a partition refined to contain the center as a cell;
-    cells strictly below the center make it ambiguous."""
+def _prepared_cells(spike: Spike) -> LocallyConstantFunction:
+    """The spike's function, with its `den`, on a partition refined to
+    contain the center as a cell; cells strictly below the center make it
+    ambiguous."""
     f = spike.function
     center = spike.center.word
     if center in f.values:
-        return dict(f.values)
+        return f
     leaves = refine_leaves(f.group, f.values.keys(), trie_closure(f.group, [center]))
     if center not in leaves:
         raise AmbiguousCylinderError(f"the spike is not constant on its center "
                                      f"{f.group.format_word(center)}")
-    return {w: f.at(w) for w in leaves}
+    return LocallyConstantFunction.over(f.group, {w: f.num_at(w) for w in leaves}, f.den)
 
 
 def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
@@ -309,13 +316,14 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     witnesses, and each check's sign and mass precondition.  Each call
     compares that measurement against C and returns a report of its own.
 
-    When every value is an int or a Fraction, the cells are read once as
-    int numerators over their lcm (`over_shared_den`), and every ordering
-    decision runs on those ints: the ball minimum, the sign tests, each
-    scale class's lo/hi and the worst class, the worst Lipschitz cell and
-    the witness ties.  Each reported number is then built once, from the
-    values by the formula of the per-cell checks, so it is the same Fraction
-    or float.  Condition 2 divides a cell only when its h beats every earlier
+    When every value is an int or a Fraction, the cells are read as int
+    numerators over one denominator (a unit spike's own, else their lcm by
+    `over_shared_den`), and every ordering decision runs on those ints: the
+    ball minimum, the sign tests, each scale class's lo/hi and the worst
+    class, the worst Lipschitz cell and the witness ties.  Each reported
+    number is then built once, from the values at the cells it names by the
+    formula of the per-cell checks, so it is the same Fraction or float.
+    Condition 2 divides a cell only when its h beats every earlier
     cell at its meet depth (the ratio is monotone in h there): on the
     spikes f_gamma that is once per depth.  Float values are their own
     numerators and run the per-cell checks in their order, unchanged.
@@ -342,14 +350,14 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
     2, 3 and Q-spike, its precondition and the measured keys C must bound."""
     group, params, eps = spike.function.group, spike.params, table.eps
     Q = params.q_exponent
-    values, num, den = table.values, table.num, table.den
+    num, den, value = table.num, table.den, table.value
     key = num.__getitem__
     center = spike.center.word
     # B(a, r) is one cylinder C(p): its cells meet the center at depth >= |p|.
     # A Fraction nu(C(p)) is exactly their sum; any other value is that sum
     # in partition order, as a float sum rounds by the order of its terms
     prefix_r = _ball_prefix(group, center, params, spike.r_exp)
-    ball = [w for w in values if table.meet[w] >= len(prefix_r)]
+    ball = [w for w in num if table.meet[w] >= len(prefix_r)]
     if type(mass_r := nu.mass_of(prefix_r)) is not Fraction:
         mass_r = sum(nu.mass_of(w) for w in ball)
     inside = set(ball)
@@ -360,7 +368,7 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
     # condition 1: h >= sup/C on the ball
     low = min(inside, key=key)
     wit1 = min(w for w in inside if num[w] == num[low])
-    measured["cond1"] = _ratio(table.sup, values[low]) if num[low] > 0 else None
+    measured["cond1"] = _ratio(table.sup, value(low)) if num[low] > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
     # C bounds the ratio as measured: in floats h_min * (sup / h_min) can
     # round below sup
@@ -373,20 +381,20 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
     # At one depth the ratio h(y) / (h(a) r^Q nu(B) K_k) is monotone in h(y),
     # rising when h(a) >= 0, so a cell whose h does not beat the last cell
     # divided at its depth cannot pass the worst ratio.
-    h_r = values[center] * r_pow_q
+    h_r = value(center) * r_pow_q
     sign = 1 if num[center] >= 0 else -1
     expo = 2 * Q
     denom: Dict[int, object] = {}
     last: Dict[int, object] = {}
     worst2 = wit2 = None
     positive = True
-    for y in values:
+    for y in num:
         if y in inside:
             continue
         n = num[y]
         if n <= 0:
             positive = False
-            wit2 = group.format_word(y)
+            wit2 = y
             break
         k = table.meet[y]
         if den is not None and k in last and sign * n <= last[k]:
@@ -396,11 +404,11 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
             if k not in table.kernel:
                 table.kernel[k] = eps.exp_neg(-expo * table.weights[center][k])
             denom[k] = h_r * (mass_r * table.kernel[k])
-        need = values[y] / denom[k]
+        need = value(y) / denom[k]
         if worst2 is None or need > worst2:
-            worst2, wit2 = need, group.format_word(y)
+            worst2, wit2 = need, y
     measured["cond2"] = worst2 if positive else None
-    witnesses["cond2"] = wit2
+    witnesses["cond2"] = None if wit2 is None else group.format_word(wit2)
     pre2 = positive
 
     # condition 3: short-range oscillation.  Here and for the Lipschitz
@@ -413,14 +421,14 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
         if num[lo] <= 0:
             positive = False
             continue
-        p, q = (num[hi], num[lo]) if den is not None else (values[hi] / values[lo], 1)
+        p, q = (num[hi], num[lo]) if den is not None else (num[hi] / num[lo], 1)
         if p * worst3[1] > worst3[0] * q:
             worst3, top3 = (p, q), (members, hi, lo)
     if top3 is None:
         measured["cond3"], witnesses["cond3"] = 1, None
     else:
         members, hi, lo = top3
-        measured["cond3"] = _ratio(values[hi], values[lo])
+        measured["cond3"] = _ratio(value(hi), value(lo))
         witnesses["cond3"] = tuple(
             group.format_word(min(w for w in members if num[w] == num[end]))
             for end in (hi, lo))
@@ -436,14 +444,14 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
         r_val = eps.exp_neg(spike.r_exp)
         exact = den is not None and float not in {type(r_val), *map(type, slopes.values())}
         worst_lip, top_lip = (0, 1), None
-        for w in values:
+        for w in num:
             s = slopes[w]
             p, q = (s.numerator, s.denominator * num[w]) if exact \
-                else (s * r_val / values[w], 1)
+                else (s * r_val / value(w), 1)
             if p * worst_lip[1] > worst_lip[0] * q:
                 worst_lip, top_lip = (p, q), w
         measured["lipschitz"] = 0 if top_lip is None else \
-            slopes[top_lip] * r_val / values[top_lip]
+            slopes[top_lip] * r_val / value(top_lip)
         witnesses["lipschitz"] = None if top_lip is None else group.format_word(top_lip)
         measured["mass"] = r_pow_q / mass_r if mass_r > 0 else None
         pre_q = mass_r > 0

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freewalk import cli, decomposition, spikes
+from freewalk import cli, decomposition, measures, spikes
 from freewalk.cli import main
 from freewalk.decomposition import InternalInvariantError
 from freewalk.geometry import LogScale
@@ -163,6 +163,18 @@ def test_audit_rejects_margins_between_0_and_1(tmp_path, capsys):
         cfg = write_config(tmp_path, audit={"max_len": 1, "Ds": ds})
         assert main(["audit", "--config", cfg]) == 2
         assert f"D = {shown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arithmetic", ["exact", "float"])
+@pytest.mark.parametrize("command", ["audit", "decompose", "moments"])
+def test_sub_unit_weights_run(tmp_path, command, arithmetic):
+    # letters that weigh 1/2: the decay audit's spine must weigh more than
+    # its largest radius exponent, max_len + 1, so it is longer than
+    # max_len + 2 letters
+    cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1/2", "1/2"]},
+                       params={"arithmetic": arithmetic, "max_rounds": 3},
+                       moments={"rounds": 1})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "audit"
@@ -752,9 +764,10 @@ def test_injected_spike_with_a_decimal_cell(tmp_path, capsys, mode, code):
 
 @pytest.mark.parametrize("epsilon", ["critical", "1/2*log(3)"])
 def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
-    # f_gamma does not depend on D: one radon_nikodym per gamma, and each
-    # (gamma, D) spike is still verified twice (C measured, then checked)
-    calls = {"radon_nikodym": 0, "verify_spike": 0}
+    # f_gamma does not depend on D: one unit spike per gamma, each read off
+    # the radial profile (no radon_nikodym at an exact alpha = log 3), and
+    # each (gamma, D) spike is still verified twice (C measured, then checked)
+    calls = {"unit_spike": 0, "radon_nikodym": 0, "verify_spike": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -764,7 +777,8 @@ def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(spikes, "radon_nikodym")
+    counted(spikes, "unit_spike")
+    counted(measures, "radon_nikodym")
     counted(spikes, "verify_spike")
     monkeypatch.setattr(cli, "verify_spike", spikes.verify_spike)
     cfg = write_config(tmp_path, params={"alpha": "critical", "epsilon": epsilon,
@@ -773,7 +787,8 @@ def test_audit_builds_f_gamma_once_per_gamma(tmp_path, monkeypatch, epsilon):
     out = tmp_path / "out"
     assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
     gammas = 4 + 12
-    assert calls == {"radon_nikodym": gammas, "verify_spike": 2 * 3 * gammas}
+    assert calls == {"unit_spike": gammas, "radon_nikodym": 0,
+                     "verify_spike": 2 * 3 * gammas}
     assert json.loads((out / "audit.json").read_text())["spikes_checked"] == 3 * gammas
 
 

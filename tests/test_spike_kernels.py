@@ -94,12 +94,18 @@ def old_lipschitz_scale(f, r_exp, params, mult=1):
     return out
 
 
+def prepared_values(spike):
+    """The spike's values on its prepared cells, one number per cell."""
+    f = _prepared_cells(spike)
+    return {w: f.at(w) for w in f.values}
+
+
 def cond2_by_double_sum(spike, nu):
     """Condition 2's worst ratio and witness, each integral summed over every
     (inside, outside) pair of cells."""
     group = spike.function.group
     eps = spike.params.epsilon
-    values = _prepared_cells(spike)
+    values = prepared_values(spike)
     center = spike.center.word
     inside = set(old_ball_cells(group, list(values), center, spike.params,
                                 spike.r_exp))
@@ -134,7 +140,7 @@ def old_verify_spike(spike, nu):
     params = spike.params
     eps = params.epsilon
     q = params.q_exponent
-    values = _prepared_cells(spike)
+    values = prepared_values(spike)
     cells = list(values)
     center = spike.center.word
     sup = max(values.values())

@@ -1,6 +1,7 @@
 """Spike construction, the three conditions, Q-spike checks, decay and the
 Shadow Lemma audit, plus the spike algebra lemmas."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -14,11 +15,12 @@ from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       shadow_lemma_audit, lipschitz_scale, local_doubling_sup,
                       shadow, ball_cells,
                       DegenerateSpikeError, integrate, conformal_exponent,
-                      ConformalityError, AmbiguousCylinderError, InputError)
+                      ConformalityError, AmbiguousCylinderError, InputError,
+                      LogScale, critical_exponent, radon_nikodym)
 from freewalk import spikes
 from freewalk.spikes import (_ball_prefix, _cell_product, _checked_margin,
                              _prepared_cells, _ratio)
-from freewalk.words import invert
+from freewalk.words import as_exact, invert
 
 from conftest import refine_to
 
@@ -27,7 +29,7 @@ def cell_doubling(spike, nu):
     """The local doubling nu(B(a, 5r)) / nu(B(a, r)) of a spike with center a
     and radius r, each ball's mass summed over its cells in the spike's
     partition."""
-    group, cells, center = nu.group, list(_prepared_cells(spike)), spike.center.word
+    group, cells, center = nu.group, list(_prepared_cells(spike).values), spike.center.word
     mass_r, mass_5r = (sum(nu.mass_of(w) for w in ball_cells(
         group, cells, center, spike.params, spike.r_exp, mult)) for mult in (1, 5))
     return mass_5r / mass_r
@@ -222,6 +224,12 @@ def test_shadow_masses_are_spike_ball_masses(weights, params):
         shadow_lemma_audit(nu, params, 1, [0, -1])
 
 
+def test_ball_prefix_names_a_too_deep_center(f2, params2):
+    # a ball smaller than the center cell names the center as a word
+    with pytest.raises(AmbiguousCylinderError, match="center cell ab; deepen"):
+        _ball_prefix(f2, (0, 2), params2, 3)
+
+
 def test_within_decides_multiplier_one_exactly():
     # at epsilon = 1/2 log 3 a weight W = r - 10^-20 gives 3^{-(W - r)/2}
     # = 1 + 5.5e-21 > 1, a difference no float sees: W >= r decides it
@@ -286,7 +294,7 @@ def test_pinch_stability(f2, nu2, params2):
     import random
     rng = random.Random(3)
     factor = {w: Fraction(rng.randint(2, 3), 2) for w in h.function.values}
-    g_vals = {w: v * factor[w] / m for w, v in h.function.values.items()}
+    g_vals = {w: h.function.at(w) * factor[w] / m for w in h.function.values}
     g_fun = LocallyConstantFunction(f2, g_vals)
     g = Spike(function=g_fun.scale(1 / g_fun.sup()), r_exp=h.r_exp,
               center=h.center, c=m * m * h.c, gamma=h.gamma, params=params2)
@@ -502,3 +510,79 @@ def test_one_sweep_matches_the_two_sweeps(case, max_len, ds):
     assert _typed(rep.t_nu) == _typed(doubling_oracle(nu, params, max_len, ds))
     if nu.conformal:
         assert _typed(local_doubling_sup(nu, params, max_len, ds)) == _typed(rep.t_nu)
+
+
+# ---------------------------------------------------------------------------
+# the unit spike as the radial profile, against f_gamma / sup f_gamma
+# ---------------------------------------------------------------------------
+
+def _exact(base, alpha_coeff, epsilon_coeff=1):
+    return VisualParams.exact_base(base, alpha_coeff, epsilon_coeff)
+
+
+def _critical_floats(weights, epsilon):
+    group = WeightedFreeGroup(len(weights), weights)
+    return VisualParams.floats(critical_exponent(group), epsilon)
+
+
+# (weights, params) with the critical alpha written as log b or c log(b):
+# at 1/2 log 9 (and 1/2 log 25, 1/4 log 9 on weights 2) f_gamma is a float at
+# odd |gamma|; at 1/4 log 81 a step e^{-2 alpha} = 9^{-1/2} is a float and
+# f_gamma mixes floats with Fractions; float params are floats throughout
+PROFILE_CASES = {
+    "F_2 log 3": (["1", "1"], _exact(3, 1)),
+    "F_2 half epsilon": (["1", "1"], _exact(3, 1, Fraction(1, 2))),
+    "F_2 1/2 log 9": (["1", "1"], VisualParams(LogScale.log_of(9, Fraction(1, 2)),
+                                               LogScale.log_of(3))),
+    "F_2 1/4 log 81": (["1", "1"], VisualParams(LogScale.log_of(81, Fraction(1, 4)),
+                                                LogScale.log_of(3))),
+    "F_3 log 5": (["1", "1", "1"], _exact(5, 1)),
+    "F_3 1/2 log 25": (["1", "1", "1"], VisualParams(
+        LogScale.log_of(25, Fraction(1, 2)), LogScale.log_of(5))),
+    "[2, 2] 1/2 log 3": (["2", "2"], _exact(3, Fraction(1, 2), Fraction(1, 2))),
+    "[2, 2] 1/4 log 9": (["2", "2"], VisualParams(LogScale.log_of(9, Fraction(1, 4)),
+                                                  LogScale.log_of(3))),
+    "F_2 float": (["1", "1"], _critical_floats(["1", "1"], 0.7)),
+    "[2, 2] float": (["2", "2"], _critical_floats(["2", "2"], 1.1)),
+}
+
+
+def _cells_as_seen(f):
+    return [(w, _typed(f.at(w))) for w in f.values]
+
+
+def _report_as_seen(rep):
+    return (rep.cond1_ok, rep.cond2_ok, rep.cond3_ok, rep.q_spike_ok,
+            _typed(rep.measured_c),
+            [(k, _typed(v)) for k, v in rep.measured.items()],
+            list(rep.witnesses.items()))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(case=st.sampled_from(sorted(PROFILE_CASES)), data=st.data())
+def test_unit_spike_is_f_gamma_over_its_sup(case, data):
+    weights, params = PROFILE_CASES[case]
+    group = WeightedFreeGroup(len(weights), weights)
+    nu = uniform_ps_measure(group, params)
+    assert nu.conformal
+    n = data.draw(st.integers(1, 4))
+    gamma = ()
+    while len(gamma) < n:
+        gamma += (data.draw(st.sampled_from(group.valid_extensions(gamma))),)
+    spike = build_spike(gamma, nu, params)
+    f = radon_nikodym(gamma, nu, params)
+    oracle = f.scale(1 / f.sup())
+    # the same cells in the same order, each with the same value and type
+    assert _cells_as_seen(spike.function) == _cells_as_seen(oracle)
+    # and the same reports at every radius and constant
+    weight = group.word_weight(gamma)
+    for _ in range(data.draw(st.integers(1, 3))):
+        half = Fraction(data.draw(st.integers(0, int(2 * weight))), 2)
+        r_exp = data.draw(st.sampled_from([as_exact(half), half]))
+        built = dataclasses.replace(spike, r_exp=r_exp, cell_table=None)
+        old = dataclasses.replace(built, function=oracle)
+        measured_c = verify_spike(old, nu).measured_c
+        for c in (None, measured_c, measured_c * 2 / 3, Fraction(7, 2), 2.5):
+            built.c = old.c = c
+            assert _report_as_seen(verify_spike(built, nu)) == \
+                _report_as_seen(verify_spike(old, nu))
