@@ -1,9 +1,9 @@
 """Recorded `DecompositionResult.to_json()` reports of both outer loops on F_2,
 in exact (`exact_base(3)`) and float (`log 3`) mode, compared byte for byte.
 
-The runs cover `basis_decompose`'s shell deepening, its adaptive fallback
-and the proof rescale, and two rounds of `moment_decompose` with each
-rescale.  Regenerate the files only after an intended change of results:
+The runs cover `basis_decompose`'s shell deepening, its adaptive fallback,
+the proof rescale and the cone finisher's accepted round (on `f_w + 1`
+targets), and two rounds of `moment_decompose` with each rescale.  Regenerate the files only after an intended change of results:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from freewalk import (GreedyParams, LocallyConstantFunction, VisualParams,
                       WeightedFreeGroup, basis_decompose, measure_constants,
-                      moment_decompose, uniform_ps_measure)
+                      moment_decompose, radon_nikodym, uniform_ps_measure)
 
 REPORTS = Path(__file__).resolve().parent / "data" / "reports"
 
@@ -28,13 +28,16 @@ REPORTS = Path(__file__).resolve().parent / "data" / "reports"
 CONTRAST = {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(7),
             (3,): Fraction(3)}
 
-# name -> (loop, target, GreedyParams keywords, moment rounds)
+# name -> (loop, target, GreedyParams keywords, moment rounds); the target
+# "bump:w" is f_w + 1, which the cone finisher reconstructs in round 1
 RUNS = {
     "basis-deepen": ("basis", "contrast", {"max_rounds": 3}, None),
     "basis-fallback": ("basis", "contrast", {"max_rounds": 3, "max_shell": 2}, None),
     "basis-proof": ("basis", "contrast", {"max_rounds": 3, "rescale": "proof"}, None),
     "moment-proof": ("moment", "ones", {"margin": 1, "rescale": "proof"}, 2),
     "moment-adaptive": ("moment", "ones", {"margin": 1}, 2),
+    **{f"finisher-{w}": ("basis", f"bump:{w}", {}, None)
+       for w in ("ab", "abA", "bbaB", "ABABa")},
 }
 MODES = ("exact", "float")
 _SETUP = {}
@@ -55,8 +58,12 @@ def setup(mode):
 def report(name, mode) -> str:
     loop, target, keywords, rounds = RUNS[name]
     group, nu, constants = setup(mode)
-    values = CONTRAST if target == "contrast" else {(): Fraction(1)}
-    F = LocallyConstantFunction(group, values, validate=False)
+    if target.startswith("bump:"):
+        F = radon_nikodym(group.parse_word(target[5:]), nu, nu.params).add(
+            LocallyConstantFunction.constant(group, Fraction(1)))
+    else:
+        values = CONTRAST if target == "contrast" else {(): Fraction(1)}
+        F = LocallyConstantFunction(group, values, validate=False)
     if mode == "float":
         F = F.map(float)
     params = GreedyParams(**keywords)
