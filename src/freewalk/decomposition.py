@@ -26,7 +26,7 @@ from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
 # radon_nikodym stays bound here for bench/test_tracer.py
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        integrate, radon_nikodym, require_conformal)  # noqa: F401
-from .spikes import Spike, shadow_lemma_audit, decay_check, lipschitz_scale
+from .spikes import shadow_lemma_audit, decay_check, lipschitz_scale
 from .stationarity import functionals
 
 
@@ -222,10 +222,11 @@ def t_factor(sup_val, inf_val, q) -> float:
     return (float(sup_val) / float(inf_val)) ** (1.0 / float(q)) + 1.0
 
 
-def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
+def greedy_lambdas(target: LocallyConstantFunction, cover: Sequence[Word],
                    params: VisualParams):
-    """Run the positive greedy recursion; returns the raw (gamma, lambda)
-    list and the accumulated g on the common refinement.
+    """Run the positive greedy recursion over the cover's center words b, in
+    order; returns the raw (gamma, lambda) list, gamma = b^{-1}, and the
+    accumulated g on the common refinement.
 
     For a target of int numerators t over its `den` T, with the
     accumulator in its scaled-integer mode (value n/d as `value_pair`),
@@ -237,12 +238,11 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
     """
     group = target.group
     acc = SpikeAccumulator(group, params)
-    depth = max([target.depth()] + [len(s.center.word) for s in spikes])
+    depth = max([target.depth()] + [len(b) for b in cover])
     T = target.den
     lambdas: List[Tuple[Word, object]] = []
     last = (None, 0, 1)   # the last d read and divmod(d, T)
-    for sp in spikes:
-        b = sp.center.word
+    for b in cover:
         spine = spine_word(group, b, depth)
         pair = None if T is None else acc.value_pair(spine)
         if pair is None:
@@ -256,34 +256,27 @@ def greedy_lambdas(target: LocallyConstantFunction, spikes: Sequence[Spike],
             lam = Fraction(num, den) if num > 0 else 0
         if lam > 0:
             acc.insert(b, lam)
-            lambdas.append((sp.gamma, lam))
-        else:
-            lambdas.append((sp.gamma, 0))
+        lambdas.append((invert(b), lam if lam > 0 else 0))
     return lambdas, acc.function(refine_leaves(
-        group, target.leaves(), trie_closure(group, [s.center.word for s in spikes])))
+        group, target.leaves(), trie_closure(group, cover)))
 
 
 # ---------------------------------------------------------------------------
 # round plumbing shared by the outer loops
 # ---------------------------------------------------------------------------
 
-def _round_spikes(group: WeightedFreeGroup, vparams: VisualParams, shell: int,
-                  margin: int) -> List[Spike]:
-    """One spike per cover cell: shadows of a canonical gamma per cell of the
-    depth-(shell - margin) partition (disjoint; Lebesgue number 1).  A cover
-    spike is never verified, so it carries no C."""
+def _cover(group: WeightedFreeGroup, shell: int, margin: int) -> List[Word]:
+    """The round's cover as center words: each cell of the depth-(shell -
+    margin) partition (disjoint; Lebesgue number 1) extended along its spine
+    to length `shell`.  The center b stands for the spike of gamma = b^{-1},
+    whose radius exponent is W(b) - margin.  Sorted by ascending W(b), then
+    gamma."""
     cover_depth = shell - margin
     if cover_depth < 0:
         raise InternalInvariantError(f"shell {shell} below margin {margin}")
-    spikes = []
-    for cell in group.sphere(cover_depth):
-        word = spine_word(group, cell, shell)
-        gamma = invert(word)
-        spikes.append(Spike(function=None, r_exp=group.word_weight(gamma) - margin,
-                            center=Cylinder(word), c=None, gamma=gamma,
-                            margin=margin, params=vparams))
-    spikes.sort(key=lambda s: (s.r_exp, len(s.gamma), s.gamma))
-    return spikes
+    cover = [spine_word(group, cell, shell) for cell in group.sphere(cover_depth)]
+    cover.sort(key=lambda b: (group.word_weight(b), invert(b)))
+    return cover
 
 
 def _ratio(a: LocallyConstantFunction, b: LocallyConstantFunction,
@@ -344,16 +337,18 @@ class _Undominated(InternalInvariantError):
 
 
 def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
-                  spikes: Sequence[Spike], nu: BoundaryMeasure, factors, bound):
+                  cover: Sequence[Word], nu: BoundaryMeasure, factors, bound):
     """One round of both outer loops on the residual R: the greedy recursion
-    on `target`, then the first of `factors` (functions of R and g) whose
-    h = factor g passes h <= bound R on every cell, then the canonical
-    R - h, from the same pass over g's cells as the check, and its L1 norm.
+    on `target` over the cover's center words, then the first of `factors`
+    (functions of R and g) whose h = factor g passes h <= bound R on every
+    cell, then the canonical R - h, from the same pass over g's cells as the
+    check, and its L1 norm.
 
-    Returns (lambdas, g, factor, R - h, ||R - h||_1); raises _Undominated
-    when every factor fails the check.
+    Returns (lambdas, g, factor, R - h, ||R - h||_1), the shape of every
+    round (see `_cone_finisher`); raises _Undominated when every factor
+    fails the check.
     """
-    lambdas, g = greedy_lambdas(target, spikes, nu.params)
+    lambdas, g = greedy_lambdas(target, cover, nu.params)
     for factor_of in factors:
         factor = factor_of(R, g)
         over, rest = _check_and_sub(R, g, factor, bound)
@@ -379,39 +374,40 @@ def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
 
 
 def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
-                   spikes: Sequence[Spike], vparams: VisualParams, tau: float):
+                   cover: Sequence[Word], tau: float):
     """Try to reconstruct the residual exactly inside the positive cone.
 
-    The round system sum_j lambda_j u_{b_j}(spine b_i) = R(spine b_i) is
-    U diag(e^{-2 alpha W(b_j)}) with U strictly ultrametric, so
-    `SpikeAccumulator.solve` gives its one solution, exact in exact mode.
-    Negative lambdas are clamped to 0 (the projection onto the cone), the sum
-    is scaled down so that h <= R holds cellwise, and the finisher is accepted
-    only if the leftover is at most tau.  With R and g on shared
-    denominators, the scale, h and the leftover come from ints, with no
-    Fraction per cell.
+    The round system sum_j lambda_j u_{b_j}(spine b_i) = R(spine b_i) over
+    the cover's center words b is U diag(e^{-2 alpha W(b_j)}) with U
+    strictly ultrametric, so `SpikeAccumulator.solve` gives its one
+    solution, exact in exact mode.  Negative lambdas are clamped to 0 (the
+    projection onto the cone), the sum is scaled down so that h <= R holds
+    cellwise, and the finisher is accepted only if ||R - h||_1, the
+    integral of the canonical R - h, is at most tau.  With R and g on shared
+    denominators, the scale, h and R - h come from ints, with no Fraction
+    per cell.
 
-    Returns (lambdas, h) or None.
+    Returns `_greedy_round`'s (lambdas, h, 1, R - h, ||R - h||_1), or None.
     """
     group = R.group
-    depth = max([R.depth()] + [len(sp.center.word) for sp in spikes])
-    centers = [sp.center.word for sp in spikes]
-    acc = SpikeAccumulator(group, vparams)
-    solved = acc.solve({b: R.at(spine_word(group, b, depth)) for b in centers})
+    depth = max([R.depth()] + [len(b) for b in cover])
+    acc = SpikeAccumulator(group, nu.params)
+    solved = acc.solve({b: R.at(spine_word(group, b, depth)) for b in cover})
     lam = {b: x for b, x in solved.items() if x > 0}
     for b, x in lam.items():
         acc.insert(b, x)
-    leaves = refine_leaves(group, R.leaves(), trie_closure(group, centers))
+    leaves = refine_leaves(group, R.leaves(), trie_closure(group, cover))
     g = acc.function(leaves)
     ratio = _ratio(R, g, leaves, min)
     if ratio is None or ratio <= 0:
         return None
     scale = min(ratio, 1)
-    residual = integrate(R.sub(g, scale), nu)
-    if float(residual) > tau or residual < 0:
+    R_next = R.sub(g, scale).canonical()
+    l1_next = integrate(R_next, nu)
+    if float(l1_next) > tau or l1_next < 0:
         return None
-    return [(sp.gamma, scale * lam[sp.center.word]) for sp in spikes
-            if sp.center.word in lam], g.scale(scale)
+    return ([(invert(b), scale * lam[b]) for b in cover if b in lam],
+            g.scale(scale), 1, R_next, l1_next)
 
 
 # ---------------------------------------------------------------------------
@@ -446,12 +442,12 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     shell = max(1, params.margin,
                 min(int(oscillation_threshold(F, params.s)) + params.margin,
                     params.max_shell))
-    spike_cache: Dict[int, List[Spike]] = {}
+    covers: Dict[int, List[Word]] = {}
 
-    def spikes_at(shell: int) -> List[Spike]:
-        if shell not in spike_cache:
-            spike_cache[shell] = _round_spikes(group, vparams, shell, params.margin)
-        return spike_cache[shell]
+    def cover_at(shell: int) -> List[Word]:
+        if shell not in covers:
+            covers[shell] = _cover(group, shell, params.margin)
+        return covers[shell]
 
     for round_idx in range(1, params.max_rounds + 1):
         if float(trace[-1]) <= params.tau:
@@ -459,33 +455,28 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         c_round_cap = cap if params.schedule == "fixed" \
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
-        spikes = spikes_at(shell)
-        finish = None
+        cover = cover_at(shell)
+        done = None
         if params.rescale == "adaptive":
-            finish = _cone_finisher(R, nu, spikes, vparams, params.tau)
-        if finish is not None:
-            lambdas, g = finish
-            factor = 1
-            R_next = R.sub(g).canonical()
-            l1_next = integrate(R_next, nu)
-        else:
+            done = _cone_finisher(R, nu, cover, params.tau)
+        if done is None:
             target = R.scale(params.beta)
             fixed = 1 if params.rescale == "adaptive" \
                 else 3 * constants.l_nu / (c_round_cap * params.s)
             while True:
-                spikes = spikes_at(shell)
+                cover = cover_at(shell)
                 factors = [lambda R, g: fixed]
                 last = shell >= params.max_shell
                 if last:  # graceful fallback: cap the whole round uniformly
                     factors.append(lambda R, g: _adaptive_factor(R, g, params))
                 try:
-                    lambdas, g, factor, R_next, l1_next = _greedy_round(
-                        R, target, spikes, nu, factors, 1)
+                    done = _greedy_round(R, target, cover, nu, factors, 1)
                     break
                 except _Undominated:
                     if last:
                         raise
                     shell += 1  # tails too coarse for the residual's contrast
+        lambdas, g, factor, R_next, l1_next = done
         if not l1_next < trace[-1]:
             raise InternalInvariantError(
                 f"residual did not decrease in round {round_idx}: "
@@ -500,7 +491,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         _credit(mu, lambdas, factor, group, vparams)
         records.append(RoundRecord(index=round_idx, shell=shell,
                                    cover_depth=shell - params.margin,
-                                   spike_count=len(spikes), factor=factor,
+                                   spike_count=len(cover), factor=factor,
                                    round_mass=factor * integrate(g, nu),
                                    residual_l1=l1_next))
         R = R_next
@@ -567,8 +558,8 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_n = min(delta_n / t_n, eps_prev)
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
-        spikes = _round_spikes(group, vparams, shell, params.margin)
-        lambdas, g, factor, R, l1_next = _greedy_round(R, R, spikes, nu, factors,
+        cover = _cover(group, shell, params.margin)
+        lambdas, g, factor, R, l1_next = _greedy_round(R, R, cover, nu, factors,
                                                        params.beta)
         added = _credit(mu, lambdas, factor, group, vparams)
         # each coefficient is factor * lambda * int u d nu for the conformal
@@ -586,11 +577,11 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             contribution += float(coeff) * log_inv
         records.append(RoundRecord(index=n, shell=shell,
                                    cover_depth=shell - params.margin,
-                                   spike_count=len(spikes), factor=factor,
+                                   spike_count=len(cover), factor=factor,
                                    round_mass=round_mass, residual_l1=l1_next,
                                    eps=eps_n, delta=delta_n,
                                    max_log_inv_l1=max_log,
-                                   max_r_exp=max(sp.r_exp for sp in spikes),
+                                   max_r_exp=group.word_weight(cover[-1]) - params.margin,
                                    moment_contribution=contribution))
         trace.append(l1_next)
     envelope = _case3_envelope(records, trace[0], params, constants, cap, vparams,

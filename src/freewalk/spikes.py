@@ -48,12 +48,11 @@ class Spike:
 
     The radius is carried symbolically as r = e^{-epsilon * r_exp}, with
     r_exp and the margin ints when integral (see `words.as_exact`).  The
-    greedy's cover spikes carry no function and no C: it reads only the
-    center and radius, and ||h||_1 = e^{-alpha ||gamma||} since f_gamma
-    integrates to 1.
+    audit builds and verifies these; the greedy's covers are center words
+    (`decomposition._cover`).
     """
 
-    function: Optional[LocallyConstantFunction]
+    function: LocallyConstantFunction
     r_exp: object
     center: Cylinder
     c: object

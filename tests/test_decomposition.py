@@ -13,20 +13,19 @@ from freewalk import (LocallyConstantFunction, GreedyParams,
                       radon_nikodym, audit_case_envelope, InputError, density,
                       integrate, WeightedFreeGroup)
 from freewalk import decomposition
-from freewalk.decomposition import (InternalInvariantError, greedy_lambdas,
-                                    _round_spikes)
+from freewalk.decomposition import InternalInvariantError, greedy_lambdas, _cover
 
 
-def four_unit_spikes(f2, params2):
-    return _round_spikes(f2, params2, shell=1, margin=0)
+def four_unit_spikes(f2):
+    """The centers of the four length-1 spikes."""
+    return _cover(f2, shell=1, margin=0)
 
 
 def test_greedy_hand_replay(f2, nu2, params2):
     # F = 1 with the four length-1 spikes: lambda = 1, 8/9, 64/81, 512/729
     # (ties sorted by gamma's word: a, a^-1, b, b^-1)
     F = LocallyConstantFunction.constant(f2, Fraction(1))
-    spikes = four_unit_spikes(f2, params2)
-    lambdas, g = greedy_lambdas(F, spikes, params2)
+    lambdas, g = greedy_lambdas(F, four_unit_spikes(f2), params2)
     values = [v for _, v in lambdas]
     assert [g_ for g_, _ in lambdas] == [(0,), (1,), (2,), (3,)]
     assert values == [Fraction(1), Fraction(8, 9), Fraction(64, 81),
@@ -40,7 +39,7 @@ def test_single_spike_trivial(f2, nu2, params2, constants2):
     s = make_spike((1,), nu2, params2, margin=0)
     F = s.function
     gp = GreedyParams()
-    lambdas, g = greedy_lambdas(F, [s], params2)
+    lambdas, g = greedy_lambdas(F, [s.center.word], params2)
     assert lambdas == [((1,), 1)]
     # proof rescale: h = (3 L_nu / (C s)) g <= F pointwise, and the covered
     # lower bound h >= (L_nu / (C^2 s^2)) F holds at the center
@@ -72,6 +71,35 @@ def test_basis_decompose_constant_exact(f2, nu2, constants2):
         assert conv.mass_of(w) == nu2.mass_of(w)
 
 
+def test_finisher_round_builds_and_integrates_its_residual_once(monkeypatch, f2,
+                                                                nu2, params2,
+                                                                constants2):
+    # f_ab + 1: the cone finisher accepts round 1, and basis_decompose takes
+    # its R - h and ||R - h||_1 as they are
+    F = radon_nikodym((0, 2), nu2, params2).add(
+        LocallyConstantFunction.constant(f2, Fraction(1)))
+    subs, integrated = [], []
+    sub, integrate_ = LocallyConstantFunction.sub, decomposition.integrate
+
+    def spy_sub(self, other, c=1):
+        subs.append(sub(self, other, c))
+        return subs[-1]
+
+    def spy_integrate(f, nu):
+        integrated.append(f)
+        return integrate_(f, nu)
+
+    monkeypatch.setattr(LocallyConstantFunction, "sub", spy_sub)
+    monkeypatch.setattr(decomposition, "integrate", spy_integrate)
+    res = basis_decompose(F, nu2, GreedyParams(), constants=constants2)
+    assert res.rounds == 1 and res.records[0].factor == 1
+    assert res.residual_trace == [2, 0]
+    # one R - h, integrated once; the other two integrals are ||F||_1 and
+    # the round's mass ||h||_1
+    assert len(subs) == 1 and len(integrated) == 3
+    assert integrated[1].values == subs[0].canonical().values
+
+
 # F_2 target with a 28:1 contrast across the letters (a, A, b, B): the
 # finisher leaves more than tau, and shallow spike tails overshoot it
 CONTRAST = {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(7),
@@ -84,8 +112,8 @@ def _traced_decompose(monkeypatch, F, nu, gp, constants):
     seen = {"lambdas": [], "fallback": []}
     greedy, adaptive = decomposition.greedy_lambdas, decomposition._adaptive_factor
 
-    def spy_greedy(target, spikes, params):
-        out = greedy(target, spikes, params)
+    def spy_greedy(target, cover, params):
+        out = greedy(target, cover, params)
         seen["lambdas"].append([lam for _, lam in out[0]])
         return out
 

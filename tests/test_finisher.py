@@ -15,24 +15,24 @@ from freewalk import (GreedyParams, LocallyConstantFunction, VisualParams,
                       WeightedFreeGroup, default_params, integrate,
                       uniform_ps_measure)
 from freewalk.cli import main
-from freewalk.decomposition import (_cone_finisher, _round_spikes,
-                                    oscillation_threshold)
+from freewalk.decomposition import _cone_finisher, _cover, oscillation_threshold
 from freewalk.measures import SpikeAccumulator
 from freewalk.partitions import refine_leaves, spine_word, trie_closure
+from freewalk.words import invert
 
 
-def sweep_finisher(R, nu, spikes, vparams, tau, sweeps=120):
+def sweep_finisher(R, nu, centers, tau, sweeps=120):
     """The finisher as it was before the trie solve: float projected
-    Gauss-Seidel sweeps, snapped with limit_denominator(10**12) in exact mode,
-    then retried with the unsnapped floats."""
-    group = R.group
-    depth = max([R.depth()] + [len(sp.center.word) for sp in spikes])
-    centers = [sp.center.word for sp in spikes]
+    Gauss-Seidel sweeps over the cover's center words, snapped with
+    limit_denominator(10**12) in exact mode, then retried with the unsnapped
+    floats."""
+    group, vparams = R.group, nu.params
+    depth = max([R.depth()] + [len(b) for b in centers])
     spines = [spine_word(group, b, depth) for b in centers]
     targets = [float(R.at(sp)) for sp in spines]
     acc = SpikeAccumulator(group, VisualParams.floats(vparams.alpha.value,
                                                       vparams.epsilon.value))
-    lam = [0.0] * len(spikes)
+    lam = [0.0] * len(centers)
     for _ in range(sweeps):
         moved = 0.0
         for i, b in enumerate(centers):
@@ -69,7 +69,7 @@ def sweep_finisher(R, nu, spikes, vparams, tau, sweeps=120):
                        for w in leaves)
         if float(residual) > tau or residual < 0:
             return None
-        lambdas = [(sp.gamma, scale * x) for sp, x in zip(spikes, lam_list)]
+        lambdas = [(invert(b), scale * x) for b, x in zip(centers, lam_list)]
         h = LocallyConstantFunction(group, {w: scale * g_vals[w] for w in leaves},
                                     validate=False)
         return lambdas, h, residual
@@ -208,9 +208,9 @@ def _seeded_targets():
 
 
 def _finisher_cases():
-    """(F, nu, cover, params) in exact mode and the same in float mode (float
-    targets, params, nu and cover): each target on the cover of the shell
-    that basis_decompose starts from, and F_2 targets also one shell deeper."""
+    """(F, nu, cover) in exact mode and the same in float mode (float
+    targets, params and nu): each target on the cover of the shell that
+    basis_decompose starts from, and F_2 targets also one shell deeper."""
     gp = GreedyParams()
     measures = {}
     for F in _seeded_targets():
@@ -218,12 +218,13 @@ def _finisher_cases():
         if group.rank not in measures:
             params = default_params(group)
             fparams = VisualParams.floats(params.alpha.value, params.epsilon.value)
-            measures[group.rank] = [(uniform_ps_measure(group, p), p)
+            measures[group.rank] = [uniform_ps_measure(group, p)
                                     for p in (params, fparams)]
         shell = max(1, min(int(oscillation_threshold(F, gp.s)), gp.max_shell))
         for extra in ((0, 1) if group.rank == 2 else (0,)):
-            yield [(G, nu, _round_spikes(group, p, shell + extra, 0), p)
-                   for G, (nu, p) in zip((F, F.map(float)), measures[group.rank])]
+            cover = _cover(group, shell + extra, 0)
+            yield [(G, nu, cover)
+                   for G, nu in zip((F, F.map(float)), measures[group.rank])]
 
 
 def _residual(F, nu, finished):
@@ -233,15 +234,14 @@ def _residual(F, nu, finished):
 def test_finisher_accepts_what_the_sweep_accepts():
     tau = 1e-6
     counts = {"accepted": 0, "snapped_short": 0, "rejected": 0, "float": 0}
-    for (F, nu, cover, params), float_case in _finisher_cases():
-        new = _cone_finisher(F, nu, cover, params, tau)
-        old = sweep_finisher(F, nu, cover, params, tau)
+    for (F, nu, cover), float_case in _finisher_cases():
+        new = _cone_finisher(F, nu, cover, tau)
+        old = sweep_finisher(F, nu, cover, tau)
         if new is None:
             # every rejection comes from a negative exact lambda
-            depth = max(F.depth(), len(cover[0].center.word))
-            solved = SpikeAccumulator(F.group, params).solve(
-                {sp.center.word: F.at(spine_word(F.group, sp.center.word, depth))
-                 for sp in cover})
+            depth = max(F.depth(), len(cover[0]))
+            solved = SpikeAccumulator(F.group, nu.params).solve(
+                {b: F.at(spine_word(F.group, b, depth)) for b in cover})
             assert min(solved.values()) < 0
             counts["rejected"] += 1
         else:

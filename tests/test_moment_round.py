@@ -17,35 +17,33 @@ from freewalk import (BoundaryMeasure, GreedyParams, LocallyConstantFunction,
 from freewalk import decomposition
 from freewalk.decomposition import (InternalInvariantError, RoundRecord,
                                     _band_shell, _case3_envelope,
-                                    _finish, _round_spikes, basis_decompose,
+                                    _cover, _finish, basis_decompose,
                                     moment_decompose, oscillation_threshold,
                                     t_factor)
 from freewalk.geometry import sup_product
 from freewalk.measures import SpikeAccumulator, rational_sum
 from freewalk.partitions import refine_leaves, spine_word, trie_closure
 from freewalk.spikes import lipschitz_scale
-from freewalk.words import as_exact
+from freewalk.words import as_exact, invert
 
 # ---------------------------------------------------------------------------
 # the oracle: the round on Fraction (or float) values
 # ---------------------------------------------------------------------------
 
-def oracle_greedy(target, spikes, params):
+def oracle_greedy(target, centers, params):
     group = target.group
     acc = SpikeAccumulator(group, params)
-    depth = max([target.depth()] + [len(s.center.word) for s in spikes])
+    depth = max([target.depth()] + [len(b) for b in centers])
     lambdas = []
-    for sp in spikes:
-        b = sp.center.word
+    for b in centers:
         spine = spine_word(group, b, depth)
         lam = target.at(spine) - acc.value_at(spine)
         if lam > 0:
             acc.insert(b, lam)
-            lambdas.append((sp.gamma, lam))
+            lambdas.append((invert(b), lam))
         else:
-            lambdas.append((sp.gamma, 0))
-    leaves = refine_leaves(group, target.leaves(),
-                           trie_closure(group, [s.center.word for s in spikes]))
+            lambdas.append((invert(b), 0))
+    leaves = refine_leaves(group, target.leaves(), trie_closure(group, centers))
     g = LocallyConstantFunction(group, {w: acc.value_at(w) for w in leaves},
                                 validate=False)
     return lambdas, g
@@ -98,8 +96,8 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
         eps_n = min(delta_n / t_n, eps_prev)
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
-        spikes = _round_spikes(group, vparams, shell, params.margin)
-        lambdas, g = oracle_greedy(R, spikes, vparams)
+        centers = _cover(group, shell, params.margin)
+        lambdas, g = oracle_greedy(R, centers, vparams)
         seen.append((R, lambdas))
         factor = proof_factor if params.rescale == "proof" \
             else oracle_adaptive_factor(R, g, params)
@@ -123,11 +121,12 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
                 contribution += float(coeff) * log_inv
         records.append(RoundRecord(index=n, shell=shell,
                                    cover_depth=shell - params.margin,
-                                   spike_count=len(spikes), factor=factor,
+                                   spike_count=len(centers), factor=factor,
                                    round_mass=round_mass, residual_l1=l1_next,
                                    eps=eps_n, delta=delta_n,
                                    max_log_inv_l1=max_log,
-                                   max_r_exp=max(sp.r_exp for sp in spikes),
+                                   max_r_exp=max(group.word_weight(b)
+                                                 for b in centers) - params.margin,
                                    moment_contribution=contribution))
         R = R_next
         trace.append(l1_next)
@@ -136,12 +135,11 @@ def oracle_moment_decompose(F, nu, params, rounds, constants, seen):
     return _finish(group, mu, trace, records, envelope)
 
 
-def oracle_finisher(R, nu, spikes, vparams, tau):
-    """_cone_finisher as it was, on values."""
+def oracle_finisher(R, nu, centers, tau):
+    """_cone_finisher on values: (lambdas, h) or None."""
     group = R.group
-    depth = max([R.depth()] + [len(sp.center.word) for sp in spikes])
-    centers = [sp.center.word for sp in spikes]
-    acc = SpikeAccumulator(group, vparams)
+    depth = max([R.depth()] + [len(b) for b in centers])
+    acc = SpikeAccumulator(group, nu.params)
     solved = acc.solve({b: R.at(spine_word(group, b, depth)) for b in centers})
     lam = {b: x for b, x in solved.items() if x > 0}
     for b, x in lam.items():
@@ -152,14 +150,12 @@ def oracle_finisher(R, nu, spikes, vparams, tau):
     if not ratios or min(ratios) <= 0:
         return None
     scale = min(min(ratios), 1)
-    residual = sum((R.at(w) - scale * g_vals[w]) * nu.mass_of(w) for w in leaves)
-    if float(residual) > tau or residual < 0:
-        return None
-    lambdas = [(sp.gamma, scale * lam[sp.center.word]) for sp in spikes
-               if sp.center.word in lam]
     h = LocallyConstantFunction(group, {w: scale * g_vals[w] for w in leaves},
                                 validate=False)
-    return lambdas, h
+    residual = plain_integrate(R.sub(h).canonical(), nu)
+    if float(residual) > tau or residual < 0:
+        return None
+    return [(invert(b), scale * lam[b]) for b in centers if b in lam], h
 
 
 def lambda_reprs(lambdas):
@@ -186,10 +182,10 @@ def oracle_basis_decompose(F, nu, params, constants, seen):
         c_round_cap = cap if params.schedule == "fixed" \
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
-        spikes = _round_spikes(group, vparams, shell, params.margin)
+        centers = _cover(group, shell, params.margin)
         finish = None
         if params.rescale == "adaptive":
-            finish = oracle_finisher(R, nu, spikes, vparams, params.tau)
+            finish = oracle_finisher(R, nu, centers, params.tau)
             seen.append(("finish", R, lambda_reprs(finish and finish[0])))
         if finish is not None:
             lambdas, h = finish
@@ -198,8 +194,8 @@ def oracle_basis_decompose(F, nu, params, constants, seen):
         else:
             target = R.scale(params.beta)
             while True:
-                spikes = _round_spikes(group, vparams, shell, params.margin)
-                lambdas, g = oracle_greedy(target, spikes, vparams)
+                centers = _cover(group, shell, params.margin)
+                lambdas, g = oracle_greedy(target, centers, vparams)
                 seen.append(("greedy", target, lambda_reprs(lambdas)))
                 factor = 1 if params.rescale == "adaptive" \
                     else 3 * constants.l_nu / (c_round_cap * params.s)
@@ -228,7 +224,7 @@ def oracle_basis_decompose(F, nu, params, constants, seen):
                 mu[gamma] = mu.get(gamma, 0) + factor * lam * mass
         records.append(RoundRecord(index=round_idx, shell=shell,
                                    cover_depth=shell - params.margin,
-                                   spike_count=len(spikes), factor=factor,
+                                   spike_count=len(centers), factor=factor,
                                    round_mass=factor * plain_integrate(g, nu),
                                    residual_l1=l1_next))
         R = R_next
@@ -247,8 +243,8 @@ def run_moment_decompose(F, nu, params, rounds, constants, seen, scaled):
     whether R was held as numerators."""
     original = decomposition.greedy_lambdas
 
-    def spy(target, spikes, vparams):
-        out = original(target, spikes, vparams)
+    def spy(target, cover, vparams):
+        out = original(target, cover, vparams)
         seen.append((target.map(lambda v: v), out[0]))
         scaled.append(held_as_ints(target))
         return out
@@ -693,7 +689,7 @@ def test_shared_den_ops_match_values(case, vparams, r_exp):
     # the round's domination check and residual step
     over = [w for w in want.values if want.values[w] > bound * vR.at(w)]
     original = decomposition.greedy_lambdas
-    decomposition.greedy_lambdas = lambda target, spikes, params: ([], g)
+    decomposition.greedy_lambdas = lambda target, cover, params: ([], g)
     try:
         out = decomposition._greedy_round(R, R, [], MEASURES["exact"],
                                           [lambda R, g: factor], bound)
@@ -752,7 +748,7 @@ def test_fused_check_matches_exceeding_and_sub(case):
     # a first factor that fails and a second that passes, as in the basis
     # loop's fallback on its last shell
     original = decomposition.greedy_lambdas
-    decomposition.greedy_lambdas = lambda target, spikes, params: ([], g)
+    decomposition.greedy_lambdas = lambda target, cover, params: ([], g)
     try:
         out = decomposition._greedy_round(
             R, R, [], MEASURES["exact"], [lambda R, g: c, lambda R, g: passing],
@@ -768,7 +764,7 @@ def test_fused_check_matches_exceeding_and_sub(case):
 def test_lambdas_over_the_accumulators_den_match_values():
     # T = 21 does not divide the first den L = 9, and divides the later ones
     vparams = VisualParams.exact_base(3)
-    spikes = _round_spikes(GROUP2, vparams, 3, 1)
+    cover = _cover(GROUP2, 3, 1)
     cells = GROUP2.sphere(2)
     target = LocallyConstantFunction(GROUP2, {
         w: Fraction(5 + i % 4, 21) + (i % 3) for i, w in enumerate(cells)})
@@ -784,10 +780,10 @@ def test_lambdas_over_the_accumulators_den_match_values():
 
     SpikeAccumulator.value_pair = spy
     try:
-        lambdas, g = decomposition.greedy_lambdas(held, spikes, vparams)
+        lambdas, g = decomposition.greedy_lambdas(held, cover, vparams)
     finally:
         SpikeAccumulator.value_pair = pair
-    want, want_g = decomposition.greedy_lambdas(target, spikes, vparams)
+    want, want_g = decomposition.greedy_lambdas(target, cover, vparams)
     assert dens[0] % 21 and not dens[-1] % 21
     assert sum(lam > 0 for _, lam in lambdas) > 5
     assert lambda_reprs(lambdas) == lambda_reprs(want)
@@ -804,14 +800,14 @@ def run_basis_decompose(F, nu, params, constants, seen, held):
     greedy target was held as int numerators."""
     greedy, finisher = decomposition.greedy_lambdas, decomposition._cone_finisher
 
-    def spy_greedy(target, spikes, vparams):
-        out = greedy(target, spikes, vparams)
+    def spy_greedy(target, cover, vparams):
+        out = greedy(target, cover, vparams)
         seen.append(("greedy", target.map(lambda v: v), lambda_reprs(out[0])))
         held.append(held_as_ints(target))
         return out
 
-    def spy_finisher(R, nu, spikes, vparams, tau):
-        out = finisher(R, nu, spikes, vparams, tau)
+    def spy_finisher(R, nu, cover, tau):
+        out = finisher(R, nu, cover, tau)
         seen.append(("finish", R.map(lambda v: v), lambda_reprs(out and out[0])))
         return out
 
