@@ -13,8 +13,7 @@ geometric envelope.
 from fractions import Fraction
 
 from freewalk import (WeightedFreeGroup, LocallyConstantFunction, GreedyParams,
-                      default_params, uniform_ps_measure, moment_decompose,
-                      audit_case_envelope)
+                      default_params, uniform_ps_measure, moment_decompose)
 
 G = WeightedFreeGroup(2)
 P = default_params(G)
@@ -39,11 +38,3 @@ print("tail bounds beyond each round:",
 print("\nfirst moment:", float(res.moment))
 print("entropy:     ", res.entropy,
       " <= A ||F||_1 with A =", round(env["entropy_bound_A"], 4))
-
-# the case-1/2 envelopes are not enforced on cocompact trees; audit post hoc
-for case in (1, 2):
-    audit = audit_case_envelope(res, case)
-    print(f"case-{case} post-hoc audit: fitted constant "
-          f"{audit['fitted_constant']:.4f}, moment finite: "
-          f"{audit['moment_finite']}, log-moment finite: "
-          f"{audit['log_moment_finite']}")

@@ -29,8 +29,7 @@ from .spikes import (Spike, SpikeReport, build_spike, make_spike, with_margin,
 from .decomposition import (GreedyParams, DecompositionResult, AuditConstants,
                             measure_constants, basis_decompose, moment_decompose,
                             sequence_decay_bound, sequence_decay_iterate,
-                            audit_case_envelope, GreedyParameterError,
-                            InternalInvariantError)
+                            GreedyParameterError, InternalInvariantError)
 from .stationarity import (StationarityReport, verify_stationarity,
                            sphere_uniform, mix, functionals, symmetrize,
                            UnsupportedClosedFormError)

@@ -732,33 +732,3 @@ def sequence_decay_iterate(deltas: Sequence, epsilons: Sequence, a1) -> List:
         a = (1 - d) * a + d * e
         out.append(a)
     return out
-
-
-# ---------------------------------------------------------------------------
-# cases 1/2 post-hoc audits
-# ---------------------------------------------------------------------------
-
-def audit_case_envelope(result: DecompositionResult, case: int) -> dict:
-    """Post-hoc finiteness audit of a coefficient stream against the case-1/2
-    round-mass envelopes (these schedules are not enforced on cocompact trees;
-    the audit fits the envelope constant and reports the implied sums)."""
-    if case not in (1, 2):
-        raise InputError(f"case must be 1 or 2, got {case}")
-    rows = []
-    c_fit = 0.0
-    for rec in result.records:
-        n = rec.index + 1  # envelopes start mattering from round 2
-        if case == 1:
-            denom = 1.0 / (n ** 3 * math.log(n) ** 2)
-        else:
-            denom = 1.0 / (n ** 2 * math.log(n) ** 2 + n * math.log(n) ** 3)
-        c_fit = max(c_fit, float(rec.round_mass) / denom)
-        rows.append({"round": rec.index, "mass": float(rec.round_mass),
-                     "envelope_shape": denom})
-    moment = float(result.moment)
-    log_moment = float(result.log_moment)
-    return {"case": case, "fitted_constant": c_fit, "rows": rows,
-            "moment": moment, "moment_finite": math.isfinite(moment),
-            "log_moment": log_moment, "log_moment_finite": math.isfinite(log_moment),
-            "entropy": float(result.entropy),
-            "entropy_finite": math.isfinite(float(result.entropy))}

@@ -10,7 +10,7 @@ from freewalk import (LocallyConstantFunction, GreedyParams,
                       GreedyParameterError, make_spike, basis_decompose,
                       moment_decompose, sequence_decay_bound,
                       sequence_decay_iterate, convolve, pushforward,
-                      radon_nikodym, audit_case_envelope, InputError, density,
+                      radon_nikodym, InputError, density,
                       integrate, WeightedFreeGroup)
 from freewalk import decomposition
 from freewalk.decomposition import InternalInvariantError, greedy_lambdas, _cover
@@ -318,16 +318,6 @@ def test_moment_requires_margin(f2, nu2, constants2):
     F = LocallyConstantFunction.constant(f2, 1.0)
     with pytest.raises(InputError):
         moment_decompose(F, nu2, GreedyParams(margin=0), constants=constants2)
-
-
-def test_case_audits(f2, nu2, constants2):
-    F = LocallyConstantFunction.constant(f2, 1.0)
-    gp = GreedyParams(margin=1, rescale="proof", s=Fraction(3, 2), tau=0.0)
-    res = moment_decompose(F, nu2, gp, rounds=3, constants=constants2)
-    for case in (1, 2):
-        rep = audit_case_envelope(res, case)
-        assert rep["moment_finite"] and rep["entropy_finite"]
-        assert rep["fitted_constant"] > 0
 
 
 def test_sequence_decay_examples():
