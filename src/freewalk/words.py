@@ -179,22 +179,27 @@ class WeightedFreeGroup:
         name = self.names[x >> 1]
         return name if x % 2 == 0 else name + "'"
 
+    def _compact(self) -> bool:
+        """Whether every name is one letter, so a word needs no separators."""
+        return all(len(n) == 1 and n.isalpha() for n in self.names)
+
     def format_word(self, word: Sequence[int]) -> str:
         if not word:
             return "e"
-        if all(len(n) == 1 and n.isalpha() for n in self.names):
+        if self._compact():
             return "".join(self.names[x >> 1] if x % 2 == 0
                            else self.names[x >> 1].upper() for x in word)
         return " ".join(self.letter_name(x) for x in word)
 
     def parse_word(self, text: str) -> Word:
-        """Parse a word; inverse marked by uppercase (compact) or ' / ^-1 / ⁻¹."""
+        """Parse a word; inverse marked by uppercase (compact) or ' / ^-1 / ⁻¹.
+        Names longer than one letter are always read as tokens."""
         text = text.strip()
         if text in ("", "e", "1"):
             return EPSILON
         lower_names = {n: 2 * i for i, n in enumerate(self.names)}
         letters: List[int] = []
-        if " " in text or "'" in text or "^" in text or "⁻" in text:
+        if not self._compact() or any(c in text for c in " '^⁻"):
             for tok in text.replace("*", " ").split():
                 m = _TOKEN_RE.fullmatch(tok)
                 if not m or m.group(1) not in lower_names:

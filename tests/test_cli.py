@@ -903,6 +903,14 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("audit", "audit", {"maxlen": 9}, "audit.maxlen"),
     ("audit", "extra", {}, "config section 'extra'"),
     ("decompose", "params", {"tau": "nan"}, "config['params']['tau']"),
+    ("decompose", "params", {"tau": -1}, "config['params']"),
+    ("decompose", "decompose", {"target": "derivative:ax"},
+     "config['decompose']['target']"),
+    ("moments", "moments", {"target": "derivative:a x'"},
+     "config['moments']['target']"),
+    ("verify", "verify", {"mu": {"atoms": [["q", "1"]]}}, "config['verify']['mu']"),
+    ("verify", "verify", {"mu": "sphere:1", "nu_prime": "pushforward:z"},
+     "config['verify']['nu_prime']"),
     ("decompose", "params", {"s": None}, "config['params']['s']"),
     ("audit", "params", {"D": True}, "config['params']['D']"),
     ("moments", "moments", {"rounds": 0}, "config['moments']['rounds'] = 0"),
@@ -925,8 +933,8 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("audit", "audit", {"Ds": [1, "2/2"]}, "config['audit']['Ds'] = [1, '2/2']"),
 ])
 def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
-    # "1/0", a non-finite float, a path that is no file, a misspelled key, an
-    # unknown section, a round count or word length below 1 (zero rounds
+    # "1/0", a non-finite float, a negative tau, a word with an unknown letter
+    # or token, a path that is no file, a misspelled key, an unknown section, a round count or word length below 1 (zero rounds
     # would write an empty mu with every check true), no, a negative or a
     # repeated shadow margin (a repeat would check its spikes twice and count
     # them twice in spikes_checked), or a greedy parameter or alpha out of
@@ -937,6 +945,34 @@ def test_refused_config_names_its_key(tmp_path, capsys, command, section, value,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, section, value, name", [
+    ("decompose", "decompose", {"target": {"cells": [["a", "nan"], ["A", "1"],
+                                                     ["b", "1"], ["B", "1"]]}},
+     "config['decompose']['target']"),
+    ("verify", "verify", {"mu": {"atoms": [["a", "inf"]]}}, "config['verify']['mu']"),
+])
+def test_non_finite_inline_number_exits_2_in_float_mode(tmp_path, capsys, command,
+                                                        section, value, name):
+    # float mode reads an inline decimal, but not one that is not finite
+    params = {"alpha": "critical", "epsilon": "critical", "arithmetic": "float",
+              "tau": 1e-6}
+    cfg = write_config(tmp_path, params=params, **{section: value})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and "is not finite" in err
+
+
+def test_multi_letter_names_in_config_words(tmp_path):
+    # a config word in tokens of names longer than one letter, and the report
+    # words written back in them
+    cfg = write_config(tmp_path, group={"rank": 2, "names": ["x1", "x2"]},
+                       decompose={"target": "derivative:x1 x2^-1"})
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads((out / "decomposition.json").read_text())
+    assert doc["coefficients"] == [["x1 x2'", "1/1"]]
 
 
 @pytest.mark.parametrize("command, section, key, doc", [

@@ -81,6 +81,28 @@ def test_parse_format_roundtrip(f2):
         assert f2.parse_word(f2.format_word(w)) == w
 
 
+def test_multi_letter_names_roundtrip():
+    # names longer than one letter: a word formats as tokens, ' marking an
+    # inverse, and parses back from ', ^-1 and the superscript -1
+    g = WeightedFreeGroup(2, names=["x1", "x2"])
+    assert [g.letter_name(x) for x in g.letters()] == ["x1", "x1'", "x2", "x2'"]
+    assert g.parse_word("x1 x2^-1") == (0, 3)
+    assert g.format_word((0, 3)) == "x1 x2'"
+    assert g.parse_word("x2⁻¹*x1") == (3, 0)
+    for w in g.ball(3):
+        assert g.parse_word(g.format_word(w)) == w
+    with pytest.raises(InputError, match="unknown token 'x3'"):
+        g.parse_word("x1 x3")
+
+
+def test_unreduced_words_parse_reduced(f2):
+    assert f2.parse_word("aA") == ()
+    assert f2.parse_word("abBa") == (0, 0)
+    assert f2.parse_word("a b b' a'") == ()
+    with pytest.raises(InputError, match="unknown letter 'x'"):
+        f2.parse_word("ax")
+
+
 def test_group_config_roundtrip():
     g = WeightedFreeGroup(2, weights=[Fraction(3, 2), 1], names=["x", "y"])
     g2 = WeightedFreeGroup.from_config(g.to_config())
