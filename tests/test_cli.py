@@ -903,14 +903,6 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("audit", "audit", {"maxlen": 9}, "audit.maxlen"),
     ("audit", "extra", {}, "config section 'extra'"),
     ("decompose", "params", {"tau": "nan"}, "config['params']['tau']"),
-    ("decompose", "params", {"tau": -1}, "config['params']"),
-    ("decompose", "decompose", {"target": "derivative:ax"},
-     "config['decompose']['target']"),
-    ("moments", "moments", {"target": "derivative:a x'"},
-     "config['moments']['target']"),
-    ("verify", "verify", {"mu": {"atoms": [["q", "1"]]}}, "config['verify']['mu']"),
-    ("verify", "verify", {"mu": "sphere:1", "nu_prime": "pushforward:z"},
-     "config['verify']['nu_prime']"),
     ("decompose", "params", {"s": None}, "config['params']['s']"),
     ("audit", "params", {"D": True}, "config['params']['D']"),
     ("moments", "moments", {"rounds": 0}, "config['moments']['rounds'] = 0"),
@@ -931,6 +923,14 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("decompose", "params", {"alpha": "log(2)"}, "config['params']"),
     ("audit", "audit", {"Ds": [0, 0]}, "config['audit']['Ds'] = [0, 0]"),
     ("audit", "audit", {"Ds": [1, "2/2"]}, "config['audit']['Ds'] = [1, '2/2']"),
+    ("decompose", "params", {"tau": -1}, "config['params']"),
+    ("decompose", "decompose", {"target": "derivative:ax"},
+     "config['decompose']['target']"),
+    ("moments", "moments", {"target": "derivative:a x'"},
+     "config['moments']['target']"),
+    ("verify", "verify", {"mu": {"atoms": [["q", "1"]]}}, "config['verify']['mu']"),
+    ("verify", "verify", {"mu": "sphere:1", "nu_prime": "pushforward:z"},
+     "config['verify']['nu_prime']"),
 ])
 def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
     # "1/0", a non-finite float, a negative tau, a word with an unknown letter
