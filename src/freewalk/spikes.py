@@ -447,12 +447,9 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
             s = slopes[w]
             if exact:
                 p, q = s.numerator, s.denominator * num[w]
-            else:
-                # a float over a den divides by num / den, which rounds like
-                # float(Fraction(num, den)), so no Fraction is built per cell
+            else:  # num / den rounds like float(Fraction(num, den))
                 p, q = s * r_val, 1
-                p = p / (num[w] / den) if den is not None and type(p) is float \
-                    else p / value(w)
+                p /= num[w] / den if den is not None and type(p) is float else value(w)
             if p * worst_lip[1] > worst_lip[0] * q:
                 worst_lip, top_lip = (p, q), w
         measured["lipschitz"] = 0 if top_lip is None else \
