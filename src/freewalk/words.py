@@ -180,8 +180,9 @@ class WeightedFreeGroup:
         return name if x % 2 == 0 else name + "'"
 
     def _compact(self) -> bool:
-        """Whether every name is one letter, so a word needs no separators."""
-        return all(len(n) == 1 and n.isalpha() for n in self.names)
+        """Whether every name is one lowercase letter, so a word needs no
+        separators and an uppercase letter marks an inverse."""
+        return all(len(n) == 1 and n.islower() for n in self.names)
 
     def format_word(self, word: Sequence[int]) -> str:
         if not word:

@@ -81,7 +81,7 @@ def test_parse_format_roundtrip(f2):
         assert f2.parse_word(f2.format_word(w)) == w
 
 
-def test_multi_letter_names_roundtrip():
+def test_token_names_roundtrip():
     # names longer than one letter: a word formats as tokens, ' marking an
     # inverse, and parses back from ', ^-1 and the superscript -1
     g = WeightedFreeGroup(2, names=["x1", "x2"])
@@ -89,8 +89,12 @@ def test_multi_letter_names_roundtrip():
     assert g.parse_word("x1 x2^-1") == (0, 3)
     assert g.format_word((0, 3)) == "x1 x2'"
     assert g.parse_word("x2⁻¹*x1") == (3, 0)
-    for w in g.ball(3):
-        assert g.parse_word(g.format_word(w)) == w
+    # uppercase names cannot mark an inverse by case, so they are tokens too
+    assert WeightedFreeGroup(2, names=["A", "B"]).format_word((0, 1)) == "A A'"
+    for names in (["x1", "x2"], ["A", "B"]):
+        group = WeightedFreeGroup(2, names=names)
+        for w in group.ball(3):
+            assert group.parse_word(group.format_word(w)) == w
     with pytest.raises(InputError, match="unknown token 'x3'"):
         g.parse_word("x1 x3")
 
