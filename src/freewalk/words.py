@@ -114,6 +114,8 @@ class WeightedFreeGroup:
         if len(names) != rank or len(set(names)) != rank:
             raise InputError("generator names must be distinct, one per generator")
         self.names = tuple(str(n) for n in names)
+        # on lowercase one-letter names a word is letters, an inverse uppercase
+        self._compact = all(len(n) == 1 and n.islower() for n in self.names)
         self.two_k = 2 * rank
 
     # -- alphabet ----------------------------------------------------------
@@ -179,15 +181,10 @@ class WeightedFreeGroup:
         name = self.names[x >> 1]
         return name if x % 2 == 0 else name + "'"
 
-    def _compact(self) -> bool:
-        """Whether every name is one lowercase letter, so a word needs no
-        separators and an uppercase letter marks an inverse."""
-        return all(len(n) == 1 and n.islower() for n in self.names)
-
     def format_word(self, word: Sequence[int]) -> str:
         if not word:
             return "e"
-        if self._compact():
+        if self._compact:
             return "".join(self.names[x >> 1] if x % 2 == 0
                            else self.names[x >> 1].upper() for x in word)
         return " ".join(self.letter_name(x) for x in word)
@@ -200,7 +197,8 @@ class WeightedFreeGroup:
             return EPSILON
         lower_names = {n: 2 * i for i, n in enumerate(self.names)}
         letters: List[int] = []
-        if not self._compact() or any(c in text for c in " '^⁻"):
+        if not self._compact or " " in text or "'" in text or "^" in text \
+                or "⁻" in text:
             for tok in text.replace("*", " ").split():
                 m = _TOKEN_RE.fullmatch(tok)
                 if not m or m.group(1) not in lower_names:
