@@ -25,7 +25,8 @@ from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
                          trie_closure)
 # radon_nikodym stays bound here for bench/test_tracer.py
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
-                       integrate, radon_nikodym, require_conformal)  # noqa: F401
+                       integrate, radon_nikodym, rational_sum,  # noqa: F401
+                       require_conformal)
 from .spikes import shadow_lemma_audit, decay_check, lipschitz_scale
 from .stationarity import functionals
 
@@ -37,6 +38,15 @@ class GreedyParameterError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A guaranteed inequality failed at runtime; never silently ignored."""
+
+
+class ContractionShortfall(InternalInvariantError):
+    """A basis round's residual exceeds rho* times the last one; `result`
+    holds the rounds before it."""
+
+    def __init__(self, message: str, result: "DecompositionResult"):
+        super().__init__(message)
+        self.result = result
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +369,12 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
 
 
 def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
-            vparams: VisualParams) -> List[Tuple[object, object]]:
+            vparams: VisualParams):
     """Add factor * lambda * ||u_gamma||_1 to mu(gamma) for every positive
-    lambda; returns the (coefficient, ||u_gamma||_1) pairs added, with
-    ||u_gamma||_1 = e^{-alpha W(gamma)}, W(gamma) = d(e, gamma^{-1})."""
+    lambda, ||u_gamma||_1 = e^{-alpha W(gamma)} (int u_gamma d nu for the
+    conformal nu).  Returns the (coefficient, ||u_gamma||_1) pairs added and
+    the round's mass, their coefficients' sum: one `rational_sum` when all
+    are rational, else the plain sum in order."""
     added = []
     for gamma, lam in lambdas:
         if lam > 0:
@@ -370,7 +382,18 @@ def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
             coeff = factor * lam * mass
             mu[gamma] = mu.get(gamma, 0) + coeff
             added.append((coeff, mass))
-    return added
+    coeffs = [coeff for coeff, _ in added]
+    if all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return added, rational_sum((c.numerator, c.denominator) for c in coeffs)
+    return added, sum(coeffs)
+
+
+def _exceeds(a, b) -> bool:
+    """a > b for a certificate: exact when both are rational; otherwise in
+    floats, with a slack of 1e-12 for their rounding."""
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return a > b
+    return float(a) > float(b) + 1e-12
 
 
 def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
@@ -414,25 +437,34 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
 # outer loops
 # ---------------------------------------------------------------------------
 
+def _start(F: LocallyConstantFunction, nu: BoundaryMeasure, params: GreedyParams,
+           constants: Optional[AuditConstants]):
+    """(constants, C, R, [||R||_1]) that both loops start from: the constants
+    measured at the margins (0, max(D, 1)) unless given, the spike-constant
+    cap C, and the first residual R = F over one shared denominator."""
+    if constants is None:
+        constants = measure_constants(nu, nu.params, max_len=params.audit_len,
+                                      ds=(0, max(params.margin, 1)))
+    cap = params.cap_for(constants, nu.params)
+    if F.inf() <= 0:
+        raise GreedyParameterError("target must be uniformly positive")
+    R = F.over_shared_den()
+    return constants, cap, R, [integrate(R, nu)]
+
+
 def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                     params: GreedyParams,
                     constants: Optional[AuditConstants] = None) -> DecompositionResult:
     """Iterate the greedy round on residuals until ||R||_1 <= tau.
 
     Returns mu with convolve(mu, nu) within tau of F d nu in total variation;
-    the residual trace contracts at least by 1 - L_nu beta/(C^2 s^2) per round.
+    the residual trace contracts at least by 1 - L_nu beta/(C^2 s^2) per round,
+    and a round that does not raises ContractionShortfall.
     """
     vparams = nu.params
     group = F.group
-    if constants is None:
-        constants = measure_constants(nu, vparams, max_len=params.audit_len,
-                                      ds=(0, params.margin) if params.margin else (0, 1))
-    cap = params.cap_for(constants, vparams)
-    if F.inf() <= 0:
-        raise GreedyParameterError("target must be uniformly positive")
-    R = F.over_shared_den()
+    constants, cap, R, trace = _start(F, nu, params, constants)
     mu: Dict[Word, object] = {}
-    trace = [integrate(R, nu)]
     records: List[RoundRecord] = []
     # Each round applies the recursion to the damped target beta * R and keeps
     # the whole ladder sum h = g, enforcing the domination h <= R cellwise
@@ -442,20 +474,13 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     shell = max(1, params.margin,
                 min(int(oscillation_threshold(F, params.s)) + params.margin,
                     params.max_shell))
-    covers: Dict[int, List[Word]] = {}
-
-    def cover_at(shell: int) -> List[Word]:
-        if shell not in covers:
-            covers[shell] = _cover(group, shell, params.margin)
-        return covers[shell]
-
+    cover = _cover(group, shell, params.margin)
     for round_idx in range(1, params.max_rounds + 1):
         if float(trace[-1]) <= params.tau:
             break
         c_round_cap = cap if params.schedule == "fixed" \
             else cap * Fraction(math.isqrt(1 + round_idx))
         rho = constants.rho_star(params.beta, c_round_cap, params.s)
-        cover = cover_at(shell)
         done = None
         if params.rescale == "adaptive":
             done = _cone_finisher(R, nu, cover, params.tau)
@@ -464,7 +489,6 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             fixed = 1 if params.rescale == "adaptive" \
                 else 3 * constants.l_nu / (c_round_cap * params.s)
             while True:
-                cover = cover_at(shell)
                 factors = [lambda R, g: fixed]
                 last = shell >= params.max_shell
                 if last:  # graceful fallback: cap the whole round uniformly
@@ -476,24 +500,21 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                     if last:
                         raise
                     shell += 1  # tails too coarse for the residual's contrast
-        lambdas, g, factor, R_next, l1_next = done
+                    cover = _cover(group, shell, params.margin)
+        lambdas, _, factor, R_next, l1_next = done
         if not l1_next < trace[-1]:
             raise InternalInvariantError(
                 f"residual did not decrease in round {round_idx}: "
                 f"{trace[-1]} -> {l1_next}")
-        # exact when all three are rational; the slack is for floats only
-        exact = all(isinstance(x, (int, Fraction)) for x in (l1_next, rho, trace[-1]))
-        if (l1_next > rho * trace[-1] if exact else
-                float(l1_next) > float(rho) * float(trace[-1]) + 1e-12):
-            raise InternalInvariantError(
+        if _exceeds(l1_next, rho * trace[-1]):
+            raise ContractionShortfall(
                 f"round {round_idx} violated the guaranteed contraction "
-                f"{float(rho):.6f}")
-        _credit(mu, lambdas, factor, group, vparams)
+                f"{float(rho):.6f}", _finish(group, mu, trace, records, None))
+        _, round_mass = _credit(mu, lambdas, factor, group, vparams)
         records.append(RoundRecord(index=round_idx, shell=shell,
                                    cover_depth=shell - params.margin,
                                    spike_count=len(cover), factor=factor,
-                                   round_mass=factor * integrate(g, nu),
-                                   residual_l1=l1_next))
+                                   round_mass=round_mass, residual_l1=l1_next))
         R = R_next
         trace.append(l1_next)
     return _finish(group, mu, trace, records, None)
@@ -524,19 +545,10 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                          "(the radius band must contain a shell)")
     if params.schedule != "fixed":
         raise InputError(f"moments certifies a fixed C, got schedule {params.schedule!r}")
-    if constants is None:
-        constants = measure_constants(nu, vparams, max_len=params.audit_len,
-                                      ds=(0, params.margin))
-    cap = params.cap_for(constants, vparams)
-    # case-3 admissibility: C^2/(C^2 - L_nu) > k = 1 holds for every C > 1
-    if not (cap * cap / (cap * cap - constants.l_nu)) > 1:
-        raise InputError("case-3 schedule condition violated")
-    if F.inf() <= 0:
-        raise GreedyParameterError("target must be uniformly positive")
+    # case 3 admits every C > 1: C^2/(C^2 - L_nu) > k = 1
+    constants, cap, R, trace = _start(F, nu, params, constants)
     eps_sched: List[float] = [1.0]
     mu: Dict[Word, object] = {}
-    R = F.over_shared_den()
-    trace = [integrate(R, nu)]
     records: List[RoundRecord] = []
     g_shift = float(vparams.epsilon.exp_neg(params.margin))  # g(r) = e^{-eps D} r
     proof_factor = params.beta * 3 * constants.l_nu / (cap * params.s)
@@ -559,16 +571,9 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
         cover = _cover(group, shell, params.margin)
-        lambdas, g, factor, R, l1_next = _greedy_round(R, R, cover, nu, factors,
+        lambdas, _, factor, R, l1_next = _greedy_round(R, R, cover, nu, factors,
                                                        params.beta)
-        added = _credit(mu, lambdas, factor, group, vparams)
-        # each coefficient is factor * lambda * int u d nu for the conformal
-        # nu, so the round's mass is one exact integral of g when g and the
-        # factor are rational; otherwise the sum of the terms, in order
-        if nu.conformal and g.den is not None and isinstance(factor, (int, Fraction)):
-            round_mass = factor * integrate(g, nu)
-        else:
-            round_mass = sum(coeff for coeff, _ in added)
+        added, round_mass = _credit(mu, lambdas, factor, group, vparams)
         max_log = 0.0
         contribution = 0.0
         for coeff, mass_u in added:
@@ -631,11 +636,7 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
         rec.envelope = env
         # log(1/||u||_1) <= Q log(1/r) + 2 log C at the round's smallest radius
         log_r_bound = q * float(rec.max_r_exp) * vparams.epsilon.value + 2 * math.log(float(cap))
-        # exact when all three are rational; the slack is for floats only
-        exact = all(isinstance(x, (int, Fraction))
-                    for x in (rec.round_mass, rho_q, c_prime_q))
-        if (rec.round_mass > c_prime_q * rho_q ** (n - 1) if exact else
-                float(rec.round_mass) > c_prime * rho ** (n - 1) + 1e-12):
+        if _exceeds(rec.round_mass, c_prime_q * rho_q ** (n - 1)):
             checks["mass_bound"] = False
         if rec.max_log_inv_l1 is not None and rec.max_log_inv_l1 > log_r_bound + 1e-9:
             checks["log_bound"] = False

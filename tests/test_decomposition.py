@@ -94,9 +94,9 @@ def test_finisher_round_builds_and_integrates_its_residual_once(monkeypatch, f2,
     res = basis_decompose(F, nu2, GreedyParams(), constants=constants2)
     assert res.rounds == 1 and res.records[0].factor == 1
     assert res.residual_trace == [2, 0]
-    # one R - h, integrated once; the other two integrals are ||F||_1 and
-    # the round's mass ||h||_1
-    assert len(subs) == 1 and len(integrated) == 3
+    # one R - h, integrated once; the other integral is ||F||_1, and the
+    # round's mass is the sum of its coefficients, not an integral
+    assert len(subs) == 1 and len(integrated) == 2
     assert integrated[1].values == subs[0].canonical().values
 
 

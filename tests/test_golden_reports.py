@@ -19,8 +19,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from freewalk import (GreedyParams, LocallyConstantFunction, VisualParams,
-                      WeightedFreeGroup, basis_decompose, measure_constants,
-                      moment_decompose, radon_nikodym, uniform_ps_measure)
+                      WeightedFreeGroup, basis_decompose, decomposition,
+                      integrate, measure_constants, moment_decompose,
+                      radon_nikodym, uniform_ps_measure)
 
 REPORTS = Path(__file__).resolve().parent / "data" / "reports"
 
@@ -55,7 +56,8 @@ def setup(mode):
     return _SETUP[mode]
 
 
-def report(name, mode) -> str:
+def result(name, mode):
+    """The DecompositionResult of run `name` in the given arithmetic."""
     loop, target, keywords, rounds = RUNS[name]
     group, nu, constants = setup(mode)
     if target.startswith("bump:"):
@@ -68,10 +70,12 @@ def report(name, mode) -> str:
         F = F.map(float)
     params = GreedyParams(**keywords)
     if loop == "basis":
-        res = basis_decompose(F, nu, params, constants=constants)
-    else:
-        res = moment_decompose(F, nu, params, rounds=rounds, constants=constants)
-    return json.dumps(res.to_json(), sort_keys=True, indent=2) + "\n"
+        return basis_decompose(F, nu, params, constants=constants)
+    return moment_decompose(F, nu, params, rounds=rounds, constants=constants)
+
+
+def report(name, mode) -> str:
+    return json.dumps(result(name, mode).to_json(), sort_keys=True, indent=2) + "\n"
 
 
 def path(name, mode) -> Path:
@@ -82,6 +86,28 @@ def path(name, mode) -> Path:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes(name, mode):
     assert report(name, mode).encode() == path(name, mode).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_round_mass_is_the_integral_of_g(monkeypatch, name):
+    # a round records its mass as the sum of the coefficients it credits;
+    # for the conformal nu that is factor * int g d nu, read here off every
+    # accepted round (a greedy round, or the finisher's with factor 1 and
+    # g = h)
+    rounds = []
+    for spied in ("_greedy_round", "_cone_finisher"):
+        def spy(*args, original=getattr(decomposition, spied)):
+            out = original(*args)
+            if out is not None:
+                rounds.append(out)
+            return out
+        monkeypatch.setattr(decomposition, spied, spy)
+    res = result(name, "exact")
+    nu = setup("exact")[1]
+    assert len(rounds) == len(res.records) > 0
+    for rec, (_, g, factor, _, _) in zip(res.records, rounds):
+        assert type(rec.round_mass) is Fraction
+        assert rec.round_mass == factor * integrate(g, nu)
 
 
 def test_moment_tail_is_the_series_sum():

@@ -218,15 +218,17 @@ def oracle_basis_decompose(F, nu, params, constants, seen):
             raise InternalInvariantError(
                 f"round {round_idx} violated the guaranteed contraction "
                 f"{float(rho):.6f}")
+        round_mass = 0
         for gamma, lam in lambdas:
             if lam > 0:
                 mass = vparams.alpha.exp_neg(sup_product(group, gamma))
-                mu[gamma] = mu.get(gamma, 0) + factor * lam * mass
+                coeff = factor * lam * mass
+                mu[gamma] = mu.get(gamma, 0) + coeff
+                round_mass = round_mass + coeff
         records.append(RoundRecord(index=round_idx, shell=shell,
                                    cover_depth=shell - params.margin,
                                    spike_count=len(centers), factor=factor,
-                                   round_mass=factor * plain_integrate(g, nu),
-                                   residual_l1=l1_next))
+                                   round_mass=round_mass, residual_l1=l1_next))
         R = R_next
         trace.append(l1_next)
     return _finish(group, mu, trace, records, None)
