@@ -26,9 +26,6 @@ class StationarityReport:
     moment: object
     log_moment: float
     entropy: float
-    moment_finite: bool
-    log_moment_finite: bool
-    entropy_finite: bool
     normalized_copy: bool = False
 
     def to_json(self) -> dict:
@@ -38,9 +35,6 @@ class StationarityReport:
                 "moment": repr(float(self.moment)),
                 "log_moment": repr(float(self.log_moment)),
                 "entropy": repr(float(self.entropy)),
-                "moment_finite": self.moment_finite,
-                "log_moment_finite": self.log_moment_finite,
-                "entropy_finite": self.entropy_finite,
                 "normalized_copy": self.normalized_copy}
 
 
@@ -128,9 +122,6 @@ def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
     return StationarityReport(
         max_cell_error=worst, depth=depth, exact=exact,
         moment=moment, log_moment=log_moment, entropy=entropy,
-        moment_finite=math.isfinite(float(moment)),
-        log_moment_finite=math.isfinite(log_moment),
-        entropy_finite=math.isfinite(entropy),
         normalized_copy=normalized)
 
 

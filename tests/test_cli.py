@@ -77,6 +77,8 @@ def test_verify_ok_and_perturbed(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
     rep = json.loads((out / "stationarity.json").read_text())
     assert rep["exact"] is True
+    assert sorted(rep) == ["depth", "entropy", "exact", "log_moment",
+                           "max_cell_error", "moment", "normalized_copy"]
     perturbed = {
         "atoms": [["a", "26/100"], ["A", "1/4"], ["b", "1/4"], ["B", "1/4"]]}
     cfg2 = write_config(tmp_path, verify={"mu": perturbed})
