@@ -32,7 +32,7 @@ from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, conformal_exponent)
 from .spikes import make_spike, with_margin, verify_spike, Spike, _checked_margin
 from .decomposition import (GreedyParams, basis_decompose, moment_decompose,
-                            measure_constants)
+                            measure_constants, ContractionShortfall)
 from .stationarity import verify_stationarity, sphere_uniform, mix
 
 
@@ -331,7 +331,11 @@ def _write_meta(out_dir: Optional[str], command: str) -> None:
 
 def cmd_decompose(run: Run, args) -> int:
     F = run.cfg["decompose"]["target"](run)
-    result = basis_decompose(F, run.nu, run.greedy)
+    try:
+        result = basis_decompose(F, run.nu, run.greedy)
+    except ContractionShortfall as exc:  # ends the run, as max_rounds does
+        print(f"stopped: {exc}", file=sys.stderr)
+        result = exc.result
     _write(args.out, "decomposition.json", _dump(result.to_json()))
     _write(args.out, "decomposition.csv", result.to_csv())
     _write_meta(args.out, "decompose")

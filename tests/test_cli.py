@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 from freewalk import cli, decomposition, measures, spikes
 from freewalk.cli import main
 from freewalk.decomposition import InternalInvariantError
-from freewalk.geometry import LogScale
+from freewalk.geometry import LogScale, VisualParams
+from freewalk.measures import radon_nikodym, uniform_ps_measure
 from freewalk.partitions import LocallyConstantFunction, _num_to_str
+from freewalk.words import WeightedFreeGroup
 
 from conftest import materialize_depth
 
@@ -328,16 +330,35 @@ def test_moments_default_rescale(tmp_path):
     assert all(doc["envelope"]["checks"].values())
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: decompose with a "
-                   "shadow margin fails the guaranteed contraction at round 14 "
-                   "and exits 3")
-def test_decompose_with_margin_runs_to_its_end(tmp_path):
+def _bump(word: str) -> dict:
+    """f_word + 1 on F_2 at the critical alpha = log 3, as inline cells."""
+    group = WeightedFreeGroup(2)
+    params = VisualParams.exact_base(3)
+    f = radon_nikodym(group.parse_word(word), uniform_ps_measure(group, params),
+                      params)
+    return f.add(LocallyConstantFunction.constant(group, Fraction(1))).to_json()
+
+
+@pytest.mark.parametrize("rank,margin,target", [
+    (2, 1, "ones"), (2, 2, "ones"), (3, 1, "ones"), (2, 1, "bump:ab"),
+    (2, 1, "bump:aab")])
+def test_decompose_with_margin_runs_to_its_end(tmp_path, capsys, rank, margin,
+                                               target):
     # a documented config run to its end: it meets tau (exit 0) or reports
-    # the tolerance it reached (exit 1), never an internal error
+    # the tolerance it reached (exit 1), never an internal error.  Each of
+    # these stops at a round that misses the guaranteed contraction (ROADMAP
+    # item 7) and writes the rounds before it.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"group": {"rank": 2}, "params": {"D": 1}}))
-    assert main(["decompose", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) in (0, 1)
+    path.write_text(json.dumps({
+        "group": {"rank": rank}, "params": {"D": margin},
+        "decompose": {"target": _bump(target[5:]) if target != "ones" else target}}))
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(path), "--out", str(out)]) in (0, 1)
+    doc = json.loads((out / "decomposition.json").read_text())
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"stopped: round (\d+) violated the guaranteed "
+                         r"contraction 0\.\d{6}\n", err)
+    assert match and doc["rounds"] == int(match.group(1)) - 1
 
 
 def test_moments_without_margin(tmp_path):
