@@ -84,7 +84,8 @@ def as_exact(x) -> Union[int, Fraction]:
     return x.numerator if x.denominator == 1 else x
 
 
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(\^-1|'|⁻¹)?")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN_RE = re.compile(rf"({_NAME_RE.pattern})(\^-1|'|⁻¹)?")
 
 
 class WeightedFreeGroup:
@@ -114,6 +115,10 @@ class WeightedFreeGroup:
         if len(names) != rank or len(set(names)) != rank:
             raise InputError("generator names must be distinct, one per generator")
         self.names = tuple(str(n) for n in names)
+        for n in self.names:  # "e" reads back as the identity
+            if n == "e" or not _NAME_RE.fullmatch(n):
+                raise InputError(f"generator name {n!r} cannot be read back from "
+                                 "a word: use [A-Za-z_][A-Za-z_0-9]*, not 'e'")
         # on lowercase one-letter names a word is letters, an inverse uppercase
         self._compact = all(len(n) == 1 and n.islower() for n in self.names)
         self.two_k = 2 * rank

@@ -954,6 +954,8 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("verify", "verify", {"mu": {"atoms": [["q", "1"]]}}, "config['verify']['mu']"),
     ("verify", "verify", {"mu": "sphere:1", "nu_prime": "pushforward:z"},
      "config['verify']['nu_prime']"),
+    ("decompose", "group", {"rank": 2, "names": ["e", "f"]}, "config['group']"),
+    ("audit", "group", {"rank": 2, "names": ["x-1", "y"]}, "config['group']"),
 ])
 def test_refused_config_names_its_key(tmp_path, capsys, command, section, value, name):
     # "1/0", a non-finite float, a negative tau, a word with an unknown letter

@@ -99,6 +99,15 @@ def test_token_names_roundtrip():
         g.parse_word("x1 x3")
 
 
+@pytest.mark.parametrize("names", [["e", "f"], ["x-1", "y"], ["1", "2"],
+                                   ["a", "b c"], ["", "b"], ["a", "é"]])
+def test_names_that_cannot_read_back_are_refused(names):
+    # "e" would read back as the identity, and a name outside
+    # [A-Za-z_][A-Za-z_0-9]* as an unknown token
+    with pytest.raises(InputError, match="cannot be read back"):
+        WeightedFreeGroup(2, names=names)
+
+
 def test_unreduced_words_parse_reduced(f2):
     assert f2.parse_word("aA") == ()
     assert f2.parse_word("abBa") == (0, 0)
