@@ -27,13 +27,13 @@ from typing import Optional
 
 from .words import WeightedFreeGroup, as_exact
 from .geometry import VisualParams, LogScale, Cylinder
-from .partitions import LocallyConstantFunction, _num_from_str, _num_to_str
+from .partitions import LocallyConstantFunction, word_values, _num_to_str
 from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
                        radon_nikodym, pushforward, conformal_exponent)
 from .spikes import make_spike, with_margin, verify_spike, Spike, _checked_margin
 from .decomposition import (GreedyParams, basis_decompose, moment_decompose,
                             measure_constants, ContractionShortfall)
-from .stationarity import verify_stationarity, sphere_uniform, mix
+from .stationarity import verify_stationarity, sphere_uniform, mix, convex_weights
 
 
 class ConfigError(ValueError):
@@ -186,9 +186,11 @@ def _target(spec, group: WeightedFreeGroup, exact: bool):
 
 def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
     """"sphere:R", a measure file or decomposition report, inline
-    {"atoms": ...}, or a convex {"mix": [[spec, weight], ...]}."""
+    {"atoms": ...}, or a convex {"mix": [[spec, weight], ...]}.  All but a
+    file are checked here, so that an error names the key; a file is read
+    only by the command that needs it."""
     if isinstance(spec, str) and spec.startswith("sphere:"):
-        radius = _int(spec.split(":", 1)[1])
+        radius = _count(spec.split(":", 1)[1])
         return lambda run: sphere_uniform(group, radius)
     if isinstance(spec, str):
         def parse(doc):  # a measure file, or a decomposition report
@@ -197,11 +199,14 @@ def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
             return GroupMeasure.from_json(doc)
         return lambda run: _read_file(spec, "measure", parse)
     if isinstance(spec, dict) and "atoms" in spec:
-        atoms = {group.parse_word(w): _num_from_str(v) for w, v in spec["atoms"]}
+        atoms = word_values(group, spec["atoms"])
         _inline(atoms.values(), "inline atom", exact)
-        return lambda run: GroupMeasure(group, atoms)
+        if not (mu := GroupMeasure(group, atoms)).atoms:
+            raise ValueError("inline atoms have no positive weight")
+        return lambda run: mu
     if isinstance(spec, dict) and "mix" in spec:
         parts = [(_group_measure(m, group, exact), _rational(t)) for m, t in spec["mix"]]
+        convex_weights([t for _, t in parts])
         return lambda run: mix([(m(run), t) for m, t in parts])
     raise ValueError(f"unknown group measure spec {spec!r}")
 

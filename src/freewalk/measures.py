@@ -23,7 +23,7 @@ from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
 from .geometry import (Cylinder, VisualParams, LogScale, locally_constant_cells,
                        translate_cylinder)
 from .partitions import (LocallyConstantFunction, trie_closure,
-                         validate_partition, _num_to_str, _num_from_str)
+                         validate_partition, word_values, _num_to_str)
 
 
 _RATIONAL = (int, Fraction)
@@ -194,7 +194,7 @@ class BoundaryMeasure:
     @classmethod
     def from_json(cls, doc: dict, params: Optional[VisualParams] = None) -> "BoundaryMeasure":
         group = WeightedFreeGroup.from_config(doc["group"])
-        leaves = {group.parse_word(w): _num_from_str(v) for w, v in doc["cells"]}
+        leaves = word_values(group, doc["cells"])
         rule = doc.get("rule", "none")
         if rule == "conformal":
             if params is None:
@@ -321,8 +321,7 @@ class GroupMeasure:
     @classmethod
     def from_json(cls, doc: dict) -> "GroupMeasure":
         group = WeightedFreeGroup.from_config(doc["group"])
-        return cls(group, {group.parse_word(w): _num_from_str(v)
-                           for w, v in doc["atoms"]})
+        return cls(group, word_values(group, doc["atoms"]))
 
     def __eq__(self, other):
         return isinstance(other, GroupMeasure) and self.atoms == other.atoms

@@ -245,8 +245,7 @@ class LocallyConstantFunction:
 
     @classmethod
     def from_json(cls, group: WeightedFreeGroup, doc: dict) -> "LocallyConstantFunction":
-        vals = {group.parse_word(w): _num_from_str(v) for w, v in doc["cells"]}
-        return cls(group, vals)
+        return cls(group, word_values(group, doc["cells"]))
 
 
 def _num_to_str(v) -> str:
@@ -255,6 +254,17 @@ def _num_to_str(v) -> str:
     if isinstance(v, int):
         return f"{_int_to_str(v)}/1"
     return repr(float(v))
+
+
+def word_values(group: WeightedFreeGroup, pairs) -> Dict[Word, object]:
+    """{word: number} from [[word, number string], ...].  A word listed
+    twice is refused: a dict would keep only its last value."""
+    values: Dict[Word, object] = {}
+    for text, v in pairs:
+        if (w := group.parse_word(text)) in values:
+            raise PartitionError(f"word {text!r} is listed twice")
+        values[w] = _num_from_str(v)
+    return values
 
 
 def _num_from_str(s: str):

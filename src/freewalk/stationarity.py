@@ -141,18 +141,24 @@ def sphere_uniform(group: WeightedFreeGroup, radius: int) -> GroupMeasure:
     return GroupMeasure(group, {w: mass for w in words})
 
 
-def mix(solutions: Sequence[Tuple[GroupMeasure, object]]) -> GroupMeasure:
-    """Convex combination of group measures (weights >= 0 summing to 1)."""
-    if not solutions:
+def convex_weights(weights: Sequence) -> list:
+    """The weights of a convex combination, checked: at least one, each >= 0,
+    summing to 1 (within 1e-12 for floats)."""
+    if not weights:
         raise InputError("mix needs at least one measure")
-    weights = [Fraction(t) if not isinstance(t, float) else t
-               for _, t in solutions]
+    weights = [Fraction(t) if not isinstance(t, float) else t for t in weights]
     if any(t < 0 for t in weights):
         raise InputError("mixing weights must be nonnegative")
     total = sum(weights)
     if (isinstance(total, Fraction) and total != 1) or \
             (not isinstance(total, Fraction) and abs(total - 1) > 1e-12):
         raise InputError(f"mixing weights must sum to 1, got {total}")
+    return weights
+
+
+def mix(solutions: Sequence[Tuple[GroupMeasure, object]]) -> GroupMeasure:
+    """Convex combination of group measures (see `convex_weights`)."""
+    weights = convex_weights([t for _, t in solutions])
     group = solutions[0][0].group
     atoms = {}
     for m, t in zip((m for m, _ in solutions), weights):

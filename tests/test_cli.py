@@ -704,6 +704,28 @@ def test_malformed_user_file_exits_2(tmp_path, capsys, command, section, key, do
     assert err.startswith("error: ") and str(path) in err and "KeyError" in err
 
 
+TWICE = [["a", "1/2"], ["A", "1/4"], ["b", "1/8"], ["B", "1/8"], ["a", "1/2"]]
+
+
+@pytest.mark.parametrize("command, section, key, doc", [
+    ("audit", "audit", "inject", {"function": {"cells": TWICE}, "r_exp": "1",
+                                  "center": "e"}),
+    ("verify", "verify", "mu", {"group": {"rank": 2}, "atoms": TWICE}),
+    ("verify", "verify", "nu", {"group": {"rank": 2}, "cells": TWICE}),
+])
+def test_word_listed_twice_in_a_file_exits_2(tmp_path, capsys, command, section,
+                                             key, doc):
+    # a dict would keep the word's last value and drop the first
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps(doc))
+    spec = {"audit": {"max_len": 1, "Ds": [0], "inject": str(path)},
+            "verify": {"mu": "sphere:1", key: str(path)}}[section]
+    cfg = write_config(tmp_path, **{section: spec})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "word 'a' is listed twice" in err
+
+
 @pytest.mark.parametrize("command, flags", [
     ("decompose", ["--witnesses", "--depth", "3", "--threshold", "5"]),
     ("decompose", ["--depth", "3"]),
@@ -954,6 +976,16 @@ def test_audit_negative_margin_exits_2(tmp_path, capsys):
     ("verify", "verify", {"mu": {"atoms": [["q", "1"]]}}, "config['verify']['mu']"),
     ("verify", "verify", {"mu": "sphere:1", "nu_prime": "pushforward:z"},
      "config['verify']['nu_prime']"),
+    ("verify", "verify", {"mu": "sphere:0"}, "config['verify']['mu']"),
+    ("verify", "verify", {"mu": {"mix": [["sphere:1", "1/2"], ["sphere:2", "1/3"]]}},
+     "config['verify']['mu']"),
+    ("verify", "verify", {"mu": {"atoms": [["a", "-1/2"]]}}, "config['verify']['mu']"),
+    ("verify", "verify", {"mu": {"atoms": [["a", "0"], ["b", "0"]]}},
+     "config['verify']['mu']"),
+    ("verify", "verify", {"mu": {"atoms": [["a", "1/2"], ["a", "1/2"], ["b", "1/2"]]}},
+     "config['verify']['mu']"),
+    ("decompose", "decompose", {"target": {"cells": TWICE}},
+     "config['decompose']['target']"),
     ("decompose", "group", {"rank": 2, "names": ["e", "f"]}, "config['group']"),
     ("audit", "group", {"rank": 2, "names": ["x-1", "y"]}, "config['group']"),
 ])
