@@ -99,6 +99,15 @@ def test_token_names_roundtrip():
         g.parse_word("x1 x3")
 
 
+def test_default_names_above_rank_26_roundtrip():
+    # rank 27 names its generators g1 ... g27, written as tokens
+    g = WeightedFreeGroup(27)
+    assert g.names[0] == "g1" and g.names[-1] == "g27"
+    word = (0, 3, 53, 52 - 2, 21)
+    assert g.format_word(word) == "g1 g2' g27' g26 g11'"
+    assert g.parse_word(g.format_word(word)) == word
+
+
 @pytest.mark.parametrize("names", [["e", "f"], ["x-1", "y"], ["1", "2"],
                                    ["a", "b c"], ["", "b"], ["a", "é"]])
 def test_names_that_cannot_read_back_are_refused(names):
