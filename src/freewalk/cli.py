@@ -355,8 +355,7 @@ def cmd_moments(run: Run, args) -> int:
         params = dataclasses.replace(params, margin=1, rescale="proof")
     result = moment_decompose(F, run.nu, params,
                               rounds=section["rounds"])
-    doc = result.to_json()
-    _write(args.out, "moments.json", _dump(doc))
+    _write(args.out, "moments.json", _dump(result.to_json()))
     _write(args.out, "moments.csv", result.to_csv())
     _write_meta(args.out, "moments")
     checks = result.envelope_report["checks"]

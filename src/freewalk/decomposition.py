@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert
 from .geometry import Cylinder, VisualParams
 from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
-                         trie_closure)
+                         trie_closure, _num_to_str)
 # radon_nikodym stays bound here for bench/test_tracer.py
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        integrate, radon_nikodym, rational_sum,  # noqa: F401
@@ -184,7 +184,6 @@ class DecompositionResult:
     leak: float = 0.0
 
     def to_json(self) -> dict:
-        from .partitions import _num_to_str
         group = self.coefficients.group
         doc = {
             "coefficients": [[group.format_word(w), _num_to_str(v)]
@@ -280,11 +279,8 @@ def _cover(group: WeightedFreeGroup, shell: int, margin: int) -> List[Word]:
     margin) partition (disjoint; Lebesgue number 1) extended along its spine
     to length `shell`.  The center b stands for the spike of gamma = b^{-1},
     whose radius exponent is W(b) - margin.  Sorted by ascending W(b), then
-    gamma."""
-    cover_depth = shell - margin
-    if cover_depth < 0:
-        raise InternalInvariantError(f"shell {shell} below margin {margin}")
-    cover = [spine_word(group, cell, shell) for cell in group.sphere(cover_depth)]
+    gamma.  Both loops keep shell >= margin."""
+    cover = [spine_word(group, cell, shell) for cell in group.sphere(shell - margin)]
     cover.sort(key=lambda b: (group.word_weight(b), invert(b)))
     return cover
 
@@ -461,7 +457,6 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     the residual trace contracts at least by 1 - L_nu beta/(C^2 s^2) per round,
     and a round that does not raises ContractionShortfall.
     """
-    vparams = nu.params
     group = F.group
     constants, cap, R, trace = _start(F, nu, params, constants)
     mu: Dict[Word, object] = {}
@@ -510,7 +505,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
             raise ContractionShortfall(
                 f"round {round_idx} violated the guaranteed contraction "
                 f"{float(rho):.6f}", _finish(group, mu, trace, records, None))
-        _, round_mass = _credit(mu, lambdas, factor, group, vparams)
+        _, round_mass = _credit(mu, lambdas, factor, group, nu.params)
         records.append(RoundRecord(index=round_idx, shell=shell,
                                    cover_depth=shell - params.margin,
                                    spike_count=len(cover), factor=factor,
@@ -622,9 +617,8 @@ def _case3_envelope(records: List[RoundRecord], norm_f, params: GreedyParams,
     rho = float(rho_q)
     q = float(constants.q)
     c_prime = float(params.beta) * float(norm_f)
-    lam_hat = 0.0
-    for n in range(2, len(eps_sched)):
-        lam_hat = max(lam_hat, -math.log(eps_sched[n]) / (n - 1) ** 2)
+    lam_hat = max([0.0] + [-math.log(eps_sched[n]) / (n - 1) ** 2
+                           for n in range(2, len(eps_sched))])
     g1 = float(vparams.epsilon.exp_neg(params.margin)) * eps_sched[1] \
         if len(eps_sched) > 1 else 1.0
     b0 = q * (-math.log(g1)) + 2 * math.log(float(cap))
@@ -664,16 +658,12 @@ TRUNCATE = 1e-15
 
 
 def _finish(group, mu, trace, records, envelope):
-    leak = 0.0
-    exact_mode = all(isinstance(v, Fraction) for v in mu.values())
     atoms = dict(mu)
-    if not exact_mode and atoms:
-        total = sum(float(v) for v in atoms.values())
-        floor = TRUNCATE * total
-        dropped = {w: v for w, v in atoms.items() if float(v) < floor}
-        leak = sum(float(v) for v in dropped.values())
-        for w in dropped:
-            del atoms[w]
+    leak = 0.0
+    if not all(isinstance(v, Fraction) for v in atoms.values()):
+        floor = TRUNCATE * sum(float(v) for v in atoms.values())
+        dropped = [w for w, v in atoms.items() if float(v) < floor]
+        leak = sum(float(atoms.pop(w)) for w in dropped)
     coeffs = GroupMeasure(group, atoms)
     moment, log_moment, entropy = functionals(coeffs)
     achieved = float(trace[-1]) + leak

@@ -98,26 +98,15 @@ def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
         depth = mu.support_radius() + 2
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    normalized = False
-    total = mu.total
-    if total != 1:
+    if normalized := mu.total != 1:
         mu = mu.normalized()
-        normalized = True
     if nu.conformal and nu.params is not None:
         mass = _density_masses(mu, nu, depth).__getitem__
     else:
         mass = convolve(mu, nu).mass_of
-    worst = Fraction(0)
-    exact_arith = True
-    for w in group.sphere(depth):
-        err = mass(w) - nu_prime.mass_of(w)
-        if isinstance(err, float):
-            exact_arith = False
-        if err < 0:
-            err = -err
-        if err > worst:
-            worst = err
-    exact = exact_arith and worst == 0
+    errors = [abs(mass(w) - nu_prime.mass_of(w)) for w in group.sphere(depth)]
+    worst = max([Fraction(0)] + errors)  # the first largest, 0 if all are 0
+    exact = worst == 0 and not any(isinstance(e, float) for e in errors)
     moment, log_moment, entropy = functionals(mu)
     return StationarityReport(
         max_cell_error=worst, depth=depth, exact=exact,

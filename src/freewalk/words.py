@@ -115,10 +115,10 @@ class WeightedFreeGroup:
         if len(names) != rank or len(set(names)) != rank:
             raise InputError("generator names must be distinct, one per generator")
         self.names = tuple(str(n) for n in names)
-        for n in self.names:  # "e" reads back as the identity
-            if n == "e" or not _NAME_RE.fullmatch(n):
-                raise InputError(f"generator name {n!r} cannot be read back from "
-                                 "a word: use [A-Za-z_][A-Za-z_0-9]*, not 'e'")
+        # "e" would read back as the identity, "x-1" as an unknown token
+        if bad := [n for n in self.names if n == "e" or not _NAME_RE.fullmatch(n)]:
+            raise InputError(f"generator name {bad[0]!r} cannot be read back from "
+                             "a word: use [A-Za-z_][A-Za-z_0-9]*, not 'e'")
         # on lowercase one-letter names a word is letters, an inverse uppercase
         self._compact = all(len(n) == 1 and n.islower() for n in self.names)
         self.two_k = 2 * rank
