@@ -33,7 +33,7 @@ from .measures import (BoundaryMeasure, GroupMeasure, uniform_ps_measure,
 from .spikes import make_spike, with_margin, verify_spike, Spike, _checked_margin
 from .decomposition import (GreedyParams, basis_decompose, moment_decompose,
                             measure_constants, ContractionShortfall)
-from .stationarity import verify_stationarity, sphere_uniform, mix, convex_weights
+from .stationarity import verify_stationarity, sphere_uniform, mix
 
 
 class ConfigError(ValueError):
@@ -186,9 +186,8 @@ def _target(spec, group: WeightedFreeGroup, exact: bool):
 
 def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
     """"sphere:R", a measure file or decomposition report, inline
-    {"atoms": ...}, or a convex {"mix": [[spec, weight], ...]}.  All but a
-    file are checked here, so that an error names the key; a file is read
-    only by the command that needs it."""
+    {"atoms": ...}, or a convex {"mix": [[spec, weight], ...]}.  All is
+    checked here but files and the sphere's closed form, built by verify."""
     if isinstance(spec, str) and spec.startswith("sphere:"):
         radius = _count(spec.split(":", 1)[1])
         return lambda run: sphere_uniform(group, radius)
@@ -206,7 +205,7 @@ def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
         return lambda run: mu
     if isinstance(spec, dict) and "mix" in spec:
         parts = [(_group_measure(m, group, exact), _rational(t)) for m, t in spec["mix"]]
-        convex_weights([t for _, t in parts])
+        mix([(GroupMeasure(group, {}), t) for _, t in parts])  # checks the weights
         return lambda run: mix([(m(run), t) for m, t in parts])
     raise ValueError(f"unknown group measure spec {spec!r}")
 

@@ -41,8 +41,7 @@ class InternalInvariantError(RuntimeError):
 
 
 class ContractionShortfall(InternalInvariantError):
-    """A basis round's residual exceeds rho* times the last one; `result`
-    holds the rounds before it."""
+    """A basis round missed rho*; `result` holds the rounds before it."""
 
     def __init__(self, message: str, result: "DecompositionResult"):
         super().__init__(message)

@@ -104,9 +104,17 @@ def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
         mass = _density_masses(mu, nu, depth).__getitem__
     else:
         mass = convolve(mu, nu).mass_of
-    errors = [abs(mass(w) - nu_prime.mass_of(w)) for w in group.sphere(depth)]
-    worst = max([Fraction(0)] + errors)  # the first largest, 0 if all are 0
-    exact = worst == 0 and not any(isinstance(e, float) for e in errors)
+    worst = Fraction(0)
+    exact_arith = True
+    for w in group.sphere(depth):
+        err = mass(w) - nu_prime.mass_of(w)
+        if isinstance(err, float):
+            exact_arith = False
+        if err < 0:
+            err = -err
+        if err > worst:
+            worst = err
+    exact = exact_arith and worst == 0
     moment, log_moment, entropy = functionals(mu)
     return StationarityReport(
         max_cell_error=worst, depth=depth, exact=exact,
@@ -130,24 +138,18 @@ def sphere_uniform(group: WeightedFreeGroup, radius: int) -> GroupMeasure:
     return GroupMeasure(group, {w: mass for w in words})
 
 
-def convex_weights(weights: Sequence) -> list:
-    """The weights of a convex combination, checked: at least one, each >= 0,
-    summing to 1 (within 1e-12 for floats)."""
-    if not weights:
+def mix(solutions: Sequence[Tuple[GroupMeasure, object]]) -> GroupMeasure:
+    """Convex combination of group measures (weights >= 0 summing to 1)."""
+    if not solutions:
         raise InputError("mix needs at least one measure")
-    weights = [Fraction(t) if not isinstance(t, float) else t for t in weights]
+    weights = [Fraction(t) if not isinstance(t, float) else t
+               for _, t in solutions]
     if any(t < 0 for t in weights):
         raise InputError("mixing weights must be nonnegative")
     total = sum(weights)
     if (isinstance(total, Fraction) and total != 1) or \
             (not isinstance(total, Fraction) and abs(total - 1) > 1e-12):
         raise InputError(f"mixing weights must sum to 1, got {total}")
-    return weights
-
-
-def mix(solutions: Sequence[Tuple[GroupMeasure, object]]) -> GroupMeasure:
-    """Convex combination of group measures (see `convex_weights`)."""
-    weights = convex_weights([t for _, t in solutions])
     group = solutions[0][0].group
     atoms = {}
     for m, t in zip((m for m, _ in solutions), weights):
