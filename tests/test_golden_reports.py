@@ -3,7 +3,10 @@ in exact (`exact_base(3)`) and float (`log 3`) mode, compared byte for byte.
 
 The runs cover `basis_decompose`'s shell deepening, its adaptive fallback,
 the proof rescale and the cone finisher's accepted round (on `f_w + 1`
-targets), and two rounds of `moment_decompose` with each rescale.  Regenerate the files only after an intended change of results:
+targets), and two rounds of `moment_decompose` with each rescale.  On
+every exact run, each round's recorded mass is also checked against
+`factor * integrate(g, nu)`.  Regenerate the files only after an intended
+change of results:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
