@@ -194,6 +194,22 @@ def test_audit_witnesses_match_golden(tmp_path, name):
         (GOLDEN / f"{name}.audit.json").read_bytes()
 
 
+STATIONARITY = GOLDEN.parent / "stationarity"
+
+
+@pytest.mark.parametrize("name", sorted(p.name[:-len(".config.json")]
+                                        for p in STATIONARITY.glob("*.config.json")))
+def test_verify_matches_golden(tmp_path, monkeypatch, name):
+    # the configs name their measure files from the repository root
+    monkeypatch.chdir(STATIONARITY.parents[2])
+    golden = (STATIONARITY / f"{name}.stationarity.json").read_bytes()
+    out = tmp_path / "out"
+    code = 0 if float(json.loads(golden)["max_cell_error"]) <= 1e-9 else 1
+    assert main(["verify", "--config", str(STATIONARITY / f"{name}.config.json"),
+                 "--out", str(out)]) == code
+    assert (out / "stationarity.json").read_bytes() == golden
+
+
 def test_half_epsilon_audit_float_comparisons(tmp_path, monkeypatch):
     # at epsilon = 1/2 log 3 a comparison with a non-integral exponent leaves
     # exact arithmetic; the exact audit makes such comparisons only for the
