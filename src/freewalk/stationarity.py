@@ -6,12 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .words import Word, WeightedFreeGroup, InputError, invert
+from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert
 from .measures import (BoundaryMeasure, GroupMeasure, convolve, density,
-                       rational_sum)
-from .partitions import refine_leaves
+                       rational_sum, _RATIONAL)
 
 
 class UnsupportedClosedFormError(ValueError):
@@ -65,20 +64,58 @@ def functionals(mu: GroupMeasure) -> Tuple[object, float, float]:
     return moment, log_moment, entropy
 
 
-def _density_masses(mu: GroupMeasure, nu: BoundaryMeasure,
-                    depth: int) -> Dict[Word, object]:
-    """(mu * nu)(C) for every cylinder C of the given depth, as the sum of
-    D(w) nu(w) over the cells w of C in the common refinement with the
-    partition of the density D = sum_gamma mu(gamma) f_gamma, read once per
-    cell of D."""
+def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
+    """(w, (mu * nu)(C(w))) for every cylinder C(w) of the given depth: an
+    unreduced int pair (num, den) when the mass is rational, else a number.
+
+    For the conformal nu with its params this walks the cell trie of the
+    density D = sum_gamma mu(gamma) f_gamma level by level, as
+    `WeightedFreeGroup.sphere` does: each cell's value, a pair of ints,
+    passes unchanged to the cylinders inside it, where the mass is
+    D(cell) nu(w).  A cylinder with cells of D below it gets the sum of
+    D(c) nu(c) over those cells, in (len, word) order.  A float among the
+    values or masses keeps the plain product and running sum of
+    D(c) nu(c), from 0, in that order.  For any other nu the masses are
+    those of `convolve`.
+    """
     group = nu.group
+    if not nu.conformal or nu.params is None:
+        conv = convolve(mu, nu)
+        for w in group.sphere(depth):
+            m = conv.mass_of(w)
+            yield w, (m.numerator, m.denominator) if type(m) in _RATIONAL else m
+        return
     D = density(mu, nu)
-    value = {cell: D.at(cell) for cell in D.values}
-    masses: Dict[Word, object] = {}
-    for w in refine_leaves(group, group.sphere(depth), D.leaves()):
-        cell = w[:depth]
-        masses[cell] = masses.get(cell, 0) + value[D.cell_of(w)] * nu.mass_of(w)
-    return masses
+    den = D.den
+    value = {c: (v, den) if den else
+             (v.numerator, v.denominator) if type(v) in _RATIONAL else v
+             for c, v in D.values.items()}
+    deep: Dict[Word, List[Word]] = {}
+    for c in sorted((c for c in value if len(c) > depth), key=lambda c: (len(c), c)):
+        deep.setdefault(c[:depth], []).append(c)
+    level = [(EPSILON, value.get(EPSILON))]
+    for _ in range(depth):
+        level = [(w + (x,), v if v is not None else value.get(w + (x,)))
+                 for w, v in level for x in group.valid_extensions(w)]
+    mass_of = nu.mass_of
+    for w, v in level:
+        if v is not None:
+            m = mass_of(w)
+            if type(v) is tuple and type(m) in _RATIONAL:
+                yield w, (v[0] * m.numerator, v[1] * m.denominator)
+                continue
+            terms = [(v, m)]
+        else:
+            terms = [(value[c], mass_of(c)) for c in deep[w]]
+            if all(type(x) is tuple and type(m) in _RATIONAL for x, m in terms):
+                total = rational_sum((xn * m.numerator, xd * m.denominator)
+                                     for (xn, xd), m in terms)
+                yield w, (total.numerator, total.denominator)
+                continue
+        total = 0
+        for x, m in terms:
+            total = total + (Fraction(*x) if type(x) is tuple else x) * m
+        yield w, total
 
 
 def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
@@ -89,31 +126,43 @@ def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
     For a conformal nu with known params, (mu * nu)(C) is integrated from the
     density sum_gamma mu(gamma) f_gamma, built once on the trie of the words
     gamma^{-1}; for any other nu it is summed from the cylinder pushforwards
-    of `convolve`.  nu' is only read through its cylinder masses.
+    of `convolve` (`_cylinder_masses`).  nu' is only read through its
+    cylinder masses.  Where both masses are rational the error
+    (mn ad - an md) / (md ad) stays a pair of ints, compared with the worst
+    one by cross-multiplication, and only the worst becomes a Fraction; any
+    other error is the plain difference, a float.
     A mu of total mass != 1 is replaced by a normalized copy and flagged.
     Default depth: maximal support word length + 2.
     """
-    group = mu.group
     if depth is None:
         depth = mu.support_radius() + 2
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     if normalized := mu.total != 1:
         mu = mu.normalized()
-    if nu.conformal and nu.params is not None:
-        mass = _density_masses(mu, nu, depth).__getitem__
-    else:
-        mass = convolve(mu, nu).mass_of
-    worst = Fraction(0)
+    worst_num, worst_den = 0, 1
+    worst_float = 0.0
     exact_arith = True
-    for w in group.sphere(depth):
-        err = mass(w) - nu_prime.mass_of(w)
-        if isinstance(err, float):
-            exact_arith = False
+    for w, mass in _cylinder_masses(mu, nu, depth):
+        a = nu_prime.mass_of(w)
+        if type(mass) is tuple and type(a) in _RATIONAL:
+            mn, md = mass
+            ad = a.denominator
+            num, den = mn * ad - a.numerator * md, md * ad
+            if num < 0:
+                num = -num
+            if num * worst_den > worst_num * den:
+                worst_num, worst_den = num, den
+            continue
+        err = (mass[0] / mass[1] if type(mass) is tuple else mass) - a
+        exact_arith = False
         if err < 0:
             err = -err
-        if err > worst:
-            worst = err
+        if err > worst_float:
+            worst_float = err
+    worst = Fraction(worst_num, worst_den)
+    if worst_float > worst:
+        worst = worst_float
     exact = exact_arith and worst == 0
     moment, log_moment, entropy = functionals(mu)
     return StationarityReport(
