@@ -25,16 +25,15 @@ class ValueNotConstantError(ValueError):
     """Queried a cell strictly above the partition leaves."""
 
 
-def _coverage(group: WeightedFreeGroup, leaves: Iterable[Word]) -> Fraction:
-    """Combinatorial mass of a prefix-free leaf set (1 iff complete)."""
+def _covers(group: WeightedFreeGroup, leaves: Iterable[Word]) -> bool:
+    """Whether a prefix-free leaf set covers the boundary: counted in
+    cylinders of the deepest cell length L >= 1, a cell w holds
+    (2k-1)^(L-|w|) of the 2k (2k-1)^(L-1) of them, and e holds all."""
     k2 = group.two_k
-    total = Fraction(0)
-    for w in leaves:
-        if not w:
-            total += 1
-        else:
-            total += Fraction(1, k2 * (k2 - 1) ** (len(w) - 1))
-    return total
+    depth = max(1, max(map(len, leaves), default=0))
+    power = [(k2 - 1) ** i for i in range(depth)]
+    full = k2 * power[-1]
+    return sum(power[depth - len(w)] if w else full for w in leaves) == full
 
 
 def validate_partition(group: WeightedFreeGroup, leaves: Iterable[Word]) -> None:
@@ -49,7 +48,7 @@ def validate_partition(group: WeightedFreeGroup, leaves: Iterable[Word]) -> None
         for i in range(1, len(w)):
             if w[i] == (w[i - 1] ^ 1):
                 raise PartitionError(f"cell label {w} is not a reduced word")
-    if _coverage(group, seen) != 1:
+    if not _covers(group, seen):
         raise PartitionError("partition does not cover the boundary exactly")
 
 

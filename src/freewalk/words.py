@@ -121,6 +121,7 @@ class WeightedFreeGroup:
                              "a word: use [A-Za-z_][A-Za-z_0-9]*, not 'e'")
         # on lowercase one-letter names a word is letters, an inverse uppercase
         self._compact = all(len(n) == 1 and n.islower() for n in self.names)
+        self._lower_names = {n: 2 * i for i, n in enumerate(self.names)}
         self.two_k = 2 * rank
 
     # -- alphabet ----------------------------------------------------------
@@ -200,7 +201,7 @@ class WeightedFreeGroup:
         text = text.strip()
         if text in ("", "e", "1"):
             return EPSILON
-        lower_names = {n: 2 * i for i, n in enumerate(self.names)}
+        lower_names = self._lower_names
         letters: List[int] = []
         if not self._compact or " " in text or "'" in text or "^" in text \
                 or "⁻" in text:

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freewalk import (LocallyConstantFunction, PartitionError,
-                      ValueNotConstantError, integrate, refine_leaves,
-                      trie_closure, validate_partition)
-from freewalk.partitions import spine_word
+                      ValueNotConstantError, WeightedFreeGroup, integrate,
+                      refine_leaves, trie_closure, validate_partition)
+from freewalk.partitions import _covers, spine_word
 
 from conftest import refine_to
 
@@ -21,6 +22,23 @@ def test_partition_validation(f2):
         validate_partition(f2, [(0,), (0, 2), (1,), (2,), (3,)])  # nested
     with pytest.raises(PartitionError):
         validate_partition(f2, [(0, 1), (1,), (2,), (3,), (0,)])  # not reduced
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 3), st.lists(st.lists(st.integers(0, 5), max_size=5),
+                                   max_size=5), st.integers(0, 40))
+def test_integer_coverage_is_the_cylinder_mass_sum(rank, raw, drop):
+    # a trie closure, or one with a cell dropped, covers the boundary iff its
+    # combinatorial masses 1/(2k (2k-1)^(|w|-1)) (1 for e) sum to 1
+    group = WeightedFreeGroup(rank)
+    leaves = trie_closure(group, [group.reduce(x % group.two_k for x in w)
+                                  for w in raw])
+    if drop < len(leaves):
+        del leaves[drop]
+    k2 = group.two_k
+    mass = sum((Fraction(1, k2 * (k2 - 1) ** (len(w) - 1)) if w else Fraction(1)
+                for w in leaves), Fraction(0))
+    assert _covers(group, set(leaves)) == (mass == 1)
 
 
 def test_uniform_partition(f2):
