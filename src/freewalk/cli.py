@@ -187,16 +187,25 @@ def _target(spec, group: WeightedFreeGroup, exact: bool):
 def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
     """"sphere:R", a measure file or decomposition report, inline
     {"atoms": ...}, or a convex {"mix": [[spec, weight], ...]}.  All is
-    checked here but files and the sphere's closed form, built by verify."""
+    checked here but files and the sphere's closed form, built by verify:
+    the closed form needs equal weights, which the other commands do not."""
     if isinstance(spec, str) and spec.startswith("sphere:"):
         radius = _count(spec.split(":", 1)[1])
-        return lambda run: sphere_uniform(group, radius)
+
+        def sphere(run):
+            with _parsing("config['verify']['mu']", spec):
+                return sphere_uniform(group, radius)
+        return sphere
     if isinstance(spec, str):
         def parse(doc):  # a measure file, or a decomposition report
             if "coefficients" in doc:
                 doc = {"group": group.to_config(), "atoms": doc["coefficients"]}
-            return GroupMeasure.from_json(doc)
-        return lambda run: _read_file(spec, "measure", parse)
+            mu = GroupMeasure.from_json(doc)
+            if mu.group != group:
+                raise ValueError(f"its group {mu.group.to_config()} is not the "
+                                 f"config's {group.to_config()}")
+            return mu
+        return lambda run: _read_file(spec, "config['verify']['mu'] measure", parse)
     if isinstance(spec, dict) and "atoms" in spec:
         atoms = word_values(group, spec["atoms"])
         _inline(atoms.values(), "inline atom", exact)

@@ -457,12 +457,13 @@ def test_weighted_exact_critical_exits_2(tmp_path, capsys, command):
 
 def test_library_value_error_exits_2(tmp_path, capsys):
     # sphere:1 has no closed form on unequal weights
-    # (UnsupportedClosedFormError, a library ValueError)
+    # (UnsupportedClosedFormError, a library ValueError, under verify.mu's name)
     cfg = write_config(tmp_path, group={"rank": 2, "weights": ["1", "2"]},
                        params={"alpha": "critical", "epsilon": "critical",
                                "arithmetic": "float", "tau": 1e-6})
     assert main(["verify", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("error: sphere-uniform")
+    err = capsys.readouterr().err
+    assert err.startswith("error: config['verify']['mu']") and "sphere-uniform" in err
 
 
 def _config_with(tmp_path: Path, section: str, key: str, value) -> str:

@@ -34,7 +34,8 @@ def run_cli(tmp_path, command, config, user_file=None) -> int:
 
 
 # name -> (case run on a tmp_path, the error it raises or None for a CLI exit
-# of 2, and what the error's message holds)
+# of 2, and what the error's message holds: for a CLI exit, one string or a
+# tuple of strings that it holds each)
 CASES = {
     "LogScale.of_float(0)": (lambda tmp: LogScale.of_float(0),
                              InputError, "must be positive"),
@@ -69,6 +70,16 @@ CASES = {
         (GroupMeasure(F3, {(0,): Fraction(1)}), Fraction(1, 2))]),
         InputError, "different groups"),
     "sphere(-1)": (lambda tmp: F2.sphere(-1), InputError, "radius"),
+    "verify's default sphere:1 on unequal weights": (lambda tmp: run_cli(
+        tmp, "verify", {"group": {"rank": 2, "weights": ["1", "2"]},
+                        "params": {"arithmetic": "float"}}),
+        None, "config['verify']['mu'] = 'sphere:1' is malformed: "
+        "UnsupportedClosedFormError: sphere-uniform closed form requires equal"),
+    "mix with a mu file over another group": (lambda tmp: run_cli(tmp, "verify", {
+        "verify": {"mu": {"mix": [["sphere:1", "1/2"], [str(tmp / "user.json"), "1/2"]]}}},
+        {"group": {"rank": 3}, "atoms": [["c", "1"]]}),
+        None, ("config['verify']['mu'] measure file ",
+               "user.json is malformed: ValueError: its group {'rank': 3")),
     "group config without rank": (lambda tmp: WeightedFreeGroup.from_config({}),
                                   InputError, "'rank'"),
     "decay bound on unequal lengths": (lambda tmp: sequence_decay_bound(
@@ -82,7 +93,8 @@ def test_refusal(tmp_path, capsys, name):
     if error is None:
         assert run(tmp_path) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        parts = message if isinstance(message, tuple) else (message,)
+        assert err.startswith("error: ") and all(part in err for part in parts)
     else:
         with pytest.raises(error, match=message):
             run(tmp_path)
