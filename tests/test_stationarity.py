@@ -221,6 +221,49 @@ def test_density_route_matches_cylinder_route(case):
     assert rep.exact == (oracle == 0)
 
 
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(stationarity_cases(), st.integers(0, 1))
+def test_exact_mu_against_float_nu_prime(case, below):
+    # nu' stored as float cells at the checked depth or one below it: each
+    # error is float((mu * nu)(C)) - nu'(C), as on the cylinder route
+    mu, nu, nu_prime, depth = case
+    cells = {w: float(nu_prime.mass_of(w)) for w in mu.group.sphere(depth + below)}
+    stored = BoundaryMeasure(mu.group, cells, validate=False)
+    rep = verify_stationarity(mu, nu, stored, depth=depth)
+    assert rep.max_cell_error == cylinder_route_error(mu, nu, stored, depth)
+    assert not rep.exact
+
+
+FLOAT_NU = {}
+
+
+def float_nu(weights):
+    """(group, the float conformal nu) on F_2 with the given weights."""
+    if weights not in FLOAT_NU:
+        group = WeightedFreeGroup(2, weights=list(weights))
+        s = conformal_exponent(group)
+        FLOAT_NU[weights] = group, uniform_ps_measure(group, VisualParams.floats(s, s))
+    return FLOAT_NU[weights]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([("1", "1"), ("1", "2")]), st.data())
+def test_float_density_route_matches_cylinder_route(weights, data):
+    # float params: a float mu (up to 6 atoms in the 3-ball), nu' = nu or a
+    # pushforward of it, depths 1-4
+    group, nu = float_nu(weights)
+    ball = group.ball(3)
+    support = data.draw(st.lists(st.sampled_from(ball), min_size=1, max_size=6,
+                                 unique=True))
+    mu = GroupMeasure(group, {w: data.draw(st.integers(1, 6)) / 6 for w in support})
+    shift = data.draw(st.one_of(st.none(), st.sampled_from(support + ball[:7])))
+    nu_prime = nu if shift is None else pushforward(shift, nu)
+    depth = data.draw(st.integers(1, 4))
+    rep = verify_stationarity(mu, nu, nu_prime, depth=depth)
+    assert abs(rep.max_cell_error - cylinder_route_error(mu, nu, nu_prime, depth)) <= 1e-12
+    assert not rep.exact
+
+
 def test_conformal_base_uses_the_density(f2, nu2, params2, monkeypatch):
     def no_convolve(*args):
         raise AssertionError("convolve called for a conformal nu")
