@@ -207,15 +207,23 @@ class BoundaryMeasure:
                 f"total={self.total}, rule={self.rule})")
 
 
+def _conformal_steps(group: WeightedFreeGroup, alpha: LogScale):
+    """(p, d, d + p, exact), indexed by letter: the steps q_x = p[x]/d[x] =
+    e^{-alpha w_x} of the conformal closed form, as ints when every q_x is
+    a Fraction (exact), else p[x] = q_x and d[x] = 1."""
+    q = [alpha.exp_neg(group.letter_weight(x)) for x in group.letters()]
+    exact = all(isinstance(v, Fraction) for v in q)
+    num = [v.numerator if exact else v for v in q]
+    den = [v.denominator if exact else 1 for v in q]
+    return num, den, [d + p for p, d in zip(num, den)], exact
+
+
 def _conformal_mass_fn(group: WeightedFreeGroup, alpha: LogScale) -> Callable[[Word], object]:
     """word -> q_{a_1} ... q_{a_{n-1}} q_{a_n} / (1 + q_{a_n}).  With every
     q_x = p_x/d_x a Fraction, that is one Fraction(prod p, prod d (d + p)) of
     int products; otherwise p_x = q_x and d_x = 1, so a float mass comes from
     the same operations, in the same order, as the formula."""
-    q = {x: alpha.exp_neg(group.letter_weight(x)) for x in group.letters()}
-    exact = all(isinstance(v, Fraction) for v in q.values())
-    num = {x: v.numerator if exact else v for x, v in q.items()}
-    den = {x: v.denominator if exact else 1 for x, v in q.items()}
+    num, den, den_last, exact = _conformal_steps(group, alpha)
     divide = Fraction if exact else operator.truediv
 
     def mass(word: Word):
@@ -224,9 +232,8 @@ def _conformal_mass_fn(group: WeightedFreeGroup, alpha: LogScale) -> Callable[[W
             p *= num[x]
             d *= den[x]
         if word:
-            last = num[word[-1]]
-            p *= last
-            d *= den[word[-1]] + last
+            p *= num[word[-1]]
+            d *= den_last[word[-1]]
         return divide(p, d)
 
     return mass

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert
 from .measures import (BoundaryMeasure, GroupMeasure, convolve, density,
-                       rational_sum, _RATIONAL)
+                       rational_sum, _RATIONAL, _conformal_steps)
 
 
 class UnsupportedClosedFormError(ValueError):
@@ -65,16 +65,19 @@ def functionals(mu: GroupMeasure) -> Tuple[object, float, float]:
 
 
 def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
-    """(w, (mu * nu)(C(w))) for every cylinder C(w) of the given depth: an
-    unreduced int pair (num, den) when the mass is rational, else a number.
+    """(w, (mu * nu)(C(w)), nu(C(w)) or None) for every cylinder C(w) of the
+    given depth: each mass an unreduced int pair (num, den) when it is
+    rational, else a number; nu's only where it is read off the walk.
 
     For the conformal nu with its params this walks the cell trie of the
     density D = sum_gamma mu(gamma) f_gamma level by level, as
     `WeightedFreeGroup.sphere` does: each cell's value, a pair of ints,
     passes unchanged to the cylinders inside it, where the mass is
-    D(cell) nu(w).  A cylinder with cells of D below it gets the sum of
-    D(c) nu(c) over those cells, in (len, word) order.  A float among the
-    values or masses keeps the plain product and running sum of
+    D(cell) nu(w).  With Fraction steps q_x = p_x/d_x the walk carries the
+    products of p and d down each word, so nu(w) is the int pair that
+    `_conformal_mass_fn` divides.  A cylinder with cells of D below it gets
+    the sum of D(c) nu(c) over those cells, in (len, word) order.  A float
+    among the values or steps keeps the plain product and running sum of
     D(c) nu(c), from 0, in that order.  For any other nu the masses are
     those of `convolve`.
     """
@@ -83,7 +86,7 @@ def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
         conv = convolve(mu, nu)
         for w in group.sphere(depth):
             m = conv.mass_of(w)
-            yield w, (m.numerator, m.denominator) if type(m) in _RATIONAL else m
+            yield w, (m.numerator, m.denominator) if type(m) in _RATIONAL else m, None
         return
     D = density(mu, nu)
     den = D.den
@@ -93,29 +96,31 @@ def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
     deep: Dict[Word, List[Word]] = {}
     for c in sorted((c for c in value if len(c) > depth), key=lambda c: (len(c), c)):
         deep.setdefault(c[:depth], []).append(c)
-    level = [(EPSILON, value.get(EPSILON))]
-    for _ in range(depth):
-        level = [(w + (x,), v if v is not None else value.get(w + (x,)))
-                 for w, v in level for x in group.valid_extensions(w)]
+    p_step, d_step, d_last, exact = _conformal_steps(group, nu.params.alpha)
+    extensions = group.valid_extensions
+    level = [(EPSILON, value.get(EPSILON), 1, 1)]
+    for d_of in [d_step] * (depth - 1) + [d_last]:  # the last letter's q/(1 + q)
+        level = [(w + (x,), v if v is not None else value.get(w + (x,)),
+                  p * p_step[x], d * d_of[x])
+                 for w, v, p, d in level for x in extensions(w)]
     mass_of = nu.mass_of
-    for w, v in level:
+    for w, v, p, d in level:
         if v is not None:
-            m = mass_of(w)
-            if type(v) is tuple and type(m) in _RATIONAL:
-                yield w, (v[0] * m.numerator, v[1] * m.denominator)
+            if exact and type(v) is tuple:
+                yield w, (v[0] * p, v[1] * d), (p, d)
                 continue
-            terms = [(v, m)]
+            terms = [(v, mass_of(w))]
         else:
             terms = [(value[c], mass_of(c)) for c in deep[w]]
             if all(type(x) is tuple and type(m) in _RATIONAL for x, m in terms):
                 total = rational_sum((xn * m.numerator, xd * m.denominator)
                                      for (xn, xd), m in terms)
-                yield w, (total.numerator, total.denominator)
+                yield w, (total.numerator, total.denominator), (p, d) if exact else None
                 continue
         total = 0
         for x, m in terms:
             total = total + (Fraction(*x) if type(x) is tuple else x) * m
-        yield w, total
+        yield w, total, None
 
 
 def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
@@ -127,7 +132,8 @@ def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
     density sum_gamma mu(gamma) f_gamma, built once on the trie of the words
     gamma^{-1}; for any other nu it is summed from the cylinder pushforwards
     of `convolve` (`_cylinder_masses`).  nu' is only read through its
-    cylinder masses.  Where both masses are rational the error
+    cylinder masses; when nu' is nu, the walk's int pair for nu(C) is that
+    mass, and nu is not read again.  Where both masses are rational the error
     (mn ad - an md) / (md ad) stays a pair of ints, compared with the worst
     one by cross-multiplication, and only the worst becomes a Fraction; any
     other error is the plain difference, a float.
@@ -143,23 +149,24 @@ def verify_stationarity(mu: GroupMeasure, nu: BoundaryMeasure,
     worst_num, worst_den = 0, 1
     worst_float = 0.0
     exact_arith = True
-    for w, mass in _cylinder_masses(mu, nu, depth):
-        a = nu_prime.mass_of(w)
-        if type(mass) is tuple and type(a) in _RATIONAL:
-            mn, md = mass
-            ad = a.denominator
-            num, den = mn * ad - a.numerator * md, md * ad
-            if num < 0:
-                num = -num
-            if num * worst_den > worst_num * den:
-                worst_num, worst_den = num, den
-            continue
-        err = (mass[0] / mass[1] if type(mass) is tuple else mass) - a
-        exact_arith = False
-        if err < 0:
-            err = -err
-        if err > worst_float:
-            worst_float = err
+    for w, mass, pair in _cylinder_masses(mu, nu, depth):
+        if pair is None or nu_prime is not nu:
+            a = nu_prime.mass_of(w)
+            if type(mass) is not tuple or type(a) not in _RATIONAL:
+                err = (mass[0] / mass[1] if type(mass) is tuple else mass) - a
+                exact_arith = False
+                if err < 0:
+                    err = -err
+                if err > worst_float:
+                    worst_float = err
+                continue
+            pair = a.numerator, a.denominator
+        (mn, md), (an, ad) = mass, pair
+        num, den = mn * ad - an * md, md * ad
+        if num < 0:
+            num = -num
+        if num * worst_den > worst_num * den:
+            worst_num, worst_den = num, den
     worst = Fraction(worst_num, worst_den)
     if worst_float > worst:
         worst = worst_float

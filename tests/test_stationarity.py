@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freewalk import (WeightedFreeGroup, GroupMeasure, BoundaryMeasure,
-                      VisualParams, verify_stationarity, sphere_uniform, mix,
+                      VisualParams, LogScale, density, verify_stationarity, sphere_uniform, mix,
                       functionals, symmetrize, convolve, pushforward,
                       conformal_exponent, default_params, uniform_ps_measure,
                       UnsupportedClosedFormError, InputError)
@@ -325,3 +325,93 @@ def test_float_density_route_matches_convolve(weights):
                 oracle = cylinder_route_error(mu, nu, nu_prime, depth)
                 assert abs(rep.max_cell_error - oracle) <= 1e-12
                 assert not rep.exact
+
+
+# (weights, params) of a conformal nu with Fraction steps q_x, alpha written
+# as log b or c log(b)
+PAIR_CASES = {
+    "F_2 log 3": (["1", "1"], VisualParams.exact_base(3)),
+    "F_3 log 5": (["1", "1", "1"], VisualParams.exact_base(5)),
+    "[2, 2] 1/2 log 3": (["2", "2"], VisualParams.exact_base(3, Fraction(1, 2))),
+    "[1/2, 1/2] 2 log 3": (["1/2", "1/2"], VisualParams.exact_base(3, 2)),
+}
+# float steps: exact alpha = 1/2 log 9 (q = 9^{-1/2}, Fraction density
+# values) and float params on weights [1, 1] and [1, 2]
+FLOAT_STEP_CASES = {
+    "F_2 1/2 log 9": (["1", "1"], VisualParams(LogScale.log_of(9, Fraction(1, 2)),
+                                               LogScale.log_of(3))),
+    "F_2 float": (["1", "1"], None),
+    "[1, 2] float": (["1", "2"], None),
+}
+_NUS = {}
+
+
+def case_nu(cases, name):
+    """(group, the conformal nu) of a PAIR_CASES or FLOAT_STEP_CASES entry."""
+    if name not in _NUS:
+        weights, params = cases[name]
+        group = WeightedFreeGroup(len(weights), weights=[Fraction(w) for w in weights])
+        if params is None:
+            s = conformal_exponent(group)
+            params = VisualParams.floats(s, s)
+        _NUS[name] = group, uniform_ps_measure(group, params)
+        assert _NUS[name][1].conformal
+    return _NUS[name]
+
+
+@st.composite
+def walk_cases(draw, cases, atom):
+    """(mu, nu, nu', depth) on a case's nu: up to 5 atoms in the 3-ball drawn
+    by `atom`, nu' = nu or a pushforward of it, depth 1-4."""
+    group, nu = case_nu(cases, draw(st.sampled_from(sorted(cases))))
+    ball = group.ball(3)
+    support = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=5, unique=True))
+    mu = GroupMeasure(group, {w: draw(atom) for w in support})
+    shift = draw(st.one_of(st.none(), st.sampled_from(ball[:7])))
+    nu_prime = nu if shift is None else pushforward(shift, nu)
+    return mu, nu, nu_prime, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(walk_cases(PAIR_CASES, st.integers(1, 6).map(Fraction)))
+def test_walk_pairs_are_the_conformal_masses(case):
+    # with Fraction steps and atoms every cylinder, with or without cells of
+    # D below it, gets nu's mass as a pair, and it is nu.mass_of(w)
+    mu, nu, _, depth = case
+    for w, mass, pair in stationarity._cylinder_masses(mu, nu, depth):
+        assert type(mass) is tuple and type(pair) is tuple
+        assert Fraction(*pair) == nu.mass_of(w)
+
+
+def old_walk_error(mu, nu, nu_prime, depth):
+    """max |(mu * nu)(C) - nu'(C)| as the walk's float route summed it before
+    the walk carried nu's masses: 0 + D(cell) nu(w), or the running sum of
+    D(c) nu(c) over the cells c below C in (len, word) order, minus nu'(C)."""
+    if mu.total != 1:
+        mu = mu.normalized()
+    D = density(mu, nu)
+    cells = sorted(D.values, key=lambda c: (len(c), c))
+    worst = 0.0
+    for w in mu.group.sphere(depth):
+        inside = [c for c in cells if c == w[:len(c)]]
+        total = 0
+        if inside:
+            total = total + D.at(inside[0]) * nu.mass_of(w)
+        else:
+            for c in cells:
+                if c[:depth] == w:
+                    total = total + D.at(c) * nu.mass_of(c)
+        err = abs(total - nu_prime.mass_of(w))
+        worst = max(worst, err)
+    return worst
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(walk_cases(FLOAT_STEP_CASES, st.integers(1, 6).map(lambda n: n / 6)))
+def test_float_steps_keep_the_old_error_bits(case):
+    mu, nu, nu_prime, depth = case
+    rep = verify_stationarity(mu, nu, nu_prime, depth=depth)
+    oracle = old_walk_error(mu, nu, nu_prime, depth)
+    got = rep.max_cell_error
+    assert repr(got) == repr(oracle) if oracle else got == 0
+    assert not rep.exact
