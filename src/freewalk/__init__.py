@@ -7,7 +7,7 @@ measure mu with mu * nu = nu', and audits of stationarity, moments, entropy
 and the shadow/decay inequalities on cylinder partitions.
 """
 
-from .words import WeightedFreeGroup, InputError, reduce_word, invert, multiply
+from .words import WeightedFreeGroup, InputError, invert, multiply
 from .geometry import (Cylinder, VisualParams, LogScale, default_params,
                        gromov_product, busemann, locally_constant_cells,
                        visual_quasimetric, shadow, sup_product,

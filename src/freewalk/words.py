@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 Word = Tuple[int, ...]
 
@@ -24,25 +24,6 @@ class InputError(ValueError):
 
 def invert(word: Sequence[int]) -> Word:
     return tuple(x ^ 1 for x in reversed(word))
-
-
-def reduce_word(letters: Iterable[int], two_k: int) -> Word:
-    """Free reduction of an arbitrary letter sequence (stack cancellation)."""
-    out: List[int] = []
-    for x in letters:
-        if not isinstance(x, int) or not 0 <= x < two_k:
-            raise InputError(f"unknown letter {x!r} for alphabet of size {two_k}")
-        if out and out[-1] == (x ^ 1):
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
-def is_reduced(word: Sequence[int], two_k: int) -> bool:
-    if any(not 0 <= x < two_k for x in word):
-        return False
-    return all(word[i + 1] != (word[i] ^ 1) for i in range(len(word) - 1))
 
 
 def multiply(u: Sequence[int], v: Sequence[int]) -> Word:
@@ -85,7 +66,6 @@ def as_exact(x) -> Union[int, Fraction]:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN_RE = re.compile(rf"({_NAME_RE.pattern})(\^-1|'|⁻¹)?")
 
 
 class WeightedFreeGroup:
@@ -122,6 +102,12 @@ class WeightedFreeGroup:
         # on lowercase one-letter names a word is letters, an inverse uppercase
         self._compact = all(len(n) == 1 and n.islower() for n in self.names)
         self._lower_names = {n: 2 * i for i, n in enumerate(self.names)}
+        # parse_word's tables: compact letters (a name, its uppercase inverse)
+        # and tokens (a name, alone or with an inverse mark)
+        self._chars = {c: x for n, x in self._lower_names.items()
+                       for c, x in ((n, x), (n.upper(), x ^ 1))}
+        self._tokens = {n + mark: x ^ (mark != "") for n, x in self._lower_names.items()
+                        for mark in ("", "'", "^-1", "⁻¹")}
         self.two_k = 2 * rank
 
     # -- alphabet ----------------------------------------------------------
@@ -143,9 +129,6 @@ class WeightedFreeGroup:
         return [x for x in self.letters() if x != bad]
 
     # -- group operations ---------------------------------------------------
-
-    def reduce(self, letters: Iterable[int]) -> Word:
-        return reduce_word(letters, self.two_k)
 
     def word_weight(self, word: Sequence[int]) -> Union[int, Fraction]:
         weights = self.weights
@@ -197,30 +180,30 @@ class WeightedFreeGroup:
 
     def parse_word(self, text: str) -> Word:
         """Parse a word; inverse marked by uppercase (compact) or ' / ^-1 / ⁻¹.
-        Names longer than one letter are always read as tokens."""
+        Names longer than one letter are always read as tokens.  Each letter
+        or token is looked up in a table, and the word is freely reduced as
+        it is read, by stack cancellation."""
         text = text.strip()
         if text in ("", "e", "1"):
             return EPSILON
-        lower_names = self._lower_names
+        compact = self._compact and not (" " in text or "'" in text or "^" in text
+                                         or "⁻" in text)
+        items, table = (text, self._chars) if compact else \
+            (text.replace("*", " ").split(), self._tokens)
         letters: List[int] = []
-        if not self._compact or " " in text or "'" in text or "^" in text \
-                or "⁻" in text:
-            for tok in text.replace("*", " ").split():
-                m = _TOKEN_RE.fullmatch(tok)
-                if not m or m.group(1) not in lower_names:
-                    raise InputError(f"unknown token {tok!r} in word {text!r}")
-                x = lower_names[m.group(1)]
-                letters.append(x ^ 1 if m.group(2) else x)
-        else:
-            for ch in text:
-                if ch.lower() not in lower_names:
-                    raise InputError(f"unknown letter {ch!r} in word {text!r}")
-                x = lower_names[ch.lower()]
-                letters.append(x ^ 1 if ch.isupper() else x)
-        word = tuple(letters)
-        if not is_reduced(word, self.two_k):
-            word = self.reduce(word)
-        return word
+        for item in items:
+            x = table.get(item)
+            if x is None:
+                lower = item.lower()  # a letter such as K (Kelvin) reads as k
+                if not compact or lower not in self._lower_names:
+                    raise InputError(f"unknown {'letter' if compact else 'token'} "
+                                     f"{item!r} in word {text!r}")
+                x = self._lower_names[lower] ^ item.isupper()
+            if letters and letters[-1] == x ^ 1:
+                letters.pop()
+            else:
+                letters.append(x)
+        return tuple(letters)
 
     # -- config ---------------------------------------------------------------
 

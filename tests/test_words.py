@@ -1,11 +1,13 @@
 """Reduced words, the weighted metric and enumeration."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freewalk import WeightedFreeGroup, InputError, invert, multiply
-from freewalk.words import cancellation, common_prefix_length, is_reduced
+from freewalk.words import EPSILON, cancellation, common_prefix_length
 
 
 def reduce_oracle(letters, two_k):
@@ -22,25 +24,29 @@ def reduce_oracle(letters, two_k):
     return tuple(word)
 
 
+# parse_word reduces a word as it reads it
 def test_reduce_examples(f2):
-    a, b, B = 0, 2, 3
-    assert f2.reduce((a, b, B)) == (a,)          # a b b^-1 -> a
-    assert f2.reduce(()) == ()                   # identity
-    assert f2.reduce((a, a ^ 1, a)) == (a,)      # a a^-1 a -> a
+    a = 0
+    assert f2.parse_word("abB") == (a,)          # a b b^-1 -> a
+    assert f2.parse_word("aA") == ()             # identity
+    assert f2.parse_word("aAa") == (a,)          # a a^-1 a -> a
+    assert f2.parse_word("a b b' a^-1 a") == (a,)
 
 
 def test_reduce_against_oracle(f2):
     import itertools
     for n in range(0, 5):
         for letters in itertools.product(range(4), repeat=n):
-            assert f2.reduce(letters) == reduce_oracle(letters, 4)
+            want = reduce_oracle(letters, 4)
+            assert f2.parse_word("".join("aAbB"[x] for x in letters) or "e") == want
+            assert f2.parse_word(" ".join(f2.letter_name(x) for x in letters)) == want
 
 
 def test_reduce_idempotent_and_unknown_letter(f2):
-    w = f2.reduce((0, 2, 3, 1, 0))
-    assert f2.reduce(w) == w
+    w = f2.parse_word("abBAa")
+    assert f2.parse_word(f2.format_word(w)) == w == (0,)
     with pytest.raises(InputError):
-        f2.reduce((0, 7))
+        f2.parse_word("ax")
 
 
 def test_distance(f2):
@@ -58,7 +64,7 @@ def test_distance(f2):
 def test_multiply_invert(f2):
     for u in f2.ball(3):
         assert multiply(u, invert(u)) == ()
-        assert f2.reduce(u + invert(u)) == ()
+        assert reduce_oracle(u + invert(u), 4) == ()
     assert multiply((0, 2), (3, 1)) == ()
     assert cancellation((0, 2), (3, 0)) == 1
     assert common_prefix_length((0, 2, 1), (0, 2, 3)) == 2
@@ -68,7 +74,8 @@ def test_sphere_sizes(f2, f3):
     assert [len(f2.sphere(n)) for n in range(4)] == [1, 4, 12, 36]
     assert [len(f3.sphere(n)) for n in range(3)] == [1, 6, 30]
     for w in f2.sphere(3):
-        assert is_reduced(w, 4)
+        assert all(0 <= x < 4 for x in w)
+        assert all(x != y ^ 1 for x, y in zip(w[1:], w))
 
 
 def test_parse_format_roundtrip(f2):
@@ -139,3 +146,62 @@ def test_group_validation():
         WeightedFreeGroup(2, weights=[1, 0])
     with pytest.raises(InputError):
         WeightedFreeGroup(2, weights=[1])
+
+
+# parse_word as it was before its lookup tables: a regex per token, the
+# lowercase of each compact letter, then a separate reduction pass
+_OLD_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(\^-1|'|⁻¹)?")
+
+
+def old_parse_word(group, text):
+    text = text.strip()
+    if text in ("", "e", "1"):
+        return EPSILON
+    lower_names = {n: 2 * i for i, n in enumerate(group.names)}
+    letters = []
+    if not group._compact or " " in text or "'" in text or "^" in text \
+            or "⁻" in text:
+        for tok in text.replace("*", " ").split():
+            m = _OLD_TOKEN_RE.fullmatch(tok)
+            if not m or m.group(1) not in lower_names:
+                raise InputError(f"unknown token {tok!r} in word {text!r}")
+            x = lower_names[m.group(1)]
+            letters.append(x ^ 1 if m.group(2) else x)
+    else:
+        for ch in text:
+            if ch.lower() not in lower_names:
+                raise InputError(f"unknown letter {ch!r} in word {text!r}")
+            x = lower_names[ch.lower()]
+            letters.append(x ^ 1 if ch.isupper() else x)
+    return tuple(reduce_oracle(letters, group.two_k))
+
+
+def _outcome(parse, group, text):
+    try:
+        return parse(group, text)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+# pieces of a word: names and their case, whitespace, inverse marks, the
+# product sign, unknown characters and the Kelvin sign, which lowercases to k
+WORD_PIECES = ["k", "m", "K", "M", "mm", "a", " ", "\t", "'", "^-1", "^", "⁻¹",
+               "*", "e", "1", "x", "é", "\u212a", "\u212a'"]
+PARSE_GROUPS = [WeightedFreeGroup(2, names=["k", "m"]),
+                WeightedFreeGroup(2, names=["k", "mm"]), WeightedFreeGroup(3)]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(PARSE_GROUPS),
+       st.lists(st.sampled_from(WORD_PIECES), max_size=8).map("".join))
+def test_parse_word_matches_its_old_body(group, text):
+    assert _outcome(WeightedFreeGroup.parse_word, group, text) == \
+        _outcome(old_parse_word, group, text)
+
+
+def test_kelvin_sign_reads_as_an_inverse():
+    g = WeightedFreeGroup(2, names=["k", "m"])
+    assert g.parse_word("m\u212a") == (2, 1)
+    assert g.parse_word("k\u212a") == ()
+    with pytest.raises(InputError, match="unknown token"):
+        g.parse_word("\u212a m")
