@@ -349,9 +349,9 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
     cell, then the canonical R - h, from the same pass over g's cells as the
     check, and its L1 norm.
 
-    Returns (lambdas, g, factor, R - h, ||R - h||_1), the shape of every
-    round (see `_cone_finisher`); raises _Undominated when every factor
-    fails the check.
+    Returns (lambdas, factor, R - h, ||R - h||_1), the shape of every round
+    (see `_cone_finisher`); raises _Undominated when every factor fails the
+    check.
     """
     lambdas, g = greedy_lambdas(target, cover, nu.params)
     for factor_of in factors:
@@ -359,7 +359,7 @@ def _greedy_round(R: LocallyConstantFunction, target: LocallyConstantFunction,
         over, rest = _check_and_sub(R, g, factor, bound)
         if not over:
             R_next = rest.canonical()
-            return lambdas, g, factor, R_next, integrate(R_next, nu)
+            return lambdas, factor, R_next, integrate(R_next, nu)
     raise _Undominated(f"h exceeds {'R' if bound == 1 else 'beta R'} on {over[:3]}")
 
 
@@ -405,7 +405,7 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     denominators, the scale, h and R - h come from ints, with no Fraction
     per cell.
 
-    Returns `_greedy_round`'s (lambdas, h, 1, R - h, ||R - h||_1), or None.
+    Returns `_greedy_round`'s (lambdas, 1, R - h, ||R - h||_1), or None.
     """
     group = R.group
     depth = max([R.depth()] + [len(b) for b in cover])
@@ -425,7 +425,7 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     if float(l1_next) > tau or l1_next < 0:
         return None
     return ([(invert(b), scale * lam[b]) for b in cover if b in lam],
-            g.scale(scale), 1, R_next, l1_next)
+            1, R_next, l1_next)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def basis_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
                         raise
                     shell += 1  # tails too coarse for the residual's contrast
                     cover = _cover(group, shell, params.margin)
-        lambdas, _, factor, R_next, l1_next = done
+        lambdas, factor, R_next, l1_next = done
         if not l1_next < trace[-1]:
             raise InternalInvariantError(
                 f"residual did not decrease in round {round_idx}: "
@@ -565,8 +565,8 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_sched.append(eps_n)
         shell = _band_shell(vparams, eps_n, params.margin, params.max_shell)
         cover = _cover(group, shell, params.margin)
-        lambdas, _, factor, R, l1_next = _greedy_round(R, R, cover, nu, factors,
-                                                       params.beta)
+        lambdas, factor, R, l1_next = _greedy_round(R, R, cover, nu, factors,
+                                                    params.beta)
         added, round_mass = _credit(mu, lambdas, factor, group, vparams)
         max_log = 0.0
         contribution = 0.0

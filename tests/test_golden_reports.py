@@ -5,7 +5,7 @@ The runs cover `basis_decompose`'s shell deepening, its adaptive fallback,
 the proof rescale and the cone finisher's accepted round (on `f_w + 1`
 targets), and two rounds of `moment_decompose` with each rescale.  On
 every exact run, each round's recorded mass is also checked against
-`factor * integrate(g, nu)`.  Regenerate the files only after an intended
+`factor * int g d nu`, with g rebuilt from the round's lambdas.  Regenerate the files only after an intended
 change of results:
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -25,6 +25,7 @@ from freewalk import (GreedyParams, LocallyConstantFunction, VisualParams,
                       WeightedFreeGroup, basis_decompose, decomposition,
                       integrate, measure_constants, moment_decompose,
                       radon_nikodym, uniform_ps_measure)
+from freewalk.measures import unit_spike
 
 REPORTS = Path(__file__).resolve().parent / "data" / "reports"
 
@@ -96,7 +97,8 @@ def test_round_mass_is_the_integral_of_g(monkeypatch, name):
     # a round records its mass as the sum of the coefficients it credits;
     # for the conformal nu that is factor * int g d nu, read here off every
     # accepted round (a greedy round, or the finisher's with factor 1 and
-    # g = h)
+    # g = h); the rounds do not return g, so the oracle integrates
+    # g = sum lambda u_{gamma^-1} spike by spike
     rounds = []
     for spied in ("_greedy_round", "_cone_finisher"):
         def spy(*args, original=getattr(decomposition, spied)):
@@ -108,9 +110,11 @@ def test_round_mass_is_the_integral_of_g(monkeypatch, name):
     res = result(name, "exact")
     nu = setup("exact")[1]
     assert len(rounds) == len(res.records) > 0
-    for rec, (_, g, factor, _, _) in zip(res.records, rounds):
+    for rec, (lambdas, factor, _, _) in zip(res.records, rounds):
+        int_g = sum(lam * integrate(unit_spike(gamma, nu, nu.params), nu)
+                    for gamma, lam in lambdas if lam > 0)
         assert type(rec.round_mass) is Fraction
-        assert rec.round_mass == factor * integrate(g, nu)
+        assert rec.round_mass == factor * int_g
 
 
 def test_moment_tail_is_the_series_sum():

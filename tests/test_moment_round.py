@@ -702,7 +702,7 @@ def test_shared_den_ops_match_values(case, vparams, r_exp):
     finally:
         decomposition.greedy_lambdas = original
     assert not over
-    _, _, got_factor, R_next, l1 = out
+    _, got_factor, R_next, l1 = out
     want_next = vR.sub(want).canonical()
     assert got_factor == factor
     assert [repr(v) for v in as_values(R_next).values.values()] == \
@@ -759,8 +759,8 @@ def test_fused_check_matches_exceeding_and_sub(case):
         decomposition.greedy_lambdas = original
     first = c if not oracle_exceeding(g, c, R, bound) else passing
     want = R.sub(g, first).canonical()
-    assert out[2] == first
-    assert out[3].den == want.den and out[3].values == want.values
+    assert out[1] == first
+    assert out[2].den == want.den and out[2].values == want.values
 
 
 def test_lambdas_over_the_accumulators_den_match_values():
@@ -913,20 +913,22 @@ def test_finish_drops_tiny_float_atoms_into_leak(f2):
 def _round_masses(monkeypatch, F, nu, constants, rounds):
     """(recorded round mass, factor * int g d nu, the sum of the round's
     coefficients in order) for each round of a proof-rescale
-    moment_decompose, read off its _greedy_round calls."""
+    moment_decompose, read off its _greedy_round calls.  A round does not
+    return g; greedy_lambdas rebuilds it from the round's target and cover."""
     seen = []
     original = decomposition._greedy_round
 
-    def spy(*args):
-        seen.append(original(*args))
-        return seen[-1]
+    def spy(R, target, cover, nu, *rest):
+        out = original(R, target, cover, nu, *rest)
+        seen.append((out, decomposition.greedy_lambdas(target, cover, nu.params)[1]))
+        return out
 
     monkeypatch.setattr(decomposition, "_greedy_round", spy)
     params = GreedyParams(margin=1, rescale="proof")
     res = moment_decompose(F, nu, params, rounds=rounds, constants=constants)
     alpha, group = nu.params.alpha, F.group
     rows = []
-    for rec, (lambdas, g, factor, _, _) in zip(res.records, seen, strict=True):
+    for rec, ((lambdas, factor, _, _), g) in zip(res.records, seen, strict=True):
         terms = 0
         for gamma, lam in lambdas:
             if lam > 0:
