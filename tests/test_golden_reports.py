@@ -5,8 +5,8 @@ The runs cover `basis_decompose`'s shell deepening, its adaptive fallback,
 the proof rescale and the cone finisher's accepted round (on `f_w + 1`
 targets), and two rounds of `moment_decompose` with each rescale.  On
 every exact run, each round's recorded mass is also checked against
-`factor * int g d nu`, with g rebuilt from the round's lambdas.  Regenerate the files only after an intended
-change of results:
+`factor * int g d nu`, with g rebuilt from the round's lambdas.
+Regenerate the files only after an intended change of results:
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
