@@ -16,7 +16,7 @@ from freewalk import (GreedyParams, LocallyConstantFunction, VisualParams,
                       uniform_ps_measure)
 from freewalk.cli import main
 from freewalk.decomposition import _cone_finisher, _cover, oscillation_threshold
-from freewalk.measures import SpikeAccumulator
+from freewalk.measures import SpikeAccumulator, unit_spike
 from freewalk.partitions import refine_leaves, spine_word, trie_closure
 from freewalk.words import invert
 
@@ -231,6 +231,15 @@ def _residual(F, nu, finished):
     return integrate(F.sub(finished[1]), nu)
 
 
+def _residual_of_lambdas(F, nu, lambdas):
+    """int (F - h) d nu for h = sum lambda u_{gamma^-1}, built spike by spike
+    from a finisher's lambdas."""
+    rest = F
+    for gamma, lam in lambdas:
+        rest = rest.sub(unit_spike(gamma, nu, nu.params), lam)
+    return integrate(rest, nu)
+
+
 def test_finisher_accepts_what_the_sweep_accepts():
     tau = 1e-6
     counts = {"accepted": 0, "snapped_short": 0, "rejected": 0, "float": 0}
@@ -249,16 +258,18 @@ def test_finisher_accepts_what_the_sweep_accepts():
             # R - h and its L1 norm are exact
             assert all(type(v) in (int, Fraction) for v in new[2].values.values())
             assert type(new[3]) in (int, Fraction)
+            new_residual = _residual_of_lambdas(F, nu, new[0])
+            assert new_residual == new[3]
         if old is not None:
             counts["accepted"] += 1
             assert new is not None
             old_residual = _residual(F, nu, old)
-            assert new[3] <= old_residual
+            assert new_residual <= old_residual
             if old_residual == 0:
                 assert dict(new[0]) == {g: lam for g, lam in old[0] if lam > 0}
             else:  # the snap missed the exact solution; the solve does not
                 counts["snapped_short"] += 1
-                assert new[3] == 0
+                assert new_residual == 0
         if sweep_finisher(*float_case, tau) is not None:
             counts["float"] += 1
             float_new = _cone_finisher(*float_case, tau)

@@ -64,7 +64,7 @@ def test_distance(f2):
 def test_multiply_invert(f2):
     for u in f2.ball(3):
         assert multiply(u, invert(u)) == ()
-        assert reduce_oracle(u + invert(u), 4) == ()
+        assert f2.parse_word(f2.format_word(u + invert(u))) == ()
     assert multiply((0, 2), (3, 1)) == ()
     assert cancellation((0, 2), (3, 0)) == 1
     assert common_prefix_length((0, 2, 1), (0, 2, 3)) == 2
