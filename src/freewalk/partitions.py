@@ -271,8 +271,6 @@ def _num_from_str(s: str):
     s = str(s)
     if "/" in s:
         num, den = s.split("/")
-        if len(num) <= _PIECE >= len(den):  # what _int_from_str does with them
-            return Fraction(int(num.strip()), int(den.strip()))
         return Fraction(_int_from_str(num), _int_from_str(den))
     text = s.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from freewalk import (LocallyConstantFunction, PartitionError,
                       ValueNotConstantError, WeightedFreeGroup, integrate,
                       refine_leaves, trie_closure, validate_partition)
-from freewalk.partitions import _PIECE, _covers, _int_from_str, _num_from_str, spine_word
+from freewalk.partitions import _covers, spine_word
 
 from conftest import refine_to
 
@@ -115,48 +115,3 @@ def test_json_roundtrip(f2):
     doc = f.to_json()
     g = LocallyConstantFunction.from_json(f2, doc)
     assert f == g
-
-
-def old_num_from_str(s):
-    """_num_from_str as it was before its fast path for short p/q halves."""
-    s = str(s)
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(_int_from_str(num), _int_from_str(den))
-    text = s.strip()
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if digits.isascii() and digits.isdigit():
-        return _int_from_str(text)
-    return float(s)
-
-
-@st.composite
-def number_halves(draw):
-    """A p/q half of 511, 512 or 513 digits (the fast path ends at 512
-    characters), or of 2 or 510, which leave room for the extra characters:
-    an optional sign, '_' separator, stray character and surrounding
-    whitespace."""
-    n = draw(st.sampled_from([2, _PIECE - 2, _PIECE - 1, _PIECE, _PIECE + 1]))
-    digits = str(draw(st.integers(10 ** (n - 1), 10 ** n - 1)))
-    for piece in draw(st.lists(st.sampled_from(["_", "__", "x", " "]), max_size=1)):
-        at = draw(st.integers(1, n - 1))
-        digits = digits[:at] + piece + digits[at:]
-    sign = draw(st.sampled_from(["", "-", "+"]))
-    pad = draw(st.sampled_from(["", " ", "\t", " \n"]))
-    return draw(st.sampled_from([pad, ""])) + sign + digits + pad
-
-
-def _read(parse, text):
-    try:
-        value = parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
-    return type(value), value
-
-
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(number_halves(), st.one_of(number_halves(), st.sampled_from(["1", "0", " 7 ", "-3"])),
-       st.booleans())
-def test_num_from_str_matches_its_old_body(num, den, swap):
-    text = f"{den}/{num}" if swap else f"{num}/{den}"
-    assert _read(_num_from_str, text) == _read(old_num_from_str, text)
