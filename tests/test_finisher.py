@@ -279,6 +279,19 @@ def test_finisher_accepts_what_the_sweep_accepts():
                       "float": 35}
 
 
+def test_finisher_lambdas_leave_the_residual_it_reports():
+    # with no bound on ||R - h||_1 the finisher also accepts clamped solves,
+    # scaled below 1 with a positive residual; the lambdas it returns must
+    # leave exactly the residual it reports
+    positive = 0
+    for (F, nu, cover), _ in _finisher_cases():
+        new = _cone_finisher(F, nu, cover, math.inf)
+        if new is not None:
+            assert _residual_of_lambdas(F, nu, new[0]) == new[3]
+            positive += new[3] > 0
+    assert positive == 33
+
+
 def test_float_derivatives_finish_in_one_round(tmp_path):
     # float rounding turns the exact solve's zeros into values like -1e-17;
     # clamping them keeps mu = delta_gamma
