@@ -213,8 +213,7 @@ def _conformal_steps(group: WeightedFreeGroup, alpha: LogScale):
     a Fraction (exact), else p[x] = q_x and d[x] = 1."""
     q = [alpha.exp_neg(group.letter_weight(x)) for x in group.letters()]
     exact = all(isinstance(v, Fraction) for v in q)
-    num = [v.numerator if exact else v for v in q]
-    den = [v.denominator if exact else 1 for v in q]
+    num, den = zip(*((v.numerator, v.denominator) if exact else (v, 1) for v in q))
     return num, den, [d + p for p, d in zip(num, den)], exact
 
 

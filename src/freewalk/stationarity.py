@@ -71,15 +71,14 @@ def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
 
     For the conformal nu with its params this walks the cell trie of the
     density D = sum_gamma mu(gamma) f_gamma level by level, as
-    `WeightedFreeGroup.sphere` does: each cell's value, a pair of ints,
-    passes unchanged to the cylinders inside it, where the mass is
-    D(cell) nu(w).  With Fraction steps q_x = p_x/d_x the walk carries the
-    products of p and d down each word, so nu(w) is the int pair that
-    `_conformal_mass_fn` divides; float steps carry no products.  A cylinder with cells of D below it gets
-    the sum of D(c) nu(c) over those cells, in (len, word) order.  A float
-    among the values or steps keeps the plain product and running sum of
-    D(c) nu(c), from 0, in that order.  For any other nu the masses are
-    those of `convolve`.
+    `WeightedFreeGroup.sphere` does: each cell's value, a pair of ints, passes
+    unchanged to the cylinders inside it, where the mass is D(cell) nu(w).
+    Fraction steps q_x = p_x/d_x carry the products of p and d down each word,
+    so nu(w) is the int pair that `_conformal_mass_fn` divides; float steps
+    carry none.  A cylinder with cells of D below it gets the sum of D(c)
+    nu(c) over those cells, in (len, word) order.  A float among the values or
+    steps keeps the plain product and running sum of D(c) nu(c), from 0, in
+    that order.  For any other nu the masses are those of `convolve`.
     """
     group = nu.group
     if not nu.conformal or nu.params is None:
@@ -98,14 +97,13 @@ def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
         deep.setdefault(c[:depth], []).append(c)
     p_step, d_step, d_last, exact = _conformal_steps(group, nu.params.alpha)
     extensions = group.valid_extensions
+    level = [(EPSILON, value.get(EPSILON), 1, 1)]
     if exact:  # nu(w) rides along as the int pair (prod p, prod d)
-        level = [(EPSILON, value.get(EPSILON), 1, 1)]
         for d_of in [d_step] * (depth - 1) + [d_last]:  # the last letter's q/(1 + q)
             level = [(w + (x,), v if v is not None else value.get(w + (x,)),
                       p * p_step[x], d * d_of[x])
                      for w, v, p, d in level for x in extensions(w)]
     else:
-        level = [(EPSILON, value.get(EPSILON), None, None)]
         for _ in range(depth):
             level = [(w + (x,), v if v is not None else value.get(w + (x,)), None, None)
                      for w, v, _, _ in level for x in extensions(w)]
