@@ -195,6 +195,20 @@ def test_audit_witnesses_match_golden(tmp_path, name):
 
 
 STATIONARITY = GOLDEN.parent / "stationarity"
+REPORTS = GOLDEN.parent / "reports"
+
+
+@pytest.mark.parametrize("name", sorted(p.name[:-len(".config.json")]
+                                        for p in REPORTS.glob("*.config.json")))
+def test_decompose_matches_golden(tmp_path, name):
+    # f_abA + 1 as inline cells: the cone finisher's round, credited to mu
+    # and written as JSON and CSV by the console script's command
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(REPORTS / f"{name}.config.json"),
+                 "--out", str(out)]) == 0
+    for report in ("decomposition.json", "decomposition.csv"):
+        assert (out / report).read_bytes() == \
+            (REPORTS / f"{name}.{report}").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(p.name[:-len(".config.json")]
