@@ -374,8 +374,8 @@ def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
     for gamma, lam in lambdas:
         if lam > 0:
             mass = vparams.alpha.exp_neg(group.word_weight(gamma))
-            coeff = factor * lam * mass
-            mu[gamma] = mu.get(gamma, 0) + coeff
+            coeff = lam * mass if type(factor) is int and factor == 1 else factor * lam * mass
+            mu[gamma] = mu[gamma] + coeff if gamma in mu else coeff
             added.append((coeff, mass))
     coeffs = [coeff for coeff, _ in added]
     if all(isinstance(c, (int, Fraction)) for c in coeffs):
@@ -412,8 +412,7 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     acc = SpikeAccumulator(group, nu.params)
     solved = acc.solve({b: R.at(spine_word(group, b, depth)) for b in cover})
     lam = {b: x for b, x in solved.items() if x > 0}
-    for b, x in lam.items():
-        acc.insert(b, x)
+    acc.insert_all(lam)
     leaves = refine_leaves(group, R.leaves(), trie_closure(group, cover))
     g = acc.function(leaves)
     ratio = _ratio(R, g, leaves, min)
@@ -424,8 +423,8 @@ def _cone_finisher(R: LocallyConstantFunction, nu: BoundaryMeasure,
     l1_next = integrate(R_next, nu)
     if float(l1_next) > tau or l1_next < 0:
         return None
-    return ([(invert(b), scale * lam[b]) for b in cover if b in lam],
-            1, R_next, l1_next)
+    return ([(invert(b), lam[b] if scale == 1 else scale * lam[b])
+             for b in cover if b in lam], 1, R_next, l1_next)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class BoundaryMeasure:
         self.rule = rule
         if validate:
             validate_partition(group, self.leaves.keys())
-            if any(v < 0 for v in self.leaves.values()):
+            if _any_negative(self.leaves.values()):
                 raise InputError("cylinder masses must be nonnegative")
 
     @property
@@ -205,6 +205,11 @@ class BoundaryMeasure:
     def __repr__(self):
         return (f"BoundaryMeasure(cells={len(self.leaves)}, depth={self.depth()}, "
                 f"total={self.total}, rule={self.rule})")
+
+
+def _any_negative(values: Iterable[object]) -> bool:
+    """Whether some value is below 0, read off a Fraction's numerator."""
+    return any((v.numerator if type(v) is Fraction else v) < 0 for v in values)
 
 
 def _conformal_steps(group: WeightedFreeGroup, alpha: LogScale):
@@ -297,12 +302,15 @@ class GroupMeasure:
     def __init__(self, group: WeightedFreeGroup, atoms: Dict[Word, object]):
         self.group = group
         self.atoms = {tuple(w): v for w, v in atoms.items() if v != 0}
-        if any(v < 0 for v in self.atoms.values()):
+        if _any_negative(self.atoms.values()):
             raise InputError("group measure weights must be positive")
 
     @property
     def total(self):
-        return sum(self.atoms.values(), Fraction(0)) if self.atoms else Fraction(0)
+        values = self.atoms.values()
+        if all(type(v) in _RATIONAL for v in values):
+            return rational_sum((v.numerator, v.denominator) for v in values)
+        return sum(values, Fraction(0))
 
     def items(self) -> List[Tuple[Word, object]]:
         return sorted(self.atoms.items(), key=lambda t: (len(t[0]), t[0]))
@@ -420,17 +428,14 @@ class SpikeAccumulator:
     denominator `den`, and each center's profile as (node, int) pairs over
     the product of its letters' q_x (`radial_profile`, whose ints
     `unit_spike` holds too), so `insert` adds integers with no gcd.
-    `den` grows only when a coefficient's denominator times the profile's
-    does not divide it, by a factor that is recorded; each node keeps the
-    version (the count of growths) it was last written at, and is brought
-    up to the current `den`, times the factors it missed (the last one, for
-    a node one growth behind), only when `insert` or a reader touches it.
-    With L = lcm q_x and m_x = (L/q_x)(q_x - p_x), `value_pair` returns
-    (L N_0 + sum_t m_{w_t} N_{t+1}, den L) and `value_at` that quotient as
-    one Fraction.  `function` brings every node up to date at once, by
-    suffix products of the factors, and returns the sum on many cells as
-    ints over the one denominator den L (a LocallyConstantFunction with
-    `den`).
+    `den` grows, by a recorded factor, only when a coefficient's denominator
+    times the profile's does not divide it; a node keeps the count of
+    growths it was last written at and is brought up to the current `den`
+    only when `insert` or a reader touches it (`_fresh`).  With L = lcm q_x
+    and m_x = (L/q_x)(q_x - p_x), `value_pair` returns (L N_0 + sum_t
+    m_{w_t} N_{t+1}, den L), `value_at` its quotient, and `function` the
+    ints on many cells over den L.  `insert_all` builds the node sums of a
+    known set of spikes in one pass.
 
     Every other case keeps plain Fraction/float arithmetic on the node sums:
     float params; a step that is not a Fraction (e.g. alpha = 1/3 log 3 on
@@ -521,10 +526,34 @@ class SpikeAccumulator:
             nodes[node] = (fresh(node) or 0) + k * v
             version[node] = now
 
+    def insert_all(self, coeffs: Dict[Word, object]) -> None:
+        """`insert` of every (center, coeff) into an empty accumulator.  In
+        the scaled-integer mode with int or Fraction coefficients, den is
+        the lcm of each center's coeff.denominator * prod q_x, as the
+        inserts leave it, and one bottom-up pass over the centers' trie
+        gives N_v = own_v + sum p_c N_c / q_c over v's children c."""
+        assert not self.nodes, "insert_all needs an empty accumulator"
+        if self._den is None or not all(type(c) in _RATIONAL for c in coeffs.values()):
+            for center, coeff in coeffs.items():
+                self.insert(center, coeff)
+            return
+        step = self.step
+        self._den = den = math.lcm(*(c.denominator * math.prod(step[x].denominator for x in b)
+                                     for b, c in coeffs.items()))
+        order, _ = self._trie(coeffs)
+        nodes = self.nodes = dict.fromkeys(order, 0)   # parents first, as insert
+        for b, c in coeffs.items():
+            nodes[b] = c.numerator * (den // c.denominator)
+        for v in reversed(order[1:]):   # each node, complete, into its parent
+            s = step[v[-1]]
+            up, rest = divmod(s.numerator * nodes[v], s.denominator)
+            assert not rest, "a node sum is not an int over den"
+            nodes[v[:-1]] += up
+        self._version = dict.fromkeys(order, 0)
+
     def _numerator(self, word: Word) -> int:
         """Scaled-integer mode: value_at(word) times den * L, as an int."""
-        fresh = self._fresh
-        m = self._m
+        fresh, m = self._fresh, self._m
         total = self._lcm * (fresh(EPSILON) or 0)
         for t in range(len(word)):
             child = fresh(word[:t + 1])
@@ -555,15 +584,24 @@ class SpikeAccumulator:
 
     def function(self, cells: Iterable[Word]) -> LocallyConstantFunction:
         """The sum on the given cells.  In the scaled-integer mode every node
-        is brought up to date by suffix products of den's growth factors, and
-        the values are int numerators over den * L, with no Fraction (or gcd)
-        per cell; otherwise they are `value_at`'s."""
+        is brought up to date by suffix products of den's growth factors and
+        gets its `_numerator` in one top-down pass; each cell reads that of
+        its deepest node, an int over den * L.  Otherwise it is `value_at`."""
         if self._den is None:
             return LocallyConstantFunction(
                 self.group, {w: self.value_at(w) for w in cells}, validate=False)
         self._refresh()
-        return LocallyConstantFunction.over(
-            self.group, {w: self._numerator(w) for w in cells}, self._den * self._lcm)
+        lcm, m = self._lcm, self._m
+        prefix = {EPSILON: 0}   # an empty accumulator reads 0 on every cell
+        for v, n in self.nodes.items():   # parents before children
+            prefix[v] = prefix[v[:-1]] + m[v[-1]] * n if v else lcm * n
+        values = {}
+        for w in cells:
+            v = w
+            while v not in prefix:
+                v = v[:-1]
+            values[w] = prefix[v]
+        return LocallyConstantFunction.over(self.group, values, self._den * lcm)
 
     def solve(self, targets: Dict[Word, object]) -> Dict[Word, object]:
         """The coefficients lambda_b with value_at(b) = targets[b] for every
@@ -694,14 +732,11 @@ def density(mu: GroupMeasure, nu: BoundaryMeasure) -> LocallyConstantFunction:
             "density requires the conformal measure with its params (nu is "
             f"flagged rule={nu.rule!r}, conformal={nu.conformal})")
     group = nu.group
-    alpha = nu.params.alpha
     acc = SpikeAccumulator(group, nu.params)
-    centers = []
-    for gamma, weight in mu.items():
-        center = invert(gamma)
-        acc.insert(center, weight * alpha.exp_neg(-group.word_weight(gamma)))
-        centers.append(center)
-    return acc.function(trie_closure(group, centers))
+    coeffs = {invert(gamma): weight * nu.params.alpha.exp_neg(-group.word_weight(gamma))
+              for gamma, weight in mu.items()}
+    acc.insert_all(coeffs)
+    return acc.function(trie_closure(group, coeffs))
 
 
 def _pushforward_mass(group: WeightedFreeGroup, gamma: Word,

@@ -458,6 +458,102 @@ def test_float_after_stale_nodes_matches_eager():
         assert isinstance(got, float) and repr(got) == repr(eager.value_at(w))
 
 
+# insert_all's groups: F_2, F_3, letters of weight 2 and 1/2 (steps 1/81
+# and 1/3 at alpha = log 3), and weights [1, 2], whose two steps differ
+BULK_GROUPS = [(2, ["1", "1"]), (3, ["1", "1", "1"]), (2, ["2", "2"]),
+               (2, ["1/2", "1/2"]), (2, ["1", "2"])]
+
+
+@st.composite
+def bulk_inserts(draw, coeffs=st.one_of(st.integers(-5, 5),
+                                        st.fractions(-4, 4, max_denominator=40))):
+    """(group, {center: coeff}, cells): centers from the ball of radius 3,
+    the empty word and prefixes of other centers among them, and cells
+    down to two levels below every center."""
+    rank, weights = draw(st.sampled_from(BULK_GROUPS))
+    group = WeightedFreeGroup(rank, weights)
+    centers = draw(st.lists(st.sampled_from(group.ball(3)), max_size=10,
+                            unique=True))
+    cells = draw(st.lists(st.sampled_from(group.ball(5)), min_size=1, max_size=8))
+    return group, {c: draw(coeffs) for c in centers}, cells
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(bulk_inserts())
+def test_insert_all_matches_inserts(run):
+    # the bulk node sums are the per-center inserts' ints over the same den,
+    # and the top-down cells read what value_at reads
+    group, coeffs, cells = run
+    params = VisualParams.exact_base(3)
+    bulk, one = SpikeAccumulator(group, params), SpikeAccumulator(group, params)
+    bulk.insert_all(coeffs)
+    for center, coeff in coeffs.items():
+        one.insert(center, coeff)
+    one._refresh()
+    assert bulk._den == one._den and bulk.nodes == one.nodes
+    assert all(type(v) is int for v in bulk.nodes.values())
+    got, want = bulk.function(cells), one.function(cells)
+    assert got.den == want.den == bulk._den * bulk._lcm
+    assert got.values == want.values
+    for w in cells:
+        assert Fraction(got.num_at(w), got.den) == one.value_at(w)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(BULK_GROUPS), st.randoms(use_true_random=False))
+def test_function_reads_each_cell_as_numerator(group_spec, rng):
+    # the one top-down pass against _numerator per cell, after inserts whose
+    # prime denominators grow den, so the lazy accumulator's nodes are
+    # behind it when read; cells reach two levels below every node
+    group = WeightedFreeGroup(*group_spec)
+    params = VisualParams.exact_base(3)
+    lazy, eager = SpikeAccumulator(group, params), EagerAccumulator(group, params)
+    words = group.ball(3)
+    for p in _primes(rng.randint(0, 12), 100):
+        center, coeff = rng.choice(words), Fraction(rng.randint(-9, 9), p)
+        lazy.insert(center, coeff)
+        eager.insert(center, coeff)
+    cells = group.ball(5)
+    got = lazy.function(cells)
+    assert got.den == eager._den * eager._lcm
+    assert got.values == {w: eager._numerator(w) for w in cells}
+
+
+def test_empty_accumulator_reads_zero():
+    group = WeightedFreeGroup(2)
+    acc = SpikeAccumulator(group, VisualParams.exact_base(3))
+    acc.insert_all({})
+    f = acc.function(group.ball(2))
+    assert acc._den == 1 and not acc.nodes
+    assert f.den == acc._lcm and set(f.values.values()) == {0}
+
+
+@pytest.mark.parametrize("params", [
+    VisualParams.floats(math.log(3), math.log(3)),   # float params
+    VisualParams.exact_base(3, Fraction(1, 3)),      # steps 3^{-2/3}
+    VisualParams.exact_base(3),                      # a float coefficient
+], ids=["float", "irrational-steps", "float-coeff"])
+def test_insert_all_plain_is_bit_identical(params):
+    # outside the scaled-integer mode insert_all inserts center by center,
+    # so the node sums and cell values are the same floats
+    group = WeightedFreeGroup(2)
+    rng = random.Random(32)
+    words = group.ball(4)
+    coeffs = {c: rng.choice([rng.uniform(-1.0, 2.0), Fraction(rng.randint(1, 9), 7)])
+              for c in rng.sample(words, 25)}
+    coeffs[words[5]] = 0.375
+    bulk, one = SpikeAccumulator(group, params), SpikeAccumulator(group, params)
+    bulk.insert_all(coeffs)
+    for center, coeff in coeffs.items():
+        one.insert(center, coeff)
+    assert bulk._den is one._den is None
+    assert repr(bulk.nodes) == repr(one.nodes)
+    cells = group.ball(5)
+    got, want = bulk.function(cells), one.function(cells)
+    assert got.den is None and repr(got.values) == repr(want.values)
+    assert any(isinstance(v, float) for v in got.values.values())
+
+
 def test_integrate(f2, nu2, params2):
     from freewalk import LocallyConstantFunction
     one = LocallyConstantFunction.constant(f2, Fraction(1))
@@ -546,3 +642,27 @@ def test_group_measure(f2):
     assert mu.normalized().total == 1
     doc = mu.to_json()
     assert GroupMeasure.from_json(doc) == mu
+
+
+@pytest.mark.parametrize("bad", [Fraction(-1, 10 ** 30), -1, -0.5])
+def test_negative_masses_refused(f2, bad):
+    # the sign is read off a Fraction's numerator; the messages are the same
+    # for every kind of number
+    cells = {w: Fraction(1, 4) for w in f2.sphere(1)}
+    cells[(0,)] = bad
+    with pytest.raises(InputError, match="^cylinder masses must be nonnegative$"):
+        BoundaryMeasure(f2, cells)
+    with pytest.raises(InputError, match="^group measure weights must be positive$"):
+        GroupMeasure(f2, cells)
+    cells[(0,)] = Fraction(0)
+    assert BoundaryMeasure(f2, cells).total == Fraction(3, 4)
+    assert (0,) not in GroupMeasure(f2, cells).atoms
+
+
+@pytest.mark.parametrize("atoms", [
+    {}, {(0,): 3, (1,): 4}, {(0,): Fraction(1, 3), (1,): 2, (2,): Fraction(5, 6)},
+    {(0,): Fraction(1, 3), (1,): 0.25, (2,): Fraction(5, 6)}])
+def test_group_measure_total_is_the_plain_sum(f2, atoms):
+    total = GroupMeasure(f2, atoms).total
+    want = sum(atoms.values(), Fraction(0))
+    assert total == want and type(total) is type(want)
