@@ -374,6 +374,7 @@ def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
     for gamma, lam in lambdas:
         if lam > 0:
             mass = vparams.alpha.exp_neg(group.word_weight(gamma))
+            # the int 1 (the finisher's factor) changes neither value nor type
             coeff = lam * mass if type(factor) is int and factor == 1 else factor * lam * mass
             mu[gamma] = mu[gamma] + coeff if gamma in mu else coeff
             added.append((coeff, mass))

@@ -551,8 +551,11 @@ class SpikeAccumulator:
             nodes[v[:-1]] += up
         self._version = dict.fromkeys(order, 0)
 
-    def _numerator(self, word: Word) -> int:
-        """Scaled-integer mode: value_at(word) times den * L, as an int."""
+    def value_pair(self, word: Word) -> Optional[Tuple[int, int]]:
+        """In the scaled-integer mode, ints (n, d) with value_at(word) = n/d,
+        unreduced (d = den * L); None in every other case."""
+        if self._den is None:
+            return None
         fresh, m = self._fresh, self._m
         total = self._lcm * (fresh(EPSILON) or 0)
         for t in range(len(word)):
@@ -560,14 +563,7 @@ class SpikeAccumulator:
             if child is None:
                 break  # the nodes are prefix-closed: no deeper one either
             total += m[word[t]] * child
-        return total
-
-    def value_pair(self, word: Word) -> Optional[Tuple[int, int]]:
-        """In the scaled-integer mode, ints (n, d) with value_at(word) = n/d,
-        unreduced (d = den * L); None in every other case."""
-        if self._den is None:
-            return None
-        return self._numerator(word), self._den * self._lcm
+        return total, self._den * self._lcm
 
     def value_at(self, word: Word):
         nodes = self.nodes
@@ -585,15 +581,16 @@ class SpikeAccumulator:
     def function(self, cells: Iterable[Word]) -> LocallyConstantFunction:
         """The sum on the given cells.  In the scaled-integer mode every node
         is brought up to date by suffix products of den's growth factors and
-        gets its `_numerator` in one top-down pass; each cell reads that of
-        its deepest node, an int over den * L.  Otherwise it is `value_at`."""
+        gets `value_pair`'s numerator in one top-down pass; each cell reads
+        that of its deepest node, an int over den * L.  Otherwise it is
+        `value_at`."""
         if self._den is None:
             return LocallyConstantFunction(
                 self.group, {w: self.value_at(w) for w in cells}, validate=False)
         self._refresh()
         lcm, m = self._lcm, self._m
         prefix = {EPSILON: 0}   # an empty accumulator reads 0 on every cell
-        for v, n in self.nodes.items():   # parents before children
+        for v, n in self.nodes.items():   # both inserts add a node after its parent
             prefix[v] = prefix[v[:-1]] + m[v[-1]] * n if v else lcm * n
         values = {}
         for w in cells:

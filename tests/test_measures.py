@@ -502,7 +502,7 @@ def test_insert_all_matches_inserts(run):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.sampled_from(BULK_GROUPS), st.randoms(use_true_random=False))
 def test_function_reads_each_cell_as_numerator(group_spec, rng):
-    # the one top-down pass against _numerator per cell, after inserts whose
+    # the one top-down pass against value_pair per cell, after inserts whose
     # prime denominators grow den, so the lazy accumulator's nodes are
     # behind it when read; cells reach two levels below every node
     group = WeightedFreeGroup(*group_spec)
@@ -516,7 +516,7 @@ def test_function_reads_each_cell_as_numerator(group_spec, rng):
     cells = group.ball(5)
     got = lazy.function(cells)
     assert got.den == eager._den * eager._lcm
-    assert got.values == {w: eager._numerator(w) for w in cells}
+    assert got.values == {w: eager.value_pair(w)[0] for w in cells}
 
 
 def test_empty_accumulator_reads_zero():
