@@ -27,7 +27,7 @@ from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        integrate, radon_nikodym, rational_sum,  # noqa: F401
                        require_conformal)
-from .spikes import shadow_lemma_audit, decay_check, lipschitz_scale
+from .spikes import shadow_lemma_audit, decay_check, _CellTable, _slope_numerators
 from .stationarity import functionals
 
 
@@ -370,10 +370,11 @@ def _credit(mu: Dict[Word, object], lambdas, factor, group: WeightedFreeGroup,
     conformal nu).  Returns the (coefficient, ||u_gamma||_1) pairs added and
     the round's mass, their coefficients' sum: one `rational_sum` when all
     are rational, else the plain sum in order."""
-    added = []
+    added, masses = [], {}  # ||u_gamma||_1 per weight W(gamma)
     for gamma, lam in lambdas:
         if lam > 0:
-            mass = vparams.alpha.exp_neg(group.word_weight(gamma))
+            w = group.word_weight(gamma)
+            mass = masses[w] = masses[w] if w in masses else vparams.alpha.exp_neg(w)
             # the int 1 (the finisher's factor) changes neither value nor type
             coeff = lam * mass if type(factor) is int and factor == 1 else factor * lam * mass
             mu[gamma] = mu[gamma] + coeff if gamma in mu else coeff
@@ -554,7 +555,10 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
         inf_r, sup_r = R.inf(), R.sup()
-        sup_slope = max(lipschitz_scale(R, 0, vparams, g_prev).values())
+        nums, floats = _slope_numerators(table := _CellTable(R, vparams.epsilon), 0, g_prev)
+        top = max(nums.values())  # one Fraction over a shared den; 0 when flat
+        sup_slope = max([Fraction(top, table.den) if table.den and top else top,
+                         *floats.values()])
         if sup_slope > 0:
             delta_n = min(float((params.s - 1)) * float(inf_r) / float(sup_slope),
                           g_prev)

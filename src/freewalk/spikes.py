@@ -7,11 +7,12 @@ singular kernel (condition 2) and bounded short-range oscillation
 and the ball mass from below.  On the tree every ball is a finite cylinder
 union, so all five conditions reduce to exact finite maxima, which
 `verify_spike` computes in one pass over one refined partition.  On rational
-values it decides every comparison on int numerators over one denominator and
-builds each reported number once; float values run the per-cell checks.
-Each ball is one cylinder C(p): a rational nu(C(p)) is read off it, a float
-one summed over its cells.  Lipschitz slopes read each meet node's range of
-h.  The spike of gamma is centered at z^+ = C(gamma^{-1}); f_gamma does not
+values it decides every comparison on ints (numerators over one denominator,
+condition 2 and the slopes as cross-multiplied pairs) and builds each
+reported number as one Fraction; float values run the per-cell checks.  Each
+ball is one cylinder C(p): a rational nu(C(p)) is read off it, a float one
+summed over its cells.  Lipschitz slopes read each meet node's range of h.
+The spike of gamma is centered at z^+ = C(gamma^{-1}); f_gamma does not
 depend on the shadow margin D, and `with_margin` moves a spike to another D
 with its cell table: what the checks read of f_gamma, its center and Q at
 every radius and C, built once per spike family, and what they measure at
@@ -35,6 +36,8 @@ from .words import (Word, WeightedFreeGroup, InputError, is_prefix,
 from .geometry import Cylinder, LogScale, VisualParams, AmbiguousCylinderError
 from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
 from .measures import BoundaryMeasure, require_conformal, unit_spike
+
+_EXACT = (int, Fraction)  # the rational types, each with numerator and denominator
 
 
 class DegenerateSpikeError(ValueError):
@@ -87,8 +90,10 @@ class SpikeReport:
 # ---------------------------------------------------------------------------
 
 def _ratio(a, b):
-    """a / b, as a Fraction when both are ints (`/` would make it a float)."""
-    return Fraction(a, b) if type(a) is int and type(b) is int else a / b
+    """a / b, one Fraction from ints when both are rational (`/` of two ints
+    would make a float)."""
+    return Fraction(a.numerator * b.denominator, a.denominator * b.numerator) \
+        if type(a) in _EXACT and type(b) in _EXACT else a / b
 
 
 def _cell_product(group: WeightedFreeGroup, w: Word, center: Word):
@@ -103,12 +108,12 @@ def _within(eps: LogScale, weight, r_exp, mult) -> bool:
 
 
 def _ball_prefix(group: WeightedFreeGroup, center: Word, params: VisualParams,
-                 r_exp, mult=1) -> Word:
+                 r_exp, mult=1, weights=None) -> Word:
     """The prefix p of `center` with B(center, mult*e^{-eps r_exp}) = C(p):
     the shortest one whose weight passes the distance test, which holds from
-    some depth on since prefix weights increase."""
+    some depth on since prefix weights (`weights`, if given) increase."""
     eps = params.epsilon
-    for k, weight in enumerate(group.prefix_weights(center)):
+    for k, weight in enumerate(weights or group.prefix_weights(center)):
         if _within(eps, weight, r_exp, mult):
             return center[:k]
     raise AmbiguousCylinderError(f"ball smaller than the center cell "
@@ -160,19 +165,19 @@ class _CellTable:
 class _SpikeTable(_CellTable):
     """A spike's `_CellTable` plus the rest of what `verify_spike` reads at
     every radius and C: the prepared cells as int numerators over one `den`
-    (a unit spike's own; `over_shared_den` for any other function), sup,
-    each cell's meet depth with the center, the first nonpositive cell, and
-    condition 2's kernel e^{2Q eps W_k} per meet depth k, as first read, and
-    `verify_spike`'s measurement per radius (`measured`).  It holds for
-    `function` (by identity), the center and the params (`source`)."""
+    (a unit spike's own; `over_shared_den` for any other function), sup's
+    cell, Q, each cell's meet depth with the center, the first nonpositive
+    cell, condition 2's kernel e^{2Q eps W_k} at depths k = 0, 1, ... as first
+    read, and `verify_spike`'s measurement per radius (`measured`).  It holds
+    for `function` (by identity), the center and the params (`source`)."""
 
     def __init__(self, spike: Spike, source: tuple):
         self.function, self.source, self.kernel, self.measured = \
-            spike.function, source, {}, {}
+            spike.function, source, [], {}
         self.func = _prepared_cells(spike).over_shared_den()
         super().__init__(self.func, spike.params.epsilon)
         self.num = num = self.func.values
-        self.sup = self.value(max(num, key=num.__getitem__))
+        self.top, self.q = max(num, key=num.__getitem__), spike.params.q_exponent
         self.meet = {w: common_prefix_length(w, spike.center.word) for w in num}
         self.nonpositive = next((w for w in num if num[w] <= 0), None)
 
@@ -206,17 +211,32 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
     so f's range over C(p) gives the gap at that distance (x's own branch
     meets it deeper, where 1/d is larger).  An f that mixes floats with ints
     or Fractions is read as floats, as a range keeps one of two equal cells
-    1.0 and Fraction(1).  On a shared denominator the gaps are numerators:
-    against a rational 1/d (an int when integral) they are compared as they
-    are, one Fraction built per nonzero slope; against a float 1/d a gap
-    enters as gap / den, which rounds like Fraction(gap, den).  Either way
-    each value and its type are those f gives on its values.
+    1.0 and Fraction(1).  This is the per-cell view of `_slope_numerators`:
+    on a shared denominator, one Fraction per nonzero numerator, or the
+    cell's float part where that is larger.  Either way each value and its
+    type are those f gives on its values.
     """
     table = table or _CellTable(f, params.epsilon)
+    return _slope_values(table, *_slope_numerators(table, r_exp, mult))
+
+
+def _slope_values(table: _CellTable, nums: dict, floats: dict) -> Dict[Word, object]:
+    """The slopes whose `_slope_numerators` are (nums, floats)."""
+    return nums if table.den is None else {w: max(Fraction(s, table.den) if s else 0,
+                                                  floats.get(w, 0)) for w, s in nums.items()}
+
+
+def _slope_numerators(table: _CellTable, r_exp, mult=1) -> tuple:
+    """`lipschitz_scale`'s kernel: per cell, D_r f as a numerator over
+    `table.den` (the slope itself when that is None): an int, or a Fraction
+    where 1/d is a non-integral rational, the gaps being numerators.  Against
+    a float 1/d a gap enters as gap / den, which rounds like
+    Fraction(gap, den); the second dict holds each cell's positive float part."""
     eps, den = table.eps, table.den
     # 1/d at a meet of weight W, or None when W is beyond the scale
     inv_d_at: Dict[object, object] = {}
     out: Dict[Word, object] = {}
+    floats: Dict[Word, float] = {}
     for w, v in table.read.items():
         best = float_best = 0
         for meet, (lo, hi) in zip(table.weights[w], table.ranges[w]):
@@ -231,9 +251,10 @@ def lipschitz_scale(f: LocallyConstantFunction, r_exp, params: VisualParams,
                 float_best = max(float_best, gap / den * inv_d)
             else:
                 best = max(best, gap * inv_d)
-        out[w] = best if den is None else \
-            max(Fraction(best, den) if best else 0, float_best)
-    return out
+        out[w] = best
+        if float_best:
+            floats[w] = float_best
+    return out, floats
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +338,16 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
 
     When every value is an int or a Fraction, the cells are read as int
     numerators over one denominator (a unit spike's own, else their lcm by
-    `over_shared_den`), and every ordering decision runs on those ints: the
-    ball minimum, the sign tests, each scale class's lo/hi and the worst
-    class, the worst Lipschitz cell and the witness ties.  Each reported
-    number is then built once, from the values at the cells it names by the
-    formula of the per-cell checks, so it is the same Fraction or float.
-    Condition 2 divides a cell only when its h beats every earlier
-    cell at its meet depth (the ratio is monotone in h there): on the
-    spikes f_gamma that is once per depth.  Float values are their own
-    numerators and run the per-cell checks in their order, unchanged.
+    `over_shared_den`), and every ordering decision runs on ints: the ball
+    minimum, the sign tests, each scale class's lo/hi and the worst class,
+    condition 2's worst cell by cross-multiplied pairs (n_y K_k.denominator,
+    K_k.numerator) when h(a) nu(B), r^Q and every kernel K_k are rational, the
+    worst Lipschitz cell on the slope numerators and the witness ties.  Each
+    reported number (cond1, cond2, cond3, lipschitz, mass) is then one
+    Fraction(a, b) of ints, the value the per-cell formula gives.  Otherwise
+    condition 2 divides per cell, and float values, their own numerators, run
+    the per-cell checks in their order, unchanged.  C is compared once, with
+    the measured C, when C and every measured number are rational.
     """
     source = (spike.center, spike.params)
     table = spike.cell_table
@@ -334,10 +356,12 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
     radius = (type(spike.r_exp), spike.r_exp)
     if (cached := table.measured.get(radius)) is None or cached[0] is not nu:
         cached = table.measured[radius] = (nu, *_measure(spike, nu, table))
-    _, measured, witnesses, measured_c, checks = cached
+    _, measured, witnesses, measured_c, exact_c, checks = cached
     c = spike.c
-    # a check holds when its precondition does and C bounds its numbers
-    oks = [pre and (c is None or all(measured[k] is None or measured[k] <= c for k in keys))
+    # a check holds when its precondition does and C bounds its numbers: all
+    # of them at once when C and every number are rational and C >= their max
+    bounded = c is None or type(c) in _EXACT and exact_c is not None and c >= exact_c
+    oks = [pre and (bounded or all(measured[k] is None or measured[k] <= c for k in keys))
            for pre, keys in checks]
     return SpikeReport(*oks, measured_c=measured_c, measured=dict(measured),
                        witnesses=dict(witnesses))
@@ -345,18 +369,19 @@ def verify_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
 
 def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
     """`verify_spike`'s measurement at the spike's radius: (measured,
-    witnesses, measured_c, checks), where `checks` holds, per condition 1,
-    2, 3 and Q-spike, its precondition and the measured keys C must bound."""
-    group, params, eps = spike.function.group, spike.params, table.eps
-    Q = params.q_exponent
+    witnesses, measured_c, exact_c, checks), where `checks` holds, per
+    condition 1, 2, 3 and Q-spike, its precondition and the measured keys C
+    must bound; exact_c is measured_c if every measured number is rational."""
+    group, params, eps, Q = spike.function.group, spike.params, table.eps, table.q
     num, den, value = table.num, table.den, table.value
     key = num.__getitem__
     center = spike.center.word
     # B(a, r) is one cylinder C(p): its cells meet the center at depth >= |p|.
     # A Fraction nu(C(p)) is exactly their sum; any other value is that sum
     # in partition order, as a float sum rounds by the order of its terms
-    prefix_r = _ball_prefix(group, center, params, spike.r_exp)
-    ball = [w for w in num if table.meet[w] >= len(prefix_r)]
+    depth = len(prefix_r := _ball_prefix(group, center, params, spike.r_exp,
+                                         1, table.weights[center]))
+    ball = [w for w in num if table.meet[w] >= depth]
     if type(mass_r := nu.mass_of(prefix_r)) is not Fraction:
         mass_r = sum(nu.mass_of(w) for w in ball)
     inside = set(ball)
@@ -367,7 +392,7 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
     # condition 1: h >= sup/C on the ball
     low = min(inside, key=key)
     wit1 = min(w for w in inside if num[w] == num[low])
-    measured["cond1"] = _ratio(table.sup, value(low)) if num[low] > 0 else None
+    measured["cond1"] = _ratio(num[table.top], num[low]) if num[low] > 0 else None
     witnesses["cond1"] = group.format_word(wit1)
     # C bounds the ratio as measured: in floats h_min * (sup / h_min) can
     # round below sup
@@ -376,15 +401,19 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
     # condition 2: off-ball decay against the singular kernel.  The metric is
     # an ultrametric and the ball is a union of cells meeting the center at
     # depth >= some k, so an outside cell y (meeting it at k_y) meets every
-    # inside cell at k_y, and its integral is nu(B) e^{2Q eps W(k_y)}.
-    # At one depth the ratio h(y) / (h(a) r^Q nu(B) K_k) is monotone in h(y),
-    # rising when h(a) >= 0, so a cell whose h does not beat the last cell
-    # divided at its depth cannot pass the worst ratio.
-    h_r = value(center) * r_pow_q
-    sign = 1 if num[center] >= 0 else -1
-    expo = 2 * Q
+    # inside cell at k_y, and its integral is nu(B) K_k, K_k = e^{2Q eps W(k)}.
+    # When h(a) r^Q nu(B) = sn / (sd den) and every K_k are rational, the
+    # ratio h(y) / (h(a) r^Q nu(B) K_k) is (p / q) (sd / sn) with the int pair
+    # (p, q) = (n_y K_k.denominator, K_k.numerator): the pairs order the cells,
+    # the other way round when sn < 0.  Otherwise each cell is divided
+    kernel = table.kernel
+    while len(kernel) < depth:
+        kernel.append(eps.exp_neg(-2 * Q * table.weights[center][len(kernel)]))
+    exact = den is not None and num[center] != 0 and mass_r != 0 and all(
+        type(x) in _EXACT for x in (r_pow_q, mass_r, *kernel[:depth]))
+    sn = num[center] * r_pow_q.numerator * mass_r.numerator if exact else 1
+    sd = r_pow_q.denominator * mass_r.denominator if exact else 1
     denom: Dict[int, object] = {}
-    last: Dict[int, object] = {}
     worst2 = wit2 = None
     positive = True
     for y in num:
@@ -396,17 +425,17 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
             wit2 = y
             break
         k = table.meet[y]
-        if den is not None and k in last and sign * n <= last[k]:
-            continue
-        last[k] = sign * n
-        if k not in denom:
-            if k not in table.kernel:
-                table.kernel[k] = eps.exp_neg(-expo * table.weights[center][k])
-            denom[k] = h_r * (mass_r * table.kernel[k])
-        need = value(y) / denom[k]
-        if worst2 is None or need > worst2:
-            worst2, wit2 = need, y
-    measured["cond2"] = worst2 if positive else None
+        if exact:
+            p, q = n * kernel[k].denominator, kernel[k].numerator
+        else:
+            if k not in denom:
+                denom[k] = value(center) * r_pow_q * (mass_r * kernel[k])
+            p, q = value(y) / denom[k], 1
+        if wit2 is None or (p * worst2[1] > worst2[0] * q if sn > 0
+                            else p * worst2[1] < worst2[0] * q):
+            worst2, wit2 = (p, q), y
+    measured["cond2"] = None if not positive or wit2 is None else \
+        Fraction(worst2[0] * sd, worst2[1] * sn) if exact else worst2[0]
     witnesses["cond2"] = None if wit2 is None else group.format_word(wit2)
     pre2 = positive
 
@@ -427,7 +456,7 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
         measured["cond3"], witnesses["cond3"] = 1, None
     else:
         members, hi, lo = top3
-        measured["cond3"] = _ratio(value(hi), value(lo))
+        measured["cond3"] = _ratio(num[hi], num[lo])
         witnesses["cond3"] = tuple(
             group.format_word(min(w for w in members if num[w] == num[end]))
             for end in (hi, lo))
@@ -439,9 +468,10 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
         witnesses["lipschitz"] = group.format_word(table.nonpositive)
         pre_q = False
     else:
-        slopes = lipschitz_scale(table.func, spike.r_exp, params, table=table)
+        nums, floats = _slope_numerators(table, spike.r_exp)
         r_val = eps.exp_neg(spike.r_exp)
-        exact = den is not None and float not in {type(r_val), *map(type, slopes.values())}
+        exact = den is not None and not floats and type(r_val) is not float
+        slopes = nums if exact else _slope_values(table, nums, floats)
         worst_lip, top_lip = (0, 1), None
         for w in num:
             s = slopes[w]
@@ -452,17 +482,20 @@ def _measure(spike: Spike, nu: BoundaryMeasure, table: _SpikeTable) -> tuple:
                 p /= num[w] / den if den is not None and type(p) is float else value(w)
             if p * worst_lip[1] > worst_lip[0] * q:
                 worst_lip, top_lip = (p, q), w
+        p, q = worst_lip  # exact: the ratio is p r / q
         measured["lipschitz"] = 0 if top_lip is None else \
+            Fraction(p * r_val.numerator, q * r_val.denominator) if exact else \
             slopes[top_lip] * r_val / value(top_lip)
         witnesses["lipschitz"] = None if top_lip is None else group.format_word(top_lip)
-        measured["mass"] = r_pow_q / mass_r if mass_r > 0 else None
+        measured["mass"] = _ratio(r_pow_q, mass_r) if mass_r > 0 else None
         pre_q = mass_r > 0
 
     finite = [m for m in measured.values() if m is not None]
     measured_c = max(finite) if finite else None
+    exact_c = measured_c if finite and all(type(m) in _EXACT for m in finite) else None
     checks = ((pre1, ("cond1",)), (pre2, ("cond2",)), (pre3, ("cond3",)),
               (pre_q, ("lipschitz", "mass")))
-    return measured, witnesses, measured_c, checks
+    return measured, witnesses, measured_c, exact_c, checks
 
 
 # verify_spike checks the Q-spike conditions too; this name stays only because
@@ -549,33 +582,36 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
         raise InputError(f"max_len must be >= 1, got {max_len}")
     if not ds:
         raise InputError("empty list of shadow margins D")
-    ds = [_checked_margin(d) for d in ds]
     group = nu.group
     alpha = params.alpha
+    ds = [(d, alpha.exp_neg(2 * d)) for d in map(_checked_margin, ds)]  # D, e^{-2 alpha D}
     beta = Fraction(1)
-    t_nu = 0
+    t_nu = (0, 1)  # T_nu as a pair (p, q), as the ratios in `_measure`
     rows: List[dict] = []
     worst_lower = None
     for gamma in group.ball(max_len):
         if not gamma:
             continue
         name, center = group.format_word(gamma), invert(gamma)
-        u_val = group.word_weight(gamma)
+        u_val, weights = group.word_weight(gamma), group.prefix_weights(center)
         base_mass = alpha.exp_neg(u_val)
-        for d in ds:
+        for d, shrink in ds:
             r_exp = u_val - d
-            mass = nu.mass_of(_ball_prefix(group, center, params, r_exp))
-            mass_5r = nu.mass_of(_ball_prefix(group, center, params, r_exp, 5))
+            mass = nu.mass_of(_ball_prefix(group, center, params, r_exp, 1, weights))
+            mass_5r = nu.mass_of(_ball_prefix(group, center, params, r_exp, 5, weights))
             lower_ratio = base_mass / mass           # beta must dominate this
-            upper_ratio = mass / (base_mass / alpha.exp_neg(2 * d))
+            upper_ratio = mass / (base_mass / shrink)
             rows.append({"gamma": name, "D": str(d), "mass": mass,
                          "lower_ratio": lower_ratio, "upper_ratio": upper_ratio})
             if worst_lower is None or lower_ratio > worst_lower["ratio"]:
                 worst_lower = {"gamma": name, "D": str(d), "ratio": lower_ratio}
             beta = max(beta, lower_ratio, upper_ratio)
-            t_nu = max(t_nu, _ratio(mass_5r, mass))
-    return ShadowAuditReport(beta=beta, d0=Fraction(0), rows=rows,
-                             worst_lower=worst_lower, t_nu=t_nu)
+            p, q = (mass_5r.numerator * mass.denominator, mass_5r.denominator * mass.numerator) \
+                if type(mass) in _EXACT and type(mass_5r) in _EXACT else (mass_5r / mass, 1)
+            if p * t_nu[1] > t_nu[0] * q:
+                t_nu = (p, q)
+    return ShadowAuditReport(beta=beta, d0=Fraction(0), rows=rows, worst_lower=worst_lower,
+                             t_nu=_ratio(*t_nu) if t_nu[0] else 0)
 
 
 # shadow_lemma_audit measures T_nu; this name stays only because

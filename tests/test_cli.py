@@ -874,7 +874,7 @@ def test_audit_reads_each_f_gamma_from_one_cell_table(tmp_path, monkeypatch):
     # sweep) read it: one trie_stats and one over_shared_den per gamma.  Each
     # (gamma, D) spike is measured once, in with_margin: the sweep's call
     # compares that measurement against C, with one _scale_classes and one
-    # lipschitz_scale per (gamma, D)
+    # slope kernel (_slope_numerators) per (gamma, D)
     calls = Counter()
 
     def counted(owner, name):
@@ -889,14 +889,14 @@ def test_audit_reads_each_f_gamma_from_one_cell_table(tmp_path, monkeypatch):
     counted(LocallyConstantFunction, "over_shared_den")
     counted(spikes, "verify_spike")
     counted(spikes, "_scale_classes")
-    counted(spikes, "lipschitz_scale")
+    counted(spikes, "_slope_numerators")
     monkeypatch.setattr(cli, "verify_spike", spikes.verify_spike)
     cfg = write_config(tmp_path, audit={"max_len": 2, "Ds": [0, 1]})
     assert main(["audit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     gammas = 4 + 12
     assert calls == {"trie_stats": gammas, "over_shared_den": gammas,
                      "verify_spike": 2 * 2 * gammas,
-                     "_scale_classes": 2 * gammas, "lipschitz_scale": 2 * gammas}
+                     "_scale_classes": 2 * gammas, "_slope_numerators": 2 * gammas}
 
 
 def test_audit_measures_the_constants_once(tmp_path, monkeypatch):

@@ -1,14 +1,19 @@
-"""The spike kernels (`ball_cells`, `_scale_classes`, `lipschitz_scale` and
-condition 2 of `verify_spike`) test each distance once per distinct prefix
-weight, `lipschitz_scale` reads each meet node's range instead of its sibling
-subtrees, and `verify_spike` decides on int numerators, divides once per
-report and measures a spike once per radius and nu.  These properties hold
-them to the per-cell formulas they replace, which are copied below as
-oracles, over weights {1, 3/2}, exact and float scales (at multipliers other
-than 1, coefficient 1/2 takes the float fallback of `leq_scaled`) and
-multipliers {1, 5, 2.5} (`_scale_classes` at multiplier 1 only)."""
+"""The spike kernels (`ball_cells`, `_scale_classes`, the slope kernel
+`_slope_numerators` with its per-cell view `lipschitz_scale`, and condition 2
+of `verify_spike`) test each distance once per distinct prefix weight, the
+slope kernel reads each meet node's range instead of its sibling subtrees,
+and `verify_spike` decides on int numerators and cross-multiplied int pairs
+(condition 2 and the Lipschitz bound), builds each reported number as one
+Fraction, compares a rational C once with a rational measured C, and
+measures a spike once per radius and nu.  These properties hold them to the
+per-cell formulas they replace, which are copied below as oracles, over
+weights {1, 3/2}, exact and float scales (at multipliers other than 1,
+coefficient 1/2 takes the float fallback of `leq_scaled`), multipliers
+{1, 5, 2.5} (`_scale_classes` at multiplier 1 only) and constants C that
+include the spike's own measured C, that C as a float and a C just below it."""
 
 import dataclasses
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -504,14 +509,34 @@ def run(check, spike, nu):
         return type(exc)
 
 
-CS = st.sampled_from([None, Fraction(1), Fraction(7, 2), 100, 2.5])
+C_VALUES = [None, Fraction(1), Fraction(7, 2), 100, 2.5]
+CS = st.sampled_from(C_VALUES)
+
+
+def just_below(x):
+    return math.nextafter(x, -math.inf) if type(x) is float else x - Fraction(1, 10 ** 12)
+
+
+# C from the spike's own measured C: as `with_margin` sets it, as a float
+# (which takes the per-key comparisons) and just below it
+MEASURED_CS = {"measured": lambda m: m, "measured, as a float": float,
+               "just below measured": just_below}
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(scale=st.sampled_from(SCALES), pool=st.sampled_from(VALUE_POOLS),
-       c=CS, float_nu=st.booleans(), data=st.data())
+       c=st.sampled_from(C_VALUES + list(MEASURED_CS)), float_nu=st.booleans(),
+       data=st.data())
 def test_verify_spike_matches_the_per_cell_checks(scale, pool, c, float_nu, data):
     spike, nu = draw_spike(data, make_params(*scale), pool, float_nu)
+    if c in MEASURED_CS:
+        # a first call measures the spike; the second compares its C with
+        # the measurement the table keeps
+        try:
+            measured_c = verify_spike(spike, nu).measured_c
+        except (AmbiguousCylinderError, ZeroDivisionError):
+            measured_c = None
+        c = None if measured_c is None else MEASURED_CS[c](measured_c)
     spike.c = c
     assert run(verify_spike, spike, nu) == run(old_verify_spike, spike, nu)
 
