@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -34,6 +33,7 @@ from .spikes import make_spike, with_margin, verify_spike, Spike, _checked_margi
 from .decomposition import (GreedyParams, basis_decompose, moment_decompose,
                             measure_constants, ContractionShortfall)
 from .stationarity import verify_stationarity, sphere_uniform, mix
+from .records import replace
 
 
 class ConfigError(ValueError):
@@ -360,7 +360,7 @@ def cmd_moments(run: Run, args) -> int:
     F = section["target"](run)
     params = run.greedy
     if params.margin < 1:
-        params = dataclasses.replace(params, margin=1, rescale="proof")
+        params = replace(params, margin=1, rescale="proof")
     result = moment_decompose(F, run.nu, params,
                               rounds=section["rounds"])
     _write(args.out, "moments.json", _dump(result.to_json()))

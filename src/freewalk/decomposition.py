@@ -15,7 +15,6 @@ mu(gamma) = lambda_gamma * ||u_gamma||_1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,6 +28,7 @@ from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        require_conformal)
 from .spikes import shadow_lemma_audit, decay_check, _CellTable, _slope_numerators
 from .stationarity import functionals
+from .records import Record, field
 
 
 class GreedyParameterError(ValueError):
@@ -52,8 +52,7 @@ class ContractionShortfall(InternalInvariantError):
 # measured constants
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AuditConstants:
+class AuditConstants(Record):
     """Regularity constants measured by the audits (not the proofs' loose ones)."""
 
     beta: object          # Shadow Lemma constant
@@ -102,8 +101,7 @@ def measure_constants(nu: BoundaryMeasure, params: VisualParams,
 # parameters and results
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GreedyParams:
+class GreedyParams(Record):
     """Knobs of the decomposition loops.
 
     s: oscillation bound in (1, 2]; beta: damping in (0, 1); c_cap: spike
@@ -152,8 +150,7 @@ class GreedyParams:
         return bound if bound > 1 else Fraction(3, 2)
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(Record):
     index: int
     shell: int
     cover_depth: int
@@ -169,8 +166,7 @@ class RoundRecord:
     envelope: Optional[float] = None
 
 
-@dataclass
-class DecompositionResult:
+class DecompositionResult(Record):
     coefficients: GroupMeasure
     residual_trace: List[object]
     rounds: int

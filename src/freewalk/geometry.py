@@ -10,13 +10,13 @@ rational base, so comparisons and cell values stay exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .words import (Word, EPSILON, WeightedFreeGroup, InputError, invert,
                     multiply, cancellation, common_prefix_length, is_prefix,
                     as_exact)
+from .records import Record
 
 
 class IdenticalBoundaryPointsError(ValueError):
@@ -53,8 +53,7 @@ def _power(base, n: int) -> Tuple[int, int]:
     return up ** n, down ** n
 
 
-@dataclass(frozen=True)
-class LogScale:
+class LogScale(Record, frozen=True):
     """Exponent x in e^{-x t}; exact when x = coeff*log(base), base rational > 1.
 
     An integral base or coeff is an int (see `words.as_exact`).  The exact
@@ -108,8 +107,7 @@ class LogScale:
         return math.exp(-self.value * (float(p) - float(t))) <= float(mult) * (1 + 1e-15)
 
 
-@dataclass(frozen=True)
-class VisualParams:
+class VisualParams(Record, frozen=True):
     """Visual metric exponent epsilon and conformal-density exponent alpha."""
 
     alpha: LogScale
@@ -142,11 +140,13 @@ def default_params(group: WeightedFreeGroup) -> VisualParams:
 # cylinders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Cylinder:
+class Cylinder(Record, frozen=True, order=True):
     """Set of infinite reduced words extending `word`; () denotes all of the boundary."""
 
     word: Word
+
+    def __init__(self, word: Word):  # written out, as `spikes.Spike.__init__`
+        self.__dict__["word"] = word
 
     @property
     def is_everything(self) -> bool:

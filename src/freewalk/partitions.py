@@ -41,10 +41,12 @@ def validate_partition(group: WeightedFreeGroup, leaves: Iterable[Word]) -> None
     seen = set(leaves)
     if len(seen) != len(leaves):
         raise PartitionError("duplicate cells in partition")
+    # in lexicographic order the cells below a cell follow it at once
+    ordered = sorted(seen)
+    for u, w in zip(ordered, ordered[1:]):
+        if w[:len(u)] == u:
+            raise PartitionError(f"cell {w} nested inside cell {u}")
     for w in seen:
-        for i in range(len(w)):
-            if w[:i] in seen:
-                raise PartitionError(f"cell {w} nested inside cell {w[:i]}")
         for i in range(1, len(w)):
             if w[i] == (w[i - 1] ^ 1):
                 raise PartitionError(f"cell label {w} is not a reduced word")

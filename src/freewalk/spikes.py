@@ -26,8 +26,6 @@ as they are, unless f_gamma has a float: then it is f_gamma scaled by 1/sup.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -36,6 +34,7 @@ from .words import (Word, WeightedFreeGroup, InputError, is_prefix,
 from .geometry import Cylinder, LogScale, VisualParams, AmbiguousCylinderError
 from .partitions import LocallyConstantFunction, refine_leaves, trie_closure
 from .measures import BoundaryMeasure, require_conformal, unit_spike
+from .records import Record, field, replace
 
 _EXACT = (int, Fraction)  # the rational types, each with numerator and denominator
 
@@ -44,8 +43,7 @@ class DegenerateSpikeError(ValueError):
     """Spikes require gamma != e."""
 
 
-@dataclass
-class Spike:
+class Spike(Record):
     """Unit-sup spike tuple (h, r, a, C) with provenance gamma; it is a
     Q-spike for Q = alpha/epsilon of its `params`.
 
@@ -64,13 +62,17 @@ class Spike:
     margin: object = 0
     cell_table: Optional[object] = field(default=None, repr=False, compare=False)
 
+    def __init__(self, function, r_exp, center, c, gamma, params, margin=0,
+                 cell_table=None):  # written out: an audit pass builds a thousand
+        self.function, self.r_exp, self.center, self.c = function, r_exp, center, c
+        self.gamma, self.params, self.margin, self.cell_table = gamma, params, margin, cell_table
+
     @property
     def radius(self):
         return self.params.epsilon.exp_neg(self.r_exp)
 
 
-@dataclass
-class SpikeReport:
+class SpikeReport(Record):
     cond1_ok: bool
     cond2_ok: bool
     cond3_ok: bool
@@ -78,6 +80,13 @@ class SpikeReport:
     measured_c: object
     measured: Dict[str, object] = field(default_factory=dict)
     witnesses: Dict[str, object] = field(default_factory=dict)
+
+    def __init__(self, cond1_ok, cond2_ok, cond3_ok, q_spike_ok, measured_c,
+                 measured=None, witnesses=None):  # written out, as `Spike.__init__`
+        self.cond1_ok, self.cond2_ok, self.cond3_ok = cond1_ok, cond2_ok, cond3_ok
+        self.q_spike_ok, self.measured_c = q_spike_ok, measured_c
+        self.measured = {} if measured is None else measured
+        self.witnesses = {} if witnesses is None else witnesses
 
     @property
     def all_ok(self) -> bool:
@@ -296,7 +305,7 @@ def with_margin(spike: Spike, margin, nu: BoundaryMeasure) -> Spike:
     """
     margin = _checked_margin(margin)
     r_exp = spike.function.group.word_weight(spike.gamma) - margin
-    spike = dataclasses.replace(spike, r_exp=r_exp, margin=margin, c=None)
+    spike = replace(spike, r_exp=r_exp, margin=margin, c=None)
     spike.c = verify_spike(spike, nu).measured_c
     return spike
 
@@ -508,8 +517,7 @@ def verify_q_spike(spike: Spike, nu: BoundaryMeasure) -> SpikeReport:
 # measure regularity audits
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecayReport:
+class DecayReport(Record):
     p: object
     alpha: object
     d_nu: object
@@ -553,13 +561,32 @@ def decay_check(nu: BoundaryMeasure, p, alpha, centers: Sequence[Cylinder],
     return DecayReport(p=p, alpha=alpha, d_nu=d_nu, rows=rows)
 
 
-@dataclass
-class ShadowAuditReport:
+class ShadowAuditReport(Record):
     beta: object
     d0: object
-    rows: List[dict]
     worst_lower: Optional[dict]
     t_nu: object
+    shadows: list  # (gamma, D, mass, lower, upper ratio) per shadow
+
+    @property
+    def rows(self) -> List[dict]:
+        """Each shadow's mass and ratios, built when read (no command reads them)."""
+        return [{"gamma": name, "D": str(d), "mass": mass, "lower_ratio": _value(lower),
+                 "upper_ratio": _value(upper)} for name, d, mass, lower, upper in self.shadows]
+
+
+def _quotient(a, b, c=1) -> tuple:
+    """a / (b / c) as (p, q, x): ints p / q = x, q > 0, which p1 q2 > p2 q1
+    orders exactly, and x as reported, None for Fraction(p, q) when a, b
+    and c are rational (a float x keeps its bits)."""
+    if type(a) in _EXACT and type(b) in _EXACT and type(c) in _EXACT:
+        return (a.numerator * b.denominator * c.numerator,
+                a.denominator * b.numerator * c.denominator, None)
+    return (*(x := a / (b / c)).as_integer_ratio(), x)
+
+
+def _value(x: tuple):
+    return Fraction(x[0], x[1]) if x[2] is None else x[2]
 
 
 def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
@@ -585,10 +612,10 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
     group = nu.group
     alpha = params.alpha
     ds = [(d, alpha.exp_neg(2 * d)) for d in map(_checked_margin, ds)]  # D, e^{-2 alpha D}
-    beta = Fraction(1)
-    t_nu = (0, 1)  # T_nu as a pair (p, q), as the ratios in `_measure`
-    rows: List[dict] = []
-    worst_lower = None
+    # each ratio is a `_quotient`, a Fraction (or float) only once it is reported
+    beta, t_nu = (1, 1, None), (0, 1, 0)
+    shadows = []
+    worst = None  # the shadow of the largest lower ratio
     for gamma in group.ball(max_len):
         if not gamma:
             continue
@@ -599,19 +626,19 @@ def shadow_lemma_audit(nu: BoundaryMeasure, params: VisualParams,
             r_exp = u_val - d
             mass = nu.mass_of(_ball_prefix(group, center, params, r_exp, 1, weights))
             mass_5r = nu.mass_of(_ball_prefix(group, center, params, r_exp, 5, weights))
-            lower_ratio = base_mass / mass           # beta must dominate this
-            upper_ratio = mass / (base_mass / shrink)
-            rows.append({"gamma": name, "D": str(d), "mass": mass,
-                         "lower_ratio": lower_ratio, "upper_ratio": upper_ratio})
-            if worst_lower is None or lower_ratio > worst_lower["ratio"]:
-                worst_lower = {"gamma": name, "D": str(d), "ratio": lower_ratio}
-            beta = max(beta, lower_ratio, upper_ratio)
-            p, q = (mass_5r.numerator * mass.denominator, mass_5r.denominator * mass.numerator) \
-                if type(mass) in _EXACT and type(mass_5r) in _EXACT else (mass_5r / mass, 1)
-            if p * t_nu[1] > t_nu[0] * q:
-                t_nu = (p, q)
-    return ShadowAuditReport(beta=beta, d0=Fraction(0), rows=rows, worst_lower=worst_lower,
-                             t_nu=_ratio(*t_nu) if t_nu[0] else 0)
+            lower = _quotient(base_mass, mass)  # beta must dominate this
+            upper = _quotient(mass, base_mass, shrink)
+            shadows.append((name, d, mass, lower, upper))
+            if worst is None or lower[0] * worst[3][1] > worst[3][0] * lower[1]:
+                worst = shadows[-1]
+            for x in (lower, upper):  # as max(beta, lower, upper)
+                if x[0] * beta[1] > beta[0] * x[1]:
+                    beta = x
+            if (x := _quotient(mass_5r, mass))[0] * t_nu[1] > t_nu[0] * x[1]:
+                t_nu = x
+    return ShadowAuditReport(
+        beta=_value(beta), d0=Fraction(0), t_nu=_value(t_nu), shadows=shadows,
+        worst_lower={"gamma": worst[0], "D": str(worst[1]), "ratio": _value(worst[3])})
 
 
 # shadow_lemma_audit measures T_nu; this name stays only because

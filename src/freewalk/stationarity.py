@@ -4,21 +4,20 @@ mixing and the moment/entropy functionals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .words import Word, EPSILON, WeightedFreeGroup, InputError, invert
 from .measures import (BoundaryMeasure, GroupMeasure, convolve, density,
                        rational_sum, _RATIONAL, _conformal_steps)
+from .records import Record
 
 
 class UnsupportedClosedFormError(ValueError):
     """Sphere-uniform closed form needs equal generator weights."""
 
 
-@dataclass
-class StationarityReport:
+class StationarityReport(Record):
     max_cell_error: object
     depth: int
     exact: bool

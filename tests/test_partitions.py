@@ -1,5 +1,7 @@
 """Cylinder partitions and locally constant functions."""
 
+import ast
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,23 @@ def test_partition_validation(f2):
         validate_partition(f2, [(0,), (0, 2), (1,), (2,), (3,)])  # nested
     with pytest.raises(PartitionError):
         validate_partition(f2, [(0, 1), (1,), (2,), (3,), (0,)])  # not reduced
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.sets(st.lists(st.integers(0, 3), max_size=3).map(tuple), max_size=8))
+def test_a_nested_cell_is_found_in_one_sorted_pass(cells):
+    # the refusal names a nested pair exactly when some cell has a proper
+    # prefix among the cells, the check the prefix slices made
+    nested = any(w[:i] in cells for w in cells for i in range(len(w)))
+    try:
+        validate_partition(WeightedFreeGroup(2), cells)
+        named = None
+    except PartitionError as exc:
+        named = re.fullmatch(r"cell (\(.*\)) nested inside cell (\(.*\))", str(exc))
+    assert (named is not None) == nested
+    if named:
+        w, u = map(ast.literal_eval, named.groups())
+        assert {w, u} <= cells and len(u) < len(w) and w[:len(u)] == u
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)

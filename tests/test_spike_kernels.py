@@ -12,7 +12,6 @@ coefficient 1/2 takes the float fallback of `leq_scaled`), multipliers
 {1, 5, 2.5} (`_scale_classes` at multiplier 1 only) and constants C that
 include the spike's own measured C, that C as a float and a C just below it."""
 
-import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -21,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freewalk import spikes
+from freewalk.records import replace
 from freewalk import (AmbiguousCylinderError, Cylinder, LocallyConstantFunction,
                       LogScale, Spike, SpikeReport, VisualParams, WeightedFreeGroup,
                       ball_cells, build_spike, conformal_exponent,
@@ -555,12 +555,12 @@ def test_verify_spike_reads_one_table_per_spike_family(scale, pool, float_nu, da
              for _ in range(data.draw(st.integers(2, 3)))]
     tables = set()
     for r_exp, c in pairs:
-        spike = dataclasses.replace(spike, r_exp=r_exp, c=c)
+        spike = replace(spike, r_exp=r_exp, c=c)
         assert run(verify_spike, spike, nu) == run(old_verify_spike, spike, nu)
         tables.add(id(spike.cell_table))
     assert len(tables) == 1
     # an equal VisualParams built again keys the same table
-    again = dataclasses.replace(spike, params=make_params(*scale))
+    again = replace(spike, params=make_params(*scale))
     assert again.params is not spike.params
     assert run(verify_spike, again, nu) == run(old_verify_spike, again, nu)
     assert again.cell_table is spike.cell_table
@@ -581,7 +581,7 @@ def test_verify_spike_reads_one_table_per_spike_family(scale, pool, float_nu, da
     else:
         change = {"params": doubled_alpha(params)}
     for r_exp, c in pairs:
-        other = dataclasses.replace(spike, r_exp=r_exp, c=c, **change)
+        other = replace(spike, r_exp=r_exp, c=c, **change)
         report = run(verify_spike, other, nu)
         assert report == run(old_verify_spike, other, nu)
         # only a spike that fails to build a table keeps the stale one
@@ -621,7 +621,7 @@ def test_verify_spike_measures_each_radius_once(scale, pool, float_nu, data):
     radii = [data.draw(r_exps(group, center)) for _ in range(data.draw(st.integers(1, 2)))]
     measured = set()
     for r_exp in data.draw(st.lists(st.sampled_from(radii), min_size=3, max_size=6)):
-        spike = dataclasses.replace(spike, r_exp=r_exp, c=None)
+        spike = replace(spike, r_exp=r_exp, c=None)
         spike.c = data.draw(st.sampled_from(constants(spike, nu)))
         report, fresh = verified(spike, nu)
         assert report == run(old_verify_spike, spike, nu)
@@ -634,7 +634,7 @@ def test_verify_spike_measures_each_radius_once(scale, pool, float_nu, data):
             measured.add(r_exp)
     if not measured:
         return
-    spike = dataclasses.replace(spike, r_exp=data.draw(st.sampled_from(sorted(measured))))
+    spike = replace(spike, r_exp=data.draw(st.sampled_from(sorted(measured))))
     # a report is the caller's: editing it leaves the next one unchanged
     edited = verify_spike(spike, nu)
     edited.measured["cond1"] = -1
@@ -647,13 +647,13 @@ def test_verify_spike_measures_each_radius_once(scale, pool, float_nu, data):
     # the radius is keyed by type: the cache holding an int n does not
     # answer for Fraction(n)
     n = data.draw(st.integers(0, int(group.word_weight(center))))
-    spike = dataclasses.replace(spike, r_exp=n, cell_table=None)
+    spike = replace(spike, r_exp=n, cell_table=None)
     for r_exp, fresh in ((n, True), (Fraction(n), True), (n, False)):
-        spike = dataclasses.replace(spike, r_exp=r_exp)
+        spike = replace(spike, r_exp=r_exp)
         report = run(old_verify_spike, spike, nu)
         assert verified(spike, nu) == (report, fresh or isinstance(report, type))
     # an equal VisualParams built again reads the table's measurement
-    again = dataclasses.replace(spike, params=make_params(*scale))
+    again = replace(spike, params=make_params(*scale))
     report = run(old_verify_spike, again, nu)
     assert verified(again, nu) == (report, isinstance(report, type))
     # a spike that differs in its function, center, Q or epsilon is measured
@@ -670,7 +670,7 @@ def test_verify_spike_measures_each_radius_once(scale, pool, float_nu, data):
     else:
         change = {"params": make_params(*data.draw(st.sampled_from(
             [s for s in SCALES if make_params(*s).epsilon != params.epsilon])))}
-    other = dataclasses.replace(spike, **change)
+    other = replace(spike, **change)
     report, fresh = verified(other, nu)
     assert report == run(old_verify_spike, other, nu)
     assert fresh or report is AmbiguousCylinderError

@@ -1,7 +1,6 @@
 """Spike construction, the three conditions, Q-spike checks, decay and the
 Shadow Lemma audit, plus the spike algebra lemmas."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from freewalk import (Cylinder, LocallyConstantFunction, Spike, make_spike,
                       ConformalityError, AmbiguousCylinderError, InputError,
                       LogScale, critical_exponent, radon_nikodym)
 from freewalk import spikes
+from freewalk.records import replace
 from freewalk.spikes import (_ball_prefix, _cell_product, _checked_margin,
                              _prepared_cells, _ratio)
 from freewalk.words import as_exact, invert
@@ -371,7 +371,7 @@ def test_with_margin_matches_make_spike(params):
             assert derived.function.values == made.function.values
             assert (derived.center, derived.gamma, derived.params) == \
                 (made.center, made.gamma, made.params)
-            # the dataclass repr shows each number with its type
+            # the record repr shows each number with its type
             assert repr(verify_spike(derived, nu)) == repr(verify_spike(made, nu))
     with pytest.raises(InputError):
         with_margin(derived, -1, nu)
@@ -480,10 +480,12 @@ def _float_params(weights, factor=1):
     return VisualParams.floats(s, s)
 
 
-SWEEP_CASES = {  # (weights, params): exact, half epsilon, float and Markov nu
+SWEEP_CASES = {  # (weights, params): exact, half epsilon or alpha, float and Markov nu
     "exact F_2": (["1", "1"], VisualParams.exact_base(3)),
     "exact F_3": (["1", "1", "1"], VisualParams.exact_base(5)),
     "half epsilon": (["1", "1"], VisualParams.exact_base(3, 1, Fraction(1, 2))),
+    # float masses, e^{-alpha U} a float at odd U, a Fraction at even U
+    "half alpha": (["1", "1"], VisualParams.exact_base(9, Fraction(1, 2), 1)),
     "float": (["1", "2"], _float_params(["1", "2"])),
     "Markov exact": (["1", "3/2", "1"], VisualParams.exact_base(5)),
     "Markov float": (["1", "2"], _float_params(["1", "2"], 2)),
@@ -579,8 +581,8 @@ def test_unit_spike_is_f_gamma_over_its_sup(case, data):
     for _ in range(data.draw(st.integers(1, 3))):
         half = Fraction(data.draw(st.integers(0, int(2 * weight))), 2)
         r_exp = data.draw(st.sampled_from([as_exact(half), half]))
-        built = dataclasses.replace(spike, r_exp=r_exp, cell_table=None)
-        old = dataclasses.replace(built, function=oracle)
+        built = replace(spike, r_exp=r_exp, cell_table=None)
+        old = replace(built, function=oracle)
         measured_c = verify_spike(old, nu).measured_c
         for c in (None, measured_c, measured_c * 2 / 3, Fraction(7, 2), 2.5):
             built.c = old.c = c
