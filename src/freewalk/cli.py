@@ -184,6 +184,13 @@ def _target(spec, group: WeightedFreeGroup, exact: bool):
     return build if exact else lambda run: build(run).map(float)
 
 
+def _same_group(its: WeightedFreeGroup, group: WeightedFreeGroup) -> None:
+    """Refuse a measure file over another group than the config's."""
+    if its != group:
+        raise ValueError(f"its group {its.to_config()} is not the config's "
+                         f"{group.to_config()}")
+
+
 def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
     """"sphere:R", a measure file or decomposition report, inline
     {"atoms": ...}, or a convex {"mix": [[spec, weight], ...]}.  All is
@@ -201,9 +208,7 @@ def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
             if "coefficients" in doc:
                 doc = {"group": group.to_config(), "atoms": doc["coefficients"]}
             mu = GroupMeasure.from_json(doc)
-            if mu.group != group:
-                raise ValueError(f"its group {mu.group.to_config()} is not the "
-                                 f"config's {group.to_config()}")
+            _same_group(mu.group, group)
             return mu
         return lambda run: _read_file(spec, "config['verify']['mu'] measure", parse)
     if isinstance(spec, dict) and "atoms" in spec:
@@ -220,15 +225,18 @@ def _group_measure(spec, group: WeightedFreeGroup, exact: bool):
 
 
 def _boundary_measure(spec, group: WeightedFreeGroup, exact: bool):
-    """"uniform" (the conformal nu), "pushforward:WORD" or a measure file."""
+    """"uniform" (the conformal nu), "pushforward:WORD" or a measure file over
+    the config's group."""
     if spec in (None, "uniform", "ps"):
         return lambda run: run.nu
     if isinstance(spec, str) and spec.startswith("pushforward:"):
         gamma = group.parse_word(spec.split(":", 1)[1])
         return lambda run: pushforward(gamma, run.nu)
     if isinstance(spec, str):
-        return lambda run: _read_file(spec, "measure", lambda doc: (
-            BoundaryMeasure.from_json(doc, params=run.params)))
+        def parse(doc, params):
+            _same_group(WeightedFreeGroup.from_config(doc["group"]), group)
+            return BoundaryMeasure.from_json(doc, params=params)
+        return lambda run: _read_file(spec, "measure", lambda doc: parse(doc, run.params))
     raise ValueError(f"unknown boundary measure spec {spec!r}")
 
 

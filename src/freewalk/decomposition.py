@@ -26,7 +26,7 @@ from .partitions import (LocallyConstantFunction, refine_leaves, spine_word,
 from .measures import (BoundaryMeasure, GroupMeasure, SpikeAccumulator,
                        integrate, radon_nikodym, rational_sum,  # noqa: F401
                        require_conformal)
-from .spikes import shadow_lemma_audit, decay_check, _CellTable, _slope_numerators
+from .spikes import shadow_lemma_audit, decay_check, lipschitz_scale
 from .stationarity import functionals
 from .records import Record, field
 
@@ -245,7 +245,6 @@ def greedy_lambdas(target: LocallyConstantFunction, cover: Sequence[Word],
     depth = max([target.depth()] + [len(b) for b in cover])
     T = target.den
     lambdas: List[Tuple[Word, object]] = []
-    last = (None, 0, 1)   # the last d read and divmod(d, T)
     for b in cover:
         spine = spine_word(group, b, depth)
         pair = None if T is None else acc.value_pair(spine)
@@ -253,9 +252,7 @@ def greedy_lambdas(target: LocallyConstantFunction, cover: Sequence[Word],
             lam = target.at(spine) - acc.value_at(spine)
         else:
             n, d = pair
-            if d != last[0]:
-                last = (d, *divmod(d, T))
-            t, q, r = target.num_at(spine), last[1], last[2]
+            t, (q, r) = target.num_at(spine), divmod(d, T)
             num, den = (t * d - n * T, T * d) if r else (t * q - n, d)
             lam = Fraction(num, den) if num > 0 else 0
         if lam > 0:
@@ -527,7 +524,8 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
     shared denominator (`LocallyConstantFunction.over_shared_den`) for as
     long as g and the factor keep it rational, and Fractions are built only
     where values leave the round: lambdas and mu, the residual trace, and
-    inf R, sup R and the largest slope for the float schedule.
+    inf R, sup R and the slopes (`lipschitz_scale`), whose largest sets the
+    float schedule.
     """
     vparams = nu.params
     group = F.group
@@ -551,10 +549,7 @@ def moment_decompose(F: LocallyConstantFunction, nu: BoundaryMeasure,
         eps_prev = eps_sched[-1]
         g_prev = g_shift * eps_prev
         inf_r, sup_r = R.inf(), R.sup()
-        nums, floats = _slope_numerators(table := _CellTable(R, vparams.epsilon), 0, g_prev)
-        top = max(nums.values())  # one Fraction over a shared den; 0 when flat
-        sup_slope = max([Fraction(top, table.den) if table.den and top else top,
-                         *floats.values()])
+        sup_slope = max(lipschitz_scale(R, 0, vparams, g_prev).values())
         if sup_slope > 0:
             delta_n = min(float((params.s - 1)) * float(inf_r) / float(sup_slope),
                           g_prev)

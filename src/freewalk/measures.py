@@ -193,14 +193,22 @@ class BoundaryMeasure:
 
     @classmethod
     def from_json(cls, doc: dict, params: Optional[VisualParams] = None) -> "BoundaryMeasure":
+        """The file's cells, a partition with no negative mass; under the
+        conformal rule, the closed form on those cells, refused unless each
+        stored mass is the closed form's."""
         group = WeightedFreeGroup.from_config(doc["group"])
-        leaves = word_values(group, doc["cells"])
-        rule = doc.get("rule", "none")
-        if rule == "conformal":
-            if params is None:
-                raise RefinementRuleError("conformal rule requires VisualParams")
-            return uniform_ps_measure(group, params).materialize(leaves.keys())
-        return cls(group, leaves, rule="none")
+        stored = cls(group, word_values(group, doc["cells"]))
+        if doc.get("rule", "none") != "conformal":
+            return stored
+        if params is None:
+            raise RefinementRuleError("conformal rule requires VisualParams")
+        closed = uniform_ps_measure(group, params).materialize(stored.leaves)
+        for w, v in stored.leaves.items():
+            if v != closed.leaves[w]:
+                raise ConformalityError(
+                    f"cell {group.format_word(w)} has mass {v}, but the conformal "
+                    f"closed form gives it {closed.leaves[w]}")
+        return closed
 
     def __repr__(self):
         return (f"BoundaryMeasure(cells={len(self.leaves)}, depth={self.depth()}, "
@@ -451,7 +459,6 @@ class SpikeAccumulator:
         self.nodes: Dict[Word, object] = {}
         self.step = {x: self.alpha.exp_neg(2 * group.letter_weight(x))
                      for x in group.letters()}
-        self._profiles: Dict[Word, Tuple[Optional[int], list]] = {}
         self._den: Optional[int] = None   # None: plain arithmetic
         self._growths: List[int] = []     # scaled mode: den's growths
         self._version: Dict[Word, int] = {}  # and each node's count of them
@@ -465,24 +472,18 @@ class SpikeAccumulator:
         """(scale, [(center[:t], scale * e^{-2 alpha (W_n - W_t)})]) for
         t = 0..n: `radial_profile`'s ints over scale = prod q_x in the
         scaled-integer mode, plain exponentials with scale None otherwise."""
-        profile = self._profiles.get(center)
-        if profile is None:
-            if self._den is None:
-                weights = self.group.prefix_weights(center)
-                total = weights[-1]
-                profile = (None, [(center[:t], self.alpha.exp_neg(2 * (total - acc)))
-                                  for t, acc in enumerate(weights)])
-            else:
-                scale, ints = radial_profile(center, self.step)
-                profile = (scale, [(center[:t], v) for t, v in enumerate(ints)])
-            self._profiles[center] = profile
-        return profile
+        if self._den is None:
+            weights = self.group.prefix_weights(center)
+            total = weights[-1]
+            return None, [(center[:t], self.alpha.exp_neg(2 * (total - acc)))
+                          for t, acc in enumerate(weights)]
+        scale, ints = radial_profile(center, self.step)
+        return scale, [(center[:t], v) for t, v in enumerate(ints)]
 
     def _to_plain(self) -> None:
         """Leave the scaled-integer mode: node sums become Fractions."""
         self.nodes = self.node_sums()
         self._den = None
-        self._profiles.clear()
 
     def _fresh(self, node: Word) -> Optional[int]:
         """Scaled-integer mode: the node's sum over the current den, stored

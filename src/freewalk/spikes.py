@@ -151,24 +151,21 @@ def ball_cells(group: WeightedFreeGroup, cells: Sequence[Word], center: Word,
 class _CellTable:
     """What the scale-r kernels read of f at every scale: its values as
     `lipschitz_scale` reads them (`read`), each cell's prefix weights and f's
-    range under each node above it.  1/d per meet weight is filled in as it
-    is first read."""
+    range under each node above it."""
 
     def __init__(self, f: LocallyConstantFunction, eps: LogScale):
         if len({type(v) is float for v in f.values.values()}) == 2:
             f = f.map(float)
-        self.eps, self.den, self.inv_d, self.read = eps, f.den, {}, f.values
+        self.eps, self.den, self.read = eps, f.den, f.values
         stats = f.trie_stats()
         self.weights = {w: f.group.prefix_weights(w) for w in f.values}
         self.ranges = {w: [stats[w[:j]] for j in range(len(w))] for w in f.values}
 
     def inv_d_at(self, meet):
         """1/d at a meet of weight `meet`: an int when integral on a shared den."""
-        if meet not in self.inv_d:
-            inv_d = 1 / self.eps.exp_neg(meet)
-            self.inv_d[meet] = inv_d.numerator if self.den is not None and \
-                type(inv_d) is Fraction and inv_d.denominator == 1 else inv_d
-        return self.inv_d[meet]
+        inv_d = 1 / self.eps.exp_neg(meet)
+        return inv_d.numerator if self.den is not None and \
+            type(inv_d) is Fraction and inv_d.denominator == 1 else inv_d
 
 
 class _SpikeTable(_CellTable):

@@ -72,10 +72,11 @@ def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
     density D = sum_gamma mu(gamma) f_gamma level by level, as
     `WeightedFreeGroup.sphere` does: each cell's value, a pair of ints, passes
     unchanged to the cylinders inside it, where the mass is D(cell) nu(w).
-    Fraction steps q_x = p_x/d_x carry the products of p and d down each word,
-    so nu(w) is the int pair that `_conformal_mass_fn` divides; float steps
-    carry none.  A cylinder with cells of D below it gets the sum of D(c)
-    nu(c) over those cells, in (len, word) order.  A float among the values or
+    The steps' products of p and d ride down each word as
+    `_conformal_mass_fn` forms them, so nu(w) is p/d: the int pair of
+    Fraction steps q_x = p_x/d_x, or for float steps (p_x = q_x, d_x = 1)
+    that function's float p / d.  A cylinder with cells of D below it gets
+    the sum of D(c) nu(c) over those cells, in (len, word) order.  A float among the values or
     steps keeps the plain product and running sum of D(c) nu(c), from 0, in
     that order.  For any other nu the masses are those of `convolve`.
     """
@@ -97,24 +98,18 @@ def _cylinder_masses(mu: GroupMeasure, nu: BoundaryMeasure, depth: int):
     p_step, d_step, d_last, exact = _conformal_steps(group, nu.params.alpha)
     extensions = group.valid_extensions
     level = [(EPSILON, value.get(EPSILON), 1, 1)]
-    if exact:  # nu(w) rides along as the int pair (prod p, prod d)
-        for d_of in [d_step] * (depth - 1) + [d_last]:  # the last letter's q/(1 + q)
-            level = [(w + (x,), v if v is not None else value.get(w + (x,)),
-                      p * p_step[x], d * d_of[x])
-                     for w, v, p, d in level for x in extensions(w)]
-    else:
-        for _ in range(depth):
-            level = [(w + (x,), v if v is not None else value.get(w + (x,)), None, None)
-                     for w, v, _, _ in level for x in extensions(w)]
-    mass_of = nu.mass_of
+    for d_of in [d_step] * (depth - 1) + [d_last]:  # the last letter's q/(1 + q)
+        level = [(w + (x,), v if v is not None else value.get(w + (x,)),
+                  p * p_step[x], d * d_of[x])
+                 for w, v, p, d in level for x in extensions(w)]
     for w, v, p, d in level:
         if v is not None:
             if exact and type(v) is tuple:
                 yield w, (v[0] * p, v[1] * d), (p, d)
                 continue
-            terms = [(v, mass_of(w))]
+            terms = [(v, Fraction(p, d) if exact else p / d)]
         else:
-            terms = [(value[c], mass_of(c)) for c in deep[w]]
+            terms = [(value[c], nu.mass_of(c)) for c in deep[w]]
             if all(type(x) is tuple and type(m) in _RATIONAL for x, m in terms):
                 total = rational_sum((xn * m.numerator, xd * m.denominator)
                                      for (xn, xd), m in terms)

@@ -80,6 +80,22 @@ CASES = {
         {"group": {"rank": 3}, "atoms": [["c", "1"]]}),
         None, ("config['verify']['mu'] measure file ",
                "user.json is malformed: ValueError: its group {'rank': 3")),
+    "conformal nu' file with a mass off the closed form": (lambda tmp: run_cli(
+        tmp, "verify", {"verify": {"nu_prime": str(tmp / "user.json"), "depth": 1}},
+        {"group": {"rank": 2}, "rule": "conformal",
+         "cells": [["a", "1/2"], ["A", "1/6"], ["b", "1/6"], ["B", "1/6"]]}),
+        None, ("measure file ", "user.json is malformed: ConformalityError: "
+               "cell a has mass 1/2, but the conformal closed form gives it 1/4")),
+    "conformal nu file with nested cells": (lambda tmp: run_cli(tmp, "verify", {
+        "verify": {"nu": str(tmp / "user.json")}},
+        {"group": {"rank": 2}, "rule": "conformal",
+         "cells": [["a", "1/4"], ["aa", "1/12"]]}),
+        None, "user.json is malformed: PartitionError: cell (0, 0) nested inside"),
+    "nu' file over another group": (lambda tmp: run_cli(tmp, "verify", {
+        "verify": {"nu_prime": str(tmp / "user.json"), "depth": 1}},
+        {"group": {"rank": 3}, "cells": [[x, "1/6"] for x in "aAbBcC"]}),
+        None, ("measure file ", "user.json is malformed: ValueError: its group "
+               "{'rank': 3")),
     "group config without rank": (lambda tmp: WeightedFreeGroup.from_config({}),
                                   InputError, "'rank'"),
     "decay bound on unequal lengths": (lambda tmp: sequence_decay_bound(
